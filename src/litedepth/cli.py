@@ -24,7 +24,7 @@ from .decoder import DepthDecoder
 from .encoder import EncoderConfig, count_flops, count_params
 from .engine import set_default_dtype
 from .metrics import DepthMetrics
-from .pngio import load_image, save_image, write_f32, write_png
+from .pngio import load_image, write_f32, write_png
 from .trainer import Checkpoint, build_models, evaluate, predict_depth, train
 
 __all__ = ["main"]
@@ -51,9 +51,6 @@ def _add_common(p: argparse.ArgumentParser, variant: bool = True) -> None:
     p.add_argument("--set", action="append", metavar="KEY=VALUE", dest="overrides",
                    help="override any config key (repeatable)")
     p.add_argument("--seed", type=int, help="seed for training and scene generation")
-    p.add_argument("--deterministic", dest="deterministic", action="store_true",
-                   default=None, help="fixed data order and seeded everything (default)")
-    p.add_argument("--no-deterministic", dest="deterministic", action="store_false")
     if variant:
         p.add_argument("--variant", choices=("tiny", "small", "base"),
                        help="encoder size preset")
@@ -73,8 +70,6 @@ def _build_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.set("train.seed", str(args.seed))
         cfg.set("data.scene_seed", str(args.seed))
-    if args.deterministic is not None:
-        cfg.set("train.deterministic", "true" if args.deterministic else "false")
     for extra in ("steps", "batch", "epochs", "frames"):
         value = getattr(args, extra, None)
         if value is not None:
@@ -104,14 +99,9 @@ def _source_from(cfg: RunConfig, data: Optional[str]):
 def _models_from_checkpoint(path: str):
     ckpt = Checkpoint.load(path)
     cfg = RunConfig()
-    for line in ckpt.config_text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line and "=" in line:
-            key, raw = (part.strip() for part in line.split("=", 1))
-            cfg.set(key, raw)
+    cfg.apply_text(ckpt.config_text, source=f"{path} (saved config)")
     set_default_dtype(cfg.train.precision)
-    models = build_models(cfg.encoder, seed=cfg.train.seed,
-                          pose_encoder=cfg.train.pose_encoder)
+    models = build_models(cfg.encoder, seed=cfg.train.seed)
     ckpt.restore_into(models)
     return models, cfg
 
@@ -271,8 +261,7 @@ def _cmd_ablate(args) -> int:
 def _ablate_run(cfg: RunConfig, enc_cfg: EncoderConfig, source):
     enc_cfg.validate()
     result = train(cfg.train, enc_cfg, source, loss_config=cfg.loss)
-    models = build_models(enc_cfg, seed=cfg.train.seed,
-                          pose_encoder=cfg.train.pose_encoder)
+    models = build_models(enc_cfg, seed=cfg.train.seed)
     result.checkpoint.restore_into(models)
     mean, _ = evaluate(models, source, cfg.loss)
     final = float(np.mean([r["total"] for r in result.curve[-10:]]))

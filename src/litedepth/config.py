@@ -5,10 +5,9 @@ configuration is echoed into the output directory."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin
+from typing import List, Union
 
 from .encoder import EncoderConfig
 from .losses import LossConfig
@@ -27,13 +26,9 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    schedule: str = "cosine"
     precision: str = "f32"          # f32 for training, f64 for checking
     seed: int = 0
-    deterministic: bool = True
     augment: bool = True
-    jitter_targets: bool = False
-    pose_encoder: str = "small"
     checkpoint_every: int = 0       # steps; 0 means final checkpoint only
 
     def __post_init__(self):
@@ -41,8 +36,6 @@ class TrainConfig:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.schedule != "cosine":
-            raise ValueError(f"only the cosine schedule is implemented, got {self.schedule!r}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
 
@@ -110,12 +103,16 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def apply_file(self, path: Union[str, Path]) -> None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        self.apply_text(Path(path).read_text(), source=str(path))
+
+    def apply_text(self, text: str, source: str = "<config>") -> None:
+        """Apply ``key = value`` lines; ``#`` starts a comment."""
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                raise ValueError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
             self.set(key, raw)
 

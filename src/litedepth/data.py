@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .pngio import load_image, read_f32, save_image, write_f32
 from .warp import CameraIntrinsics
 
 __all__ = [
-    "SyntheticSequence", "Triplet", "augment", "average_intrinsics",
+    "SyntheticSequence", "Triplet", "augment",
     "generate_synthetic_sequence", "load_triplet_dir", "occlusion_boundary_mask",
     "save_dataset", "SyntheticSource", "DirectorySource",
 ]
@@ -286,20 +286,6 @@ class Triplet:
         return self.frames_jittered if self.frames_jittered is not None else self.frames
 
 
-def average_intrinsics(items: Sequence[CameraIntrinsics]) -> CameraIntrinsics:
-    """Arithmetic mean of the pinhole parameters across images."""
-    if not items:
-        raise ValueError("average_intrinsics of an empty list")
-    sizes = {(i.width, i.height) for i in items}
-    if len(sizes) != 1:
-        raise ValueError(f"cannot average intrinsics across sizes {sizes}")
-    n = len(items)
-    return CameraIntrinsics(
-        fx=sum(i.fx for i in items) / n, fy=sum(i.fy for i in items) / n,
-        cx=sum(i.cx for i in items) / n, cy=sum(i.cy for i in items) / n,
-        width=items[0].width, height=items[0].height)
-
-
 def _rgb_to_hsv(img: np.ndarray) -> np.ndarray:
     r, g, b = img
     maxc = img.max(axis=0)
@@ -356,19 +342,20 @@ def _jitter(frame: np.ndarray, order, brightness, contrast, saturation, hue):
     return out
 
 
-def augment(triplet: Triplet, seed: int, force_flip: Optional[bool] = None,
-            jitter_targets: bool = False) -> Triplet:
+def augment(triplet: Triplet, seed: int, force_flip: Optional[bool] = None) -> Triplet:
     """Horizontal flip and color jitter, each with 50% probability.
 
     The flip applies to all frames, the depth and the poses consistently,
     with the principal point mirrored; color jitter
     (brightness/contrast/saturation +-0.2, hue +-0.1, random order) is
-    identical across the three frames and by default only feeds the
-    networks, leaving the loss targets clean. ``jitter_targets`` applies it
-    to the targets too.
+    identical across the three frames and only feeds the networks, leaving
+    the loss targets clean. ``force_flip`` overrides the flip decision and
+    leaves every other draw of the seed as it is.
     """
     rng = np.random.default_rng(seed)
-    do_flip = bool(rng.random() < 0.5) if force_flip is None else force_flip
+    do_flip = bool(rng.random() < 0.5)
+    if force_flip is not None:
+        do_flip = force_flip
     do_jitter = bool(rng.random() < 0.5)
     brightness, saturation, contrast = rng.uniform(0.8, 1.2, size=3)
     hue = rng.uniform(-0.1, 0.1)
@@ -392,8 +379,6 @@ def augment(triplet: Triplet, seed: int, force_flip: Optional[bool] = None,
     if do_jitter:
         jittered = tuple(_jitter(f, order, brightness, contrast, saturation, hue)
                          for f in frames)
-        if jitter_targets:
-            frames = jittered
     return replace(triplet, frames=frames, intrinsics=intr, gt_depth=gt_depth,
                    gt_poses=gt_poses, frames_jittered=jittered)
 

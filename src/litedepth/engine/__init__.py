@@ -16,7 +16,6 @@ from .tensor import (
 )
 from .functional import (
     ConvSpec,
-    activation,
     avg_pool,
     batch_norm,
     bilinear_sample,
@@ -24,7 +23,6 @@ from .functional import (
     elu,
     gelu,
     layer_norm,
-    normalize,
     resize_bilinear,
     same_padding,
     sigmoid,
@@ -33,10 +31,10 @@ from .functional import (
 from .gradcheck import grad_check
 
 __all__ = [
-    "ConvSpec", "Tensor", "activation", "as_tensor", "avg_pool", "batch_norm",
+    "ConvSpec", "Tensor", "as_tensor", "avg_pool", "batch_norm",
     "bilinear_sample", "concat", "conv2d", "default_dtype", "elu", "gelu",
     "grad_check", "grad_enabled", "layer_norm", "maximum", "minimum",
-    "no_grad", "normalize", "resize_bilinear", "same_padding",
+    "no_grad", "resize_bilinear", "same_padding",
     "set_default_dtype", "sigmoid", "softmax", "stack", "unary_op",
     "using_dtype",
 ]

@@ -12,17 +12,16 @@ Conventions fixed here and used everywhere else in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
 
-from .tensor import Tensor, as_tensor, maximum, Tensor as _T
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "ConvSpec",
-    "activation",
     "avg_pool",
     "batch_norm",
     "bilinear_sample",
@@ -30,7 +29,6 @@ __all__ = [
     "elu",
     "gelu",
     "layer_norm",
-    "normalize",
     "resize_bilinear",
     "sigmoid",
     "softmax",
@@ -365,16 +363,6 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     return normed * as_tensor(scale).reshape(cshape) + as_tensor(shift).reshape(cshape)
 
 
-def normalize(x: Tensor, kind: str, scale: Tensor, shift: Tensor, eps: float,
-              **batch_kwargs) -> Tensor:
-    """Dispatch to batch or layer normalization by name."""
-    if kind == "layer":
-        return layer_norm(x, scale, shift, eps)
-    if kind == "batch":
-        return batch_norm(x, scale, shift, eps=eps, **batch_kwargs)
-    raise ValueError(f"unknown normalization kind {kind!r}")
-
-
 # --------------------------------------------------------------- activations
 
 
@@ -426,16 +414,3 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=ax, keepdims=True))
     e = shifted.exp()
     return e / e.sum(axis=ax, keepdims=True)
-
-
-def activation(x: Tensor, kind: str, axis: int = -1) -> Tensor:
-    """Dispatch to a named activation: gelu | elu | sigmoid | softmax."""
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "elu":
-        return elu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "softmax":
-        return softmax(x, axis=axis)
-    raise ValueError(f"unknown activation kind {kind!r}")

@@ -85,17 +85,6 @@ class Module:
             p.grad = None
 
 
-class Sequential(Module):
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
 class Conv2d(Module):
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
                  stride: int = 1, dilation: int = 1, groups: int = 1,

@@ -14,12 +14,11 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .engine import Tensor, concat, gelu, unary_op
-from .nn import Conv2d, ConvBnGelu, BatchNorm2d, Module
+from .nn import Conv2d, ConvBnGelu, Module
 
 __all__ = [
     "Pose", "PoseNet", "pose_to_matrix", "relative_transform",
@@ -126,46 +125,6 @@ class _SmallPoseEncoder(Module):
         return x
 
 
-class _BasicBlock(Module):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, stride: int = 1):
-        super().__init__()
-        self.conv1 = Conv2d(cin, cout, 3, rng, stride=stride, bias=False)
-        self.bn1 = BatchNorm2d(cout)
-        self.conv2 = Conv2d(cout, cout, 3, rng, bias=False)
-        self.bn2 = BatchNorm2d(cout)
-        self.short = (Conv2d(cin, cout, 1, rng, stride=stride, bias=False)
-                      if (stride != 1 or cin != cout) else None)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        z = self.bn2(self.conv2(gelu(self.bn1(self.conv1(x)))))
-        skip = self.short(x) if self.short is not None else x
-        return gelu(z + skip)
-
-
-class _ResidualPoseEncoder(Module):
-    """ResNet18-shaped backbone (randomly initialized) kept for parity
-    experiments against the small encoder."""
-
-    def __init__(self, rng: np.random.Generator):
-        super().__init__()
-        self.stem = ConvBnGelu(6, 64, rng, stride=2)
-        self.pool = ConvBnGelu(64, 64, rng, stride=2)
-        blocks = []
-        cin = 64
-        for cout, stride in ((64, 1), (64, 1), (128, 2), (128, 1),
-                             (256, 2), (256, 1), (512, 2), (512, 1)):
-            blocks.append(_BasicBlock(cin, cout, rng, stride))
-            cin = cout
-        self.blocks = blocks
-        self.out_channels = cin
-
-    def __call__(self, x: Tensor) -> Tensor:
-        x = self.pool(self.stem(x))
-        for b in self.blocks:
-            x = b(x)
-        return x
-
-
 class PoseNet(Module):
     """Regress the relative pose between two RGB frames stacked channelwise.
 
@@ -176,15 +135,10 @@ class PoseNet(Module):
 
     OUTPUT_SCALE = 0.01
 
-    def __init__(self, seed: int = 0, encoder: str = "small"):
+    def __init__(self, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        if encoder == "small":
-            self.encoder = _SmallPoseEncoder(rng)
-        elif encoder == "resnet18":
-            self.encoder = _ResidualPoseEncoder(rng)
-        else:
-            raise ValueError(f"unknown pose encoder {encoder!r}")
+        self.encoder = _SmallPoseEncoder(rng)
         c = self.encoder.out_channels
         self.squeeze = Conv2d(c, 256, 1, rng)
         self.conv1 = Conv2d(256, 256, 3, rng)

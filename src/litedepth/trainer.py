@@ -5,20 +5,22 @@ evaluation against ground-truth depth."""
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import TrainConfig
-from .data import Triplet, augment
+from .data import augment
 from .decoder import DepthDecoder, DepthPyramid
 from .encoder import DepthEncoder, EncoderConfig
 from .engine import Tensor, no_grad, set_default_dtype
 from .losses import LossConfig, total_loss
 from .metrics import DepthMetrics, depth_metrics
+from .nn import Module
 from .pngio import write_f32
 from .posenet import PoseNet
 
@@ -54,10 +56,6 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def step(self, lr: float) -> None:
         self.step_count += 1
@@ -105,100 +103,93 @@ def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 1e-6) -> 
 def save_checkpoint(path: Union[str, Path], entries: Dict[str, Union[np.ndarray, bytes]]) -> None:
     """Binary checkpoint: magic, version u32, then a count-prefixed list of
     (name length u32, name, dtype tag u8, rank u8, dims u32..., raw LE data).
-    All integers little-endian. Round trips bit-identically."""
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-              struct.pack("<I", len(entries))]
-    for name in sorted(entries):
-        value = entries[name]
-        if isinstance(value, (bytes, bytearray)):
-            arr = np.frombuffer(bytes(value), dtype="u1")
-        else:
-            arr = np.asarray(value)
-        kind = arr.dtype.newbyteorder("<").str[1:]
-        if kind not in _TAG_FOR_KIND:
-            raise ValueError(f"{name}: unsupported checkpoint dtype {arr.dtype}")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", _TAG_FOR_KIND[kind], arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype=f"<{kind}").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    All integers little-endian. Round trips bit-identically.
+
+    The bytes go to ``<path>.tmp`` and replace ``path`` only once complete,
+    so a failed or interrupted write leaves an existing file untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
+            for name in sorted(entries):
+                value = entries[name]
+                if isinstance(value, (bytes, bytearray)):
+                    arr = np.frombuffer(bytes(value), dtype="u1")
+                else:
+                    arr = np.asarray(value)
+                kind = arr.dtype.newbyteorder("<").str[1:]
+                if kind not in _TAG_FOR_KIND:
+                    raise ValueError(f"{name}: unsupported checkpoint dtype {arr.dtype}")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)) + encoded)
+                f.write(struct.pack(f"<BB{arr.ndim}I", _TAG_FOR_KIND[kind], arr.ndim, *arr.shape))
+                f.write(np.ascontiguousarray(arr, dtype=f"<{kind}").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, np.ndarray]:
+    """Read a file written by ``save_checkpoint``. Malformed input (short
+    reads, unknown dtype tags, undecodable names, trailing bytes) raises
+    ValueError naming the path."""
     blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint: needs {pos + n} bytes, "
+                             f"file has {len(blob)}")
+        pos += n
+        return blob[pos - n:pos]
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    version, count = struct.unpack("<II", blob[4:12])
+    version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", blob[pos:pos + 4])
-        pos += 4
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        tag, rank = struct.unpack("<BB", blob[pos:pos + 2])
-        pos += 2
-        dims = struct.unpack(f"<{rank}I", blob[pos:pos + 4 * rank])
-        pos += 4 * rank
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: entry name is not UTF-8 at byte {pos - name_len}") from exc
+        tag, rank = struct.unpack("<BB", take(2))
+        if tag not in _DTYPE_TAGS:
+            raise ValueError(f"{path}: {name}: unknown dtype tag {tag}")
         dtype = _DTYPE_TAGS[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        count_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob[pos:pos + count_items * dtype.itemsize], dtype=dtype)
-        pos += count_items * dtype.itemsize
-        out[name] = arr.reshape(dims).copy()
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        # Python ints, so forged dims cannot overflow the size
+        data = take(math.prod(dims) * dtype.itemsize)
+        out[name] = np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the last entry")
     return out
 
 
 # --------------------------------------------------------------------- models
 
 
-@dataclass
-class Models:
-    encoder: DepthEncoder
-    decoder: DepthDecoder
-    pose: PoseNet
+class Models(Module):
+    """The depth encoder, depth decoder and pose network trained together."""
 
-    def named_parameters(self) -> Dict[str, Tensor]:
-        out = {}
-        for prefix, module in (("encoder", self.encoder), ("decoder", self.decoder),
-                               ("pose", self.pose)):
-            for name, p in module.named_parameters():
-                out[f"{prefix}.{name}"] = p
-        return out
-
-    def named_buffers(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for prefix, module in (("encoder", self.encoder), ("decoder", self.decoder),
-                               ("pose", self.pose)):
-            for name, b in module.named_buffers():
-                out[f"buf.{prefix}.{name}"] = b
-        return out
-
-    def train(self, mode: bool = True) -> "Models":
-        for m in (self.encoder, self.decoder, self.pose):
-            m.train(mode)
-        return self
-
-    def eval(self) -> "Models":
-        return self.train(False)
-
-    def zero_grad(self) -> None:
-        for m in (self.encoder, self.decoder, self.pose):
-            m.zero_grad()
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.named_parameters().values())
+    def __init__(self, encoder: DepthEncoder, decoder: DepthDecoder, pose: PoseNet):
+        super().__init__()
+        self.encoder = encoder
+        self.decoder = decoder
+        self.pose = pose
 
 
-def build_models(encoder_config: EncoderConfig, seed: int = 0,
-                 pose_encoder: str = "small") -> Models:
+def build_models(encoder_config: EncoderConfig, seed: int = 0) -> Models:
     enc = DepthEncoder(encoder_config, seed=seed)
     dec = DepthDecoder(encoder_config.channels[1:], seed=seed + 1)
-    pose = PoseNet(seed=seed + 2, encoder=pose_encoder)
+    pose = PoseNet(seed=seed + 2)
     return Models(enc, dec, pose)
 
 
@@ -212,7 +203,6 @@ class Checkpoint:
     opt_state: Dict[str, np.ndarray]
     epoch: int
     config_text: str
-    version: int = CHECKPOINT_VERSION
 
     def save(self, path: Union[str, Path]) -> None:
         entries: Dict[str, Union[np.ndarray, bytes]] = {}
@@ -237,13 +227,13 @@ class Checkpoint:
     def from_models(cls, models: Models, opt: Optional[AdamW], epoch: int,
                     config_text: str) -> "Checkpoint":
         return cls(
-            params={k: p.data.copy() for k, p in models.named_parameters().items()},
-            buffers={k: b.copy() for k, b in models.named_buffers().items()},
+            params={k: p.data.copy() for k, p in models.named_parameters()},
+            buffers={f"buf.{k}": b.copy() for k, b in models.named_buffers()},
             opt_state=opt.state_arrays() if opt is not None else {},
             epoch=epoch, config_text=config_text)
 
     def restore_into(self, models: Models, opt: Optional[AdamW] = None) -> None:
-        named = models.named_parameters()
+        named = dict(models.named_parameters())
         missing = set(named) - set(self.params)
         if missing:
             raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:4]}...")
@@ -253,10 +243,10 @@ class Checkpoint:
                 raise ValueError(
                     f"{name}: checkpoint shape {arr.shape} vs model {p.shape}")
             p.data = arr.astype(p.data.dtype).copy()
-        buffers = models.named_buffers()
-        for name, b in buffers.items():
-            if name in self.buffers:
-                b[...] = self.buffers[name].astype(b.dtype)
+        for name, b in models.named_buffers():
+            saved = self.buffers.get(f"buf.{name}")
+            if saved is not None:
+                b[...] = saved.astype(b.dtype)
         if opt is not None and self.opt_state:
             opt.load_state_arrays(self.opt_state)
 
@@ -292,9 +282,8 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
     set_default_dtype(cfg.precision)
     dtype = np.float32 if cfg.precision == "f32" else np.float64
 
-    models = build_models(encoder_config, seed=cfg.seed,
-                          pose_encoder=cfg.pose_encoder).train()
-    opt = AdamW(models.named_parameters(), weight_decay=cfg.weight_decay,
+    models = build_models(encoder_config, seed=cfg.seed).train()
+    opt = AdamW(dict(models.named_parameters()), weight_decay=cfg.weight_decay,
                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
 
     n_items = len(data_source)
@@ -321,8 +310,7 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
             idx = order[start: start + cfg.batch_size]
             triplets = [data_source.triplet(int(i)) for i in idx]
             if cfg.augment:
-                triplets = [augment(t, seed=int(rng.integers(2 ** 31)),
-                                    jitter_targets=cfg.jitter_targets)
+                triplets = [augment(t, seed=int(rng.integers(2 ** 31)))
                             for t in triplets]
             intr = triplets[0].intrinsics
             clean = [t.frames for t in triplets]
@@ -420,7 +408,7 @@ def predict_depth(models: Models, frame: np.ndarray,
                   loss_config: Optional[LossConfig] = None) -> np.ndarray:
     """Full-resolution metric depth (H, W) for one RGB frame (3, H, W)."""
     loss_cfg = loss_config or LossConfig()
-    dtype = next(iter(models.named_parameters().values())).data.dtype
+    dtype = next(models.parameters()).data.dtype
     with no_grad():
         pyramid = models.decoder(models.encoder(Tensor(frame[None].astype(dtype))))
         depth = pyramid.depth(0, loss_cfg.min_depth, loss_cfg.max_depth)

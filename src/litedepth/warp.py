@@ -115,8 +115,7 @@ def project(points: Tensor, intr: CameraIntrinsics,
 
 def synthesize(source: Tensor, depth: Tensor,
                pose: Union[Pose, Tensor, np.ndarray],
-               intr: CameraIntrinsics,
-               strict_depth: bool = False) -> Tuple[Tensor, np.ndarray]:
+               intr: CameraIntrinsics) -> Tuple[Tensor, np.ndarray]:
     """Warp `source` (N, C, H, W) into the target view given the target's
     depth map and the source-from-target transform.
 
@@ -133,6 +132,6 @@ def synthesize(source: Tensor, depth: Tensor,
             transform = transform.reshape(1, 4, 4)
     if transform.shape[1:] != (4, 4):
         raise ValueError(f"transform must be (N, 4, 4), got {transform.shape}")
-    points = backproject(depth, intr, strict=strict_depth)
+    points = backproject(depth, intr, strict=False)
     coords, valid = project(points, intr, transform)
     return bilinear_sample(source, coords), valid

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from litedepth.data import (
-    DirectorySource, SyntheticSource, Triplet, augment, average_intrinsics,
+    DirectorySource, SyntheticSource, Triplet, augment,
     generate_synthetic_sequence, load_triplet_dir, occlusion_boundary_mask,
     save_dataset,
 )
@@ -145,6 +145,20 @@ class TestAugment:
             for fa, fb in zip(a.frames_jittered, b.frames_jittered):
                 np.testing.assert_array_equal(fa, fb)
 
+    def test_forcing_the_natural_flip_keeps_every_draw(self):
+        t = self.make_triplet()
+        for seed in range(20):
+            free = augment(t, seed=seed)
+            natural = free.intrinsics.cx != t.intrinsics.cx
+            forced = augment(t, seed=seed, force_flip=natural)
+            assert forced.intrinsics == free.intrinsics
+            assert (forced.frames_jittered is None) == (free.frames_jittered is None)
+            for fa, fb in zip(forced.frames + forced.network_frames(),
+                              free.frames + free.network_frames()):
+                np.testing.assert_array_equal(fa, fb)
+            np.testing.assert_array_equal(forced.gt_depth, free.gt_depth)
+            np.testing.assert_array_equal(forced.gt_poses, free.gt_poses)
+
     def test_forced_flip_is_involution(self):
         t = self.make_triplet()
         once = augment(t, seed=0, force_flip=True)
@@ -267,22 +281,6 @@ class TestAugment:
 
 
 class TestIntrinsics:
-    def test_average_of_identical_is_same(self):
-        intr = CameraIntrinsics(100.0, 110.0, 32.0, 16.0, 64, 32)
-        out = average_intrinsics([intr, intr, intr])
-        assert out == intr
-
-    def test_two_item_mean(self):
-        a = CameraIntrinsics(100.0, 100.0, 30.0, 15.0, 64, 32)
-        b = CameraIntrinsics(200.0, 150.0, 34.0, 17.0, 64, 32)
-        out = average_intrinsics([a, b])
-        assert out.fx == 150.0 and out.fy == 125.0
-        assert out.cx == 32.0 and out.cy == 16.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            average_intrinsics([])
-
     def test_resize_scales_focal_lengths(self):
         intr = CameraIntrinsics(100.0, 100.0, 63.5, 31.5, 128, 64)
         half = intr.scaled(64, 32)

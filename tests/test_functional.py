@@ -3,7 +3,7 @@ import pytest
 
 from litedepth.engine import (
     ConvSpec, Tensor, avg_pool, batch_norm, bilinear_sample, conv2d, elu,
-    gelu, grad_check, layer_norm, normalize, resize_bilinear, same_padding,
+    gelu, grad_check, layer_norm, resize_bilinear, same_padding,
     sigmoid, softmax,
 )
 
@@ -260,13 +260,6 @@ class TestNormalize:
                          np.zeros(2), np.ones(2), training=True)
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
-
-    def test_dispatcher(self, rng):
-        x = Tensor(rng.standard_normal((2, 6)))
-        out = normalize(x, "layer", Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-6)
-        assert out.shape == (2, 6)
-        with pytest.raises(ValueError, match="kind"):
-            normalize(x, "instance", Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-6)
 
     def test_grad_checks(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))

@@ -137,12 +137,6 @@ class TestPoseNet:
         with pytest.raises(ValueError, match="6"):
             net(Tensor(rng.random((1, 3, 32, 32))))
 
-    def test_residual_encoder_variant_runs(self, rng):
-        net = PoseNet(seed=0, encoder="resnet18")
-        with no_grad():
-            pose = net(Tensor(rng.random((1, 6, 32, 32))))
-        assert pose.axis_angle.shape == (1, 3)
-
     def test_pose_between_inverts_for_previous_frame(self, rng):
         net = PoseNet(seed=0)
         tgt = Tensor(rng.random((1, 3, 32, 32)))

@@ -1,3 +1,6 @@
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -108,15 +111,79 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(p)
 
+    @staticmethod
+    def small_checkpoint(path):
+        save_checkpoint(path, {"a": np.arange(3, dtype=np.float32), "b": b"xy"})
+        return path.read_bytes()
+
+    def test_every_truncation_names_the_path(self, tmp_path):
+        blob = self.small_checkpoint(tmp_path / "good.lmck")
+        p = tmp_path / "cut.lmck"
+        for end in range(len(blob)):
+            p.write_bytes(blob[:end])
+            with pytest.raises(ValueError, match="cut.lmck"):
+                load_checkpoint(p)
+
+    def test_corrupt_entries_name_the_path(self, tmp_path):
+        blob = self.small_checkpoint(tmp_path / "good.lmck")
+        # entry "a" starts at byte 12: name length u32, name, tag u8, rank u8, dim u32
+        cases = {
+            "unknown dtype tag": blob[:17] + b"\x09" + blob[18:],
+            "not UTF-8": blob[:16] + b"\xff" + blob[17:],
+            "truncated": blob[:19] + b"\xff\xff\xff\xff" + blob[23:],   # forged dim
+            "trailing bytes": blob + b"\x00",
+        }
+        p = tmp_path / "bad.lmck"
+        for message, data in cases.items():
+            p.write_bytes(data)
+            with pytest.raises(ValueError, match=f"bad.lmck.*{message}"):
+                load_checkpoint(p)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "final.lmck"
+        old = self.small_checkpoint(p)
+        real_open = Path.open
+
+        class FullDisk:
+            """A file that takes half of the first write, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def write(self, data):
+                data = bytes(data)
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_on_full_disk(self, mode="r", *args, **kwargs):
+            f = real_open(self, mode, *args, **kwargs)
+            return FullDisk(f) if "w" in mode else f
+
+        monkeypatch.setattr(Path, "open", open_on_full_disk)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(p, {"a": np.zeros(4)})
+        monkeypatch.undo()
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["final.lmck"]
+
     def test_model_checkpoint_restores_exactly(self, tmp_path):
         set_default_dtype("f32")
         src = SyntheticSource(seed=3, n_frames=4, size=(64, 32))
         res = train(toy_train_config(steps=2), TINY, src, out_dir=tmp_path)
         models = build_models(TINY, seed=99)     # different init
-        opt = AdamW(models.named_parameters())
+        opt = AdamW(dict(models.named_parameters()))
         loaded = Checkpoint.load(res.checkpoint_path)
         loaded.restore_into(models, opt)
-        for name, p in models.named_parameters().items():
+        for name, p in models.named_parameters():
             np.testing.assert_array_equal(p.data, res.checkpoint.params[name])
         assert opt.step_count == 2
 
