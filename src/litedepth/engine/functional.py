@@ -12,6 +12,7 @@ Conventions fixed here and used everywhere else in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -120,51 +121,43 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
             f"non-positive conv output size {ho}x{wo} for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {s}, dilation {r}, padding {(pt, pb, pl, pr)}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(spec.pads()) else x.data
     sn, sc, sh, sw = xp.strides
-    cg = cin // g
-    og = cout // g
-    patches = as_strided(
-        xp.reshape(n, g, cg, xp.shape[2], xp.shape[3]),
-        shape=(n, g, cg, kh, kw, ho, wo),
-        strides=(sn, sc * cg, sc, sh * r, sw * r, sh * s, sw * s),
-        writeable=False,
-    )
-    wg = weight.data.reshape(g, og, cg, kh, kw)
-
-    if g == 1 and kh == 1 and kw == 1 and s == 1 and (pt, pb, pl, pr) == (0, 0, 0, 0):
-        # pointwise fast path: plain matrix product over channels
-        out = np.tensordot(weight.data[:, :, 0, 0], x.data, axes=([1], [1]))
-        out = out.transpose(1, 0, 2, 3)
-    elif g == 1:
-        cols = patches.reshape(n, cg * kh * kw, ho * wo)
-        out = np.tensordot(weight.data.reshape(cout, cg * kh * kw), cols, axes=([1], [1]))
-        out = out.transpose(1, 0, 2).reshape(n, cout, ho, wo)
-    else:
-        out = np.einsum("ngcxyhw,gocxy->ngohw", patches, wg, optimize=True)
-        out = out.reshape(n, cout, ho, wo)
-    out = np.ascontiguousarray(out)
+    cg, og, m = cin // g, cout // g, n * ho * wo
+    # one GEMM per group whose columns run over the whole batch, (N, Ho, Wo)
+    cols = as_strided(xp, shape=(g, cg, kh, kw, n, ho, wo),
+                      strides=(sc * cg, sc, sh * r, sw * r, sn, sh * s, sw * s),
+                      writeable=False).reshape(g, cg * kh * kw, m)
+    out = np.matmul(weight.data.reshape(g, og, -1), cols).reshape(cout, n, ho, wo)
+    del cols
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ValueError(f"bias axis mismatch: got {bias.shape}, expected ({cout},)")
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out = out + bias.data.reshape(cout, 1, 1, 1)
+    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(grad):
-        gout = grad.reshape(n, g, og, ho, wo)
-        gw = np.einsum("ngcxyhw,ngohw->gocxy", patches, gout, optimize=True)
-        gw = gw.reshape(cout, cg, kh, kw)
-        gxp = np.zeros_like(xp).reshape(n, g, cg, xp.shape[2], xp.shape[3])
-        for ki in range(kh):
-            for kj in range(kw):
-                contrib = np.einsum("ngohw,goc->ngchw", gout, wg[:, :, :, ki, kj],
-                                    optimize=True)
-                gxp[:, :, :,
-                    ki * r: ki * r + ho * s: s,
-                    kj * r: kj * r + wo * s: s] += contrib
-        gx = gxp.reshape(n, cin, xp.shape[2], xp.shape[3])[:, :, pt: pt + h, pl: pl + w]
+        # one kernel tap at a time, so no (Cg*kh*kw, M) column matrix is held;
+        # the weights go tap-major, (kh*kw, G, Og, Cg), because matmul calls
+        # BLAS only on operands with a unit stride
+        gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
+        wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
+        gw = np.empty(wt.shape, dtype=np.result_type(grad, xp))
+        gxp = np.zeros(xp.shape, dtype=xp.dtype)
+        gxg = gxp.reshape((n, g, cg) + xp.shape[2:])
+        for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
+            tap = as_strided(xp[:, :, ki * r:, kj * r:], shape=(g, cg, n, ho, wo),
+                             strides=(sc * cg, sc, sn, sh * s, sw * s),
+                             writeable=False).reshape(g, cg, m)
+            np.matmul(gout, tap.transpose(0, 2, 1), out=gw[t])
+            gx_t = (wt[t].transpose(0, 2, 1) @ gout).reshape(g, cg, n, ho, wo)
+            gxg[..., ki * r: ki * r + ho * s: s, kj * r: kj * r + wo * s: s] += (
+                gx_t.transpose(2, 0, 1, 3, 4))
+        gx = gxp[:, :, pt: pt + h, pl: pl + w]
+        gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(weight.shape)
         if bias is None:
             return gx, gw
         return gx, gw, grad.sum(axis=(0, 2, 3))
@@ -184,17 +177,16 @@ def avg_pool(x: Tensor, window, stride=None) -> Tensor:
         raise ValueError(f"pool window {wh}x{ww} exceeds spatial extent {h}x{w}")
     ho = (h - wh) // sh_ + 1
     wo = (w - ww) // sw_ + 1
-    sn, sc, sh, sw = x.data.strides
-    patches = as_strided(x.data, shape=(n, c, ho, wo, wh, ww),
-                         strides=(sn, sc, sh * sh_, sw * sw_, sh, sw), writeable=False)
-    out = patches.mean(axis=(4, 5))
+    # columns first, then rows: the summation order of a windowed .mean
+    cols = reduce(np.add, (x.data[..., kj: kj + (wo - 1) * sw_ + 1: sw_] for kj in range(ww)))
+    out = reduce(np.add, (cols[:, :, ki: ki + (ho - 1) * sh_ + 1: sh_] for ki in range(wh)))
+    out = out / (wh * ww)
 
     def bw(g):
         gx = np.zeros_like(x.data)
         share = g / (wh * ww)
-        for ki in range(wh):
-            for kj in range(ww):
-                gx[:, :, ki: ki + ho * sh_: sh_, kj: kj + wo * sw_: sw_] += share
+        for ki, kj in np.ndindex(wh, ww):
+            gx[:, :, ki: ki + ho * sh_: sh_, kj: kj + wo * sw_: sw_] += share
         return (gx,)
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), bw)
@@ -246,13 +238,11 @@ def resize_bilinear(x: Tensor, scale=None, size=None) -> Tensor:
     out = top * (1 - fy) + bot * fy
 
     def bw(g):
-        gx = np.zeros_like(d)
-        for yi, wy in ((y0, 1 - fy), (y1, fy)):
-            for xi, wx in ((x0, 1 - fx), (x1, fx)):
-                rows = np.zeros((n, c, ho, w), dtype=g.dtype)
-                np.add.at(rows, (slice(None), slice(None), slice(None), xi), g * wy * wx)
-                np.add.at(gx, (slice(None), slice(None), yi, slice(None)), rows)
-        return (gx,)
+        # out = Ry @ x @ Rx^T with one-hot (n_out, n_in) interpolation matrices
+        ry, rx = [(np.arange(size) == i0[:, None]) * (1 - f) + (np.arange(size) == i1[:, None]) * f
+                  for size, i0, i1, f in ((h, y0, y1, fy.reshape(ho, 1)),
+                                          (w, x0, x1, fx.reshape(wo, 1)))]
+        return ((ry.T @ g @ rx).astype(d.dtype),)
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), bw)
 
@@ -281,13 +271,13 @@ def bilinear_sample(source: Tensor, coords: Tensor) -> Tensor:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (cx - x0)[:, None]                      # (N,1,Ho,Wo)
     fy = (cy - y0)[:, None]
-    bidx = np.arange(n).reshape(n, 1, 1)
-
+    # flat (n, c, y, x) index of each corner's source pixel, the four corners
+    # stacked first: (4, N, 1, Ho, Wo) pixel offsets plus (N, C, 1, 1) planes
+    corners = np.stack([(yi * w + xi)[:, None]
+                        for yi, xi in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
     d = source.data
-    v00 = d[bidx, :, y0, x0].transpose(0, 3, 1, 2)
-    v01 = d[bidx, :, y0, x1].transpose(0, 3, 1, 2)
-    v10 = d[bidx, :, y1, x0].transpose(0, 3, 1, 2)
-    v11 = d[bidx, :, y1, x1].transpose(0, 3, 1, 2)
+    v00, v01, v10, v11 = np.take(d, corners + planes)
     w00 = (1 - fx) * (1 - fy)
     w01 = fx * (1 - fy)
     w10 = (1 - fx) * fy
@@ -298,9 +288,11 @@ def bilinear_sample(source: Tensor, coords: Tensor) -> Tensor:
     inside_y = (coords.data[..., 1] > 0.0) & (coords.data[..., 1] < h - 1.0)
 
     def bw(g):
-        gsrc = np.zeros_like(d)
-        for (yi, xi, wgt) in ((y0, x0, w00), (y0, x1, w01), (y1, x0, w10), (y1, x1, w11)):
-            np.add.at(gsrc, (bidx, slice(None), yi, xi), (g * wgt).transpose(0, 2, 3, 1))
+        gsrc = None
+        if source.requires_grad:
+            wgt = np.stack([g * w00, g * w01, g * w10, g * w11])
+            gsrc = np.bincount((corners + planes).ravel(), wgt.ravel(), minlength=d.size)
+            gsrc = gsrc.reshape(d.shape).astype(d.dtype)
         # d out / d cx = (right - left) weighted by the y mixing; zero where clamped
         dx = ((v01 - v00) * (1 - fy) + (v11 - v10) * fy)
         dy = ((v10 - v00) * (1 - fx) + (v11 - v01) * fx)

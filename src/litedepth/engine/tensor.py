@@ -126,18 +126,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -299,9 +287,6 @@ class Tensor:
         a = self
         return Tensor._from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
-    def clamp_min(self, lo: float):
-        return maximum(self, float(lo))
-
     # -------------------------------------------------------------- reductions
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -356,10 +341,17 @@ class Tensor:
 
     def __getitem__(self, idx):
         a = self
+        # basic indices select each element at most once; advanced ones may repeat
+        basic = all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
+                    and not isinstance(p, bool)
+                    for p in (idx if isinstance(idx, tuple) else (idx,)))
 
         def bw(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
+            if basic:
+                full[idx] = g
+            else:
+                np.add.at(full, idx, g)
             return (full,)
 
         return Tensor._from_op(a.data[idx], (a,), bw)

@@ -191,4 +191,14 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         rot_in = Tensor(rng.standard_normal((2, 3)))
         wr = _weighted(rng, (2, 3, 3))
         check("rodrigues", lambda a: wr(rotation_from_axis_angle(a)), [rot_in])
+
+        # ---- drawn last, so every earlier check keeps its inputs
+        for name, shape, spec in (
+                ("conv2d_pointwise", (5, 4, 1, 1), ConvSpec(kernel=(1, 1))),
+                ("conv2d_grouped_stride2", (6, 2, 3, 3),
+                 ConvSpec(kernel=(3, 3), stride=2, padding=1, groups=2))):
+            check(name, lambda a, w, spec=spec: (conv2d(a, w, None, spec) ** 2.0).sum(),
+                  [xc, Tensor(rng.standard_normal(shape) * 0.3)])
+        check("getitem_repeated", lambda a: (a[:, [2, 0, 2, 2]] ** 2.0).sum(),
+              [Tensor(rng.standard_normal((2, 3, 4)))])
     return results

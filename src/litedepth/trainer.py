@@ -233,20 +233,22 @@ class Checkpoint:
             epoch=epoch, config_text=config_text)
 
     def restore_into(self, models: Models, opt: Optional[AdamW] = None) -> None:
-        named = dict(models.named_parameters())
-        missing = set(named) - set(self.params)
-        if missing:
-            raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:4]}...")
-        for name, p in named.items():
-            arr = self.params[name]
-            if tuple(arr.shape) != p.shape:
-                raise ValueError(
-                    f"{name}: checkpoint shape {arr.shape} vs model {p.shape}")
-            p.data = arr.astype(p.data.dtype).copy()
-        for name, b in models.named_buffers():
-            saved = self.buffers.get(f"buf.{name}")
-            if saved is not None:
-                b[...] = saved.astype(b.dtype)
+        """Copy all parameters and buffers in, after checking every shape."""
+        params = dict(models.named_parameters())
+        buffers = {f"buf.{k}": b for k, b in models.named_buffers()}
+        for kind, saved, live in (("parameters", self.params, params),
+                                  ("buffers", self.buffers, buffers)):
+            missing = set(live) - set(saved)
+            if missing:
+                raise ValueError(f"checkpoint is missing {kind}: {sorted(missing)[:4]}...")
+            for name, target in live.items():
+                if tuple(saved[name].shape) != target.shape:
+                    raise ValueError(f"{name}: checkpoint shape {saved[name].shape} "
+                                     f"vs model {target.shape}")
+        for name, p in params.items():
+            p.data = self.params[name].astype(p.data.dtype).copy()
+        for name, b in buffers.items():
+            b[...] = self.buffers[name]
         if opt is not None and self.opt_state:
             opt.load_state_arrays(self.opt_state)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from litedepth.engine import (
     ConvSpec, Tensor, avg_pool, batch_norm, bilinear_sample, conv2d, elu,
@@ -30,6 +31,30 @@ def conv_as_1d(x, w, r):
     wt = Tensor(np.asarray(w, dtype=np.float64).reshape(1, 1, 1, k))
     spec = ConvSpec(kernel=(1, k), padding=(0, 0, 0, r * k), dilation=r)
     return conv2d(xt, wt, None, spec).data.reshape(-1)
+
+
+def seven_loop_conv(x, wt, b, spec):
+    """Direct zero-padded grouped convolution, one multiply-add at a time."""
+    pt, pb, pl, pr = spec.pads()
+    s, r, g = spec.stride, spec.dilation, spec.groups
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    n, cout, (cg, kh, kw) = x.shape[0], wt.shape[0], wt.shape[1:]
+    og = cout // g
+    ho = (xp.shape[2] - r * (kh - 1) - 1) // s + 1
+    wo = (xp.shape[3] - r * (kw - 1) - 1) // s + 1
+    ref = np.zeros((n, cout, ho, wo))
+    for ni in range(n):
+        for oc in range(cout):
+            for ic in range(cg):
+                for i in range(ho):
+                    for j in range(wo):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                ref[ni, oc, i, j] += (
+                                    xp[ni, (oc // og) * cg + ic, i * s + ki * r, j * s + kj * r]
+                                    * wt[oc, ic, ki, kj])
+            ref[ni, oc] += b[oc]
+    return ref
 
 
 class TestConv2d:
@@ -74,21 +99,36 @@ class TestConv2d:
         x = rng.integers(-64, 64, size=(n, cin, h, w)) / 8.0
         wt = rng.integers(-64, 64, size=(cout, cin, k, k)) / 8.0
         b = rng.integers(-64, 64, size=cout) / 8.0
-        out = conv2d(Tensor(x), Tensor(wt), Tensor(b),
-                     ConvSpec(kernel=(k, k))).data
-        ho, wo = h - k + 1, w - k + 1
-        ref = np.zeros((n, cout, ho, wo))
-        for ni in range(n):
-            for oc in range(cout):
-                for ic in range(cin):
-                    for i in range(ho):
-                        for j in range(wo):
-                            for ki in range(k):
-                                for kj in range(k):
-                                    ref[ni, oc, i, j] += (
-                                        x[ni, ic, i + ki, j + kj] * wt[oc, ic, ki, kj])
-                ref[ni, oc] += b[oc]
-        np.testing.assert_array_equal(out, ref)
+        spec = ConvSpec(kernel=(k, k))
+        out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
+        np.testing.assert_array_equal(out, seven_loop_conv(x, wt, b, spec))
+
+    @pytest.mark.parametrize("cin,cout,k,spec_kw", [
+        (4, 6, 3, dict(groups=2, padding=1)),
+        (4, 4, 3, dict(groups=4, padding=2, dilation=2)),
+        (4, 8, 3, dict(groups=4, padding=1)),
+        (5, 3, 1, dict()),
+        (3, 4, 3, dict(stride=2, padding=1)),
+        (4, 6, 3, dict(groups=2, stride=2, padding=(1, 0, 2, 1))),
+        (2, 3, 3, dict(dilation=2, padding=(0, 2, 1, 3))),
+    ])
+    def test_every_geometry_matches_seven_loop_reference(self, cin, cout, k, spec_kw, rng):
+        spec = ConvSpec(kernel=(k, k), **spec_kw)
+        x = rng.integers(-64, 64, size=(3, cin, 9, 8)) / 8.0
+        wt = rng.integers(-64, 64, size=(cout, cin // spec.groups, k, k)) / 8.0
+        b = rng.integers(-64, 64, size=cout) / 8.0
+        out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
+        np.testing.assert_array_equal(out, seven_loop_conv(x, wt, b, spec))
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_input_grad_keeps_input_dtype(self, groups, rng):
+        # an f64 upstream gradient must not promote the f32 input's gradient
+        x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        out = conv2d(x, w, None, ConvSpec(kernel=(3, 3), padding=1, groups=groups))
+        (out * Tensor(np.ones(out.shape))).sum().backward()
+        assert x.grad.dtype == np.float32
 
     def test_depthwise_equals_per_channel_conv(self, rng):
         x = rng.standard_normal((1, 3, 6, 6))
@@ -149,6 +189,26 @@ class TestAvgPool:
     def test_grad_check(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         assert grad_check(lambda a: (avg_pool(a, (2, 2)) ** 2.0).sum(), [x]) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,window,stride", [
+        ((4, 3, 34, 66), (3, 3), (1, 1)),   # SSIM's box filter on a padded frame
+        ((4, 1, 10, 18), (3, 3), (1, 1)),
+        ((4, 48, 8, 16), (2, 2), None),     # the encoder's input pyramid
+        ((1, 3, 7, 9), (2, 2), None),
+        ((2, 2, 9, 7), (3, 2), (2, 1)),
+    ])
+    def test_bit_identical_to_windowed_mean(self, shape, window, stride, dtype, rng):
+        x = rng.random(shape).astype(dtype)
+        sh_, sw_ = stride or window
+        n, c, h, w = shape
+        ho, wo = (h - window[0]) // sh_ + 1, (w - window[1]) // sw_ + 1
+        sn, sc, sh, sw = x.strides
+        oracle = as_strided(x, shape=(n, c, ho, wo) + window,
+                            strides=(sn, sc, sh * sh_, sw * sw_, sh, sw)).mean(axis=(4, 5))
+        out = avg_pool(Tensor(x), window, stride).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, oracle)
 
 
 def bilinear_resize_oracle(img, ho, wo):
@@ -228,6 +288,94 @@ class TestBilinearSample:
             return (bilinear_sample(s, c) ** 2.0).sum()
 
         assert grad_check(f, [src, coords]) < 1e-4
+
+
+def upstream_grad(f, inputs, rng):
+    """Gradients of sum(f(*inputs) * G) for a random upstream gradient G."""
+    out = f(*inputs)
+    upstream = rng.standard_normal(out.shape)
+    (out * Tensor(upstream)).sum().backward()
+    return upstream, [t.grad for t in inputs]
+
+
+class TestScatterOracles:
+    """Backward passes against a sequential np.add.at scatter of the same
+    contributions."""
+
+    def test_bilinear_sample_source_grad(self, rng):
+        n, c, h, w = 2, 3, 5, 6
+        src = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True)
+        xy = rng.uniform(-1.0, 7.0, size=(n, 4, 5, 2))
+        xy[0, :2] = (2.5, 1.25)          # many samples on the same pixels
+        xy[1, 0, :, 0] = np.arange(5.0)  # integer coordinates
+        upstream, (gsrc,) = upstream_grad(
+            lambda s: bilinear_sample(s, Tensor(xy)), [src], rng)
+        cx, cy = np.clip(xy[..., 0], 0, w - 1.0), np.clip(xy[..., 1], 0, h - 1.0)
+        x0 = np.minimum(np.floor(cx).astype(int), w - 1)
+        y0 = np.minimum(np.floor(cy).astype(int), h - 1)
+        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+        fx, fy = cx - x0, cy - y0
+        oracle = np.zeros((n, c, h, w))
+        bidx = np.arange(n).reshape(n, 1, 1)
+        for yi, xi, wgt in ((y0, x0, (1 - fx) * (1 - fy)), (y0, x1, fx * (1 - fy)),
+                            (y1, x0, (1 - fx) * fy), (y1, x1, fx * fy)):
+            np.add.at(oracle, (bidx, slice(None), yi, xi),
+                      (upstream * wgt[:, None]).transpose(0, 2, 3, 1))
+        np.testing.assert_allclose(gsrc, oracle, rtol=0, atol=1e-12)
+
+    def test_bilinear_sample_coord_grad_without_source_grad(self, rng):
+        src = rng.standard_normal((1, 2, 5, 5))
+        xy = rng.uniform(0.3, 3.4, size=(1, 3, 3, 2))
+        grads = []
+        for needs in (True, False):
+            s, c = Tensor(src, requires_grad=needs), Tensor(xy, requires_grad=True)
+            (bilinear_sample(s, c) ** 2.0).sum().backward()
+            assert (s.grad is None) != needs
+            grads.append(c.grad)
+        np.testing.assert_array_equal(*grads)
+
+    @pytest.mark.parametrize("size", [(10, 12), (3, 2), (4, 11)])
+    def test_resize_bilinear_grad(self, size, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
+        upstream, (gx,) = upstream_grad(lambda a: resize_bilinear(a, size=size), [x], rng)
+        ho, wo = size
+        sy = np.clip((np.arange(ho) + 0.5) * 5 / ho - 0.5, 0, 4.0)
+        sx = np.clip((np.arange(wo) + 0.5) * 6 / wo - 0.5, 0, 5.0)
+        oracle = np.zeros((2, 3, 5, 6))
+        for i in range(ho):
+            for j in range(wo):
+                y0, x0 = int(sy[i]), int(sx[j])
+                fy, fx = sy[i] - y0, sx[j] - x0
+                for yi, wy in ((y0, 1 - fy), (min(y0 + 1, 4), fy)):
+                    for xi, wx in ((x0, 1 - fx), (min(x0 + 1, 5), fx)):
+                        np.add.at(oracle, (slice(None), slice(None), yi, xi),
+                                  upstream[:, :, i, j] * wy * wx)
+        np.testing.assert_allclose(gx, oracle, rtol=0, atol=1e-12)
+
+    def test_resize_bilinear_grad_keeps_input_dtype(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 4)).astype(np.float32), requires_grad=True)
+        (resize_bilinear(x, scale=2.0) * Tensor(np.ones((1, 2, 6, 8)))).sum().backward()
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("idx", [
+        (slice(None), slice(1, None, 2)),
+        (Ellipsis, slice(0, 1)),
+        (0, None, slice(None, None, -1)),
+        (-1,),
+        1,
+        np.int64(2),
+        np.array([0, 2, 2, 0, 2]),                      # repeated rows
+        (slice(None), [1, 1, 3], [0, 0, 0]),            # repeated elements
+        (np.array([[1, 1], [0, 1]]), 2),
+        (np.array([True, False, True]),),
+        (Ellipsis, [3, 0, 3]),
+    ])
+    def test_getitem_grad(self, idx, rng):
+        a = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        upstream, (ga,) = upstream_grad(lambda t: t[idx], [a], rng)
+        oracle = np.zeros((3, 4, 5))
+        np.add.at(oracle, idx, upstream)
+        np.testing.assert_allclose(ga, oracle, rtol=0, atol=1e-12)
 
 
 class TestNormalize:

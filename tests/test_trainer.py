@@ -194,6 +194,22 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError):
             ck.restore_into(other)
 
+    def test_restore_rejects_missing_buffers(self):
+        set_default_dtype("f32")
+        ck = Checkpoint.from_models(build_models(TINY, seed=0), None, 0, "")
+        ck.buffers = {}
+        with pytest.raises(ValueError, match="missing buffers.*buf\\."):
+            ck.restore_into(build_models(TINY, seed=1))
+
+    def test_restore_rejects_wrong_shaped_buffer(self):
+        set_default_dtype("f32")
+        ck = Checkpoint.from_models(build_models(TINY, seed=0), None, 0, "")
+        name = next(iter(ck.buffers))
+        # a length-1 array would broadcast into the buffer under b[...] = saved
+        ck.buffers[name] = np.ones(1, dtype=np.float32)
+        with pytest.raises(ValueError, match=f"{name}: checkpoint shape"):
+            ck.restore_into(build_models(TINY, seed=1))
+
 
 class TestTrainLoop:
     def test_fixed_seed_identical_curves(self, tmp_path):
