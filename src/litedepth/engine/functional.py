@@ -144,19 +144,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
         # the weights go tap-major, (kh*kw, G, Og, Cg), because matmul calls
         # BLAS only on operands with a unit stride
         gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
-        wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
-        gw = np.empty(wt.shape, dtype=np.result_type(grad, xp))
-        gxp = np.zeros(xp.shape, dtype=xp.dtype)
-        gxg = gxp.reshape((n, g, cg) + xp.shape[2:])
+        gw = np.empty((kh * kw, g, og, cg), dtype=np.result_type(grad, xp))
         for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
             tap = as_strided(xp[:, :, ki * r:, kj * r:], shape=(g, cg, n, ho, wo),
                              strides=(sc * cg, sc, sn, sh * s, sw * s),
                              writeable=False).reshape(g, cg, m)
             np.matmul(gout, tap.transpose(0, 2, 1), out=gw[t])
-            gx_t = (wt[t].transpose(0, 2, 1) @ gout).reshape(g, cg, n, ho, wo)
-            gxg[..., ki * r: ki * r + ho * s: s, kj * r: kj * r + wo * s: s] += (
-                gx_t.transpose(2, 0, 1, 3, 4))
-        gx = gxp[:, :, pt: pt + h, pl: pl + w]
+        gx = None
+        if x.requires_grad:      # images, as in the encoder stem, need no gx
+            wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
+            gxp = np.zeros(xp.shape, dtype=xp.dtype)
+            gxg = gxp.reshape((n, g, cg) + xp.shape[2:])
+            for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
+                gx_t = (wt[t].transpose(0, 2, 1) @ gout).reshape(g, cg, n, ho, wo)
+                gxg[..., ki * r: ki * r + ho * s: s, kj * r: kj * r + wo * s: s] += (
+                    gx_t.transpose(2, 0, 1, 3, 4))
+            gx = gxp[:, :, pt: pt + h, pl: pl + w]
         gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(weight.shape)
         if bias is None:
             return gx, gw

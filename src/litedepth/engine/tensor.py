@@ -88,6 +88,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _released(g):
+    raise RuntimeError("graph already backpropagated; rebuild it")
+
+
 class Tensor:
     """N-d array with optional gradient tracking.
 
@@ -95,7 +99,7 @@ class Tensor:
     backward pass accumulates into ``grad``, never overwrites it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -137,7 +141,12 @@ class Tensor:
     def backward(self) -> None:
         """Populate grads of every reachable requires_grad tensor.
 
-        The loss must be scalar. Repeated calls accumulate into ``grad``.
+        The loss must be scalar. A graph can be backpropagated once: each
+        node drops its parents and its backward closure as soon as it has
+        been visited, so forward buffers are freed during the pass, and a
+        second call on the same loss raises ``RuntimeError``. Calls on
+        freshly built graphs accumulate into the leaves' ``grad``. Each
+        parent gradient is cast to that parent's dtype.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -159,18 +168,22 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
+            backward, parents = node._backward, node._parents
+            if backward is not None:
+                node._backward, node._parents = _released, ()
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
+            if backward is None:
                 continue
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
+            for p, pg in zip(parents, backward(g)):
                 if pg is None or not p.requires_grad:
                     continue
+                pg = pg.astype(p.data.dtype, copy=False)
                 if id(p) in grads:
                     grads[id(p)] = grads[id(p)] + pg
                 else:
@@ -195,7 +208,8 @@ class Tensor:
         a, b = self, other
 
         def bw(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.shape) if b.requires_grad else None)
 
         return Tensor._from_op(a.data + b.data, (a, b), bw)
 
@@ -206,7 +220,8 @@ class Tensor:
         a, b = self, other
 
         def bw(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
         return Tensor._from_op(a.data - b.data, (a, b), bw)
 
@@ -218,7 +233,8 @@ class Tensor:
         a, b = self, other
 
         def bw(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
         return Tensor._from_op(a.data * b.data, (a, b), bw)
 
@@ -229,8 +245,9 @@ class Tensor:
         a, b = self, other
 
         def bw(g):
-            ga = _unbroadcast(g / b.data, a.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+            gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                  if b.requires_grad else None)
             return ga, gb
 
         return Tensor._from_op(a.data / b.data, (a, b), bw)
@@ -261,8 +278,10 @@ class Tensor:
                 f"(axis {a.ndim - 1} vs axis {max(b.ndim - 2, 0)})")
 
         def bw(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                  if a.requires_grad else None)
+            gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+                  if b.requires_grad else None)
             return ga, gb
 
         return Tensor._from_op(a.data @ b.data, (a, b), bw)
@@ -369,8 +388,8 @@ def maximum(a, b) -> Tensor:
 
     def bw(g):
         take_a = a.data >= b.data
-        ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape)
-        gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape)
+        ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None
         return ga, gb
 
     return Tensor._from_op(np.maximum(a.data, b.data), (a, b), bw)
@@ -382,8 +401,8 @@ def minimum(a, b) -> Tensor:
 
     def bw(g):
         take_a = a.data <= b.data
-        ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape)
-        gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape)
+        ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None
         return ga, gb
 
     return Tensor._from_op(np.minimum(a.data, b.data), (a, b), bw)

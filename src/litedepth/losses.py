@@ -183,7 +183,8 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
     source frame (typically previous and next). Lower-scale disparities are
     upsampled to full resolution before synthesis; the smoothness term runs
     at each scale's native resolution with its weight divided by 2^scale.
-    Returns the scalar loss and a diagnostics dict of intermediate maps.
+    Returns the scalar loss and a diagnostics dict of intermediate maps: the
+    forward arrays themselves, not copies, so callers must not write to them.
     """
     if len(sources) != len(transforms):
         raise ValueError(f"{len(sources)} sources but {len(transforms)} transforms")
@@ -237,11 +238,11 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
         diagnostics["scales"][level] = {
             "reconstruction": float(reconstruction.data),
             "smoothness": float(smooth.data),
-            "automask": mu.copy(),
-            "valid": valid_any.copy(),
-            "min_reprojection": best_warped.data.copy(),
-            "warped": [wi.data.copy() for wi in warped_imgs],
-            "disp": disp.data.copy(),
+            "automask": mu,
+            "valid": valid_any,
+            "min_reprojection": best_warped.data,
+            "warped": [wi.data for wi in warped_imgs],
+            "disp": disp.data,
         }
 
     total = scale_losses[0]

@@ -56,8 +56,11 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.scratch = {k: np.empty_like(p.data) for k, p in self.params.items()}
 
     def step(self, lr: float) -> None:
+        """One update in place: each term goes through the parameter's one
+        scratch array, so no full-size temporaries are allocated."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
@@ -66,14 +69,20 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+            m, v, s = self.m[name], self.v[name], self.scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= lr * update + lr * self.weight_decay * p.data
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            p.data -= np.multiply(p.data, lr * self.weight_decay, out=s)  # pre-update p
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= lr / bc1
+            p.data -= s
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         out = {f"opt.m.{k}": v for k, v in self.m.items()}

@@ -130,6 +130,22 @@ class TestConv2d:
         (out * Tensor(np.ones(out.shape))).sum().backward()
         assert x.grad.dtype == np.float32
 
+    @pytest.mark.parametrize("groups,stride", [(1, 1), (4, 2)])
+    def test_weight_grad_same_without_input_grad(self, groups, stride, rng):
+        # an image input needs no gradient, so conv2d skips the gx taps
+        x = rng.standard_normal((2, 4, 7, 6))
+        w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        spec = ConvSpec(kernel=(3, 3), stride=stride, padding=(1, 0, 2, 1), groups=groups)
+        upstream = rng.standard_normal(conv2d(Tensor(x), w, b, spec).shape)
+        grads = []
+        for needs in (True, False):
+            gx, gw, gb = conv2d(Tensor(x, requires_grad=needs), w, b, spec)._backward(upstream)
+            assert (gx is None) != needs
+            grads.append((gw, gb))
+        for with_x, without_x in zip(*grads):
+            np.testing.assert_array_equal(with_x, without_x)
+
     def test_depthwise_equals_per_channel_conv(self, rng):
         x = rng.standard_normal((1, 3, 6, 6))
         w = rng.standard_normal((3, 1, 3, 3))

@@ -1,6 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from litedepth.decoder import DepthDecoder
+from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import (
     Tensor, concat, grad_check, maximum, minimum, no_grad, softmax, stack,
 )
@@ -50,6 +54,83 @@ class TestBackwardBasics:
         (x * y).sum().backward()
         assert x.grad is None
         assert y.grad is not None
+
+
+class TestGraphRelease:
+    """backward() frees each node's parents and closure as it visits it."""
+
+    def test_intermediates_die_during_backward(self):
+        x, w = t([1.0, -2.0, 3.0]), t([0.5, 0.25, -1.0])
+        h = x * w
+        dead = weakref.ref(h)
+        loss = (h.exp() * 2.0).sum()
+        del h
+        assert dead() is not None        # the graph holds it until backward
+        loss.backward()
+        assert dead() is None
+        np.testing.assert_allclose(x.grad, 2.0 * np.exp(x.data * w.data) * w.data)
+        np.testing.assert_allclose(w.grad, 2.0 * np.exp(x.data * w.data) * x.data)
+
+    def test_second_backward_raises(self):
+        x = t([1.0, -2.0])
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_encoder_decoder_graph_passes_grad_check(self):
+        cfg = EncoderConfig(variant="tiny", channels=(4, 4, 8, 8), cdc_repeats=(1, 1, 1),
+                            dilation_schedule=([1], [2], [1]), heads=(1, 1, 2), expansion=2)
+        enc, dec = DepthEncoder(cfg, seed=0), DepthDecoder(cfg.channels[1:], seed=1)
+        params = dict(enc.named_parameters()) | dict(dec.named_parameters())
+        image = Tensor(np.random.default_rng(0).random((1, 3, 32, 32)))
+        weights = [Tensor(np.random.default_rng(level).standard_normal(32 >> level))
+                   for level in range(3)]
+
+        def f(*_):
+            pyramid = dec(enc(image))
+            return sum((pyramid.disp(level).mean(axis=(0, 1, 2)) * weights[level]).sum()
+                       for level in range(3))
+
+        # one parameter from the stem, the attention, a convolution block and a head
+        names = ["stem.conv1.norm.scale", "stages.2.1.temperature",
+                 "stages.0.1.wq.weight", "stages.1.0.dwconv.weight", "heads.1.bias"]
+        assert grad_check(f, [params[k] for k in names]) < 1e-4
+
+
+class TestSkippedGradients:
+    """A binary op builds no gradient for an operand that does not require
+    one, and the other operand's gradient is unchanged by the skip."""
+
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "matmul": lambda a, b: a @ b,
+        "maximum": maximum,
+        "minimum": minimum,
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_needed_grad_is_unchanged(self, name, rng):
+        f = self.OPS[name]
+        if name == "matmul":
+            a_data, b_data = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))
+        else:
+            a_data, b_data = rng.standard_normal((3, 4)), rng.standard_normal((1, 4)) + 3.0
+            a_data[0] = b_data[0]            # ties for maximum/minimum
+        upstream = rng.standard_normal(f(Tensor(a_data), Tensor(b_data)).shape)
+        for needed in (0, 1):
+            grads = []
+            for both in (True, False):
+                a = Tensor(a_data, requires_grad=both or needed == 0)
+                b = Tensor(b_data, requires_grad=both or needed == 1)
+                parent_grads = f(a, b)._backward(upstream)
+                assert (parent_grads[1 - needed] is None) != both
+                grads.append(parent_grads[needed])
+            np.testing.assert_array_equal(grads[0], grads[1])
 
 
 class TestMatmul:

@@ -72,6 +72,27 @@ class TestAdamW:
         for k in "abc":
             np.testing.assert_array_equal(a[k], b[k])
 
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_float64_transcription_of_the_formula(self, dtype, rtol, rng):
+        # p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p, term by term
+        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
+        shape = (4, 6)
+        p = Tensor((rng.uniform(0.5, 2.0, shape) * rng.choice([-1, 1], shape)).astype(dtype),
+                   requires_grad=True)
+        opt = AdamW({"p": p}, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+        ref_p = p.data.astype(np.float64)
+        m, v = np.zeros(shape), np.zeros(shape)
+        for step, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
+            p.grad = rng.standard_normal(shape).astype(dtype)
+            g = p.grad.astype(np.float64)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat, v_hat = m / (1 - b1 ** step), v / (1 - b2 ** step)
+            ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * ref_p
+            opt.step(lr)
+            assert p.data.dtype == dtype
+            np.testing.assert_allclose(p.data, ref_p, rtol=rtol, atol=0)
+
 
 class TestCosine:
     def test_start_is_lr0(self):
@@ -244,6 +265,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             train(toy_train_config(steps=3), TINY, src, out_dir=tmp_path)
         assert any((tmp_path / "diagnostics").iterdir())
+
+    def test_f32_step_gives_f32_grads(self, monkeypatch):
+        set_default_dtype("f32")
+        dtypes = {}
+        adam_step = AdamW.step
+
+        def record(opt, lr):
+            dtypes.update({k: p.grad.dtype for k, p in opt.params.items()})
+            adam_step(opt, lr)
+
+        monkeypatch.setattr(AdamW, "step", record)
+        train(toy_train_config(steps=1), TINY, SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
+        assert dtypes and set(dtypes.values()) == {np.dtype(np.float32)}
 
     def test_loss_decreases_on_short_run(self):
         # a smoke check that optimization makes progress at all; the real
