@@ -10,6 +10,7 @@ cross-stage carry).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -106,11 +107,26 @@ class FeaturePyramid:
 
 # ------------------------------------------------------------------ attention
 
-_attention_probe = {"xca_elements": 0, "spatial_elements": 0}
+class _AttentionProbe(threading.local):
+    """Element counts of the latest attention matrices, per batch item. Each
+    thread reads back the counts of the attention it ran itself."""
+
+    xca_elements = 0
+    spatial_elements = 0
+
+    def __getitem__(self, key: str) -> int:
+        return getattr(self, key)
+
+    def __setitem__(self, key: str, value: int) -> None:
+        setattr(self, key, value)
+
+
+_attention_probe = _AttentionProbe()
 
 
 def last_attention_buffer_elements() -> int:
-    """Element count of the most recent attention matrix, per batch item."""
+    """Element count of this thread's most recent channel-attention matrix,
+    per batch item."""
     return _attention_probe["xca_elements"]
 
 

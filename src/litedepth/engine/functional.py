@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, default_dtype
 
 __all__ = [
     "ConvSpec",
@@ -332,30 +332,52 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     buffers in place: r <- (1 - momentum) * r + momentum * batch. The running
     variance stores the same (biased) estimate used for normalization, so a
     momentum-1 update followed by inference reproduces the train-mode output.
+
+    One graph node. The means are sums times a default-dtype ``1/count`` and
+    ``eps`` is default-dtype, as the elementwise composition gives them. The
+    backward reads only the normalized input and the per-channel scale and
+    deviation: with g' = g * scale, dx = (g' - mean(g') - xhat * mean(g' * xhat))
+    / std in train mode and g' / std in eval mode.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    x = as_tensor(x)
+    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
     if x.ndim != 4:
         raise ValueError(f"batch_norm input must be NCHW, got shape {x.shape}")
     n, c, h, w = x.shape
     if n * h * w == 0:
         raise ValueError("batch norm over a zero-size axis")
-    cshape = (1, c, 1, 1)
+    cshape, axes = (1, c, 1, 1), (0, 2, 3)
+    inv_count = np.asarray(1.0 / (n * h * w), dtype=default_dtype())
     if training:
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        mu = x.data.sum(axis=axes, keepdims=True) * inv_count
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
         running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu.data.reshape(c)
+        running_mean += momentum * mu.reshape(c)
         running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(c)
+        running_var += momentum * var.reshape(c)
     else:
-        mu = Tensor(running_mean.reshape(cshape).astype(x.dtype))
-        var = Tensor(running_var.reshape(cshape).astype(x.dtype))
-        centered = x - mu
-    normed = centered / (var + eps).sqrt()
-    return normed * as_tensor(scale).reshape(cshape) + as_tensor(shift).reshape(cshape)
+        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
+        var = running_var.reshape(cshape).astype(x.dtype)
+    std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
+    normed = centered / std
+    gamma = scale.data.reshape(cshape)
+    out = normed * gamma + shift.data.reshape(cshape)
+
+    def bw(g):
+        gx = None
+        if x.requires_grad:
+            gx = g
+            if training:
+                gx = g - (g.sum(axis=axes, keepdims=True)
+                          + normed * (g * normed).sum(axis=axes, keepdims=True)) * inv_count
+            gx = gx * (gamma / std)
+        gscale = (g * normed).sum(axis=axes).reshape(scale.shape) if scale.requires_grad else None
+        gshift = g.sum(axis=axes).reshape(shift.shape) if shift.requires_grad else None
+        return gx, gscale, gshift
+
+    return Tensor._from_op(out, (x, scale, shift), bw)
 
 
 # --------------------------------------------------------------- activations

@@ -139,14 +139,17 @@ class Tensor:
     # ---------------------------------------------------------------- backward
 
     def backward(self) -> None:
-        """Populate grads of every reachable requires_grad tensor.
+        """Accumulate the loss's gradient into the ``grad`` of every
+        reachable leaf that requires grad.
 
-        The loss must be scalar. A graph can be backpropagated once: each
-        node drops its parents and its backward closure as soon as it has
-        been visited, so forward buffers are freed during the pass, and a
-        second call on the same loss raises ``RuntimeError``. Calls on
-        freshly built graphs accumulate into the leaves' ``grad``. Each
-        parent gradient is cast to that parent's dtype.
+        A leaf is a tensor without a backward closure (parameters, inputs);
+        op outputs pass their gradient on and keep ``grad`` as ``None``. The
+        loss must be scalar. A graph can be backpropagated once: each node
+        drops its parents and its backward closure as soon as it has been
+        visited, so forward buffers are freed during the pass, and a second
+        call on the same loss raises ``RuntimeError``. Calls on freshly built
+        graphs accumulate into the leaves' ``grad``. Each parent gradient is
+        cast to that parent's dtype.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -176,9 +179,9 @@ class Tensor:
                 node._backward, node._parents = _released, ()
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if backward is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for p, pg in zip(parents, backward(g)):
                 if pg is None or not p.requires_grad:

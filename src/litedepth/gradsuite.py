@@ -201,4 +201,13 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
                   [xc, Tensor(rng.standard_normal(shape) * 0.3)])
         check("getitem_repeated", lambda a: (a[:, [2, 0, 2, 2]] ** 2.0).sum(),
               [Tensor(rng.standard_normal((2, 3, 4)))])
+        target = Tensor(rng.random((1, 3, 5, 7)))
+        wss = _weighted(rng, (1, 3, 5, 7))
+        check("ssim_target_fixed", lambda a: wss(ssim(a, target)),
+              [Tensor(rng.random((1, 3, 5, 7)))])
+        mean_e, var_e = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        we = _weighted(rng, (2, 3, 4, 4))
+        xe, se, be = (Tensor(rng.standard_normal(shape)) for shape in ((2, 3, 4, 4), 3, 3))
+        check("batch_norm_eval", lambda a, s, b: we(batch_norm(
+            a, s, b, mean_e, var_e, training=False)), [xe, se, be])
     return results

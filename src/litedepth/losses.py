@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .engine import (
-    Tensor, as_tensor, avg_pool, concat, maximum, minimum, resize_bilinear,
+    Tensor, as_tensor, default_dtype, maximum, minimum, resize_bilinear,
 )
 from .decoder import DepthPyramid, disp_to_depth
 from .warp import CameraIntrinsics, synthesize
@@ -44,30 +44,87 @@ class LossConfig:
             raise ValueError(f"lambda_smooth must be >= 0, got {self.lambda_smooth}")
 
 
-def _reflect_pad1(x: Tensor) -> Tensor:
-    top, bottom = x[:, :, 1:2, :], x[:, :, -2:-1, :]
-    x = concat([top, x, bottom], axis=2)
-    left, right = x[:, :, :, 1:2], x[:, :, :, -2:-1]
-    return concat([left, x, right], axis=3)
+def _sum3(x: np.ndarray, axis: int) -> np.ndarray:
+    """Each 3-window sum along `axis` of the reflection-padded x, added left
+    to right as `avg_pool` adds a window (x[-1] reflects to x[1])."""
+    x = np.moveaxis(x, axis, 0)
+    out = np.empty_like(x)
+    np.add(x[:-2], x[1:-1], out=out[1:-1])
+    out[1:-1] += x[2:]
+    np.add(x[1], x[0], out=out[0])
+    out[0] += x[1]
+    np.add(x[-2], x[-1], out=out[-1])
+    out[-1] += x[-2]
+    return np.moveaxis(out, 0, axis)
 
 
-def _mean3(x: Tensor) -> Tensor:
-    return avg_pool(_reflect_pad1(x), (3, 3), stride=(1, 1))
+def _sum3_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of `_sum3`: a zero-padded 3-window sum, plus the reflected
+    border terms folded back onto entries 1 and n-2."""
+    g = np.moveaxis(g, axis, 0)
+    out = g.copy(order="K")
+    out[1:] += g[:-1]
+    out[:-1] += g[1:]
+    out[1] += g[0]
+    out[-2] += g[-1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _box3(x: np.ndarray) -> np.ndarray:
+    """3x3 mean of a reflection-padded NCHW map in `avg_pool`'s order: the
+    window's columns, then its rows, then a division by 9."""
+    out = _sum3(_sum3(x, 3), 2)
+    out /= 9
+    return out
+
+
+def _box3_adjoint(g: np.ndarray) -> np.ndarray:
+    return _sum3_adjoint(_sum3_adjoint(g / 9, 3), 2)
 
 
 def ssim(a: Tensor, b: Tensor) -> Tensor:
     """Per-pixel structural similarity with 3x3 mean filters and reflection
-    padding; values in [-1, 1], exactly 1 where the inputs agree."""
+    padding; values in [-1, 1], exactly 1 where the inputs agree.
+
+    One graph node. Each of the five statistics (mu_a, mu_b, E[a^2], E[b^2],
+    E[ab]) is filtered in the dtype its inputs give it, and the constants
+    take the default dtype, so the value is bit-identical to composing the
+    pad, pool and elementwise ops. The backward differentiates with respect
+    to the five filtered maps and applies the filter's adjoint.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
-    mu_a, mu_b = _mean3(a), _mean3(b)
-    var_a = _mean3(a * a) - mu_a * mu_a
-    var_b = _mean3(b * b) - mu_b * mu_b
-    cov = _mean3(a * b) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return num / den
+    if a.ndim != 4 or min(a.shape[2:]) < 2:
+        raise ValueError(f"ssim needs NCHW maps of at least 2x2, got {a.shape}")
+    ad, bd = a.data, b.data
+    two, c1, c2 = (np.asarray(v, dtype=default_dtype()) for v in (2.0, SSIM_C1, SSIM_C2))
+    mu_a, mu_b = _box3(ad), _box3(bd)
+    var_a = _box3(ad * ad) - mu_a * mu_a
+    var_b = _box3(bd * bd) - mu_b * mu_b
+    cov = _box3(ad * bd) - mu_a * mu_b
+    a1 = two * mu_a * mu_b + c1
+    a2 = two * cov + c2
+    b1 = mu_a * mu_a + mu_b * mu_b + c1
+    b2 = var_a + var_b + c2
+    out = a1 * a2 / (b1 * b2)
+
+    def bw(g):
+        # S = a1 a2 / (b1 b2); derivatives with respect to the filtered maps
+        gd = 2 * g / (b1 * b2)
+        g_ab = gd * a1                              # E[ab]
+        g_sq = -g * out / b2                        # E[a^2] and E[b^2]
+        g_cross = gd * (a2 - a1)                    # each mean, times the other
+        g_own = 2 * g * out * (1 / b2 - 1 / b1)     # each mean, times itself
+        sq, ab = _box3_adjoint(g_sq), _box3_adjoint(g_ab)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _box3_adjoint(g_cross * mu_b + g_own * mu_a) + 2 * ad * sq + bd * ab
+        if b.requires_grad:
+            gb = _box3_adjoint(g_cross * mu_a + g_own * mu_b) + 2 * bd * sq + ad * ab
+        return ga, gb
+
+    return Tensor._from_op(out, (a, b), bw)
 
 
 def photometric_loss(pred: Tensor, target: Tensor, alpha: float = 0.85) -> Tensor:

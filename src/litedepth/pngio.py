@@ -10,6 +10,7 @@ little-endian float32.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
 from typing import Union
@@ -83,24 +84,41 @@ def _unfilter(data: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
 
 
 def read_png(path: Union[str, Path]) -> np.ndarray:
-    """Read a PNG into (H, W, C) uint8 or uint16 (alpha dropped)."""
+    """Read a PNG into (H, W, C) uint8 or uint16 (alpha dropped).
+
+    Every chunk's CRC is checked. A truncated, corrupt or inconsistent file
+    raises ``ValueError`` naming the path.
+    """
     blob = Path(path).read_bytes()
     if blob[:8] != _SIGNATURE:
         raise ValueError(f"{path}: not a png file")
-    pos, idat, ihdr = 8, b"", None
-    while pos < len(blob):
-        (length,), kind = struct.unpack(">I", blob[pos:pos + 4]), blob[pos + 4:pos + 8]
-        payload = blob[pos + 8:pos + 8 + length]
-        pos += 12 + length
+    pos, idat, ihdr = 8, [], None
+    while True:
+        if pos + 12 > len(blob):
+            raise ValueError(f"{path}: truncated before the IEND chunk")
+        (length,) = struct.unpack_from(">I", blob, pos)
+        end = pos + 8 + length
+        if end + 4 > len(blob):
+            raise ValueError(f"{path}: chunk at byte {pos} runs past the end of the file")
+        kind, payload = blob[pos + 4:pos + 8], blob[pos + 8:end]
+        if zlib.crc32(blob[pos + 4:end]) != struct.unpack_from(">I", blob, end)[0]:
+            raise ValueError(f"{path}: CRC mismatch in the {kind!r} chunk at byte {pos}")
+        pos = end + 4
         if kind == b"IHDR":
+            if length != 13:
+                raise ValueError(f"{path}: IHDR holds {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif kind == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif kind == b"IEND":
             break
     if ihdr is None:
         raise ValueError(f"{path}: missing IHDR")
-    w, h, depth, color, _, _, interlace = ihdr
+    w, h, depth, color, compression, filtering, interlace = ihdr
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: empty image {w}x{h}")
+    if compression or filtering:
+        raise ValueError(f"{path}: unknown compression {compression} / filter method {filtering}")
     if interlace:
         raise ValueError(f"{path}: interlaced png is not supported")
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color)
@@ -108,10 +126,19 @@ def read_png(path: Union[str, Path]) -> np.ndarray:
         raise ValueError(f"{path}: unsupported color type {color} / depth {depth}")
     bpp = channels * depth // 8
     stride = w * bpp
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
-    if raw.size != h * (stride + 1):
-        raise ValueError(f"{path}: truncated image data")
-    pixels = _unfilter(raw.copy(), h, stride, bpp)
+    expected = h * (stride + 1)
+    inflater = zlib.decompressobj()
+    try:
+        # one byte past the expected size shows excess data without inflating it all
+        raw = inflater.decompress(b"".join(idat), min(expected + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt image data ({exc})") from None
+    if len(raw) != expected or not inflater.eof:
+        raise ValueError(f"{path}: image data does not match its {w}x{h} header")
+    try:
+        pixels = _unfilter(np.frombuffer(raw, dtype=np.uint8).copy(), h, stride, bpp)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if depth == 16:
         img = pixels.reshape(h, w * channels, 2).astype(np.uint16)
         img = (img[:, :, 0] << 8) | img[:, :, 1]
@@ -155,11 +182,20 @@ def write_f32(path: Union[str, Path], arr: np.ndarray) -> None:
 
 
 def read_f32(path: Union[str, Path]) -> np.ndarray:
-    """Read the planar float format back as (C, H, W) float32."""
+    """Read the planar float format back as (C, H, W) float32.
+
+    The header must be exactly "width height channels" in positive decimal
+    integers; any other header or a data size that does not match it raises
+    ``ValueError`` naming the path.
+    """
     blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
-    w, h, c = (int(v) for v in blob[:nl].split())
-    data = np.frombuffer(blob[nl + 1:], dtype="<f4")
-    if data.size != w * h * c:
-        raise ValueError(f"{path}: expected {w * h * c} floats, found {data.size}")
-    return data.reshape(c, h, w).copy()
+    nl = blob.find(b"\n")
+    header = blob[:max(nl, 0)]
+    dims = [int(f) for f in header.split(b" ") if f.isdigit()]
+    if len(dims) != 3 or b"%d %d %d" % tuple(dims) != header or 0 in dims:
+        raise ValueError(f"{path}: header {header[:40]!r} is not 'width height channels'")
+    w, h, c = dims
+    data = blob[nl + 1:]
+    if len(data) != 4 * w * h * c:
+        raise ValueError(f"{path}: expected {w * h * c} floats, found {len(data) / 4:g}")
+    return np.frombuffer(data, dtype="<f4").reshape(c, h, w).astype(np.float32)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from litedepth.engine import set_default_dtype
+from litedepth.engine import Tensor, set_default_dtype
 
 
 @pytest.fixture(autouse=True)
@@ -15,3 +15,17 @@ def _f64_default():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def count_nodes(monkeypatch):
+    """count_nodes(fn) -> the number of graph nodes built while fn() runs."""
+    def count(fn):
+        made = []
+        from_op = Tensor._from_op
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "_from_op", staticmethod(
+                lambda data, parents, backward: made.append(1) or from_op(data, parents, backward)))
+            fn()
+        return len(made)
+    return count

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,28 @@ class TestChannelAttention:
             spatial_attention_probe(q, k, v, heads=2)
             sizes.append(_attention_probe["spatial_elements"])
         assert sizes[1] == 4 * sizes[0] and sizes[2] == 4 * sizes[1]
+
+    def test_probe_counts_are_per_thread(self):
+        from litedepth.encoder import _attention_probe
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def run(n_tok, d):
+            q = Tensor(np.random.default_rng(n_tok).standard_normal((n_tok, d)))
+            xca_attention(q, q, q, heads=2)
+            spatial_attention_probe(q, q, q, heads=2)
+            barrier.wait()          # both threads have written their counts
+            seen[n_tok] = (last_attention_buffer_elements(),
+                           _attention_probe["spatial_elements"])
+
+        threads = [threading.Thread(target=run, args=size) for size in ((8, 4), (16, 8))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        # heads * (d / heads)^2 channel elements, heads * N^2 spatial ones
+        assert seen == {8: (2 * 2 * 2, 2 * 8 * 8), 16: (2 * 4 * 4, 2 * 16 * 16)}
 
     def test_indivisible_heads_rejected(self, rng):
         q = Tensor(rng.standard_normal((4, 6)))

@@ -3,9 +3,9 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from litedepth.engine import (
-    ConvSpec, Tensor, avg_pool, batch_norm, bilinear_sample, conv2d, elu,
-    gelu, grad_check, layer_norm, resize_bilinear, same_padding,
-    sigmoid, softmax,
+    ConvSpec, Tensor, as_tensor, avg_pool, batch_norm, bilinear_sample, conv2d,
+    elu, gelu, grad_check, layer_norm, resize_bilinear, same_padding,
+    sigmoid, softmax, using_dtype,
 )
 
 
@@ -444,6 +444,80 @@ class TestNormalize:
         wt = Tensor(rng.standard_normal((3, 5)))
         assert grad_check(lambda a, c, d: (layer_norm(a, c, d) * wt).sum(),
                           [xt, s5, b5]) < 1e-4
+
+
+def batch_norm_oracle(x, scale, shift, running_mean, running_var, training,
+                      momentum=0.1, eps=1e-5):
+    """Batch norm composed from reductions and elementwise ops."""
+    x = as_tensor(x)
+    c = x.shape[1]
+    cshape = (1, c, 1, 1)
+    if training:
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mu.data.reshape(c)
+        running_var *= (1.0 - momentum)
+        running_var += momentum * var.data.reshape(c)
+    else:
+        mu = Tensor(running_mean.reshape(cshape).astype(x.dtype))
+        var = Tensor(running_var.reshape(cshape).astype(x.dtype))
+        centered = x - mu
+    normed = centered / (var + eps).sqrt()
+    return normed * as_tensor(scale).reshape(cshape) + as_tensor(shift).reshape(cshape)
+
+
+class TestFusedBatchNorm:
+    """The one-node batch norm against its composite oracle."""
+
+    SHAPES = [(1, 2, 3, 3), (2, 3, 5, 7), (4, 8, 32, 64)]
+
+    @staticmethod
+    def inputs(rng, shape, x_dtype=np.float64):
+        c = shape[1]
+        x = Tensor((rng.standard_normal(shape) * 2.0 + 0.5).astype(x_dtype))
+        scale, shift = Tensor(rng.standard_normal(c)), Tensor(rng.standard_normal(c))
+        stats = (rng.standard_normal(c).astype(scale.dtype),
+                 rng.uniform(0.5, 2.0, c).astype(scale.dtype))
+        return x, scale, shift, stats
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("default, x_dtype", [
+        ("f32", np.float32), ("f64", np.float64),
+        ("f32", np.float64), ("f64", np.float32),
+    ])
+    def test_forward_is_bit_identical(self, shape, training, default, x_dtype, rng):
+        with using_dtype(default):
+            x, scale, shift, (rm, rv) = self.inputs(rng, shape, x_dtype)
+            fused_stats, oracle_stats = (rm.copy(), rv.copy()), (rm.copy(), rv.copy())
+            fused = batch_norm(x, scale, shift, *fused_stats, training=training).data
+            oracle = batch_norm_oracle(x, scale, shift, *oracle_stats, training=training).data
+        assert fused.dtype == oracle.dtype
+        np.testing.assert_array_equal(fused, oracle)
+        for f, o in zip(fused_stats, oracle_stats):
+            np.testing.assert_array_equal(f, o)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_matches_composite(self, shape, training, rng):
+        x, scale, shift, stats = self.inputs(rng, shape)
+        upstream = Tensor(rng.standard_normal(shape))
+        grads = []
+        for f in (batch_norm, batch_norm_oracle):
+            leaves = [Tensor(t.data, requires_grad=True) for t in (x, scale, shift)]
+            out = f(*leaves, *(s.copy() for s in stats), training=training)
+            (out * upstream).sum().backward()
+            grads.append([t.grad for t in leaves])
+        for g, r in zip(*grads):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_one_node(self, training, count_nodes, rng):
+        x, scale, shift, stats = self.inputs(rng, (2, 3, 4, 4))
+        x.requires_grad = True
+        assert count_nodes(lambda: batch_norm(x, scale, shift, *stats, training=training)) == 1
 
 
 class TestActivations:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from litedepth.engine import Tensor, grad_check, resize_bilinear
+from litedepth.engine import (
+    Tensor, as_tensor, avg_pool, concat, grad_check, resize_bilinear, using_dtype,
+)
 from litedepth.decoder import DepthPyramid
 from litedepth.losses import (
-    LossConfig, SSIM_C1, auto_mask, min_reprojection, photometric_loss,
+    LossConfig, SSIM_C1, SSIM_C2, auto_mask, min_reprojection, photometric_loss,
     smoothness, ssim, total_loss,
 )
 from litedepth.posenet import Pose, pose_to_matrix
@@ -47,6 +49,72 @@ class TestSsim:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             ssim(Tensor(rng.random((1, 1, 4, 4))), Tensor(rng.random((1, 1, 4, 5))))
+
+
+def ssim_oracle(a, b):
+    """SSIM composed from pad, pool and elementwise ops, one node each."""
+    def mean3(x):
+        x = concat([x[:, :, 1:2], x, x[:, :, -2:-1]], axis=2)
+        x = concat([x[:, :, :, 1:2], x, x[:, :, :, -2:-1]], axis=3)
+        return avg_pool(x, (3, 3), stride=(1, 1))
+
+    a, b = as_tensor(a), as_tensor(b)
+    mu_a, mu_b = mean3(a), mean3(b)
+    var_a = mean3(a * a) - mu_a * mu_a
+    var_b = mean3(b * b) - mu_b * mu_b
+    cov = mean3(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return num / den
+
+
+MAP_SHAPES = [(1, 1, 3, 3), (2, 3, 5, 7), (4, 3, 32, 64)]
+
+
+class TestFusedSsim:
+    """The one-node SSIM against its composite oracle."""
+
+    @pytest.mark.parametrize("shape", MAP_SHAPES)
+    @pytest.mark.parametrize("default, a_dtype, b_dtype", [
+        ("f32", np.float32, np.float32),
+        ("f64", np.float64, np.float64),
+        ("f32", np.float64, np.float32),   # f32 training: warped prediction, f32 target
+        ("f64", np.float64, np.float32),
+    ])
+    def test_forward_is_bit_identical(self, shape, default, a_dtype, b_dtype, rng):
+        with using_dtype(default):
+            a = Tensor(rng.random(shape).astype(a_dtype))
+            b = Tensor(rng.random(shape).astype(b_dtype))
+            fused, oracle = ssim(a, b).data, ssim_oracle(a, b).data
+        assert fused.dtype == oracle.dtype
+        np.testing.assert_array_equal(fused, oracle)
+
+    @pytest.mark.parametrize("shape", MAP_SHAPES)
+    @pytest.mark.parametrize("b_grad", [True, False])
+    def test_backward_matches_composite(self, shape, b_grad, rng):
+        upstream = Tensor(rng.standard_normal(shape))
+        a_data, b_data = rng.random(shape), rng.random(shape)
+        grads = []
+        for f in (ssim, ssim_oracle):
+            a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=b_grad)
+            (f(a, b) * upstream).sum().backward()
+            grads.append((a.grad, b.grad))
+        (ga, gb), (ra, rb) = grads
+        assert np.abs(ga - ra).max() <= 1e-12 * np.abs(ra).max()
+        if b_grad:
+            assert np.abs(gb - rb).max() <= 1e-12 * np.abs(rb).max()
+        else:
+            assert gb is None and rb is None
+
+    def test_one_node(self, count_nodes, rng):
+        a = Tensor(rng.random((1, 3, 6, 6)), requires_grad=True)
+        b = Tensor(rng.random((1, 3, 6, 6)))
+        assert count_nodes(lambda: ssim(a, b)) == 1
+        assert count_nodes(lambda: photometric_loss(a, b, 0.85)) <= 15
+
+    def test_single_row_rejected(self, rng):
+        with pytest.raises(ValueError, match="2x2"):
+            ssim(Tensor(rng.random((1, 1, 1, 4))), Tensor(rng.random((1, 1, 1, 4))))
 
 
 class TestPhotometric:

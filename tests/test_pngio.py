@@ -1,9 +1,39 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from litedepth.pngio import (
     load_image, read_f32, read_png, save_image, write_f32, write_png,
 )
+
+# malformed files are rebuilt in pytest's tmp_path for every example
+fuzz = settings(max_examples=150, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+PNG_KINDS = {"rgb8": ((3,), np.uint8), "gray8": ((), np.uint8), "gray16": ((), np.uint16)}
+
+
+def png_blob(tmp_path, kind, h, w, seed):
+    """The bytes write_png produces for a random image of the given kind."""
+    channels, dtype = PNG_KINDS[kind]
+    img = np.random.default_rng(seed).integers(0, np.iinfo(dtype).max, (h, w) + channels,
+                                               dtype=dtype, endpoint=True)
+    write_png(tmp_path / "src.png", img)
+    return (tmp_path / "src.png").read_bytes()
+
+
+png_files = st.tuples(st.sampled_from(sorted(PNG_KINDS)),
+                    st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 16))
+
+
+def rejects(reader, path, blob):
+    """reader(path) on blob raises ValueError and names the path."""
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    assert str(path) in str(err.value)
 
 
 class TestPng:
@@ -84,6 +114,43 @@ class TestPng:
             read_png(p)
 
 
+class TestMalformedPng:
+    """Every truncation, flipped byte or forged size raises ValueError with the
+    path; nothing from struct or zlib escapes."""
+
+    @fuzz
+    @given(png_files, st.data())
+    def test_truncation(self, tmp_path, spec, data):
+        blob = png_blob(tmp_path, *spec)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        rejects(read_png, tmp_path / "cut.png", blob[:cut])
+
+    @fuzz
+    @given(png_files, st.data())
+    def test_flipped_byte(self, tmp_path, spec, data):
+        blob = bytearray(png_blob(tmp_path, *spec))
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] ^= data.draw(st.integers(1, 255))
+        rejects(read_png, tmp_path / "flip.png", bytes(blob))
+
+    @fuzz
+    @given(png_files, st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+    def test_forged_dimensions(self, tmp_path, spec, w, h):
+        kind, true_h, true_w, _ = spec
+        bpp = {"rgb8": 3, "gray8": 1, "gray16": 2}[kind]
+        # sizes that inflate to the same byte count decode as another image
+        assume(h * (w * bpp + 1) != true_h * (true_w * bpp + 1))
+        blob = png_blob(tmp_path, *spec)
+        ihdr = struct.pack(">II", w, h) + blob[24:29]      # keep depth, color, methods
+        forged = (blob[:16] + ihdr + struct.pack(">I", zlib.crc32(b"IHDR" + ihdr))
+                  + blob[33:])
+        rejects(read_png, tmp_path / "forged.png", forged)
+
+    def test_missing_iend(self, tmp_path):
+        blob = png_blob(tmp_path, "rgb8", 4, 5, 0)
+        rejects(read_png, tmp_path / "noend.png", blob[:-12])
+
+
 class TestRawF32:
     def test_roundtrip_with_header(self, tmp_path, rng):
         arr = rng.standard_normal((2, 6, 9)).astype(np.float32)
@@ -106,3 +173,46 @@ class TestRawF32:
         p.write_bytes(b"4 4 1\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="expected"):
             read_f32(p)
+
+
+def f32_blob(tmp_path, c, h, w, seed):
+    arr = np.random.default_rng(seed).standard_normal((c, h, w)).astype(np.float32)
+    write_f32(tmp_path / "src.f32", arr)
+    return (tmp_path / "src.f32").read_bytes()
+
+
+f32_files = st.tuples(st.integers(1, 3), st.integers(1, 5),
+                    st.integers(1, 5), st.integers(0, 2 ** 16))
+
+
+class TestMalformedF32:
+    @fuzz
+    @given(f32_files, st.data())
+    def test_truncation(self, tmp_path, spec, data):
+        blob = f32_blob(tmp_path, *spec)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        rejects(read_f32, tmp_path / "cut.f32", blob[:cut])
+
+    @fuzz
+    @given(f32_files, st.data())
+    def test_flipped_header_byte(self, tmp_path, spec, data):
+        # the planes carry no checksum, so only header bytes (and the
+        # newline ending it) can be checked
+        blob = bytearray(f32_blob(tmp_path, *spec))
+        at = data.draw(st.integers(0, blob.index(b"\n")))
+        blob[at] ^= data.draw(st.integers(1, 255))
+        rejects(read_f32, tmp_path / "flip.f32", bytes(blob))
+
+    @fuzz
+    @given(f32_files, st.lists(st.integers(0, 2 ** 40), min_size=3, max_size=3))
+    def test_forged_dimensions(self, tmp_path, spec, dims):
+        c, h, w, _ = spec
+        assume(dims[0] * dims[1] * dims[2] != c * h * w)
+        blob = f32_blob(tmp_path, *spec)
+        body = blob[blob.index(b"\n"):]
+        rejects(read_f32, tmp_path / "forged.f32", b"%d %d %d" % tuple(dims) + body)
+
+    @pytest.mark.parametrize("header", [b"4 4\n", b"4 4 1 1\n", b"04 4 1\n", b"4\t4 1\n",
+                                        b"+4 4 1\n", b"4 0 1\n", b"4 4 x\n", b"4 4 1"])
+    def test_bad_headers(self, tmp_path, header):
+        rejects(read_f32, tmp_path / "h.f32", header + b"\x00" * 64)

@@ -48,6 +48,14 @@ class TestBackwardBasics:
             y = x * 2
         assert not y.requires_grad and y._parents == ()
 
+    def test_only_leaves_keep_grad(self):
+        x = t([1.0, -2.0])
+        h = x * x
+        loss = (h * 3.0).sum()
+        loss.backward()
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, 6.0 * x.data)
+
     def test_grad_present_iff_requires_grad(self):
         x = t([1.0], rg=False)
         y = t([2.0])
