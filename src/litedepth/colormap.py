@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = ["TURBO_TABLE", "colorize"]
@@ -27,20 +25,15 @@ def _build_table() -> np.ndarray:
 TURBO_TABLE = _build_table()
 
 
-def colorize(values: np.ndarray, vmin: Optional[float] = None,
-             vmax: Optional[float] = None, invert: bool = False) -> np.ndarray:
-    """Map a scalar field (H, W) to (H, W, 3) uint8 through the table.
-
-    Near maps to warm colors when fed disparity; pass invert=True for depth
-    so near stays warm.
+def colorize(values: np.ndarray) -> np.ndarray:
+    """Map a scalar field (H, W) to (H, W, 3) uint8 through the table,
+    stretched over the field's own range. Near maps to warm colors when fed
+    disparity.
     """
     values = np.asarray(values, dtype=np.float64)
-    lo = float(values.min()) if vmin is None else vmin
-    hi = float(values.max()) if vmax is None else vmax
+    lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         hi = lo + 1e-9
     norm = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-    if invert:
-        norm = 1.0 - norm
     idx = (norm * 255.0).round().astype(np.int64)
     return TURBO_TABLE[idx]

@@ -10,9 +10,8 @@ cross-stage carry).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "FeaturePyramid",
     "count_flops",
     "count_params",
-    "last_attention_buffer_elements",
     "spatial_attention_probe",
     "xca_attention",
 ]
@@ -58,8 +56,6 @@ class EncoderConfig:
     use_dilation: bool = True
     use_pooled_concat: bool = True
     use_cross_stage: bool = True
-    normalized_attention: bool = True   # False runs the raw softmax(K^T Q) form
-    zero_init_residual: bool = False
 
     @classmethod
     def variant_preset(cls, name: str, **overrides) -> "EncoderConfig":
@@ -107,29 +103,6 @@ class FeaturePyramid:
 
 # ------------------------------------------------------------------ attention
 
-class _AttentionProbe(threading.local):
-    """Element counts of the latest attention matrices, per batch item. Each
-    thread reads back the counts of the attention it ran itself."""
-
-    xca_elements = 0
-    spatial_elements = 0
-
-    def __getitem__(self, key: str) -> int:
-        return getattr(self, key)
-
-    def __setitem__(self, key: str, value: int) -> None:
-        setattr(self, key, value)
-
-
-_attention_probe = _AttentionProbe()
-
-
-def last_attention_buffer_elements() -> int:
-    """Element count of this thread's most recent channel-attention matrix,
-    per batch item."""
-    return _attention_probe["xca_elements"]
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     b, n, d = x.shape
     return x.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)  # (B,h,N,dh)
@@ -141,32 +114,29 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 
 def xca_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                  temperature: Optional[Tensor] = None,
-                  normalized: bool = True) -> Tensor:
+                  temperature: Optional[Tensor] = None) -> Tensor:
     """Cross-covariance (channel) attention.
 
     q, k, v are (N_tok, d) or batched (B, N_tok, d); d must divide by heads.
     Per head the mixing matrix is softmax over the K-channel index of
     K^T Q, a (d/h) x (d/h) array independent of N_tok, so each output
-    channel is a convex mixture of input channels. When `normalized`, each
-    channel of Q and K is first L2-normalized over tokens and the logits are
-    scaled by a per-head temperature; otherwise the raw product is used.
+    channel is a convex mixture of input channels. Each channel of Q and K is
+    first L2-normalized over tokens, and the logits are scaled by the
+    per-head `temperature` when one is given.
     """
     squeeze = q.ndim == 2
     if squeeze:
         q, k, v = (t.reshape(1, *t.shape) for t in (q, k, v))
-    b, n, d = q.shape
+    _, n, d = q.shape
     if d % heads != 0:
         raise ValueError(f"token dimension {d} not divisible by heads {heads}")
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-    if normalized:
-        qh = qh / ((qh * qh).sum(axis=2, keepdims=True) + 1e-12).sqrt()
-        kh = kh / ((kh * kh).sum(axis=2, keepdims=True) + 1e-12).sqrt()
+    qh = qh / ((qh * qh).sum(axis=2, keepdims=True) + 1e-12).sqrt()
+    kh = kh / ((kh * kh).sum(axis=2, keepdims=True) + 1e-12).sqrt()
     logits = kh.swap_last_axes() @ qh                      # (B, h, dh, dh)
-    if normalized and temperature is not None:
+    if temperature is not None:
         logits = logits * temperature.reshape(1, heads, 1, 1)
     attn = softmax(logits, axis=-2)                        # columns sum to 1
-    _attention_probe["xca_elements"] = attn.size // b
     out = vh @ attn                                        # (B, h, N, dh)
     out = _merge_heads(out)
     return out.reshape(n, d) if squeeze else out
@@ -180,11 +150,10 @@ def spatial_attention_probe(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tens
     squeeze = q.ndim == 2
     if squeeze:
         q, k, v = (t.reshape(1, *t.shape) for t in (q, k, v))
-    b, n, d = q.shape
+    _, n, d = q.shape
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     logits = (qh @ kh.swap_last_axes()) * (1.0 / np.sqrt(d // heads))  # (B,h,N,N)
     attn = softmax(logits, axis=-1)
-    _attention_probe["spatial_elements"] = attn.size // b
     out = _merge_heads(attn @ vh)
     return out.reshape(n, d) if squeeze else out
 
@@ -198,7 +167,7 @@ class DilatedConvBlock(Module):
     dilation rate."""
 
     def __init__(self, channels: int, dilation: int, rng: np.random.Generator,
-                 expansion: int = 6, zero_init: bool = False):
+                 expansion: int = 6):
         super().__init__()
         self.dilation = dilation
         self.dwconv = Conv2d(channels, channels, 3, rng, dilation=dilation,
@@ -206,8 +175,7 @@ class DilatedConvBlock(Module):
         self.norm = BatchNorm2d(channels)
         hidden = expansion * channels
         self.expand = Conv2d(channels, hidden, 1, rng, init="proj")
-        self.project = Conv2d(hidden, channels, 1, rng,
-                              init="zero" if zero_init else "proj")
+        self.project = Conv2d(hidden, channels, 1, rng, init="proj")
 
     def __call__(self, x: Tensor) -> Tensor:
         z = self.norm(self.dwconv(x))
@@ -223,29 +191,25 @@ class AttentionBlock(Module):
     """
 
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
-                 expansion: int = 6, normalized: bool = True,
-                 zero_init: bool = False):
+                 expansion: int = 6):
         super().__init__()
         self.heads = heads
-        self.normalized = normalized
         self.wq = Linear(channels, channels, rng, bias=False)
         self.wk = Linear(channels, channels, rng, bias=False)
         self.wv = Linear(channels, channels, rng, bias=False)
         self.temperature = Tensor(np.ones(heads, dtype=self.wq.weight.dtype),
                                   requires_grad=True)
-        self.attn_proj = Linear(channels, channels, rng,
-                                init="zero" if zero_init else "proj")
+        self.attn_proj = Linear(channels, channels, rng)
         self.norm = LayerNorm(channels)
         hidden = expansion * channels
         self.expand = Linear(channels, hidden, rng)
-        self.project = Linear(hidden, channels, rng,
-                              init="zero" if zero_init else "proj")
+        self.project = Linear(hidden, channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
         tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)     # (N, HW, C)
         attn = xca_attention(self.wq(tokens), self.wk(tokens), self.wv(tokens),
-                             self.heads, self.temperature, self.normalized)
+                             self.heads, self.temperature)
         attended = tokens + self.attn_proj(attn)
         z = self.project(gelu(self.expand(self.norm(attended))))
         out = attended + z
@@ -308,16 +272,10 @@ class DepthEncoder(Module):
         ]
         self.stages = []
         for s, c in enumerate((c2, c3, c4)):
-            blocks: List[Module] = [
-                DilatedConvBlock(c, r, rng, config.expansion,
-                                 zero_init=config.zero_init_residual)
-                for r in config.stage_dilations(s)
-            ]
+            blocks: List[Module] = [DilatedConvBlock(c, r, rng, config.expansion)
+                                    for r in config.stage_dilations(s)]
             if config.use_lgfi:
-                blocks.append(AttentionBlock(
-                    c, config.heads[s], rng, config.expansion,
-                    normalized=config.normalized_attention,
-                    zero_init=config.zero_init_residual))
+                blocks.append(AttentionBlock(c, config.heads[s], rng, config.expansion))
             self.stages.append(blocks)
 
     def _children(self):
@@ -363,15 +321,13 @@ def _conv_macs(cin, cout, k, hout, wout, groups=1) -> int:
     return cout * (cin // groups) * k * k * hout * wout
 
 
-def count_flops(config: EncoderConfig, input_size: Tuple[int, int],
-                mac_factor: int = 1) -> int:
+def count_flops(config: EncoderConfig, input_size: Tuple[int, int]) -> int:
     """Analytic operation count of the encoder at the given (W, H) input.
 
     Counts the multiply-accumulates of convolutions and attention/feed-forward
     matrix products; elementwise work (norms, activations, residuals) is
-    excluded. ``mac_factor=1`` reports one MAC as one FLOP, the convention the
-    published complexity tables use; pass 2 to count multiply and add
-    separately.
+    excluded. One MAC counts as one FLOP, the convention the published
+    complexity tables use.
     """
     config.validate()
     w, h = input_size
@@ -404,4 +360,4 @@ def count_flops(config: EncoderConfig, input_size: Tuple[int, int],
             macs += 2 * c * dh * n_tok                          # K^T Q and V A
             macs += c * c * n_tok                               # output proj
             macs += 2 * config.expansion * c * c * n_tok        # feed-forward
-    return macs * mac_factor
+    return macs

@@ -28,14 +28,9 @@ SSIM_C2 = 0.03 ** 2
 class LossConfig:
     alpha: float = 0.85               # SSIM weight in the photometric mix
     lambda_smooth: float = 1e-3
-    scales: Tuple[int, ...] = (0, 1, 2)   # scale levels: full, 1/2, 1/4
     automask: bool = True
-    min_reprojection: bool = True
     min_depth: float = 0.1
     max_depth: float = 100.0
-    # reproduce the printed formulas instead of the corrected objective
-    literal_reconstruction: bool = False
-    literal_smoothness: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -171,14 +166,13 @@ def _y_grad(x: Tensor) -> Tensor:
     return (x[:, :, 1:, :] - x[:, :, :-1, :]).abs()
 
 
-def smoothness(disp: Tensor, image: Tensor, literal: bool = False) -> Tensor:
+def smoothness(disp: Tensor, image: Tensor) -> Tensor:
     """Edge-aware smoothness on mean-normalized inverse depth.
 
     Disparity gradients are damped where the image has strong gradients
     (channel-averaged, exponentiated). Mean normalization makes the loss
-    exactly invariant to positive rescaling of disp. The literal flag keeps
-    the x-gradient of disparity in the y term as printed in the source
-    formulation; the default pairs each axis with its own gradient.
+    exactly invariant to positive rescaling of disp. Each axis pairs the
+    disparity gradient with the image gradient along the same axis.
     """
     disp, image = as_tensor(disp), as_tensor(image)
     if disp.shape[1] != 1:
@@ -192,20 +186,9 @@ def smoothness(disp: Tensor, image: Tensor, literal: bool = False) -> Tensor:
     d = disp / mean
     ix = _x_grad(image).mean(axis=1, keepdims=True)
     iy = _y_grad(image).mean(axis=1, keepdims=True)
-    dx = _x_grad(d)
-    term_x = dx * (-ix).exp()
-    if literal:
-        dy_term = dx[:, :, : dx.shape[2] - 1, :] * (-iy[:, :, :, : iy.shape[3] - 1]).exp()
-    else:
-        dy_term = _y_grad(d) * (-iy).exp()
-    return term_x.mean() + dy_term.mean()
-
-
-def _masked_mean(m: Tensor, mask: np.ndarray) -> Tensor:
-    count = float(mask.sum())
-    if count == 0:
-        return Tensor(np.zeros((), dtype=m.dtype))
-    return (m * Tensor(mask.astype(m.dtype))).sum() * (1.0 / count)
+    term_x = _x_grad(d) * (-ix).exp()
+    term_y = _y_grad(d) * (-iy).exp()
+    return term_x.mean() + term_y.mean()
 
 
 def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
@@ -234,7 +217,7 @@ def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
 def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
                transforms: Sequence[Tensor], intr: CameraIntrinsics,
                config: LossConfig) -> Tuple[Tensor, Dict]:
-    """Full objective over the scale set, averaged 1/3 over scales.
+    """Full objective over scale levels 0, 1 and 2, averaged 1/3 over scales.
 
     `transforms` carries one source-camera-from-target-camera matrix per
     source frame (typically previous and next). Lower-scale disparities are
@@ -254,41 +237,28 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
                 for s in sources]
     diagnostics: Dict = {"scales": {}}
     scale_losses: List[Tensor] = []
-    for level in config.scales:
+    for level in range(3):
         disp = pyramid.disp(level)
         disp_full = resize_bilinear(disp, size=(h, w))
         depth_full = disp_to_depth(disp_full, config.min_depth, config.max_depth)
 
-        warped_maps, valid_masks, warped_imgs = [], [], []
+        warped_maps, valid_masks = [], []
         for src, tf in zip(sources, transforms):
             synth, valid = synthesize(as_tensor(src), depth_full, tf, intr)
             warped_maps.append(photometric_loss(synth, target, config.alpha))
             valid_masks.append(valid)
-            warped_imgs.append(synth)
 
-        if config.min_reprojection:
-            best_warped = min_reprojection(warped_maps)
-        else:
-            best_warped = warped_maps[0]
-            for m in warped_maps[1:]:
-                best_warped = best_warped + m
-            best_warped = best_warped * (1.0 / len(warped_maps))
-
+        best_warped = min_reprojection(warped_maps)
         mu = auto_mask(unwarped, warped_maps)
         valid_any = np.logical_or.reduce(valid_masks).astype(best_warped.dtype)
 
         best_unwarped = min_reprojection(unwarped)
-        if config.literal_reconstruction:
-            # the printed form reduces mu-gated unwarped losses
-            mask = mu * valid_any if config.automask else valid_any
-            reconstruction = _masked_mean(best_unwarped, mask)
-        else:
-            reconstruction = _reconstruction_term(best_warped, best_unwarped,
-                                                  valid_any, config.automask)
+        reconstruction = _reconstruction_term(best_warped, best_unwarped,
+                                              valid_any, config.automask)
 
         img_scaled = (target if level == 0
                       else resize_bilinear(target, size=disp.shape[2:]))
-        smooth = smoothness(disp, img_scaled, literal=config.literal_smoothness)
+        smooth = smoothness(disp, img_scaled)
         weight = config.lambda_smooth / (2.0 ** level)
         scale_losses.append(reconstruction + weight * smooth)
 
@@ -298,7 +268,6 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
             "automask": mu,
             "valid": valid_any,
             "min_reprojection": best_warped.data,
-            "warped": [wi.data for wi in warped_imgs],
             "disp": disp.data,
         }
 

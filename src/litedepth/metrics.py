@@ -4,7 +4,6 @@ median scaling."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -40,11 +39,10 @@ class DepthMetrics:
 
 
 def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP,
-                  median_scale: bool = True,
-                  valid: Optional[np.ndarray] = None) -> DepthMetrics:
+                  median_scale: bool = True) -> DepthMetrics:
     """Evaluate predicted depth against ground truth over valid pixels.
 
-    Validity means gt > 0 (intersected with `valid` when given). With
+    Validity means gt > 0. With
     median scaling the prediction is first multiplied by
     median(gt)/median(pred), removing the global scale ambiguity of
     monocular training; both maps are then clamped to [1e-3, cap].
@@ -56,8 +54,6 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP,
     if np.any(pred <= 0):
         raise ValueError("predicted depth must be positive")
     mask = gt > 0
-    if valid is not None:
-        mask &= valid.astype(bool)
     if not mask.any():
         raise ValueError("no valid pixels to evaluate")
     p, g = pred[mask], gt[mask]

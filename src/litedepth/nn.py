@@ -96,9 +96,7 @@ class Conv2d(Module):
         self.spec = ConvSpec(kernel=(kernel, kernel), stride=stride,
                              padding=padding, dilation=dilation, groups=groups)
         shape = (cout, cin // groups, kernel, kernel)
-        if init == "zero":
-            data = np.zeros(shape, dtype=default_dtype())
-        elif init == "proj":
+        if init == "proj":
             data = trunc_normal(shape, rng)
         else:
             data = conv_init(shape, rng)
@@ -114,13 +112,9 @@ class Linear(Module):
     """Affine map over the last axis of the input."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 bias: bool = True, init: str = "proj"):
+                 bias: bool = True):
         super().__init__()
-        if init == "zero":
-            data = np.zeros((cin, cout), dtype=default_dtype())
-        else:
-            data = trunc_normal((cin, cout), rng)
-        self.weight = Tensor(data, requires_grad=True)
+        self.weight = Tensor(trunc_normal((cin, cout), rng), requires_grad=True)
         self.bias = (Tensor(np.zeros(cout, dtype=default_dtype()), requires_grad=True)
                      if bias else None)
 

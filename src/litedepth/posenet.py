@@ -21,8 +21,7 @@ from .engine import Tensor, concat, gelu, unary_op
 from .nn import Conv2d, ConvBnGelu, Module
 
 __all__ = [
-    "Pose", "PoseNet", "pose_to_matrix", "relative_transform",
-    "rotation_from_axis_angle",
+    "Pose", "PoseNet", "pose_to_matrix", "rotation_from_axis_angle",
 ]
 
 _SERIES_CUTOFF = 1e-6
@@ -97,13 +96,6 @@ def pose_to_matrix(pose: Pose, invert: bool = False) -> Tensor:
         t = -(rot @ t)
     bottom = Tensor(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, 1, 4)).copy())
     return concat([concat([rot, t], axis=2), bottom], axis=1)
-
-
-def relative_transform(world_from_target: np.ndarray,
-                       world_from_source: np.ndarray) -> np.ndarray:
-    """Source-camera-from-target-camera matrix out of two camera-to-world
-    poses (plain arrays; used with rendered ground truth)."""
-    return np.linalg.inv(world_from_source) @ world_from_target
 
 
 class _SmallPoseEncoder(Module):

@@ -29,3 +29,20 @@ def count_nodes(monkeypatch):
             fn()
         return len(made)
     return count
+
+
+@pytest.fixture
+def attention_sizes(monkeypatch):
+    """The list of per-batch-item element counts of every attention matrix
+    the encoder module builds while the test runs, in call order."""
+    from litedepth import encoder
+    sizes = []
+    softmax = encoder.softmax
+
+    def record(x, axis=-1):
+        out = softmax(x, axis=axis)
+        sizes.append(out.size // out.shape[0])
+        return out
+
+    monkeypatch.setattr(encoder, "softmax", record)
+    return sizes

@@ -10,8 +10,8 @@ from litedepth.data import (
 )
 from litedepth.decoder import DepthDecoder
 from litedepth.encoder import (
-    EncoderConfig, count_flops, count_params, last_attention_buffer_elements,
-    spatial_attention_probe, xca_attention, _attention_probe,
+    EncoderConfig, count_flops, count_params, spatial_attention_probe,
+    xca_attention,
 )
 from litedepth.engine import Tensor, no_grad, set_default_dtype
 from litedepth.losses import (
@@ -76,15 +76,13 @@ class TestCriterion04GradientSuite:
 
 
 class TestCriterion05AttentionComplexity:
-    def test_channel_buffer_constant_spatial_quadratic(self, rng):
+    def test_channel_buffer_constant_spatial_quadratic(self, rng, attention_sizes):
         d, h = 64, 4
-        xca_sizes, spatial_sizes = [], []
         for n_tok in (64, 256, 1024):
             q, k, v = (Tensor(rng.standard_normal((n_tok, d))) for _ in range(3))
             xca_attention(q, k, v, heads=h)
-            xca_sizes.append(last_attention_buffer_elements())
             spatial_attention_probe(q, k, v, heads=h)
-            spatial_sizes.append(_attention_probe["spatial_elements"])
+        xca_sizes, spatial_sizes = attention_sizes[0::2], attention_sizes[1::2]
         assert xca_sizes[0] == xca_sizes[1] == xca_sizes[2] == h * (d // h) ** 2
         assert spatial_sizes[1] == 16 * spatial_sizes[0]
         assert spatial_sizes[2] == 16 * spatial_sizes[1]

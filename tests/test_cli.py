@@ -25,6 +25,23 @@ class TestConfig:
         assert "loss.alpha" in cfg.keys()
         assert "data.width" in cfg.keys()
 
+    def test_keys_are_pinned(self):
+        # a new knob has to be added here, where a reviewer sees it
+        assert RunConfig().keys() == [
+            "encoder.variant", "encoder.channels", "encoder.cdc_repeats",
+            "encoder.dilation_schedule", "encoder.heads", "encoder.expansion",
+            "encoder.use_lgfi", "encoder.use_dilation",
+            "encoder.use_pooled_concat", "encoder.use_cross_stage",
+            "train.batch_size", "train.epochs", "train.steps", "train.lr0",
+            "train.lr_min", "train.weight_decay", "train.beta1", "train.beta2",
+            "train.adam_eps", "train.precision", "train.seed", "train.augment",
+            "train.checkpoint_every",
+            "loss.alpha", "loss.lambda_smooth", "loss.automask",
+            "loss.min_depth", "loss.max_depth",
+            "data.width", "data.height", "data.frames", "data.scene_seed",
+            "data.mover",
+        ]
+
     def test_unknown_key_rejected(self):
         cfg = RunConfig()
         with pytest.raises(KeyError, match="unknown config key"):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from litedepth.engine import Tensor, grad_check, no_grad
-from litedepth.posenet import (
-    Pose, PoseNet, pose_to_matrix, relative_transform, rotation_from_axis_angle,
-)
+from litedepth.posenet import Pose, PoseNet, pose_to_matrix, rotation_from_axis_angle
 
 
 def rodrigues_oracle(v):
@@ -90,17 +88,6 @@ class TestPoseMatrix:
         aa = Tensor(rng.standard_normal((1, 3)) * 0.5)
         tr = Tensor(rng.standard_normal((1, 3)))
         assert grad_check(f, [aa, tr]) < 1e-4
-
-    def test_relative_transform_roundtrip(self, rng):
-        def rand_pose():
-            m = np.eye(4)
-            m[:3, :3] = rodrigues_oracle(rng.standard_normal(3))
-            m[:3, 3] = rng.standard_normal(3)
-            return m
-
-        a, b = rand_pose(), rand_pose()
-        rel = relative_transform(a, b)       # b_cam <- a_cam
-        np.testing.assert_allclose(b @ rel, a, atol=1e-12)
 
 
 class TestPoseNet:

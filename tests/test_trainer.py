@@ -258,6 +258,23 @@ class TestTrainLoop:
         assert lines[0] == "step,lr,total,scale0,scale1,scale2,smoothness"
         assert len(lines) == 3
 
+    def test_periodic_checkpoints_restore(self, tmp_path):
+        set_default_dtype("f32")
+        src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
+        train(toy_train_config(steps=3, checkpoint_every=2), TINY, src, out_dir=tmp_path)
+        ckpt_dir = tmp_path / "checkpoints"
+        assert sorted(f.name for f in ckpt_dir.iterdir()) == ["final.lmck", "step0000002.lmck"]
+        mid = Checkpoint.load(ckpt_dir / "step0000002.lmck")
+        final = Checkpoint.load(ckpt_dir / "final.lmck")
+        assert any(not np.array_equal(mid.params[k], final.params[k]) for k in final.params)
+        for ck, steps in ((mid, 2), (final, 3)):
+            models = build_models(TINY, seed=99)
+            opt = AdamW(dict(models.named_parameters()))
+            ck.restore_into(models, opt)
+            for name, p in models.named_parameters():
+                np.testing.assert_array_equal(p.data, ck.params[name])
+            assert opt.step_count == steps
+
     def test_nan_input_aborts_with_diagnostics(self, tmp_path):
         set_default_dtype("f32")
         src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
