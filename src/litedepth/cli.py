@@ -37,6 +37,10 @@ _REFERENCE_BUDGETS = {
 }
 
 
+class _UsageError(Exception):
+    """A usage error found after parsing, such as an unknown config key."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 on usage errors instead of 2."""
 
@@ -59,26 +63,29 @@ def _add_common(p: argparse.ArgumentParser, variant: bool = True) -> None:
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
-    if args.config:
-        cfg.apply_file(args.config)
-    if getattr(args, "variant", None):
-        cfg.set("encoder.variant", args.variant)
-    if getattr(args, "size", None):
-        w, h = (int(v) for v in args.size.lower().split("x"))
-        cfg.set("data.width", str(w))
-        cfg.set("data.height", str(h))
-    if args.seed is not None:
-        cfg.set("train.seed", str(args.seed))
-        cfg.set("data.scene_seed", str(args.seed))
-    for extra in ("steps", "batch", "epochs", "frames"):
-        value = getattr(args, extra, None)
-        if value is not None:
-            key = {"steps": "train.steps", "batch": "train.batch_size",
-                   "epochs": "train.epochs", "frames": "data.frames"}[extra]
-            cfg.set(key, str(value))
-    if getattr(args, "mover", False):
-        cfg.set("data.mover", "true")
-    cfg.apply_overrides(getattr(args, "overrides", None))
+    try:
+        if args.config:
+            cfg.apply_file(args.config)
+        if getattr(args, "variant", None):
+            cfg.set("encoder.variant", args.variant)
+        if getattr(args, "size", None):
+            w, h = (int(v) for v in args.size.lower().split("x"))
+            cfg.set("data.width", str(w))
+            cfg.set("data.height", str(h))
+        if args.seed is not None:
+            cfg.set("train.seed", str(args.seed))
+            cfg.set("data.scene_seed", str(args.seed))
+        for extra in ("steps", "batch", "epochs", "frames"):
+            value = getattr(args, extra, None)
+            if value is not None:
+                key = {"steps": "train.steps", "batch": "train.batch_size",
+                       "epochs": "train.epochs", "frames": "data.frames"}[extra]
+                cfg.set(key, str(value))
+        if getattr(args, "mover", False):
+            cfg.set("data.mover", "true")
+        cfg.apply_overrides(getattr(args, "overrides", None))
+    except KeyError as exc:      # an unknown key in --config or --set
+        raise _UsageError(exc.args[0]) from None
     cfg.validate()
     return cfg
 
@@ -99,7 +106,10 @@ def _source_from(cfg: RunConfig, data: Optional[str]):
 def _models_from_checkpoint(path: str):
     ckpt = Checkpoint.load(path)
     cfg = RunConfig()
-    cfg.apply_text(ckpt.config_text, source=f"{path} (saved config)")
+    try:
+        cfg.apply_text(ckpt.config_text, source=f"{path} (saved config)")
+    except KeyError as exc:
+        raise ValueError(f"{path} (saved config): {exc.args[0]}") from None
     set_default_dtype(cfg.train.precision)
     models = build_models(cfg.encoder, seed=cfg.train.seed)
     ckpt.restore_into(models)
@@ -341,6 +351,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"litedepth: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"litedepth: {exc}", file=sys.stderr)
         return 2

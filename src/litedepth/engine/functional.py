@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
 
-from .tensor import Tensor, as_tensor, default_dtype
+from .tensor import Tensor, as_tensor, default_dtype, grad_enabled
 
 __all__ = [
     "ConvSpec",
@@ -121,7 +121,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
             f"non-positive conv output size {ho}x{wo} for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {s}, dilation {r}, padding {(pt, pb, pl, pr)}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(spec.pads()) else x.data
+    def padded():
+        # np.pad's bookkeeping costs more than the copy on these maps
+        if not any(spec.pads()):
+            return x.data
+        xp = np.zeros((n, cin, h + pt + pb, w + pl + pr), dtype=x.dtype)
+        xp[:, :, pt: pt + h, pl: pl + w] = x.data
+        return xp
+
+    xp = padded()
     sn, sc, sh, sw = xp.strides
     cg, og, m = cin // g, cout // g, n * ho * wo
     # one GEMM per group whose columns run over the whole batch, (N, Ho, Wo)
@@ -142,7 +150,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
     def bw(grad):
         # one kernel tap at a time, so no (Cg*kh*kw, M) column matrix is held;
         # the weights go tap-major, (kh*kw, G, Og, Cg), because matmul calls
-        # BLAS only on operands with a unit stride
+        # BLAS only on operands with a unit stride. The padded input is rebuilt
+        # here rather than kept alive between the forward and the backward.
+        xp = padded()
         gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
         gw = np.empty((kh * kw, g, og, cg), dtype=np.result_type(grad, xp))
         for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
@@ -287,21 +297,30 @@ def bilinear_sample(source: Tensor, coords: Tensor) -> Tensor:
     w11 = fx * fy
     out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
 
-    inside_x = (coords.data[..., 0] > 0.0) & (coords.data[..., 0] < w - 1.0)
-    inside_y = (coords.data[..., 1] > 0.0) & (coords.data[..., 1] < h - 1.0)
+    # the backward keeps only what it reads: the corners and their weights
+    # for the source gradient, the slopes and inside masks for the coordinates
+    scatter = slopes = None
+    if grad_enabled() and source.requires_grad:
+        scatter = (corners, w00, w01, w10, w11)
+    if grad_enabled() and coords.requires_grad:
+        # d out / d cx = (right - left) weighted by the y mixing; zero where clamped
+        slopes = ((v01 - v00) * (1 - fy) + (v11 - v10) * fy,
+                  (v10 - v00) * (1 - fx) + (v11 - v01) * fx,
+                  (coords.data[..., 0] > 0.0) & (coords.data[..., 0] < w - 1.0),
+                  (coords.data[..., 1] > 0.0) & (coords.data[..., 1] < h - 1.0))
 
     def bw(g):
-        gsrc = None
-        if source.requires_grad:
-            wgt = np.stack([g * w00, g * w01, g * w10, g * w11])
+        gsrc = gcoords = None
+        if scatter is not None:
+            corners, *weights = scatter
+            wgt = np.stack([g * wi for wi in weights])
             gsrc = np.bincount((corners + planes).ravel(), wgt.ravel(), minlength=d.size)
             gsrc = gsrc.reshape(d.shape).astype(d.dtype)
-        # d out / d cx = (right - left) weighted by the y mixing; zero where clamped
-        dx = ((v01 - v00) * (1 - fy) + (v11 - v10) * fy)
-        dy = ((v10 - v00) * (1 - fx) + (v11 - v01) * fx)
-        gx = (g * dx).sum(axis=1) * inside_x
-        gy = (g * dy).sum(axis=1) * inside_y
-        return gsrc, np.stack([gx, gy], axis=-1)
+        if slopes is not None:
+            dx, dy, inside_x, inside_y = slopes
+            gcoords = np.stack([(g * dx).sum(axis=1) * inside_x,
+                                (g * dy).sum(axis=1) * inside_y], axis=-1)
+        return gsrc, gcoords
 
     return Tensor._from_op(np.ascontiguousarray(out), (source, coords), bw)
 
@@ -335,9 +354,10 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
 
     One graph node. The means are sums times a default-dtype ``1/count`` and
     ``eps`` is default-dtype, as the elementwise composition gives them. The
-    backward reads only the normalized input and the per-channel scale and
-    deviation: with g' = g * scale, dx = (g' - mean(g') - xhat * mean(g' * xhat))
-    / std in train mode and g' / std in eval mode.
+    backward keeps only per-channel arrays: it rebuilds the normalized input
+    xhat from the input, the mean it subtracted and the deviation std. With
+    g' = g * scale, dx = (g' - mean(g') - xhat * mean(g' * xhat)) / std in
+    train mode and g' / std in eval mode.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -358,7 +378,8 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         running_var *= (1.0 - momentum)
         running_var += momentum * var.reshape(c)
     else:
-        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
+        mu = running_mean.reshape(cshape).astype(x.dtype)
+        centered = x.data - mu
         var = running_var.reshape(cshape).astype(x.dtype)
     std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
     normed = centered / std
@@ -366,6 +387,7 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     out = normed * gamma + shift.data.reshape(cshape)
 
     def bw(g):
+        normed = (x.data - mu) / std
         gx = None
         if x.requires_grad:
             gx = g
@@ -404,7 +426,8 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     out = np.where(xd > 0, xd, neg)
 
     def bw(g):
-        return (g * np.where(xd > 0, 1.0, neg + alpha),)
+        # where x <= 0 the output is neg itself
+        return (g * np.where(xd > 0, 1.0, out + alpha),)
 
     return Tensor._from_op(out, (x,), bw)
 

@@ -4,8 +4,8 @@ edge-aware smoothness on mean-normalized inverse depth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,14 +98,19 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     var_a = _box3(ad * ad) - mu_a * mu_a
     var_b = _box3(bd * bd) - mu_b * mu_b
     cov = _box3(ad * bd) - mu_a * mu_b
-    a1 = two * mu_a * mu_b + c1
+
+    def mean_terms():
+        # a1 and b1 read only the means, so the backward rebuilds them
+        return two * mu_a * mu_b + c1, mu_a * mu_a + mu_b * mu_b + c1
+
+    a1, b1 = mean_terms()
     a2 = two * cov + c2
-    b1 = mu_a * mu_a + mu_b * mu_b + c1
     b2 = var_a + var_b + c2
     out = a1 * a2 / (b1 * b2)
 
     def bw(g):
         # S = a1 a2 / (b1 b2); derivatives with respect to the filtered maps
+        a1, b1 = mean_terms()
         gd = 2 * g / (b1 * b2)
         g_ab = gd * a1                              # E[ab]
         g_sq = -g * out / b2                        # E[a^2] and E[b^2]

@@ -124,11 +124,6 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def zero_(self) -> None:
-        self.weight.data[...] = 0.0
-        if self.bias is not None:
-            self.bias.data[...] = 0.0
-
 
 class BatchNorm2d(Module):
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):

@@ -56,11 +56,13 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.scratch = {k: np.empty_like(p.data) for k, p in self.params.items()}
+        # raw bytes, so parameters of every dtype can take views of it
+        self.scratch = np.empty(max((p.data.nbytes for p in self.params.values()), default=0),
+                                dtype=np.uint8)
 
     def step(self, lr: float) -> None:
-        """One update in place: each term goes through the parameter's one
-        scratch array, so no full-size temporaries are allocated."""
+        """One update in place: each term goes through a view of the one
+        scratch buffer, so no full-size temporaries are allocated."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
@@ -69,7 +71,8 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m, v, s = self.m[name], self.v[name], self.scratch[name]
+            m, v = self.m[name], self.v[name]
+            s = self.scratch[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
@@ -333,6 +336,9 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
             tgt_clean = _stack([f[1] for f in clean], dtype)
             next_clean = _stack([f[2] for f in clean], dtype)
 
+            # the last step's gradients stay readable until this step's data
+            # is loaded, but are not held under the new graph
+            models.zero_grad()
             pyramid = models.decoder(models.encoder(tgt_net))
             t_prev = models.pose.pose_between(tgt_net, prev_net, source_is_previous=True)
             t_next = models.pose.pose_between(tgt_net, next_net, source_is_previous=False)
@@ -357,7 +363,6 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
                     f"{'dumped' if out_path is not None else 'not persisted'}")
 
             lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
-            models.zero_grad()
             loss.backward()
             opt.step(lr)
 

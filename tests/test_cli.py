@@ -3,8 +3,10 @@ import pytest
 
 from litedepth.cli import main
 from litedepth.config import RunConfig
+from litedepth.encoder import EncoderConfig
 from litedepth.pngio import read_f32, read_png
 from litedepth.engine import set_default_dtype
+from litedepth.trainer import Checkpoint, build_models
 
 
 @pytest.fixture(autouse=True)
@@ -188,6 +190,26 @@ class TestCliCommands:
         text = (run_dir / "config.txt").read_text()
         assert "loss.alpha = 0.5" in text
         assert "encoder.use_lgfi = false" in text
+
+    @pytest.mark.parametrize("how", ["set", "config"])
+    def test_unknown_config_key_is_a_usage_error(self, how, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("loss.nope = 1\n")
+        extra = (["--set", "loss.nope=1"] if how == "set"
+                 else ["--config", str(cfg_file)])
+        assert run_cli("synth", "--size", "64x32", "--frames", "3",
+                       "--out", str(tmp_path / "scene"), *extra) == 1
+        assert capsys.readouterr().err == "litedepth: unknown config key 'loss.nope'\n"
+        assert not (tmp_path / "scene").exists()
+
+    def test_checkpoint_with_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        models = build_models(EncoderConfig.variant_preset("tiny"))
+        ckpt = tmp_path / "bad.lmck"
+        text = RunConfig().to_text() + "loss.nope = 1\n"
+        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err == f"litedepth: {ckpt} (saved config): unknown config key 'loss.nope'\n"
 
     def test_gradcheck_subset_passes(self, capsys):
         assert run_cli("gradcheck") == 0

@@ -181,7 +181,8 @@ class TestAttentionBlock:
         block = AttentionBlock(8, heads=2, rng=rng)
         block.wq.weight.data[...] = 0.0
         block.wk.weight.data[...] = 0.0
-        block.project.zero_()            # feed-forward output path off
+        block.project.weight.data[...] = 0.0     # feed-forward output path off
+        block.project.bias.data[...] = 0.0
         x = Tensor(np.random.default_rng(0).standard_normal((1, 8, 4, 4)))
         out = block(x)
         diff = out.data - x.data
@@ -196,8 +197,9 @@ class TestAttentionBlock:
         block.wq.weight.data[...] = 0.0
         block.wk.weight.data[...] = 0.0
         block.wv.weight.data[...] = 0.0
-        block.attn_proj.zero_()
-        block.project.zero_()
+        for layer in (block.attn_proj, block.project):
+            layer.weight.data[...] = 0.0
+            layer.bias.data[...] = 0.0
         x = Tensor(np.random.default_rng(0).standard_normal((1, 8, 4, 4)))
         np.testing.assert_array_equal(block(x).data, x.data)
 

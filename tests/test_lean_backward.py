@@ -1,0 +1,301 @@
+"""The backward closures of the large-map ops keep nothing the graph already
+holds, and still return the same bits.
+
+Each ``*_reference`` below is the closure these ops had when they kept their
+forward intermediates (the padded input, the normalized input, the sampling
+corners and corner values, all six SSIM terms, ELU's negative branch). The
+lean closures rebuild those values in the backward with the same operations,
+so their gradients must be equal element for element.
+"""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import as_strided
+
+from litedepth import trainer
+from litedepth.config import TrainConfig
+from litedepth.data import SyntheticSource
+from litedepth.encoder import EncoderConfig
+from litedepth.engine import (
+    ConvSpec, Tensor, batch_norm, bilinear_sample, conv2d, default_dtype, elu,
+    using_dtype,
+)
+from litedepth.losses import _box3, _box3_adjoint, ssim
+
+
+# ------------------------------------------------------- the kept closures
+
+
+def conv2d_reference(x, weight, spec, grad):
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    g = spec.groups
+    pt, pb, pl, pr = spec.pads()
+    s, r = spec.stride, spec.dilation
+    ho = (h + pt + pb - r * (kh - 1) - 1) // s + 1
+    wo = (w + pl + pr - r * (kw - 1) - 1) // s + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(spec.pads()) else x.data
+    sn, sc, sh, sw = xp.strides
+    cg, og, m = cin // g, cout // g, n * ho * wo
+    gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
+    gw = np.empty((kh * kw, g, og, cg), dtype=np.result_type(grad, xp))
+    for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
+        tap = as_strided(xp[:, :, ki * r:, kj * r:], shape=(g, cg, n, ho, wo),
+                         strides=(sc * cg, sc, sn, sh * s, sw * s),
+                         writeable=False).reshape(g, cg, m)
+        np.matmul(gout, tap.transpose(0, 2, 1), out=gw[t])
+    gx = None
+    if x.requires_grad:
+        wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
+        gxp = np.zeros(xp.shape, dtype=xp.dtype)
+        gxg = gxp.reshape((n, g, cg) + xp.shape[2:])
+        for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
+            gx_t = (wt[t].transpose(0, 2, 1) @ gout).reshape(g, cg, n, ho, wo)
+            gxg[..., ki * r: ki * r + ho * s: s, kj * r: kj * r + wo * s: s] += (
+                gx_t.transpose(2, 0, 1, 3, 4))
+        gx = gxp[:, :, pt: pt + h, pl: pl + w]
+    gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(weight.shape)
+    return gx, gw, grad.sum(axis=(0, 2, 3))
+
+
+def batch_norm_reference(x, scale, shift, running_mean, running_var, training, g,
+                         eps=1e-5):
+    n, c, h, w = x.shape
+    cshape, axes = (1, c, 1, 1), (0, 2, 3)
+    inv_count = np.asarray(1.0 / (n * h * w), dtype=default_dtype())
+    if training:
+        mu = x.data.sum(axis=axes, keepdims=True) * inv_count
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    else:
+        centered = x.data - running_mean.reshape(cshape).astype(x.dtype)
+        var = running_var.reshape(cshape).astype(x.dtype)
+    std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
+    normed = centered / std
+    gamma = scale.data.reshape(cshape)
+    gx = g
+    if training:
+        gx = g - (g.sum(axis=axes, keepdims=True)
+                  + normed * (g * normed).sum(axis=axes, keepdims=True)) * inv_count
+    gx = gx * (gamma / std)
+    return gx, (g * normed).sum(axis=axes).reshape(scale.shape), g.sum(axis=axes)
+
+
+def bilinear_sample_reference(source, coords, g):
+    n, c, h, w = source.shape
+    cx = np.clip(coords.data[..., 0], 0.0, w - 1.0)
+    cy = np.clip(coords.data[..., 1], 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(cx).astype(np.int64), w - 1)
+    y0 = np.minimum(np.floor(cy).astype(np.int64), h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (cx - x0)[:, None]
+    fy = (cy - y0)[:, None]
+    corners = np.stack([(yi * w + xi)[:, None]
+                        for yi, xi in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))])
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+    d = source.data
+    v00, v01, v10, v11 = np.take(d, corners + planes)
+    w00 = (1 - fx) * (1 - fy)
+    w01 = fx * (1 - fy)
+    w10 = (1 - fx) * fy
+    w11 = fx * fy
+    inside_x = (coords.data[..., 0] > 0.0) & (coords.data[..., 0] < w - 1.0)
+    inside_y = (coords.data[..., 1] > 0.0) & (coords.data[..., 1] < h - 1.0)
+    gsrc = None
+    if source.requires_grad:
+        wgt = np.stack([g * w00, g * w01, g * w10, g * w11])
+        gsrc = np.bincount((corners + planes).ravel(), wgt.ravel(), minlength=d.size)
+        gsrc = gsrc.reshape(d.shape).astype(d.dtype)
+    dx = ((v01 - v00) * (1 - fy) + (v11 - v10) * fy)
+    dy = ((v10 - v00) * (1 - fx) + (v11 - v01) * fx)
+    gx = (g * dx).sum(axis=1) * inside_x
+    gy = (g * dy).sum(axis=1) * inside_y
+    return gsrc, np.stack([gx, gy], axis=-1)
+
+
+def ssim_reference(a, b, g):
+    ad, bd = a.data, b.data
+    two, c1, c2 = (np.asarray(v, dtype=default_dtype()) for v in (2.0, 0.01 ** 2, 0.03 ** 2))
+    mu_a, mu_b = _box3(ad), _box3(bd)
+    var_a = _box3(ad * ad) - mu_a * mu_a
+    var_b = _box3(bd * bd) - mu_b * mu_b
+    cov = _box3(ad * bd) - mu_a * mu_b
+    a1 = two * mu_a * mu_b + c1
+    a2 = two * cov + c2
+    b1 = mu_a * mu_a + mu_b * mu_b + c1
+    b2 = var_a + var_b + c2
+    out = a1 * a2 / (b1 * b2)
+    gd = 2 * g / (b1 * b2)
+    g_ab = gd * a1
+    g_sq = -g * out / b2
+    g_cross = gd * (a2 - a1)
+    g_own = 2 * g * out * (1 / b2 - 1 / b1)
+    sq, ab = _box3_adjoint(g_sq), _box3_adjoint(g_ab)
+    ga = _box3_adjoint(g_cross * mu_b + g_own * mu_a) + 2 * ad * sq + bd * ab
+    gb = _box3_adjoint(g_cross * mu_a + g_own * mu_b) + 2 * bd * sq + ad * ab
+    return ga, gb
+
+
+def elu_reference(x, g, alpha=1.0):
+    neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
+    return (g * np.where(x.data > 0, 1.0, neg + alpha),)
+
+
+# ---------------------------------------------------- bit-identical grads
+
+
+def assert_same_grads(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(params=["f32", "f64"])
+def dtype(request):
+    with using_dtype(request.param):
+        yield default_dtype()
+
+
+def leaf(rng, shape, dtype, grad=True, scale=1.0):
+    return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=grad)
+
+
+class TestBackwardUnchanged:
+    @pytest.mark.parametrize("spec", [
+        ConvSpec(kernel=(3, 3), padding=1),
+        ConvSpec(kernel=(3, 3), padding=2, dilation=2, stride=2),
+        ConvSpec(kernel=(3, 3), padding=1, groups=4),
+        ConvSpec(kernel=(3, 3), padding=(0, 1, 2, 1)),
+        ConvSpec(kernel=(3, 3)),
+        ConvSpec(kernel=(1, 1)),
+    ])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_conv2d(self, spec, x_grad, dtype, rng):
+        x = leaf(rng, (2, 4, 9, 11), dtype, grad=x_grad)
+        kh, kw = spec.kernel
+        weight = leaf(rng, (8, 4 // spec.groups, kh, kw), dtype)
+        bias = leaf(rng, (8,), dtype)
+        out = conv2d(x, weight, bias, spec)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        assert_same_grads(out._backward(g), conv2d_reference(x, weight, spec, g))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm(self, training, dtype, rng):
+        x = leaf(rng, (2, 5, 6, 7), dtype, scale=2.0)
+        scale, shift = leaf(rng, (5,), dtype), leaf(rng, (5,), dtype)
+        stats = (rng.standard_normal(5).astype(dtype), rng.uniform(0.5, 2.0, 5).astype(dtype))
+        kept = tuple(s.copy() for s in stats)
+        out = batch_norm(x, scale, shift, *stats, training=training)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        assert_same_grads(out._backward(g),
+                          batch_norm_reference(x, scale, shift, *kept, training, g))
+
+    @pytest.mark.parametrize("source_grad", [True, False])
+    def test_bilinear_sample(self, source_grad, dtype, rng):
+        source = leaf(rng, (2, 3, 6, 8), dtype, grad=source_grad)
+        # some coordinates outside the map, some exactly on its border
+        xy = rng.uniform(-1.5, 9.0, (2, 5, 7, 2))
+        xy[0, 0, :3] = [[0.0, 0.0], [7.0, 5.0], [3.0, 2.0]]
+        coords = Tensor(xy.astype(dtype), requires_grad=True)
+        out = bilinear_sample(source, coords)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        assert_same_grads(out._backward(g), bilinear_sample_reference(source, coords, g))
+
+    def test_ssim(self, dtype, rng):
+        a = Tensor(rng.uniform(0, 1, (2, 3, 6, 9)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.uniform(0, 1, (2, 3, 6, 9)).astype(dtype), requires_grad=True)
+        out = ssim(a, b)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        assert_same_grads(out._backward(g), ssim_reference(a, b, g))
+
+    def test_elu(self, dtype, rng):
+        x = leaf(rng, (3, 4, 5), dtype, scale=3.0)
+        x.data[0, 0, :2] = 0.0
+        out = elu(x)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        assert_same_grads(out._backward(g), elu_reference(x, g))
+
+
+# ------------------------------------------------- the graph holds its maps
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _captured_arrays(fn):
+    """Every distinct ndarray a closure can reach: its cells, the closures
+    and tuples in them, and the data of captured tensors."""
+    found, todo = {}, [c.cell_contents for c in fn.__closure__ or ()]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray):
+            found[id(v)] = v
+        elif isinstance(v, Tensor):
+            found[id(v.data)] = v.data
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            todo.extend(c.cell_contents for c in v.__closure__)
+    return list(found.values())
+
+
+def _holds_map(a):
+    # per-channel vectors, (N, C, 1, 1) offsets and scalars are not maps
+    return a.ndim >= 2 and a.shape[-2:] != (1, 1)
+
+
+def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
+    records = []
+
+    def keep_graph(total_loss):
+        def hooked(*args, **kwargs):
+            loss, diag = total_loss(*args, **kwargs)
+            nodes, todo, seen = [], [loss], set()
+            while todo:
+                t = todo.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    nodes.append(t)
+                    todo.extend(t._parents)
+            roots = {id(_root(t.data)) for t in nodes}
+            for t in nodes:
+                if t._backward is None:
+                    continue
+                op = t._backward.__qualname__.split(".")[0]
+                own = [a for a in _captured_arrays(t._backward)
+                       if _holds_map(a) and id(_root(a)) not in roots]
+                records.append((op, t.shape, t._parents[0].requires_grad, own))
+            return loss, diag
+        return hooked
+
+    monkeypatch.setattr(trainer, "total_loss", keep_graph(trainer.total_loss))
+    trainer.train(TrainConfig(batch_size=2, steps=1, seed=1, precision="f32"),
+                  EncoderConfig.variant_preset("tiny"),
+                  SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
+
+    ops, faults = {}, []
+    for op, shape, first_parent_grad, own in records:
+        ops[op] = ops.get(op, 0) + 1
+        kept = sorted((a.shape, a.dtype.kind) for a in own)
+        if op in ("conv2d", "batch_norm", "elu") and own:
+            faults.append((op, kept))
+        elif op == "bilinear_sample":
+            n, c, ho, wo = shape
+            # the warp samples images: only the coordinates need a gradient,
+            # which reads two slopes and two inside masks
+            if first_parent_grad or kept != sorted(
+                    [((n, c, ho, wo), "f")] * 2 + [((n, ho, wo), "b")] * 2):
+                faults.append((op, kept))
+        elif op == "ssim" and len(own) > 4:
+            faults.append((op, kept))
+    assert not faults
+    assert all(ops.get(op, 0) > 0 for op in
+               ("conv2d", "batch_norm", "elu", "bilinear_sample", "ssim")), ops

@@ -1,9 +1,11 @@
 import errno
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from litedepth import trainer
 from litedepth.config import TrainConfig
 from litedepth.data import SyntheticSource
 from litedepth.encoder import EncoderConfig
@@ -71,6 +73,33 @@ class TestAdamW:
         b = run("cba")
         for k in "abc":
             np.testing.assert_array_equal(a[k], b[k])
+
+    def test_one_scratch_buffer_serves_every_parameter(self, rng):
+        shapes = {"big": ((256, 64), np.float64), "f32": ((96, 100), np.float32),
+                  "small": ((40, 30), np.float64)}
+        params = {k: Tensor(rng.standard_normal(shape).astype(dt), requires_grad=True)
+                  for k, (shape, dt) in shapes.items()}
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(p.dtype)
+        alone = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+        for k, p in alone.items():
+            p.grad = params[k].grad
+        sizes = [p.data.nbytes for p in params.values()]
+        tracemalloc.start()
+        try:
+            opt = AdamW(params)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.step(lr=1e-3)
+            step_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # two moments per parameter plus one buffer the size of the largest
+        assert 0 <= held - (2 * sum(sizes) + max(sizes)) < 16384
+        assert step_peak < min(sizes)           # no full-size temporaries
+        for k, p in alone.items():
+            AdamW({k: p}).step(lr=1e-3)
+            np.testing.assert_array_equal(p.data, params[k].data)
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     def test_matches_float64_transcription_of_the_formula(self, dtype, rtol, rng):
@@ -282,6 +311,29 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             train(toy_train_config(steps=3), TINY, src, out_dir=tmp_path)
         assert any((tmp_path / "diagnostics").iterdir())
+
+    def test_grads_cleared_after_the_data_and_before_the_forward(self, monkeypatch):
+        # the last step's gradients stay readable while the next batch loads,
+        # but no parameter holds one while the next graph is built
+        set_default_dtype("f32")
+        built, has_grads = [], {"triplet": [], "total_loss": []}
+        build, total_loss = trainer.build_models, trainer.total_loss
+
+        def record(where):
+            has_grads[where].append(any(p.grad is not None for p in built[0].parameters()))
+
+        class Source(SyntheticSource):
+            def triplet(self, i):
+                record("triplet")
+                return super().triplet(i)
+
+        monkeypatch.setattr(trainer, "build_models",
+                            lambda *a, **k: built.append(build(*a, **k)) or built[0])
+        monkeypatch.setattr(trainer, "total_loss",
+                            lambda *a, **k: record("total_loss") or total_loss(*a, **k))
+        train(toy_train_config(steps=2), TINY, Source(seed=5, n_frames=6, size=(64, 32)))
+        assert has_grads == {"triplet": [False, False, True, True],
+                             "total_loss": [False, False]}
 
     def test_f32_step_gives_f32_grads(self, monkeypatch):
         set_default_dtype("f32")
