@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser, variant: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, variant: bool = True) -> None:
+    """The flags that build a run configuration, for the commands that read one."""
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", dest="overrides",
                    help="override any config key (repeatable)")
@@ -66,9 +67,9 @@ def _build_config(args) -> RunConfig:
     try:
         if args.config:
             cfg.apply_file(args.config)
-        if getattr(args, "variant", None):
+        if getattr(args, "variant", None):    # synth has no --variant
             cfg.set("encoder.variant", args.variant)
-        if getattr(args, "size", None):
+        if args.size:
             w, h = (int(v) for v in args.size.lower().split("x"))
             cfg.set("data.width", str(w))
             cfg.set("data.height", str(h))
@@ -83,7 +84,7 @@ def _build_config(args) -> RunConfig:
                 cfg.set(key, str(value))
         if getattr(args, "mover", False):
             cfg.set("data.mover", "true")
-        cfg.apply_overrides(getattr(args, "overrides", None))
+        cfg.apply_overrides(args.overrides)
     except KeyError as exc:      # an unknown key in --config or --set
         raise _UsageError(exc.args[0]) from None
     cfg.validate()
@@ -184,9 +185,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     variants = ("tiny", "small", "base") if args.variant == "all" else (args.variant,)
-    w, h = (640, 192)
-    if args.size:
-        w, h = (int(v) for v in args.size.lower().split("x"))
+    w, h = (int(v) for v in args.size.lower().split("x"))
     for name in variants:
         cfg = EncoderConfig.variant_preset(name)
         enc = count_params(cfg)
@@ -207,7 +206,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .gradsuite import run_suite
-    results = run_suite(seed=args.seed if args.seed is not None else 0)
+    results = run_suite(seed=args.seed)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -228,7 +227,8 @@ def _cmd_ablate(args) -> int:
     architecture_grid = [
         ("full", {}),
         ("no_lgfi", {"use_lgfi": False}),
-        ("no_dilation", {"use_dilation": False}),
+        ("no_dilation", {"dilation_schedule": tuple(
+            [1] * len(rates) for rates in cfg.encoder.dilation_schedule)}),
         ("no_pooled_concat", {"use_pooled_concat": False}),
         ("no_cross_stage", {"use_cross_stage": False}),
     ]
@@ -288,7 +288,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="render a synthetic dataset with ground truth")
-    _add_common(p)
+    _add_config_flags(p, variant=False)
     p.add_argument("--frames", type=int, help="sequence length")
     p.add_argument("--mover", action="store_true",
                    help="add a rectangle moving at camera velocity")
@@ -296,7 +296,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train depth and pose networks")
-    _add_common(p)
+    _add_config_flags(p)
     p.add_argument("--data", help="dataset directory (default: synthetic scene)")
     p.add_argument("--steps", type=int, help="cap the number of optimizer steps")
     p.add_argument("--batch", type=int, help="batch size")
@@ -305,8 +305,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
+    # infer and eval read the configuration saved in the checkpoint
     p = sub.add_parser("infer", help="depth map for one image from a checkpoint")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--depth-cap", type=float, default=80.0)
@@ -314,7 +314,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("eval", help="metric table against ground-truth depth")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory with depth/ (default: synthetic)")
     p.add_argument("--depth-cap", type=float, default=80.0)
@@ -322,17 +321,18 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="parameter and FLOP budgets per variant")
-    _add_common(p, variant=False)
     p.add_argument("--variant", choices=("tiny", "small", "base", "all"),
                    default="all")
+    p.add_argument("--size", metavar="WxH", default="640x192",
+                   help="image size for the FLOP count")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the test inputs")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="architecture/dilation grid on the toy task")
-    _add_common(p)
+    _add_config_flags(p)
     p.add_argument("--data", help="dataset directory (default: synthetic scene)")
     p.add_argument("--steps", type=int, help="training steps per configuration")
     p.add_argument("--batch", type=int)

@@ -23,9 +23,6 @@ class TrainConfig:
     lr0: float = 5e-4
     lr_min: float = 1e-6
     weight_decay: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     precision: str = "f32"          # f32 for training, f64 for checking
     seed: int = 0
     augment: bool = True

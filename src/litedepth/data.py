@@ -29,6 +29,7 @@ DEPTH_RANGE = (2.0, 50.0)        # scene depth budget in world units
 # layout and trajectory are sized together so that per-frame disparities
 # span several pixels in the foreground and stay measurable on the
 # background, which is what makes the toy task learnable at 64x32
+_N_RECTS = 7                     # textured rectangles in front of the background
 _RECT_DEPTHS = (2.5, 12.0)       # rectangles live well inside the budget
 _BACKGROUND_DEPTH = 18.0
 _MOVER_DEPTH = 2.2               # in front of everything else, never occluded
@@ -120,7 +121,6 @@ def _camera_pose(i: int, n: int, rotate: bool, motion_scale: float) -> np.ndarra
 def generate_synthetic_sequence(seed: int, n_frames: int,
                                 size: Tuple[int, int],
                                 mover: bool = False,
-                                n_rects: int = 7,
                                 motion_scale: float = 1.0,
                                 intrinsics: Optional[CameraIntrinsics] = None
                                 ) -> SyntheticSequence:
@@ -137,8 +137,6 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
         raise ValueError(f"size {w}x{h} must be divisible by 32")
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    if n_rects < 1:
-        raise ValueError("degenerate layout: need at least one rectangle")
     rng = np.random.default_rng(seed)
     if intrinsics is None:
         intr = CameraIntrinsics(fx=0.9 * w, fy=0.9 * w,
@@ -171,7 +169,7 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
 
     rects: List[_Rect] = []
     lo, hi = _RECT_DEPTHS
-    for _ in range(n_rects):
+    for _ in range(_N_RECTS):
         depth = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
         rects.append(make_rect(depth, rng.uniform(-0.7, 0.7),
                                rng.uniform(-0.7, 0.7), rng.uniform(0.22, 0.45)))

@@ -14,6 +14,8 @@ from .encoder import FeaturePyramid
 
 __all__ = ["DepthDecoder", "DepthPyramid", "disp_to_depth"]
 
+_DEC_CHANNELS = (16, 32, 64)   # decoder widths at full, half and quarter resolution
+
 
 def disp_to_depth(disp: Tensor, min_depth: float, max_depth: float) -> Tensor:
     """Map a sigmoid output in (0, 1) to metric depth in [min_depth, max_depth].
@@ -67,15 +69,12 @@ class DepthDecoder(Module):
     by a sigmoid, emitting disp at 1/4, 1/2 and full resolution.
     """
 
-    def __init__(self, enc_channels: Tuple[int, int, int],
-                 dec_channels: Tuple[int, int, int] = (16, 32, 64),
-                 seed: int = 0):
+    def __init__(self, enc_channels: Tuple[int, int, int], seed: int = 0):
         super().__init__()
         self.enc_channels = tuple(enc_channels)
-        self.dec_channels = tuple(dec_channels)
         rng = np.random.default_rng(seed)
         c2, c3, c4 = self.enc_channels
-        d0, d1, d2 = self.dec_channels
+        d0, d1, d2 = _DEC_CHANNELS
 
         self.pre = [_ConvElu(c4, d2, rng), _ConvElu(d2, d1, rng), _ConvElu(d1, d0, rng)]
         self.post = [_ConvElu(d2 + c3, d2, rng), _ConvElu(d1 + c2, d1, rng),

@@ -53,7 +53,6 @@ class EncoderConfig:
     heads: Tuple[int, int, int] = (4, 4, 8)
     expansion: int = 6
     use_lgfi: bool = True
-    use_dilation: bool = True
     use_pooled_concat: bool = True
     use_cross_stage: bool = True
 
@@ -82,10 +81,6 @@ class EncoderConfig:
         for s, (c, h) in enumerate(zip(self.channels[1:], self.heads)):
             if c % h != 0:
                 raise ValueError(f"stage {s + 1}: channels {c} not divisible by heads {h}")
-
-    def stage_dilations(self, stage: int) -> List[int]:
-        dils = self.dilation_schedule[stage]
-        return [1] * len(dils) if not self.use_dilation else list(dils)
 
 
 @dataclass
@@ -273,7 +268,7 @@ class DepthEncoder(Module):
         self.stages = []
         for s, c in enumerate((c2, c3, c4)):
             blocks: List[Module] = [DilatedConvBlock(c, r, rng, config.expansion)
-                                    for r in config.stage_dilations(s)]
+                                    for r in config.dilation_schedule[s]]
             if config.use_lgfi:
                 blocks.append(AttentionBlock(c, config.heads[s], rng, config.expansion))
             self.stages.append(blocks)
@@ -351,7 +346,7 @@ def count_flops(config: EncoderConfig, input_size: Tuple[int, int]) -> int:
         c = couts[s]
         macs += _conv_macs(cins[s], c, 3, hs, ws)
         n_tok = hs * ws
-        for _ in config.stage_dilations(s):
+        for _ in config.dilation_schedule[s]:
             macs += _conv_macs(c, c, 3, hs, ws, groups=c)       # depthwise
             macs += 2 * config.expansion * c * c * n_tok        # pointwise pair
         if config.use_lgfi:

@@ -166,7 +166,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         smooth_w = Tensor(interior[:, None].astype(np.float64))
 
         def synth_loss(d, a, t):
-            out, _ = synthesize(img8, d, Pose(a, t), intr)
+            out, _ = synthesize(img8, d, pose_to_matrix(Pose(a, t)), intr)
             return (((out - tgt8) ** 2.0) * smooth_w).sum()
 
         check("synthesize", synth_loss, [depth8, aa8, tr8])

@@ -13,7 +13,7 @@ from .engine import (
     Tensor, as_tensor, default_dtype, maximum, minimum, resize_bilinear,
 )
 from .decoder import DepthPyramid, disp_to_depth
-from .warp import CameraIntrinsics, synthesize
+from .warp import Cameras, synthesize
 
 __all__ = [
     "LossConfig", "auto_mask", "min_reprojection", "photometric_loss",
@@ -220,12 +220,13 @@ def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
 
 
 def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
-               transforms: Sequence[Tensor], intr: CameraIntrinsics,
+               transforms: Sequence[Tensor], intr: Cameras,
                config: LossConfig) -> Tuple[Tensor, Dict]:
     """Full objective over scale levels 0, 1 and 2, averaged 1/3 over scales.
 
     `transforms` carries one source-camera-from-target-camera matrix per
-    source frame (typically previous and next). Lower-scale disparities are
+    source frame (typically previous and next), and `intr` one camera for
+    the batch or one per sample. Lower-scale disparities are
     upsampled to full resolution before synthesis; the smoothness term runs
     at each scale's native resolution with its weight divided by 2^scale.
     Returns the scalar loss and a diagnostics dict of intermediate maps: the

@@ -43,16 +43,16 @@ class TrainingDiverged(RuntimeError):
 
 # ------------------------------------------------------------------ optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class AdamW:
     """Adam with decoupled weight decay and bias-corrected moments:
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p."""
 
-    def __init__(self, named_params: Dict[str, Tensor], weight_decay: float = 1e-2,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params: Dict[str, Tensor], weight_decay: float = 1e-2):
         self.params = dict(named_params)
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -65,24 +65,24 @@ class AdamW:
         scratch buffer, so no full-size temporaries are allocated."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
             s = self.scratch[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
-            v *= self.beta2
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            v *= ADAM_BETA2
             np.multiply(g, g, out=s)
-            s *= 1.0 - self.beta2
+            s *= 1.0 - ADAM_BETA2
             v += s
             p.data -= np.multiply(p.data, lr * self.weight_decay, out=s)  # pre-update p
             np.divide(v, bc2, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
+            s += ADAM_EPS
             np.divide(m, s, out=s)
             s *= lr / bc1
             p.data -= s
@@ -208,7 +208,7 @@ def build_models(encoder_config: EncoderConfig, seed: int = 0) -> Models:
 @dataclass
 class Checkpoint:
     """Everything needed to resume or evaluate: parameters, norm buffers,
-    optimizer moments, the epoch counter and a config snapshot."""
+    optimizer moments, the number of completed epochs and a config snapshot."""
 
     params: Dict[str, np.ndarray]
     buffers: Dict[str, np.ndarray]
@@ -297,8 +297,7 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
     dtype = np.float32 if cfg.precision == "f32" else np.float64
 
     models = build_models(encoder_config, seed=cfg.seed).train()
-    opt = AdamW(dict(models.named_parameters()), weight_decay=cfg.weight_decay,
-                beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    opt = AdamW(dict(models.named_parameters()), weight_decay=cfg.weight_decay)
 
     n_items = len(data_source)
     if n_items == 0:
@@ -312,77 +311,71 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     rng = np.random.default_rng(cfg.seed)
     curve: List[dict] = []
-    step = 0
-    epoch = 0
-    done = False
-    while not done:
-        order = rng.permutation(n_items)
-        for start in range(0, n_items, cfg.batch_size):
-            if step >= total_steps:
-                done = True
-                break
-            idx = order[start: start + cfg.batch_size]
-            triplets = [data_source.triplet(int(i)) for i in idx]
-            if cfg.augment:
-                triplets = [augment(t, seed=int(rng.integers(2 ** 31)))
-                            for t in triplets]
-            intr = triplets[0].intrinsics
-            clean = [t.frames for t in triplets]
-            net_in = [t.network_frames() for t in triplets]
-            prev_net = _stack([f[0] for f in net_in], dtype)
-            tgt_net = _stack([f[1] for f in net_in], dtype)
-            next_net = _stack([f[2] for f in net_in], dtype)
-            prev_clean = _stack([f[0] for f in clean], dtype)
-            tgt_clean = _stack([f[1] for f in clean], dtype)
-            next_clean = _stack([f[2] for f in clean], dtype)
+    for step in range(total_steps):
+        if step % steps_per_epoch == 0:
+            order = rng.permutation(n_items)
+        start = (step % steps_per_epoch) * cfg.batch_size
+        idx = order[start: start + cfg.batch_size]
+        triplets = [data_source.triplet(int(i)) for i in idx]
+        if cfg.augment:
+            triplets = [augment(t, seed=int(rng.integers(2 ** 31)))
+                        for t in triplets]
+        clean = [t.frames for t in triplets]
+        net_in = [t.network_frames() for t in triplets]
+        prev_net = _stack([f[0] for f in net_in], dtype)
+        tgt_net = _stack([f[1] for f in net_in], dtype)
+        next_net = _stack([f[2] for f in net_in], dtype)
+        prev_clean = _stack([f[0] for f in clean], dtype)
+        tgt_clean = _stack([f[1] for f in clean], dtype)
+        next_clean = _stack([f[2] for f in clean], dtype)
 
-            # the last step's gradients stay readable until this step's data
-            # is loaded, but are not held under the new graph
-            models.zero_grad()
-            pyramid = models.decoder(models.encoder(tgt_net))
-            t_prev = models.pose.pose_between(tgt_net, prev_net, source_is_previous=True)
-            t_next = models.pose.pose_between(tgt_net, next_net, source_is_previous=False)
+        # the last step's gradients stay readable until this step's data
+        # is loaded, but are not held under the new graph
+        models.zero_grad()
+        pyramid = models.decoder(models.encoder(tgt_net))
+        t_prev = models.pose.pose_between(tgt_net, prev_net, source_is_previous=True)
+        t_next = models.pose.pose_between(tgt_net, next_net, source_is_previous=False)
 
-            finite = (all(np.isfinite(pyramid.disp(s).data).all() for s in range(3))
-                      and np.isfinite(t_prev.data).all()
-                      and np.isfinite(t_next.data).all())
-            if not finite:
-                if out_path is not None:
-                    _dump_network_state(out_path / "diagnostics", step, pyramid)
-                raise TrainingDiverged(
-                    f"non-finite network output at step {step}; diagnostics "
-                    f"{'dumped' if out_path is not None else 'not persisted'}")
+        finite = (all(np.isfinite(pyramid.disp(s).data).all() for s in range(3))
+                  and np.isfinite(t_prev.data).all()
+                  and np.isfinite(t_next.data).all())
+        if not finite:
+            if out_path is not None:
+                _dump_network_state(out_path / "diagnostics", step, pyramid)
+            raise TrainingDiverged(
+                f"non-finite network output at step {step}; diagnostics "
+                f"{'dumped' if out_path is not None else 'not persisted'}")
 
-            loss, diag = total_loss(pyramid, tgt_clean, [prev_clean, next_clean],
-                                    [t_prev, t_next], intr, loss_cfg)
-            if not np.isfinite(loss.data):
-                if out_path is not None:
-                    _dump_diagnostics(out_path / "diagnostics", step, diag)
-                raise TrainingDiverged(
-                    f"non-finite loss at step {step}; diagnostics "
-                    f"{'dumped' if out_path is not None else 'not persisted'}")
+        loss, diag = total_loss(pyramid, tgt_clean, [prev_clean, next_clean],
+                                [t_prev, t_next],
+                                [t.intrinsics for t in triplets], loss_cfg)
+        if not np.isfinite(loss.data):
+            if out_path is not None:
+                _dump_diagnostics(out_path / "diagnostics", step, diag)
+            raise TrainingDiverged(
+                f"non-finite loss at step {step}; diagnostics "
+                f"{'dumped' if out_path is not None else 'not persisted'}")
 
-            lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
-            loss.backward()
-            opt.step(lr)
+        lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
+        loss.backward()
+        opt.step(lr)
 
-            smooth = float(np.mean([diag["scales"][s]["smoothness"]
-                                    for s in diag["scales"]]))
-            curve.append({"step": step, "lr": lr, "total": float(loss.data),
-                          "scale0": diag["per_scale"][0],
-                          "scale1": diag["per_scale"][1],
-                          "scale2": diag["per_scale"][2],
-                          "smoothness": smooth})
-            step += 1
-            if (out_path is not None and cfg.checkpoint_every > 0
-                    and step % cfg.checkpoint_every == 0):
-                Checkpoint.from_models(models, opt, epoch, config_text).save(
-                    out_path / "checkpoints" / f"step{step:07d}.lmck")
-        epoch += 1
-        if cfg.steps <= 0 and epoch >= cfg.epochs:
-            done = True
+        smooth = float(np.mean([diag["scales"][s]["smoothness"]
+                                for s in diag["scales"]]))
+        curve.append({"step": step, "lr": lr, "total": float(loss.data),
+                      "scale0": diag["per_scale"][0],
+                      "scale1": diag["per_scale"][1],
+                      "scale2": diag["per_scale"][2],
+                      "smoothness": smooth})
+        done = step + 1
+        if (out_path is not None and cfg.checkpoint_every > 0
+                and done % cfg.checkpoint_every == 0):
+            # every checkpoint records the number of completed epochs
+            Checkpoint.from_models(models, opt, done // steps_per_epoch, config_text).save(
+                out_path / "checkpoints" / f"step{done:07d}.lmck")
 
-    checkpoint = Checkpoint.from_models(models, opt, epoch, config_text)
+    checkpoint = Checkpoint.from_models(models, opt, total_steps // steps_per_epoch,
+                                        config_text)
     ckpt_path = curve_path = None
     if out_path is not None:
         ckpt_path = out_path / "checkpoints" / "final.lmck"
@@ -431,28 +424,21 @@ def predict_depth(models: Models, frame: np.ndarray,
     return depth.data[0, 0]
 
 
-def evaluate(models: Optional[Models], data_source,
+def evaluate(models: Models, data_source,
              loss_config: Optional[LossConfig] = None,
-             cap: float = 80.0, median_scale: bool = True,
-             predict=None) -> Tuple[DepthMetrics, List[DepthMetrics]]:
+             cap: float = 80.0, median_scale: bool = True
+             ) -> Tuple[DepthMetrics, List[DepthMetrics]]:
     """Full-resolution depth against ground truth for every triplet,
-    median-scaled by default; returns the mean row and the per-frame rows.
-
-    `predict(triplet) -> depth` overrides the network forward (used to
-    validate the metric plumbing with known depth).
-    """
-    if predict is None:
-        if models is None:
-            raise ValueError("evaluate needs either models or a predict hook")
-        models.eval()
-        predict = lambda trip: predict_depth(models, trip.frames[1], loss_config)
+    median-scaled by default; returns the mean row and the per-frame rows."""
+    models.eval()
     per_frame: List[DepthMetrics] = []
     for i in range(len(data_source)):
         trip = data_source.triplet(i)
         if trip.gt_depth is None:
             raise ValueError(f"triplet {i} carries no ground-truth depth")
-        per_frame.append(depth_metrics(predict(trip), trip.gt_depth, cap=cap,
-                                       median_scale=median_scale))
+        # no local name: each depth map is freed before the next forward
+        per_frame.append(depth_metrics(predict_depth(models, trip.frames[1], loss_config),
+                                       trip.gt_depth, cap=cap, median_scale=median_scale))
     mean = DepthMetrics(*[float(np.mean([getattr(m, c) for m in per_frame]))
                           for c in ("abs_rel", "sq_rel", "rmse", "rmse_log",
                                     "delta1", "delta2", "delta3")])

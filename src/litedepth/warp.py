@@ -9,14 +9,13 @@ the source exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .engine import Tensor, as_tensor, bilinear_sample, concat, maximum, stack
-from .posenet import Pose, pose_to_matrix
 
-__all__ = ["CameraIntrinsics", "Z_EPS", "backproject", "project", "synthesize"]
+__all__ = ["CameraIntrinsics", "Cameras", "Z_EPS", "backproject", "project", "synthesize"]
 
 Z_EPS = 1e-3   # scene units; points closer than this to the camera plane are invalid
 
@@ -56,17 +55,35 @@ class CameraIntrinsics:
                                 self.cy, self.width, self.height)
 
 
-def _pixel_rays(intr: CameraIntrinsics, h: int, w: int) -> np.ndarray:
-    """K^-1 applied to every homogeneous pixel center: (3, H*W)."""
+Cameras = Union[CameraIntrinsics, Sequence[CameraIntrinsics]]
+
+
+def _per_sample(intr: Cameras, n: int) -> List[CameraIntrinsics]:
+    """One camera per batch sample. A flip mirrors cx for each sample on its
+    own, so one training batch can mix principal points."""
+    cams = [intr] * n if isinstance(intr, CameraIntrinsics) else list(intr)
+    if len(cams) != n:
+        raise ValueError(f"{len(cams)} cameras for a batch of {n}")
+    return cams
+
+
+def _pixel_rays(cams: List[CameraIntrinsics], h: int, w: int) -> np.ndarray:
+    """Each camera's K^-1 applied to every homogeneous pixel center:
+    (N, 3, H*W), or (1, 3, H*W) when the batch shares one camera."""
     us, vs = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
     ones = np.ones_like(us)
     grid = np.stack([us, vs, ones]).reshape(3, -1)
-    return intr.inverse_matrix() @ grid
+    if len(set(cams)) == 1:
+        # the graph keeps the rays of every warp; one shared copy keeps a
+        # one-camera batch at the memory of a single-camera warp
+        cams = cams[:1]
+    return np.stack([c.inverse_matrix() @ grid for c in cams])
 
 
-def backproject(depth: Tensor, intr: CameraIntrinsics, strict: bool = True) -> Tensor:
-    """Lift a depth map (N, 1, H, W) to camera-frame points (N, 3, H, W).
+def backproject(depth: Tensor, intr: Cameras, strict: bool = True) -> Tensor:
+    """Lift a depth map (N, 1, H, W) to camera-frame points (N, 3, H, W),
+    with one camera for the batch or one per sample.
 
     strict mode rejects non-positive depth; otherwise depth is clamped to
     Z_EPS (the training-path behavior, where sigmoid outputs keep depth
@@ -81,14 +98,15 @@ def backproject(depth: Tensor, intr: CameraIntrinsics, strict: bool = True) -> T
             raise ValueError("non-positive depth in strict mode")
     else:
         depth = maximum(depth, Z_EPS)
-    rays = Tensor(_pixel_rays(intr, h, w).astype(depth.dtype))   # (3, HW)
-    points = depth.reshape(n, 1, h * w) * rays
+    rays = Tensor(_pixel_rays(_per_sample(intr, n), h, w).astype(depth.dtype))
+    points = depth.reshape(n, 1, h * w) * rays          # (N, 3, HW)
     return points.reshape(n, 3, h, w)
 
 
-def project(points: Tensor, intr: CameraIntrinsics,
+def project(points: Tensor, intr: Cameras,
             transform: Tensor) -> Tuple[Tensor, np.ndarray]:
-    """Rigidly transform points (N, 3, H, W) and project to pixel coords.
+    """Rigidly transform points (N, 3, H, W) and project to pixel coords,
+    with one camera for the batch or one per sample.
 
     Returns coords (N, H, W, 2) and a boolean validity mask (N, 1, H, W)
     that is false behind the camera (z <= Z_EPS) or outside the image.
@@ -98,38 +116,37 @@ def project(points: Tensor, intr: CameraIntrinsics,
     n, three, h, w = points.shape
     if three != 3:
         raise ValueError(f"points must be (N, 3, H, W), got {points.shape}")
+    cams = _per_sample(intr, n)
+    # (N, 1) columns in the default dtype, as a scalar would be
+    fx, fy, cx, cy = (Tensor([[getattr(c, k)] for c in cams])
+                      for k in ("fx", "fy", "cx", "cy"))
     flat = points.reshape(n, 3, h * w)
     ones = Tensor(np.ones((n, 1, h * w), dtype=points.dtype))
     hom = concat([flat, ones], axis=1)                 # (N, 4, HW)
     cam = transform @ hom                              # (N, 4, HW)
     x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]          # (N, HW)
     z_safe = maximum(z, Z_EPS)
-    u = x / z_safe * intr.fx + intr.cx
-    v = y / z_safe * intr.fy + intr.cy
+    u = x / z_safe * fx + cx
+    v = y / z_safe * fy + cy
     coords = stack([u, v], axis=-1).reshape(n, h, w, 2)
     valid = ((z.data > Z_EPS)
-             & (u.data >= 0.0) & (u.data <= intr.width - 1.0)
-             & (v.data >= 0.0) & (v.data <= intr.height - 1.0))
+             & (u.data >= 0.0) & (u.data <= cams[0].width - 1.0)
+             & (v.data >= 0.0) & (v.data <= cams[0].height - 1.0))
     return coords, valid.reshape(n, 1, h, w)
 
 
-def synthesize(source: Tensor, depth: Tensor,
-               pose: Union[Pose, Tensor, np.ndarray],
-               intr: CameraIntrinsics) -> Tuple[Tensor, np.ndarray]:
+def synthesize(source: Tensor, depth: Tensor, transform: Tensor,
+               intr: Cameras) -> Tuple[Tensor, np.ndarray]:
     """Warp `source` (N, C, H, W) into the target view given the target's
-    depth map and the source-from-target transform.
+    depth map, the (N, 4, 4) source-from-target transforms and the camera,
+    one for the batch or one per sample.
 
     Returns the synthesized image and the validity mask (N, 1, H, W).
     Masked-out pixels hold border-clamped samples and are only meaningful
     under the mask. Differentiable w.r.t. source, depth and pose.
     """
     source = as_tensor(source)
-    if isinstance(pose, Pose):
-        transform = pose_to_matrix(pose)
-    else:
-        transform = as_tensor(pose)
-        if transform.ndim == 2:
-            transform = transform.reshape(1, 4, 4)
+    transform = as_tensor(transform)
     if transform.shape[1:] != (4, 4):
         raise ValueError(f"transform must be (N, 4, 4), got {transform.shape}")
     points = backproject(depth, intr, strict=False)

@@ -97,7 +97,7 @@ class TestCriterion06GeometryIdentities:
         img = Tensor(rng.random((1, 3, 12, 16)))
         depth = Tensor(rng.uniform(2.0, 9.0, size=(1, 1, 12, 16)))
         pose = Pose(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-        out, _ = synthesize(img, depth, pose, intr)
+        out, _ = synthesize(img, depth, pose_to_matrix(pose), intr)
         err = np.abs(out.data - img.data).max()
         assert err < 1e-6
 
@@ -144,7 +144,7 @@ class TestCriterion08RendererWarperCrossValidation:
     def test_gt_warp(self):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
-        tf = seq.relative_transform(t, s)
+        tf = Tensor(seq.relative_transform(t, s)[None])
         errs = {}
         with no_grad():
             for label, scale in (("gt", 1.0), ("double", 2.0)):
@@ -171,7 +171,7 @@ class TestCriterion10AutoMaskMover:
             for s in (t - 1, t + 1):
                 out, _ = synthesize(
                     Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                    seq.relative_transform(t, s), seq.intrinsics)
+                    Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
                 warped.append(photometric_loss(out, tgt, 0.85))
                 unwarped.append(photometric_loss(Tensor(seq.frames[s][None]),
                                                  tgt, 0.85))

@@ -1,10 +1,15 @@
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from litedepth.cli import main
+from litedepth.cli import _build_parser, main
 from litedepth.config import RunConfig
 from litedepth.encoder import EncoderConfig
-from litedepth.pngio import read_f32, read_png
+from litedepth.pngio import read_f32, read_png, write_png
 from litedepth.engine import set_default_dtype
 from litedepth.trainer import Checkpoint, build_models
 
@@ -32,12 +37,10 @@ class TestConfig:
         assert RunConfig().keys() == [
             "encoder.variant", "encoder.channels", "encoder.cdc_repeats",
             "encoder.dilation_schedule", "encoder.heads", "encoder.expansion",
-            "encoder.use_lgfi", "encoder.use_dilation",
-            "encoder.use_pooled_concat", "encoder.use_cross_stage",
+            "encoder.use_lgfi", "encoder.use_pooled_concat", "encoder.use_cross_stage",
             "train.batch_size", "train.epochs", "train.steps", "train.lr0",
-            "train.lr_min", "train.weight_decay", "train.beta1", "train.beta2",
-            "train.adam_eps", "train.precision", "train.seed", "train.augment",
-            "train.checkpoint_every",
+            "train.lr_min", "train.weight_decay", "train.precision", "train.seed",
+            "train.augment", "train.checkpoint_every",
             "loss.alpha", "loss.lambda_smooth", "loss.automask",
             "loss.min_depth", "loss.max_depth",
             "data.width", "data.height", "data.frames", "data.scene_seed",
@@ -87,6 +90,60 @@ class TestConfig:
         cfg = RunConfig()
         with pytest.raises(ValueError, match="boolean"):
             cfg.set("encoder.use_lgfi", "maybe")
+
+
+def subcommand_flags():
+    """{subcommand: its long flags in declaration order}, --help left out."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [o for a in p._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"]
+            for name, p in sub.choices.items()}
+
+
+CONFIG_FLAGS = ["--config", "--set", "--seed", "--variant", "--size"]
+
+
+class TestCliSurface:
+    def test_flags_are_pinned(self):
+        # each subcommand declares only the flags it reads; a new flag has
+        # to be added here, where a reviewer sees it
+        flags = subcommand_flags()
+        assert flags == {
+            "synth": ["--config", "--set", "--seed", "--size",
+                      "--frames", "--mover", "--out"],
+            "train": CONFIG_FLAGS + ["--data", "--steps", "--batch", "--epochs",
+                                     "--frames", "--out"],
+            "infer": ["--checkpoint", "--image", "--depth-cap", "--out"],
+            "eval": ["--checkpoint", "--data", "--depth-cap", "--no-median-scale"],
+            "bench": ["--variant", "--size"],
+            "gradcheck": ["--seed"],
+            "ablate": CONFIG_FLAGS + ["--data", "--steps", "--batch", "--frames", "--out"],
+        }
+        assert sum(map(len, flags.values())) == 39
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI\n.*?^```bash\n(.*?)^```", readme, re.S | re.M).group(1)
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("litedepth ")]
+        assert len(commands) >= 8
+        parser = _build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])     # a usage error exits 1
+            assert args.command == argv[1]
+
+
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    """A random-init tiny model saved with a 64x32, 3-frame config."""
+    cfg = RunConfig()
+    for key, value in (("encoder.variant", "tiny"), ("data.width", "64"),
+                       ("data.height", "32"), ("data.frames", "3")):
+        cfg.set(key, value)
+    path = tmp_path / "tiny.lmck"
+    Checkpoint.from_models(build_models(cfg.encoder), None, 0, cfg.to_text()).save(path)
+    return path
 
 
 class TestCliCommands:
@@ -210,6 +267,35 @@ class TestCliCommands:
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         err = capsys.readouterr().err
         assert err == f"litedepth: {ckpt} (saved config): unknown config key 'loss.nope'\n"
+
+    def test_eval_rejects_a_config_override(self, tiny_checkpoint, capsys):
+        # eval reads the checkpoint's saved config; --set used to be ignored
+        assert run_cli("eval", "--checkpoint", str(tiny_checkpoint)) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(tiny_checkpoint),
+                       "--set", "loss.nope=1") == 1
+        assert "unrecognized arguments: --set loss.nope=1" in capsys.readouterr().err
+
+    def test_infer_rejects_a_seed(self, tiny_checkpoint, tmp_path, capsys):
+        image = tmp_path / "frame.png"
+        write_png(image, np.full((32, 64, 3), 128, dtype=np.uint8))
+        argv = ["infer", "--checkpoint", str(tiny_checkpoint), "--image", str(image),
+                "--out", str(tmp_path / "depth")]
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "3") == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_checkpoint_echoing_a_removed_key_names_it(self, tmp_path, capsys):
+        # a checkpoint saved before encoder.use_dilation and the AdamW keys
+        # were deleted is refused, not silently reinterpreted
+        models = build_models(EncoderConfig.variant_preset("tiny"))
+        text = RunConfig().to_text().replace(
+            "encoder.use_lgfi = true\n", "encoder.use_lgfi = true\nencoder.use_dilation = true\n")
+        ckpt = tmp_path / "old.lmck"
+        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
+        assert "unknown config key 'encoder.use_dilation'" in capsys.readouterr().err
 
     def test_gradcheck_subset_passes(self, capsys):
         assert run_cli("gradcheck") == 0

@@ -42,10 +42,6 @@ class TestRenderer:
         seq = generate_synthetic_sequence(9, 3, SIZE)
         assert seq.frames.min() >= 0.0 and seq.frames.max() <= 1.0
 
-    def test_empty_layout_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            generate_synthetic_sequence(1, 2, SIZE, n_rects=0)
-
     def test_indivisible_size_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             generate_synthetic_sequence(1, 2, (60, 34))
@@ -69,7 +65,7 @@ class TestRendererWarperCrossValidation:
         with no_grad():
             warped, valid = synthesize(
                 Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                seq.relative_transform(t, s), seq.intrinsics)
+                Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
         err = np.abs(warped.data[0] - seq.frames[t]).mean(axis=0)
         keep = valid[0, 0] & ~occlusion_boundary_mask(seq.depths[t])
         assert keep.mean() > 0.4
@@ -78,7 +74,7 @@ class TestRendererWarperCrossValidation:
     def test_gt_depth_strictly_beats_doubled_depth(self):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
-        tf = seq.relative_transform(t, s)
+        tf = Tensor(seq.relative_transform(t, s)[None])
         errs = []
         with no_grad():
             for scale in (1.0, 2.0):
@@ -96,7 +92,7 @@ class TestRendererWarperCrossValidation:
         with no_grad():
             warped, valid = synthesize(
                 Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                seq.relative_transform(t, s), seq.intrinsics)
+                Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
         err = np.abs(warped.data[0] - seq.frames[t]).mean(axis=0)
         keep = valid[0, 0] & ~occlusion_boundary_mask(seq.depths[t])
         assert err[keep].mean() < 0.02
@@ -112,7 +108,7 @@ class TestMoverAutoMask:
             for s in (t - 1, t + 1):
                 out, _ = synthesize(
                     Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                    seq.relative_transform(t, s), seq.intrinsics)
+                    Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
                 warped.append(photometric_loss(out, tgt, 0.85))
                 unwarped.append(photometric_loss(Tensor(seq.frames[s][None]), tgt, 0.85))
         mu = auto_mask(unwarped, warped)
@@ -219,6 +215,30 @@ class TestAugment:
         # seeds 0-9 hold jittered draws with and without a flip
         assert flips_seen == {False, True}
 
+    def test_mixed_flip_batch_warps_each_sample_with_its_camera(self):
+        """One warp call over an unflipped and a flipped sample, each with its
+        own camera (cx 36 and 27), gives the flipped sample the mirror image
+        of the unflipped one's sampling points and warped image."""
+        t = self.make_triplet()
+        batch = [augment(t, seed=0, force_flip=flip) for flip in (False, True)]
+        cams = [b.intrinsics for b in batch]
+        assert [c.cx for c in cams] == [36.0, 27.0]
+        source = Tensor(np.stack([b.frames[2] for b in batch]))
+        depth = Tensor(np.stack([b.gt_depth for b in batch])[:, None])
+        # next-camera-from-target; the poses are world-from-camera
+        transform = Tensor(np.stack([np.linalg.inv(b.gt_poses[2]) @ b.gt_poses[1]
+                                     for b in batch]))
+        with no_grad():
+            coords, valid = project(backproject(depth, cams), cams, transform)
+            warped, _ = synthesize(source, depth, transform, cams)
+        mirrored = coords.data[1][:, ::-1].copy()
+        mirrored[..., 0] = SIZE[0] - 1 - mirrored[..., 0]
+        np.testing.assert_allclose(mirrored, coords.data[0], rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(valid[1, 0][:, ::-1], valid[0, 0])
+        assert valid[0, 0].mean() > 0.5
+        np.testing.assert_allclose(warped.data[1][:, :, ::-1], warped.data[0],
+                                   rtol=0, atol=1e-9)
+
     def test_flip_with_mirrored_cx_preserves_warp_geometry(self):
         """Flipping frames, depth and cx together reproduces the unflipped
         warp; keeping the original cx breaks it. An off-center principal
@@ -235,7 +255,7 @@ class TestAugment:
             with no_grad():
                 out, valid = synthesize(Tensor(frames_s[None]),
                                         Tensor(depth_t[None, None]),
-                                        transform, intr)
+                                        Tensor(transform[None]), intr)
             err = np.abs(out.data[0] - target).mean(axis=0)
             return err[valid[0, 0]].mean()
 

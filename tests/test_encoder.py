@@ -59,8 +59,12 @@ class TestConfig:
             EncoderConfig.variant_preset("huge")
 
     def test_dilation_ablation_forces_unit_rates(self):
-        cfg = EncoderConfig.variant_preset("base", use_dilation=False)
-        assert cfg.stage_dilations(2) == [1] * 9
+        # the ablation grid's no_dilation row: an all-ones schedule
+        cfg = EncoderConfig.variant_preset("base", dilation_schedule=([1] * 3, [1] * 3, [1] * 9))
+        enc = DepthEncoder(cfg)
+        blocks = [b for stage in enc.stages for b in stage if isinstance(b, DilatedConvBlock)]
+        assert len(blocks) == 15
+        assert {b.dilation for b in blocks} == {1}
 
 
 class TestChannelAttention:

@@ -7,10 +7,11 @@ import pytest
 
 from litedepth import trainer
 from litedepth.config import TrainConfig
-from litedepth.data import SyntheticSource
+from litedepth.data import SyntheticSource, augment, generate_synthetic_sequence
 from litedepth.encoder import EncoderConfig
 from litedepth.engine import Tensor, set_default_dtype
 from litedepth.losses import LossConfig
+from litedepth.warp import CameraIntrinsics
 from litedepth.trainer import (
     AdamW, Checkpoint, TrainingDiverged, build_models, cosine_lr, evaluate,
     load_checkpoint, save_checkpoint, train,
@@ -104,11 +105,12 @@ class TestAdamW:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     def test_matches_float64_transcription_of_the_formula(self, dtype, rtol, rng):
         # p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p, term by term
-        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.05
+        b1, b2, eps, wd = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS, 0.05
+        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
         shape = (4, 6)
         p = Tensor((rng.uniform(0.5, 2.0, shape) * rng.choice([-1, 1], shape)).astype(dtype),
                    requires_grad=True)
-        opt = AdamW({"p": p}, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+        opt = AdamW({"p": p}, weight_decay=wd)
         ref_p = p.data.astype(np.float64)
         m, v = np.zeros(shape), np.zeros(shape)
         for step, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
@@ -303,6 +305,39 @@ class TestTrainLoop:
             for name, p in models.named_parameters():
                 np.testing.assert_array_equal(p.data, ck.params[name])
             assert opt.step_count == steps
+            assert ck.epoch == steps            # one step per epoch: 2 triplets, batch 2
+
+    @pytest.mark.parametrize("kw,epoch", [
+        (dict(steps=1), 0), (dict(steps=2), 1), (dict(steps=3), 1), (dict(steps=4), 2),
+        (dict(steps=0, epochs=2), 2),
+    ], ids=["steps1", "steps2", "steps3", "steps4", "epochs2"])
+    def test_checkpoint_epoch_counts_completed_epochs(self, kw, epoch):
+        set_default_dtype("f32")
+        src = SyntheticSource(seed=5, n_frames=6, size=(64, 32))   # 4 triplets: 2 steps an epoch
+        res = train(toy_train_config(**kw), TINY, src)
+        assert len(res.curve) == (kw["steps"] or 4)
+        assert res.checkpoint.epoch == epoch
+
+    def test_mixed_flip_batch_passes_each_sample_its_camera(self, monkeypatch):
+        # off-centre cx: a flip moves it from 36 to 64 - 1 - 36 = 27
+        set_default_dtype("f32")
+        intr = CameraIntrinsics(fx=57.6, fy=57.6, cx=36.0, cy=15.5, width=64, height=32)
+        src = SyntheticSource(seed=4, n_frames=4, size=(64, 32))
+        src.sequence = generate_synthetic_sequence(4, 4, (64, 32), intrinsics=intr)
+        flips = iter([False, True])
+        monkeypatch.setattr(trainer, "augment",
+                            lambda t, seed: augment(t, seed, force_flip=next(flips)))
+        cameras, total_loss = [], trainer.total_loss
+
+        def record(pyramid, target, sources, transforms, cams, config):
+            cameras.append(cams)
+            return total_loss(pyramid, target, sources, transforms, cams, config)
+
+        monkeypatch.setattr(trainer, "total_loss", record)
+        train(toy_train_config(steps=1, augment=True), TINY, src)
+        (cams,) = cameras
+        cams = [cams] * 2 if isinstance(cams, CameraIntrinsics) else list(cams)
+        assert [c.cx for c in cams] == [36.0, 27.0]
 
     def test_nan_input_aborts_with_diagnostics(self, tmp_path):
         set_default_dtype("f32")
@@ -360,9 +395,16 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
-    def test_passthrough_stub_gives_perfect_row(self):
+    def test_passthrough_stub_gives_perfect_row(self, monkeypatch):
         src = SyntheticSource(seed=2, n_frames=4, size=(64, 32))
-        mean, rows = evaluate(None, src, predict=lambda trip: trip.gt_depth.copy())
+        seq = src.sequence
+
+        def gt_depth(models, frame, loss_config):
+            (t,) = [t for t in range(len(seq)) if np.array_equal(seq.frames[t], frame)]
+            return seq.depths[t].copy()
+
+        monkeypatch.setattr(trainer, "predict_depth", gt_depth)
+        mean, rows = evaluate(build_models(TINY), src)
         assert mean.abs_rel == 0.0 and mean.rmse == 0.0
         assert mean.delta1 == 1.0 and mean.delta3 == 1.0
         assert len(rows) == len(src)

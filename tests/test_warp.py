@@ -99,13 +99,13 @@ class TestSynthesize:
         img = Tensor(rng.random((1, 3, 12, 16)))
         depth = Tensor(rng.uniform(2.0, 9.0, size=(1, 1, 12, 16)))
         pose = Pose(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-        out, valid = synthesize(img, depth, pose, INTR)
+        out, valid = synthesize(img, depth, pose_to_matrix(pose), INTR)
         np.testing.assert_allclose(out.data, img.data, atol=1e-6)
 
     def test_accepts_plain_matrix(self, rng):
         img = Tensor(rng.random((1, 3, 12, 16)))
         depth = Tensor(np.full((1, 1, 12, 16), 5.0))
-        out, valid = synthesize(img, depth, np.eye(4), INTR)
+        out, valid = synthesize(img, depth, np.eye(4)[None], INTR)
         np.testing.assert_allclose(out.data, img.data, atol=1e-9)
 
     def test_differentiable_wrt_depth_and_pose(self, rng):
@@ -117,7 +117,7 @@ class TestSynthesize:
         tr0 = Tensor(rng.standard_normal((1, 3)) * 0.05)
 
         def f(depth, aa, tr):
-            out, _ = synthesize(img, depth, Pose(aa, tr), intr)
+            out, _ = synthesize(img, depth, pose_to_matrix(Pose(aa, tr)), intr)
             diff = out - tgt
             return (diff * diff).sum()
 
@@ -134,6 +134,6 @@ class TestSynthesize:
         tx = d / INTR.fx          # one-pixel disparity at this depth
         t = np.eye(4)
         t[0, 3] = tx
-        out, valid = synthesize(Tensor(img), depth, t, INTR)
+        out, valid = synthesize(Tensor(img), depth, Tensor(t[None]), INTR)
         np.testing.assert_allclose(out.data[0, 0, :, 7], 1.0, atol=1e-9)
         np.testing.assert_allclose(out.data[0, 0, :, 8], 0.0, atol=1e-9)
