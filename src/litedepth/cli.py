@@ -50,6 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _size(text: str):
+    """--size WxH, e.g. 640x192, as (width, height)."""
+    try:
+        w, h = (int(v) for v in text.lower().split("x"))
+        if w > 0 and h > 0:
+            return w, h
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected WxH with positive integers, "
+                                     f"e.g. 640x192, got {text!r}")
+
+
 def _add_config_flags(p: argparse.ArgumentParser, variant: bool = True) -> None:
     """The flags that build a run configuration, for the commands that read one."""
     p.add_argument("--config", help="key = value configuration file")
@@ -59,7 +71,7 @@ def _add_config_flags(p: argparse.ArgumentParser, variant: bool = True) -> None:
     if variant:
         p.add_argument("--variant", choices=("tiny", "small", "base"),
                        help="encoder size preset")
-    p.add_argument("--size", metavar="WxH", help="training/render size, e.g. 640x192")
+    p.add_argument("--size", type=_size, metavar="WxH", help="training/render size, e.g. 640x192")
 
 
 def _build_config(args) -> RunConfig:
@@ -70,7 +82,7 @@ def _build_config(args) -> RunConfig:
         if getattr(args, "variant", None):    # synth has no --variant
             cfg.set("encoder.variant", args.variant)
         if args.size:
-            w, h = (int(v) for v in args.size.lower().split("x"))
+            w, h = args.size
             cfg.set("data.width", str(w))
             cfg.set("data.height", str(h))
         if args.seed is not None:
@@ -185,7 +197,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     variants = ("tiny", "small", "base") if args.variant == "all" else (args.variant,)
-    w, h = (int(v) for v in args.size.lower().split("x"))
+    w, h = args.size
     for name in variants:
         cfg = EncoderConfig.variant_preset(name)
         enc = count_params(cfg)
@@ -323,7 +335,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="parameter and FLOP budgets per variant")
     p.add_argument("--variant", choices=("tiny", "small", "base", "all"),
                    default="all")
-    p.add_argument("--size", metavar="WxH", default="640x192",
+    p.add_argument("--size", type=_size, metavar="WxH", default="640x192",
                    help="image size for the FLOP count")
     p.set_defaults(func=_cmd_bench)
 

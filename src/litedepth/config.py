@@ -54,6 +54,12 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     _SECTIONS = ("encoder", "train", "loss", "data")
+    # the encoder fields a variant sets; a variant change re-derives those
+    # not set by name, whatever the order the keys arrive in
+    _PRESET = ("channels", "cdc_repeats", "dilation_schedule")
+
+    def __post_init__(self):
+        self._explicit = set()      # keys given to set()
 
     # ------------------------------------------------------------- access
 
@@ -76,13 +82,13 @@ class RunConfig:
     def set(self, key: str, raw: str) -> None:
         obj, f = self._resolve(key)
         setattr(obj, f.name, _parse_value(raw, getattr(obj, f.name), key))
+        self._explicit.add(key)
         if key == "encoder.variant":
-            # a variant change re-derives the dependent preset fields
             self.encoder = EncoderConfig.variant_preset(
                 self.encoder.variant,
                 **{fl.name: getattr(self.encoder, fl.name) for fl in fields(EncoderConfig)
-                   if fl.name not in ("variant", "channels", "cdc_repeats",
-                                      "dilation_schedule")})
+                   if fl.name != "variant" and (fl.name not in self._PRESET
+                                                or f"encoder.{fl.name}" in self._explicit)})
 
     def keys(self) -> List[str]:
         out = []

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
+from math import gcd
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -37,6 +39,8 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# largest im2col copy one conv2d forward holds; bigger calls go in blocks
+_COLS_BYTES = 4 << 20
 
 
 def _pair(v) -> Tuple[int, int]:
@@ -129,23 +133,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
         xp[:, :, pt: pt + h, pl: pl + w] = x.data
         return xp
 
-    xp = padded()
-    sn, sc, sh, sw = xp.strides
-    cg, og, m = cin // g, cout // g, n * ho * wo
-    # one GEMM per group whose columns run over the whole batch, (N, Ho, Wo)
-    cols = as_strided(xp, shape=(g, cg, kh, kw, n, ho, wo),
-                      strides=(sc * cg, sc, sh * r, sw * r, sn, sh * s, sw * s),
-                      writeable=False).reshape(g, cg * kh * kw, m)
-    out = np.matmul(weight.data.reshape(g, og, -1), cols).reshape(cout, n, ho, wo)
-    del cols
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ValueError(f"bias axis mismatch: got {bias.shape}, expected ({cout},)")
-        out = out + bias.data.reshape(cout, 1, 1, 1)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
+    xp = padded()
+    sn, sc, sh, sw = xp.strides
+    cg, og, m = cin // g, cout // g, n * ho * wo
+    wmat = weight.data.reshape(g, og, -1)
+    # One GEMM per group and block of columns, (N, Ho, Wo) order. The block is
+    # the whole batch if its im2col copy fits _COLS_BYTES, else whole samples,
+    # else output rows of one sample. The K order is that of one GEMM over the
+    # batch, and a row block spans a multiple of 16 columns where the budget
+    # allows: the widest column tile of OpenBLAS's x86-64 GEMM kernels, so
+    # each column is rounded as it is in one GEMM.
+    row_bytes = g * cg * kh * kw * wo * xp.itemsize
+    tile_rows = 16 // gcd(16, wo)
+    nb = max(1, min(n, _COLS_BYTES // (ho * row_bytes)))
+    rb = max(1, min(ho, _COLS_BYTES // row_bytes))
+    if tile_rows <= rb < ho:
+        rb -= rb % tile_rows
     parents = (x, weight) if bias is None else (x, weight, bias)
+    out = np.empty((n, cout, ho, wo), dtype=np.result_type(*(p.data for p in parents)))
+    for n0, i0 in product(range(0, n, nb), range(0, ho, rb)):
+        nbb, rbb = min(nb, n - n0), min(rb, ho - i0)
+        cols = as_strided(xp[n0:, :, i0 * s:], shape=(g, cg, kh, kw, nbb, rbb, wo),
+                          strides=(sc * cg, sc, sh * r, sw * r, sn, sh * s, sw * s),
+                          writeable=False).reshape(g, cg * kh * kw, nbb * rbb * wo)
+        out[n0: n0 + nbb, :, i0: i0 + rbb] = (
+            np.matmul(wmat, cols).reshape(cout, nbb, rbb, wo).transpose(1, 0, 2, 3))
+        del cols        # before the next block's copy is made
+    if bias is not None:
+        out += bias.data.reshape(cout, 1, 1)
 
     def bw(grad):
         # one kernel tap at a time, so no (Cg*kh*kw, M) column matrix is held;
@@ -409,7 +429,11 @@ def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU (no tanh approximation)."""
     x = as_tensor(x)
     xd = x.data
-    phi = 0.5 * (1.0 + _erf(xd / _SQRT2))
+    # phi = 0.5 * (1 + erf(x / sqrt 2)), the same ops in one buffer
+    phi = np.divide(xd, _SQRT2)
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     out = xd * phi
 
     def bw(g):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litedepth.cli import _build_parser, main
+from litedepth.cli import _build_config, _build_parser, main
 from litedepth.config import RunConfig
 from litedepth.encoder import EncoderConfig
 from litedepth.pngio import read_f32, read_png, write_png
@@ -78,6 +78,17 @@ class TestConfig:
         cfg.set("encoder.variant", "tiny")
         assert cfg.encoder.channels == (32, 32, 64, 128)
         assert cfg.encoder.dilation_schedule[2] == [1, 2, 3, 2, 4, 6]
+
+    def test_variant_keeps_keys_set_by_name(self):
+        # in either order: the preset fills only what was not set explicitly
+        ones = "1,1,1;1,1,1;1,1,1,1,1,1"
+        for keys in (("encoder.dilation_schedule", "encoder.variant"),
+                     ("encoder.variant", "encoder.dilation_schedule")):
+            cfg = RunConfig()
+            for key in keys:
+                cfg.set(key, ones if key.endswith("schedule") else "tiny")
+            assert cfg.encoder.dilation_schedule == ([1, 1, 1], [1, 1, 1], [1] * 6)
+            assert cfg.encoder.channels == (32, 32, 64, 128)
 
     def test_dilation_schedule_parse(self):
         cfg = RunConfig()
@@ -178,6 +189,32 @@ class TestCliCommands:
         assert len(list((out / "depth").glob("*.f32"))) == 3
         cfg_text = (out / "config.txt").read_text()
         assert "data.scene_seed = 4" in cfg_text
+
+    @pytest.mark.parametrize("argv", [["synth", "--size", "64", "--out", "d"],
+                                      ["bench", "--size", "64by32"],
+                                      ["train", "--size", "0x32", "--out", "d"]])
+    def test_malformed_size_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --size: expected WxH" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_config_file_keys_survive_variant(self, tmp_path):
+        # the file's explicit schedule survives the --variant preset
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("encoder.dilation_schedule = 1,1,1;1,1,1;1,1,1,1,1,1\n"
+                            "loss.alpha = 0.5\n")
+        argv = ["train", "--config", str(cfg_file), "--variant", "tiny", "--out", "d"]
+        cfg = _build_config(_build_parser().parse_args(argv))
+        assert cfg.encoder.variant == "tiny"
+        assert cfg.encoder.channels == (32, 32, 64, 128)
+        assert cfg.encoder.dilation_schedule == ([1, 1, 1], [1, 1, 1], [1] * 6)
+        assert cfg.loss.alpha == 0.5
+        # --set still wins over both
+        cfg = _build_config(_build_parser().parse_args(
+            argv + ["--set", "encoder.dilation_schedule=1,2,3;1,2,3;1,1,1,2,2,2"]))
+        assert cfg.encoder.dilation_schedule == ([1, 2, 3], [1, 2, 3], [1, 1, 1, 2, 2, 2])
 
     def test_synth_rejects_bad_size(self, tmp_path, capsys):
         assert run_cli("synth", "--size", "60x30", "--out",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
@@ -7,6 +9,7 @@ from litedepth.engine import (
     elu, gelu, grad_check, layer_norm, resize_bilinear, same_padding,
     sigmoid, softmax, using_dtype,
 )
+from litedepth.engine.functional import _COLS_BYTES
 
 
 def dilated_conv_1d_oracle(x, w, r):
@@ -55,6 +58,130 @@ def seven_loop_conv(x, wt, b, spec):
                                     * wt[oc, ic, ki, kj])
             ref[ni, oc] += b[oc]
     return ref
+
+
+def single_gemm_conv(x, wt, b, spec):
+    """conv2d's forward as one GEMM per group whose columns span the whole
+    batch: the full (Cg*kh*kw, N*Ho*Wo) im2col matrix at once."""
+    n, cin, h, w = x.shape
+    cout, cg, kh, kw = wt.shape
+    g = spec.groups
+    pt, pb, pl, pr = spec.pads()
+    s, r = spec.stride, spec.dilation
+    ho = (h + pt + pb - r * (kh - 1) - 1) // s + 1
+    wo = (w + pl + pr - r * (kw - 1) - 1) // s + 1
+    xp = x
+    if any(spec.pads()):
+        xp = np.zeros((n, cin, h + pt + pb, w + pl + pr), dtype=x.dtype)
+        xp[:, :, pt: pt + h, pl: pl + w] = x
+    sn, sc, sh, sw = xp.strides
+    cols = as_strided(xp, shape=(g, cg, kh, kw, n, ho, wo),
+                      strides=(sc * cg, sc, sh * r, sw * r, sn, sh * s, sw * s),
+                      writeable=False).reshape(g, cg * kh * kw, n * ho * wo)
+    out = np.matmul(wt.reshape(g, cout // g, -1), cols).reshape(cout, n, ho, wo)
+    if b is not None:
+        out = out + b.reshape(cout, 1, 1, 1)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+
+
+def column_bytes(x, wt, spec, out_shape):
+    """Bytes of the full im2col matrix of one conv2d call, and of one sample's."""
+    n, _, ho, wo = out_shape
+    per_sample = spec.groups * wt[0].size * ho * wo * x.itemsize
+    return n * per_sample, per_sample
+
+
+class TestBlockedConvForward:
+    """The forward copies at most _COLS_BYTES of im2col columns at a time. Where
+    its row blocks fall on 16-column BLAS tiles (every map the model makes),
+    each value equals the single-GEMM forward bit for bit."""
+
+    GEOMETRIES = {
+        "dense3x3": (32, 32, 3, dict(padding=1)),
+        "pointwise": (256, 64, 1, dict()),
+        "depthwise": (32, 32, 3, dict(padding=1, groups=32)),
+        "stride2": (128, 48, 3, dict(stride=2, padding=1)),
+        "dilation3": (32, 32, 3, dict(padding=3, dilation=3)),
+        "pads4": (32, 32, 3, dict(padding=(1, 0, 2, 0))),
+    }
+
+    def run(self, x, wt, b, spec):
+        out = conv2d(Tensor(x), Tensor(wt), None if b is None else Tensor(b), spec).data
+        ref = single_gemm_conv(x, wt, b, spec)
+        assert out.dtype == ref.dtype and out.flags.c_contiguous
+        return out, ref
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_every_geometry_spans_blocks_bit_identically(self, geometry, n, dtype, rng):
+        cin, cout, k, spec_kw = self.GEOMETRIES[geometry]
+        spec = ConvSpec(kernel=(k, k), **spec_kw)
+        x = rng.standard_normal((n, cin, 32, 160)).astype(dtype)
+        wt = rng.standard_normal((cout, cin // spec.groups, k, k)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        out, ref = self.run(x, wt, b, spec)
+        np.testing.assert_array_equal(out, ref)
+        # even one sample's columns exceed the budget: row blocks
+        assert column_bytes(x, wt, spec, out.shape)[1] > _COLS_BYTES
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_blocks_bit_identical(self, dtype, rng):
+        x = rng.standard_normal((7, 8, 32, 80)).astype(dtype)
+        wt = rng.standard_normal((8, 8, 3, 3)).astype(dtype)
+        b = rng.standard_normal(8).astype(dtype)
+        spec = ConvSpec(kernel=(3, 3), padding=1)
+        out, ref = self.run(x, wt, b, spec)
+        np.testing.assert_array_equal(out, ref)
+        total, per_sample = column_bytes(x, wt, spec, out.shape)
+        assert per_sample < _COLS_BYTES < total
+
+    @pytest.mark.parametrize("shape", [(1, 48, 96, 320), (3, 16, 96, 320)])
+    def test_paper_scale_maps_bit_identical(self, shape, rng):
+        # the 640x192 stem map: 53 MiB of f32 columns in one GEMM
+        x = rng.standard_normal(shape).astype(np.float32)
+        wt = rng.standard_normal((shape[1], shape[1], 3, 3)).astype(np.float32)
+        np.testing.assert_array_equal(*self.run(x, wt, None, ConvSpec(kernel=(3, 3), padding=1)))
+
+    @pytest.mark.parametrize("dtype,n,h,w,groups,pads", [
+        (np.float64, 1, 32, 160, 1, (1, 0, 2, 1)),    # 16 columns of rows overflow the budget
+        (np.float32, 3, 32, 160, 1, (1, 0, 2, 1)),    # samples start mid-tile
+        (np.float32, 3, 48, 160, 32, (1, 1, 1, 1)),   # f32 depthwise, > 16,384 columns
+    ])
+    def test_off_tile_blocks_differ_only_in_rounding(self, dtype, n, h, w, groups, pads, rng):
+        # OpenBLAS rounds a column by where it sits in its tile, and switches
+        # sgemv kernels above 16,384 columns: these blocks may round apart
+        spec = ConvSpec(kernel=(3, 3), padding=pads, groups=groups)
+        x = rng.standard_normal((n, 32, h, w)).astype(dtype)
+        wt = rng.standard_normal((32, 32 // groups, 3, 3)).astype(dtype)
+        out, ref = self.run(x, wt, None, spec)
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(out, ref, rtol=0, atol=16 * np.finfo(dtype).eps * scale)
+        assert column_bytes(x, wt, spec, out.shape)[0] > _COLS_BYTES
+
+    def test_small_batch_is_one_block(self, rng, monkeypatch):
+        # a call whose columns fit the budget is one GEMM, as before blocking
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        x = rng.standard_normal((4, 32, 16, 32)).astype(np.float32)
+        wt = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
+        conv2d(Tensor(x), Tensor(wt), None, ConvSpec(kernel=(3, 3), padding=1))
+        assert calls == [1]
+
+    def test_forward_peak_is_bounded_by_the_budget(self, rng):
+        x = Tensor(rng.standard_normal((1, 48, 96, 320)).astype(np.float32))
+        wt = Tensor(rng.standard_normal((48, 48, 3, 3)).astype(np.float32))
+        padded_bytes = 48 * 98 * 322 * 4
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, wt, None, ConvSpec(kernel=(3, 3), padding=1))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # one GEMM over the whole map held 53 MiB of columns
+        assert peak <= out.data.nbytes + padded_bytes + _COLS_BYTES + (1 << 20)
 
 
 class TestConv2d:
@@ -523,6 +650,16 @@ class TestFusedBatchNorm:
 class TestActivations:
     def test_gelu_at_zero(self):
         assert gelu(Tensor(np.array([0.0]))).data[0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_equals_the_erf_expression(self, dtype, rng):
+        # phi is built in one buffer; the ops and their order are unchanged
+        from scipy.special import erf
+        x = (3.0 * rng.standard_normal((2, 3, 17, 19))).astype(dtype)
+        ref = x * (0.5 * (1.0 + erf(x / float(np.sqrt(2.0)))))
+        out = gelu(Tensor(x)).data
+        assert out.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(out, ref)
 
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor(np.array([0.0]))).data[0] == 0.5
