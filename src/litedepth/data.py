@@ -63,10 +63,6 @@ class SyntheticSequence:
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    def relative_transform(self, target: int, source: int) -> np.ndarray:
-        """Source-camera-from-target-camera matrix from ground-truth poses."""
-        return np.linalg.inv(self.poses[source]) @ self.poses[target]
-
 
 def _lattice_hash(ix: np.ndarray, iy: np.ndarray, salt: float) -> np.ndarray:
     h = np.sin(ix * 12.9898 + iy * 78.233 + salt) * 43758.5453

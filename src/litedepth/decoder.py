@@ -29,14 +29,6 @@ def disp_to_depth(disp: Tensor, min_depth: float, max_depth: float) -> Tensor:
     return 1.0 / (lo + (hi - lo) * disp)
 
 
-def depth_to_disp(depth: np.ndarray, min_depth: float, max_depth: float) -> np.ndarray:
-    """Inverse of disp_to_depth on plain arrays (used by tests and tooling)."""
-    if min_depth >= max_depth:
-        raise ValueError(f"min_depth {min_depth} must be below max_depth {max_depth}")
-    lo, hi = 1.0 / max_depth, 1.0 / min_depth
-    return (1.0 / depth - lo) / (hi - lo)
-
-
 @dataclass
 class DepthPyramid:
     """Inverse-depth maps at scale levels 0 (full), 1 (half), 2 (quarter),

@@ -19,7 +19,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf as _erf
 
 from .tensor import Tensor, as_tensor, default_dtype, grad_enabled
 
@@ -41,6 +40,27 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # largest im2col copy one conv2d forward holds; bigger calls go in blocks
 _COLS_BYTES = 4 << 20
+# elements _erf evaluates at a time, so its f64 temporaries stay in cache
+_ERF_BLOCK = 1 << 15
+
+# erf's rational approximations from Cephes ndtr.c (S. Moshier; after Cody
+# 1969, Math. Comp. 23). Highest power first; U and Q are monic, so their
+# leading 1 is written out.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2)
+_ERF_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
 
 
 def _pair(v) -> Tuple[int, int]:
@@ -425,13 +445,54 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
 # --------------------------------------------------------------- activations
 
 
+def _polevl(x: np.ndarray, coef: Tuple[float, ...],
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cephes polevl: Horner's rule, ((c0 x + c1) x + c2) ..., into `out`."""
+    out = np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(buf: np.ndarray) -> np.ndarray:
+    """erf of a C-contiguous float array, in place; returns `buf`.
+
+    Cephes' erf evaluated in f64 for f32 and f64 input alike:
+    x T(x²)/U(x²) for |x| <= 1, else sign(x) (1 - exp(-x²) P(|x|)/Q(|x|)).
+    x is clamped to [-8, 8] first: from Cephes' own cut at 8 on, erf is ±1
+    in f64 either way. An f32 result is bit-identical to compiled Cephes
+    rounded to f32; an f64 one too, except where numpy's SIMD `np.exp`
+    rounds exp(-x²) 1 ulp away from libm's `exp`, which can move erf by
+    1 ulp on 1 < |x| < 4.
+    """
+    flat = buf.reshape(-1)
+    scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
+    with np.errstate(under="ignore"):   # x² of a subnormal x
+        for i in range(0, flat.size, _ERF_BLOCK):
+            src = flat[i:i + _ERF_BLOCK]
+            x, z, y, u = scratch[:, :src.size]
+            np.clip(src, -8.0, 8.0, out=x)
+            np.multiply(x, x, out=z)
+            np.multiply(x, _polevl(z, _ERF_T, y), out=y)
+            y /= _polevl(z, _ERF_U, u)
+            tail = np.flatnonzero(z > 1.0)   # exactly where |x| > 1
+            xt = x.take(tail)
+            at = np.abs(xt)
+            e = 1.0 - np.exp(-z.take(tail)) * _polevl(at, _ERF_P) / _polevl(at, _ERF_Q)
+            y.put(tail, np.copysign(e, xt, out=e))
+            src[...] = y
+    return buf
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU (no tanh approximation)."""
     x = as_tensor(x)
     xd = x.data
     # phi = 0.5 * (1 + erf(x / sqrt 2)), the same ops in one buffer
     phi = np.divide(xd, _SQRT2)
-    _erf(phi, out=phi)
+    _erf(phi)
     phi += 1.0
     phi *= 0.5
     out = xd * phi
@@ -459,8 +520,9 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     xd = x.data
-    out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                   np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    # 1 / (1 + e) for x >= 0, e / (1 + e) below, with e = exp(-|x|) <= 1
+    e = np.exp(-np.abs(xd))
+    out = np.where(xd >= 0, 1.0, e) / (1.0 + e)
 
     def bw(g):
         return (g * out * (1.0 - out),)

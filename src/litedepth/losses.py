@@ -241,6 +241,7 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
 
     unwarped = [photometric_loss(as_tensor(s), target, config.alpha)
                 for s in sources]
+    best_unwarped = min_reprojection(unwarped)   # the same at every scale
     diagnostics: Dict = {"scales": {}}
     scale_losses: List[Tensor] = []
     for level in range(3):
@@ -258,7 +259,6 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
         mu = auto_mask(unwarped, warped_maps)
         valid_any = np.logical_or.reduce(valid_masks).astype(best_warped.dtype)
 
-        best_unwarped = min_reprojection(unwarped)
         reconstruction = _reconstruction_term(best_warped, best_unwarped,
                                               valid_any, config.automask)
 

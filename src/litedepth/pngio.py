@@ -64,19 +64,20 @@ def _unfilter(data: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
         elif f == 2:    # Up
             row += prev
             row %= 256
-        elif f == 3:    # Average
-            for x in range(stride):
-                left = row[x - bpp] if x >= bpp else 0
-                row[x] = (row[x] + (left + prev[x]) // 2) % 256
-        elif f == 4:    # Paeth
-            for x in range(stride):
-                a = row[x - bpp] if x >= bpp else 0
-                b = prev[x]
-                c = prev[x - bpp] if x >= bpp else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+        elif f == 3:    # Average, byte by byte on Python ints
+            # bpp zeros in front stand for the bytes left of the row
+            cur, up = [0] * bpp + row.tolist(), [0] * bpp + prev.tolist()
+            for x in range(bpp, stride + bpp):
+                cur[x] = (cur[x] + ((cur[x - bpp] + up[x]) >> 1)) & 255
+            row[:] = cur[bpp:]
+        elif f == 4:    # Paeth, likewise
+            cur, up = [0] * bpp + row.tolist(), [0] * bpp + prev.tolist()
+            for x in range(bpp, stride + bpp):
+                a, b, c = cur[x - bpp], up[x], up[x - bpp]
+                pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
                 pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                row[x] = (row[x] + pred) % 256
+                cur[x] = (cur[x] + pred) & 255
+            row[:] = cur[bpp:]
         elif f != 0:
             raise ValueError(f"unknown png filter {f} on row {y}")
         prev = row

@@ -18,6 +18,15 @@ def rng():
 
 
 @pytest.fixture
+def relative_transform():
+    """relative_transform(seq, target, source) -> the source-camera-from-
+    target-camera matrix of a SyntheticSequence, from its ground-truth poses."""
+    def transform(seq, target, source):
+        return np.linalg.inv(seq.poses[source]) @ seq.poses[target]
+    return transform
+
+
+@pytest.fixture
 def count_nodes(monkeypatch):
     """count_nodes(fn) -> the number of graph nodes built while fn() runs."""
     def count(fn):

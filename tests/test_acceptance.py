@@ -141,10 +141,10 @@ class TestCriterion07LossIdentities:
 
 
 class TestCriterion08RendererWarperCrossValidation:
-    def test_gt_warp(self):
+    def test_gt_warp(self, relative_transform):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
-        tf = Tensor(seq.relative_transform(t, s)[None])
+        tf = Tensor(relative_transform(seq, t, s)[None])
         errs = {}
         with no_grad():
             for label, scale in (("gt", 1.0), ("double", 2.0)):
@@ -162,7 +162,7 @@ class TestCriterion08RendererWarperCrossValidation:
 
 
 class TestCriterion10AutoMaskMover:
-    def test_mover_masked(self):
+    def test_mover_masked(self, relative_transform):
         seq = generate_synthetic_sequence(11, 6, (128, 64), mover=True)
         t = 2
         tgt = Tensor(seq.frames[t][None])
@@ -171,7 +171,7 @@ class TestCriterion10AutoMaskMover:
             for s in (t - 1, t + 1):
                 out, _ = synthesize(
                     Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                    Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
+                    Tensor(relative_transform(seq, t, s)[None]), seq.intrinsics)
                 warped.append(photometric_loss(out, tgt, 0.85))
                 unwarped.append(photometric_loss(Tensor(seq.frames[s][None]),
                                                  tgt, 0.85))

@@ -59,22 +59,22 @@ class TestRendererWarperCrossValidation:
 
     # motion_scale 0.7 keeps per-frame steps inside the learnable band while
     # leaving margin to the photometric budget at the bad-luck seeds
-    def test_gt_warp_error_below_budget(self):
+    def test_gt_warp_error_below_budget(self, relative_transform):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
         with no_grad():
             warped, valid = synthesize(
                 Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
+                Tensor(relative_transform(seq, t, s)[None]), seq.intrinsics)
         err = np.abs(warped.data[0] - seq.frames[t]).mean(axis=0)
         keep = valid[0, 0] & ~occlusion_boundary_mask(seq.depths[t])
         assert keep.mean() > 0.4
         assert err[keep].mean() < 0.02
 
-    def test_gt_depth_strictly_beats_doubled_depth(self):
+    def test_gt_depth_strictly_beats_doubled_depth(self, relative_transform):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
-        tf = Tensor(seq.relative_transform(t, s)[None])
+        tf = Tensor(relative_transform(seq, t, s)[None])
         errs = []
         with no_grad():
             for scale in (1.0, 2.0):
@@ -86,20 +86,20 @@ class TestRendererWarperCrossValidation:
                 errs.append(err[keep].mean())
         assert errs[0] < errs[1]
 
-    def test_previous_frame_also_warps(self):
+    def test_previous_frame_also_warps(self, relative_transform):
         seq = generate_synthetic_sequence(21, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 1
         with no_grad():
             warped, valid = synthesize(
                 Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
+                Tensor(relative_transform(seq, t, s)[None]), seq.intrinsics)
         err = np.abs(warped.data[0] - seq.frames[t]).mean(axis=0)
         keep = valid[0, 0] & ~occlusion_boundary_mask(seq.depths[t])
         assert err[keep].mean() < 0.02
 
 
 class TestMoverAutoMask:
-    def test_camera_speed_mover_is_masked_out(self):
+    def test_camera_speed_mover_is_masked_out(self, relative_transform):
         seq = generate_synthetic_sequence(11, 6, (128, 64), mover=True)
         t = 2
         tgt = Tensor(seq.frames[t][None])
@@ -108,7 +108,7 @@ class TestMoverAutoMask:
             for s in (t - 1, t + 1):
                 out, _ = synthesize(
                     Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
-                    Tensor(seq.relative_transform(t, s)[None]), seq.intrinsics)
+                    Tensor(relative_transform(seq, t, s)[None]), seq.intrinsics)
                 warped.append(photometric_loss(out, tgt, 0.85))
                 unwarped.append(photometric_loss(Tensor(seq.frames[s][None]), tgt, 0.85))
         mu = auto_mask(unwarped, warped)
@@ -239,7 +239,7 @@ class TestAugment:
         np.testing.assert_allclose(warped.data[1][:, :, ::-1], warped.data[0],
                                    rtol=0, atol=1e-9)
 
-    def test_flip_with_mirrored_cx_preserves_warp_geometry(self):
+    def test_flip_with_mirrored_cx_preserves_warp_geometry(self, relative_transform):
         """Flipping frames, depth and cx together reproduces the unflipped
         warp; keeping the original cx breaks it. An off-center principal
         point makes the mirroring non-trivial."""
@@ -247,7 +247,7 @@ class TestAugment:
                                 width=128, height=64)
         seq = generate_synthetic_sequence(13, 4, (128, 64), intrinsics=intr)
         t, s = 1, 2
-        tf = seq.relative_transform(t, s)
+        tf = relative_transform(seq, t, s)
         tf_flipped = self.MIRROR @ tf @ self.MIRROR
         w = intr.width
 

@@ -3,7 +3,13 @@ import pytest
 
 from litedepth.engine import Tensor, grad_check, no_grad, set_default_dtype
 from litedepth.encoder import DepthEncoder, EncoderConfig, FeaturePyramid
-from litedepth.decoder import DepthDecoder, depth_to_disp, disp_to_depth
+from litedepth.decoder import DepthDecoder, disp_to_depth
+
+
+def depth_to_disp(depth, min_depth, max_depth):
+    """Inverse of disp_to_depth on plain arrays."""
+    lo, hi = 1.0 / max_depth, 1.0 / min_depth
+    return (1.0 / depth - lo) / (hi - lo)
 
 
 def tiny_pyramid(rng, h=32, w=64, channels=(32, 64, 128), batch=1):

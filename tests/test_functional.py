@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from litedepth.engine import (
     elu, gelu, grad_check, layer_norm, resize_bilinear, same_padding,
     sigmoid, softmax, using_dtype,
 )
-from litedepth.engine.functional import _COLS_BYTES
+from litedepth.engine.functional import _COLS_BYTES, _erf
 
 
 def dilated_conv_1d_oracle(x, w, r):
@@ -664,6 +669,17 @@ class TestActivations:
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor(np.array([0.0]))).data[0] == 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_the_three_exp_expression(self, dtype, rng):
+        # exp(-|x|) is computed once; each branch's ops are unchanged
+        x = np.concatenate([40.0 * rng.standard_normal(4000),
+                            [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan]]).astype(dtype)
+        ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        out = sigmoid(Tensor(x)).data
+        assert out.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(out, ref)
+
     def test_elu_positive_passthrough(self):
         np.testing.assert_array_equal(elu(Tensor(np.array([2.0]))).data, [2.0])
 
@@ -689,3 +705,91 @@ class TestActivations:
             return gelu(h).sum()
 
         assert grad_check(f, [x, w, s, b]) < 1e-4
+
+
+def f32_between(lo, hi, stride=1):
+    """Every stride-th f32 from lo (inclusive) to hi (exclusive), lo >= 0."""
+    start, stop = np.array([lo, hi], np.float32).view(np.uint32)
+    return np.arange(start, stop, stride, dtype=np.uint32).view(np.float32)
+
+
+def assert_same_bits(out, ref):
+    """Equal values and signs, signed zeros included; NaN where ref is NaN."""
+    assert out.dtype == ref.dtype
+    np.testing.assert_array_equal(out, ref)
+    num = ~np.isnan(ref)
+    np.testing.assert_array_equal(np.signbit(out[num]), np.signbit(ref[num]))
+
+
+class TestErf:
+    """`_erf` ports the Cephes routine scipy.special.erf runs; scipy is the
+    oracle here and nowhere in the package."""
+
+    @staticmethod
+    def erf(x):
+        from scipy.special import erf
+        return erf(x)
+
+    def specials(self, dtype):
+        info = np.finfo(dtype)
+        return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, info.max, -info.max,
+                         info.tiny, -info.tiny, info.smallest_subnormal,
+                         -info.smallest_subnormal, 1.0, -1.0, 8.0, -8.0], dtype)
+
+    def test_f32_bit_identical_on_every_value_in_1_to_8(self):
+        # the exp(-x²) branch; below 1 and from 8 on the f64 result is the
+        # same expression or exactly ±1, so its f32 rounding agrees too
+        for x in np.array_split(f32_between(1.0, 8.0), 6):
+            ref = self.erf(x)
+            assert np.array_equal(_erf(x).view(np.uint32), ref.view(np.uint32))
+
+    def test_f32_bit_identical_on_a_sweep_of_all_finite_values(self):
+        x = f32_between(0.0, np.inf, stride=4093)
+        x = np.concatenate([x, -x, self.specials(np.float32)])
+        assert_same_bits(_erf(x.copy()), self.erf(x))
+
+    def test_f64_bit_identical_below_1_and_from_4_on(self):
+        x = np.concatenate([np.linspace(0.0, 1.0, 1 << 19, endpoint=False),
+                            np.linspace(4.0, 30.0, 1 << 19)])
+        x = np.concatenate([x, -x])
+        np.testing.assert_array_equal(_erf(x.copy()).view(np.uint64),
+                                      self.erf(x).view(np.uint64))
+        assert_same_bits(_erf(self.specials(np.float64)), self.erf(self.specials(np.float64)))
+
+    def test_f64_within_one_ulp_from_1_to_4(self):
+        # numpy's SIMD np.exp rounds exp(-x²) 1 ulp away from libm's exp,
+        # which scipy calls, on a fraction of these values; erf follows it
+        x = np.linspace(1.0, 4.0, 1 << 19, endpoint=False)
+        x = np.concatenate([x, -x])
+        np.testing.assert_array_max_ulp(_erf(x.copy()), self.erf(x), maxulp=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_floating_point_warnings(self, dtype, rng):
+        x = np.concatenate([self.specials(dtype), (10.0 * rng.standard_normal(1000)).astype(dtype)])
+        with np.errstate(all="raise"):
+            _erf(x)
+
+    def test_in_place_across_blocks(self, rng):
+        # several blocks and a partial last one, on an N-d array
+        x = (3.0 * rng.standard_normal((3, 5, 71, 97))).astype(np.float32)
+        ref = self.erf(x)
+        assert _erf(x) is x
+        np.testing.assert_array_equal(x, ref)
+
+    def test_package_runs_without_scipy(self):
+        # numpy is the only runtime dependency: scipy is made unimportable
+        import litedepth
+        src = str(Path(litedepth.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import numpy as np\n"
+                "import litedepth.cli\n"
+                "from litedepth.engine import Tensor, gelu\n"
+                "x = np.array([-1.0, 0.5, 2.0], np.float32)\n"
+                "print(gelu(Tensor(x)).data.tolist())\n")
+        run = subprocess.run([sys.executable, "-c", code], text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert run.returncode == 0, run.stderr
+        x = np.array([-1.0, 0.5, 2.0], np.float32)
+        ref = x * (0.5 * (1.0 + self.erf(x / float(np.sqrt(2.0)))))
+        np.testing.assert_array_equal(np.array(json.loads(run.stdout), np.float32), ref)

@@ -271,6 +271,16 @@ class TestTotalLoss:
             assert entry["automask"].shape == (1, 1, 8, 8)
             assert entry["min_reprojection"].shape == (1, 1, 8, 8)
 
+    def test_unwarped_minimum_is_built_once(self, rng, monkeypatch):
+        # the identity-warp floor is the same at every scale
+        from litedepth import losses
+        reduced = []
+        monkeypatch.setattr(losses, "min_reprojection",
+                            lambda maps: reduced.append(maps) or min_reprojection(maps))
+        intr, target, sources, transforms, disps = build_inputs(rng)
+        total_loss(DepthPyramid(disps), target, sources, transforms, intr, LossConfig())
+        assert len(reduced) == 4   # the unwarped maps once, the warped once per scale
+
     def test_source_transform_count_mismatch(self, rng):
         intr, target, sources, transforms, disps = build_inputs(rng)
         with pytest.raises(ValueError, match="transforms"):
