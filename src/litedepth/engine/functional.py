@@ -45,7 +45,7 @@ _ERF_BLOCK = 1 << 15
 
 # erf's rational approximations from Cephes ndtr.c (S. Moshier; after Cody
 # 1969, Math. Comp. 23). Highest power first; U and Q are monic, so their
-# leading 1 is written out.
+# leading 1 is written out (`_p1evl` skips it).
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
           2.23200534594684319226E3, 7.00332514112805075473E3,
           5.55923013010394962768E4)
@@ -456,32 +456,52 @@ def _polevl(x: np.ndarray, coef: Tuple[float, ...],
     return out
 
 
-def _erf(buf: np.ndarray) -> np.ndarray:
+def _p1evl(x: np.ndarray, coef: Tuple[float, ...],
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cephes p1evl: `_polevl` of a monic polynomial, from x + c1 on."""
+    out = np.add(x, coef[1], out=out)
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(buf: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """erf of a C-contiguous float array, in place; returns `buf`.
 
     Cephes' erf evaluated in f64 for f32 and f64 input alike:
-    x T(x²)/U(x²) for |x| <= 1, else sign(x) (1 - exp(-x²) P(|x|)/Q(|x|)).
-    x is clamped to [-8, 8] first: from Cephes' own cut at 8 on, erf is ±1
-    in f64 either way. An f32 result is bit-identical to compiled Cephes
-    rounded to f32; an f64 one too, except where numpy's SIMD `np.exp`
-    rounds exp(-x²) 1 ulp away from libm's `exp`, which can move erf by
-    1 ulp on 1 < |x| < 4.
+    x T(x²)/U(x²) for |x| <= 1, else sign(x) (1 - exp(-x²) P(|x|)/Q(|x|))
+    with |x| clamped to 8: from Cephes' own cut at 8 on, erf is ±1 in f64
+    either way. An f32 result is bit-identical to compiled Cephes rounded
+    to f32; an f64 one too, except where numpy's SIMD `np.exp` rounds
+    exp(-x²) 1 ulp away from libm's `exp`, which can move erf by 1 ulp on
+    1 < |x| < 4. `scratch`, if given, is f64 of shape
+    (4, >= min(buf.size, _ERF_BLOCK)).
     """
+    if not buf.flags.c_contiguous:
+        raise ValueError("_erf works in place on a C-contiguous array")
     flat = buf.reshape(-1)
-    scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
-    with np.errstate(under="ignore"):   # x² of a subnormal x
+    if scratch is None:
+        scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
+    # x² of a subnormal x underflows; x² of a huge f64 x overflows, and its
+    # first branch then reads inf/inf, but the second branch replaces it
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         for i in range(0, flat.size, _ERF_BLOCK):
             src = flat[i:i + _ERF_BLOCK]
             x, z, y, u = scratch[:, :src.size]
-            np.clip(src, -8.0, 8.0, out=x)
-            np.multiply(x, x, out=z)
-            np.multiply(x, _polevl(z, _ERF_T, y), out=y)
-            y /= _polevl(z, _ERF_U, u)
-            tail = np.flatnonzero(z > 1.0)   # exactly where |x| > 1
-            xt = x.take(tail)
-            at = np.abs(xt)
-            e = 1.0 - np.exp(-z.take(tail)) * _polevl(at, _ERF_P) / _polevl(at, _ERF_Q)
-            y.put(tail, np.copysign(e, xt, out=e))
+            x[...] = src
+            np.square(x, out=z)
+            _polevl(z, _ERF_T, y)
+            y *= x
+            y /= _p1evl(z, _ERF_U, u)
+            # z > 1 exactly where |x| > 1; fmax skips a NaN x, which fails
+            # both tests and keeps the first branch's NaN
+            if np.fmax.reduce(z) > 1.0:
+                tail = np.flatnonzero(z > 1.0)
+                xt = x.take(tail)
+                at = np.minimum(np.abs(xt), 8.0)
+                e = 1.0 - np.exp(-z.take(tail)) * _polevl(at, _ERF_P) / _p1evl(at, _ERF_Q)
+                y.put(tail, np.copysign(e, xt, out=e))
             src[...] = y
     return buf
 
@@ -490,12 +510,20 @@ def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU (no tanh approximation)."""
     x = as_tensor(x)
     xd = x.data
-    # phi = 0.5 * (1 + erf(x / sqrt 2)), the same ops in one buffer
-    phi = np.divide(xd, _SQRT2)
-    _erf(phi)
-    phi += 1.0
-    phi *= 0.5
-    out = xd * phi
+    # x * phi, phi = 0.5 * (1 + erf(x / sqrt 2)): the same ops, in blocks of
+    # _ERF_BLOCK elements so each block stays in cache from x to the output
+    dtype = np.result_type(xd, _SQRT2)   # an integer x gives f64, as x / sqrt 2 does
+    phi = np.empty(xd.shape, dtype)
+    out = np.empty(xd.shape, dtype)
+    xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
+    scratch = np.empty((4, min(xf.size, _ERF_BLOCK)))
+    for i in range(0, xf.size, _ERF_BLOCK):
+        xb, pb = xf[i:i + _ERF_BLOCK], pf[i:i + _ERF_BLOCK]
+        np.divide(xb, _SQRT2, out=pb)
+        _erf(pb, scratch)
+        pb += 1.0
+        pb *= 0.5
+        np.multiply(xb, pb, out=of[i:i + _ERF_BLOCK])
 
     def bw(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)

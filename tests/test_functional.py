@@ -14,7 +14,7 @@ from litedepth.engine import (
     elu, gelu, grad_check, layer_norm, resize_bilinear, same_padding,
     sigmoid, softmax, using_dtype,
 )
-from litedepth.engine.functional import _COLS_BYTES, _erf
+from litedepth.engine.functional import _COLS_BYTES, _ERF_BLOCK, _erf
 
 
 def dilated_conv_1d_oracle(x, w, r):
@@ -666,6 +666,27 @@ class TestActivations:
         assert out.dtype == ref.dtype == dtype
         np.testing.assert_array_equal(out, ref)
 
+    def test_gelu_across_blocks_equals_the_erf_expression(self, rng):
+        # several blocks of _ERF_BLOCK elements and a partial last one
+        from scipy.special import erf
+        x = (3.0 * rng.standard_normal(2 * _ERF_BLOCK + 1001)).astype(np.float32)
+        ref = x * (0.5 * (1.0 + erf(x / float(np.sqrt(2.0)))))
+        np.testing.assert_array_equal(gelu(Tensor(x)).data, ref)
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+    def test_gelu_of_a_non_contiguous_tensor(self, layout, rng):
+        x = (3.0 * rng.standard_normal((2, 48, 40, 40))).astype(np.float32)
+        view = {"transposed": x.transpose(0, 2, 3, 1), "fortran": np.asfortranarray(x),
+                "strided": x[:, ::2, :, ::3]}[layout]
+        assert not view.flags.c_contiguous
+        out = gelu(Tensor(view)).data
+        np.testing.assert_array_equal(out, gelu(Tensor(np.ascontiguousarray(view))).data)
+
+    def test_gelu_of_an_integer_array_is_f64(self):
+        out = gelu(Tensor(np.arange(-3, 4))).data
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, gelu(Tensor(np.arange(-3.0, 4.0))).data)
+
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor(np.array([0.0]))).data[0] == 0.5
 
@@ -775,6 +796,13 @@ class TestErf:
         ref = self.erf(x)
         assert _erf(x) is x
         np.testing.assert_array_equal(x, ref)
+
+    def test_rejects_a_non_contiguous_array(self):
+        # it works in place on the flat array, which a strided view has not
+        x = np.ones((4, 6), np.float32)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _erf(x.T)
+        np.testing.assert_array_equal(x, 1.0)
 
     def test_package_runs_without_scipy(self):
         # numpy is the only runtime dependency: scipy is made unimportable
