@@ -44,12 +44,12 @@ _COLS_BYTES = 4 << 20
 _ERF_BLOCK = 1 << 15
 
 # erf's rational approximations from Cephes ndtr.c (S. Moshier; after Cody
-# 1969, Math. Comp. 23). Highest power first; U and Q are monic, so their
-# leading 1 is written out (`_p1evl` skips it).
+# 1969, Math. Comp. 23). Highest power first; U and Q are monic, and their
+# leading 1 is left out, as `_p1evl` expects.
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
           2.23200534594684319226E3, 7.00332514112805075473E3,
           5.55923013010394962768E4)
-_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
           4.59432382970980127987E3, 2.26290000613890934246E4,
           4.92673942608635921086E4)
 _ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
@@ -57,7 +57,7 @@ _ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
           1.96520832956077098242E2, 5.26445194995477358631E2,
           9.34528527171957607540E2, 1.02755188689515710272E3,
           5.57535335369399327526E2)
-_ERF_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
           3.54937778887819891062E2, 9.75708501743205489753E2,
           1.82390916687909736289E3, 2.24633760818710981792E3,
           1.65666309194161350182E3, 5.57535340817727675546E2)
@@ -458,9 +458,9 @@ def _polevl(x: np.ndarray, coef: Tuple[float, ...],
 
 def _p1evl(x: np.ndarray, coef: Tuple[float, ...],
            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cephes p1evl: `_polevl` of a monic polynomial, from x + c1 on."""
-    out = np.add(x, coef[1], out=out)
-    for c in coef[2:]:
+    """Cephes p1evl: `_polevl` with a leading coefficient of 1 not in `coef`."""
+    out = np.add(x, coef[0], out=out)
+    for c in coef[1:]:
         out *= x
         out += c
     return out
