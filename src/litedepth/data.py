@@ -69,30 +69,70 @@ def _lattice_hash(ix: np.ndarray, iy: np.ndarray, salt: float) -> np.ndarray:
     return h - np.floor(h)
 
 
-def _value_noise(u: np.ndarray, v: np.ndarray, cell: float, salt: float) -> np.ndarray:
-    """Aperiodic smooth noise in [0, 1] via cosine-interpolated lattice
-    hashing. Aperiodicity matters: a repeating texture would let wrong depths
-    that shift sampling by one period match photometrically."""
-    x, y = u / cell, v / cell
-    ix, iy = np.floor(x), np.floor(y)
-    sx = 0.5 - 0.5 * np.cos(np.pi * (x - ix))
-    sy = 0.5 - 0.5 * np.cos(np.pi * (y - iy))
-    v00 = _lattice_hash(ix, iy, salt)
-    v10 = _lattice_hash(ix + 1, iy, salt)
-    v01 = _lattice_hash(ix, iy + 1, salt)
-    v11 = _lattice_hash(ix + 1, iy + 1, salt)
-    return (v00 * (1 - sx) * (1 - sy) + v10 * sx * (1 - sy)
-            + v01 * (1 - sx) * sy + v11 * sx * sy)
-
-
 def _texture(rect: _Rect, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Smooth procedural color at rectangle-local coordinates; anchoring the
-    texture to the rectangle keeps co-moving objects pixel-identical."""
+    texture to the rectangle keeps co-moving objects pixel-identical.
+
+    Each octave and channel adds aperiodic value noise in [0, 1]: hashed
+    values at the integer lattice of noise cells, cosine-interpolated
+    between the four corners of each pixel's cell (Perlin 1985).
+    Aperiodicity matters: a repeating texture would let wrong depths that
+    shift sampling by one period match photometrically. The cell geometry
+    of an octave is shared by its three channels, and each channel hashes
+    every lattice point of the cells' bounding box once, then gathers the
+    corners by index. Every value is bit-identical to hashing the four
+    corners of each pixel: the hash and the blend are the same f64
+    expressions, evaluated in the same order.
+    """
     color = np.broadcast_to(rect.base_color[:, None], (3, u.size)).copy()
     for cell, salts, amp in zip(rect.cells, rect.salts, rect.amps):
+        x, y = u / cell, v / cell
+        ix, iy = np.floor(x), np.floor(y)
+        sx = 0.5 - 0.5 * np.cos(np.pi * (x - ix))
+        sy = 0.5 - 0.5 * np.cos(np.pi * (y - iy))
+        tx, ty = 1 - sx, 1 - sy
+        x0, y0 = ix.min(), iy.min()
+        gx = x0 + np.arange(int(ix.max() - x0) + 2)      # lattice columns
+        gy = y0 + np.arange(int(iy.max() - y0) + 2)      # lattice rows
+        i00 = (iy - y0).astype(np.int64) * gx.size + (ix - x0).astype(np.int64)
+        corners = np.stack([i00, i00 + 1, i00 + gx.size, i00 + gx.size + 1])
         for ch in range(3):
-            color[ch] += amp * (2.0 * _value_noise(u, v, cell, salts[ch]) - 1.0)
+            lattice = _lattice_hash(gx, gy[:, None], salts[ch])
+            v00, v10, v01, v11 = lattice.take(corners)
+            noise = v00 * tx * ty + v10 * sx * ty + v01 * tx * sy + v11 * sx * sy
+            color[ch] += amp * (2.0 * noise - 1.0)
     return np.clip(color, 0.02, 0.98)
+
+
+def _render_frame(rects: List[_Rect], rays_world: np.ndarray, cam_pos: np.ndarray,
+                  mover_shift: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ray-cast one frame: color (3, P), depth (P,) and the index of the
+    rect each of the P rays hits. The moving rect is displaced by
+    ``mover_shift``. A first pass keeps only the nearest hit per ray; the
+    second recomputes the hit point of each rect's winning rays alone."""
+    centers = [r.center + mover_shift if r.moving else r.center for r in rects]
+    dx, dy, dz = rays_world
+    hit_depth = np.full(dz.size, np.inf)
+    hit_index = np.full(dz.size, -1, dtype=np.int64)
+    for k, (rect, center) in enumerate(zip(rects, centers)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (center[2] - cam_pos[2]) / dz
+        px = cam_pos[0] + s * dx - center[0]
+        py = cam_pos[1] + s * dy - center[1]
+        # s < hit_depth also rejects s = inf and NaN
+        closer = ((s > 0.1) & (s < hit_depth) & (np.abs(px) <= rect.half[0])
+                  & (np.abs(py) <= rect.half[1]))
+        hit_depth[closer] = s[closer]
+        hit_index[closer] = k
+
+    frame = np.zeros((3, dz.size))
+    for k, (rect, center) in enumerate(zip(rects, centers)):
+        sel = np.flatnonzero(hit_index == k)
+        if sel.size:
+            s = hit_depth[sel]
+            frame[:, sel] = _texture(rect, cam_pos[0] + s * dx[sel] - center[0],
+                                     cam_pos[1] + s * dy[sel] - center[1])
+    return frame, hit_depth, hit_index
 
 
 def _camera_pose(i: int, n: int, rotate: bool, motion_scale: float) -> np.ndarray:
@@ -190,35 +230,10 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
         pose = _camera_pose(i, max(n_frames, 2), rotate=not mover,
                             motion_scale=motion_scale)
         poses[i] = pose
-        cam_pos, rot = pose[:3, 3], pose[:3, :3]
-        rays_world = rot @ rays_cam                     # (3, HW)
-
-        hit_depth = np.full(rays_cam.shape[1], np.inf)
-        hit_index = np.full(rays_cam.shape[1], -1, dtype=np.int64)
-        hits = []
-        for k, rect in enumerate(rects):
-            center = rect.center.copy()
-            if rect.moving:
-                center += cam_pos - poses[0][:3, 3]     # same velocity as camera
-            dz = rays_world[2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = (center[2] - cam_pos[2]) / dz
-            px = cam_pos[0] + s * rays_world[0] - center[0]
-            py = cam_pos[1] + s * rays_world[1] - center[1]
-            inside = ((s > 0.1) & np.isfinite(s)
-                      & (np.abs(px) <= rect.half[0]) & (np.abs(py) <= rect.half[1]))
-            closer = inside & (s < hit_depth)
-            hit_depth = np.where(closer, s, hit_depth)
-            hit_index = np.where(closer, k, hit_index)
-            hits.append((px, py))
-
-        frame = np.zeros((3, rays_cam.shape[1]))
-        for k, rect in enumerate(rects):
-            sel = hit_index == k
-            if not sel.any():
-                continue
-            px, py = hits[k]
-            frame[:, sel] = _texture(rect, px[sel], py[sel])
+        cam_pos = pose[:3, 3]
+        frame, hit_depth, hit_index = _render_frame(
+            rects, pose[:3, :3] @ rays_cam, cam_pos,
+            cam_pos - poses[0][:3, 3])                  # same velocity as camera
         frames[i] = frame.reshape(3, h, w)
         depths[i] = hit_depth.reshape(h, w)
         if mover_mask is not None:

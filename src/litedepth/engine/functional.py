@@ -419,12 +419,20 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         running_var += momentum * var.reshape(c)
     else:
         mu = running_mean.reshape(cshape).astype(x.dtype)
-        centered = x.data - mu
         var = running_var.reshape(cshape).astype(x.dtype)
     std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
-    normed = centered / std
-    gamma = scale.data.reshape(cshape)
-    out = normed * gamma + shift.data.reshape(cshape)
+    gamma, beta = scale.data.reshape(cshape), shift.data.reshape(cshape)
+    if training:
+        out = centered / std * gamma + beta
+    else:
+        # one output map: the ops of (x - mu) / std * gamma + beta in place,
+        # each step in the dtype that expression gives it
+        dtype = np.result_type(x.data, mu)
+        out = np.empty(x.shape, np.result_type(dtype, std, gamma, beta))
+        np.subtract(x.data, mu, out=out, dtype=dtype)
+        for op, arg in ((np.divide, std), (np.multiply, gamma), (np.add, beta)):
+            dtype = np.result_type(dtype, arg)
+            op(out, arg, out=out, dtype=dtype)
 
     def bw(g):
         normed = (x.data - mu) / std
@@ -513,12 +521,15 @@ def gelu(x: Tensor) -> Tensor:
     # x * phi, phi = 0.5 * (1 + erf(x / sqrt 2)): the same ops, in blocks of
     # _ERF_BLOCK elements so each block stays in cache from x to the output
     dtype = np.result_type(xd, _SQRT2)   # an integer x gives f64, as x / sqrt 2 does
-    phi = np.empty(xd.shape, dtype)
+    # only the backward reads phi whole; without one it lives a block at a time
+    keep_phi = grad_enabled() and x.requires_grad
+    phi = np.empty(xd.shape if keep_phi else min(xd.size, _ERF_BLOCK), dtype)
     out = np.empty(xd.shape, dtype)
     xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
     scratch = np.empty((4, min(xf.size, _ERF_BLOCK)))
     for i in range(0, xf.size, _ERF_BLOCK):
-        xb, pb = xf[i:i + _ERF_BLOCK], pf[i:i + _ERF_BLOCK]
+        xb = xf[i:i + _ERF_BLOCK]
+        pb = pf[i:i + _ERF_BLOCK] if keep_phi else pf[:xb.size]
         np.divide(xb, _SQRT2, out=pb)
         _erf(pb, scratch)
         pb += 1.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from litedepth import data
 from litedepth.data import (
     DirectorySource, SyntheticSource, Triplet, augment,
     generate_synthetic_sequence, load_triplet_dir, occlusion_boundary_mask,
@@ -50,6 +51,108 @@ class TestRenderer:
         seq = generate_synthetic_sequence(3, 16, SIZE)
         steps = np.linalg.norm(np.diff(seq.poses[:, :3, 3], axis=0), axis=1)
         assert steps.min() >= 0.05 and steps.max() <= 0.2
+
+
+def value_noise_oracle(u, v, cell, salt):
+    """Per-pixel value noise: the four lattice corners of each pixel's cell
+    hashed anew for every pixel."""
+    def lattice_hash(ix, iy):
+        h = np.sin(ix * 12.9898 + iy * 78.233 + salt) * 43758.5453
+        return h - np.floor(h)
+
+    x, y = u / cell, v / cell
+    ix, iy = np.floor(x), np.floor(y)
+    sx = 0.5 - 0.5 * np.cos(np.pi * (x - ix))
+    sy = 0.5 - 0.5 * np.cos(np.pi * (y - iy))
+    v00 = lattice_hash(ix, iy)
+    v10 = lattice_hash(ix + 1, iy)
+    v01 = lattice_hash(ix, iy + 1)
+    v11 = lattice_hash(ix + 1, iy + 1)
+    return (v00 * (1 - sx) * (1 - sy) + v10 * sx * (1 - sy)
+            + v01 * (1 - sx) * sy + v11 * sx * sy)
+
+
+def texture_oracle(rect, u, v):
+    color = np.broadcast_to(rect.base_color[:, None], (3, u.size)).copy()
+    for cell, salts, amp in zip(rect.cells, rect.salts, rect.amps):
+        for ch in range(3):
+            color[ch] += amp * (2.0 * value_noise_oracle(u, v, cell, salts[ch]) - 1.0)
+    return np.clip(color, 0.02, 0.98)
+
+
+def render_frame_oracle(rects, rays_world, cam_pos, mover_shift):
+    """Ray-casting that keeps every rect's hit points for the whole frame
+    and textures with `texture_oracle`."""
+    hit_depth = np.full(rays_world.shape[1], np.inf)
+    hit_index = np.full(rays_world.shape[1], -1, dtype=np.int64)
+    hits = []
+    for k, rect in enumerate(rects):
+        center = rect.center.copy()
+        if rect.moving:
+            center += mover_shift
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (center[2] - cam_pos[2]) / rays_world[2]
+        px = cam_pos[0] + s * rays_world[0] - center[0]
+        py = cam_pos[1] + s * rays_world[1] - center[1]
+        inside = ((s > 0.1) & np.isfinite(s)
+                  & (np.abs(px) <= rect.half[0]) & (np.abs(py) <= rect.half[1]))
+        closer = inside & (s < hit_depth)
+        hit_depth = np.where(closer, s, hit_depth)
+        hit_index = np.where(closer, k, hit_index)
+        hits.append((px, py))
+    frame = np.zeros((3, rays_world.shape[1]))
+    for k, rect in enumerate(rects):
+        sel = hit_index == k
+        if sel.any():
+            px, py = hits[k]
+            frame[:, sel] = texture_oracle(rect, px[sel], py[sel])
+    return frame, hit_depth, hit_index
+
+
+class TestRendererOracle:
+    """The renderer hashes each lattice point once per channel and keeps
+    only the nearest hit per ray; its output must equal the per-pixel
+    oracle's bit for bit."""
+
+    def test_texture_on_rect_local_coordinates(self, monkeypatch):
+        calls = []
+        texture = data._texture
+
+        def record(rect, u, v):
+            calls.append((rect, u, v, texture(rect, u, v)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(data, "_texture", record)
+        generate_synthetic_sequence(7, 3, (128, 64), mover=True)
+        # every rect is hit, and the floors of negative coordinates are taken
+        assert len({id(rect) for rect, *_ in calls}) == data._N_RECTS + 2
+        assert min(u.min() for _, u, _, _ in calls) < 0
+        assert min(v.min() for _, _, v, _ in calls) < 0
+        for rect, u, v, color in calls:
+            np.testing.assert_array_equal(color, texture_oracle(rect, u, v))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(size=(128, 64), intrinsics=CameraIntrinsics(
+            fx=70.0, fy=95.0, cx=50.3, cy=20.7, width=128, height=64)),
+        dict(size=(64, 32), mover=True),
+        dict(size=(64, 32), motion_scale=0.0),
+        dict(size=(96, 64)),
+    ], ids=["custom-intrinsics", "mover", "static", "rotated"])
+    def test_sequence_equals_the_oracle_path(self, kwargs, monkeypatch):
+        seq = generate_synthetic_sequence(11, 4, **kwargs)
+        monkeypatch.setattr(data, "_render_frame", render_frame_oracle)
+        ref = generate_synthetic_sequence(11, 4, **kwargs)
+        np.testing.assert_array_equal(seq.frames, ref.frames)
+        np.testing.assert_array_equal(seq.depths, ref.depths)
+        np.testing.assert_array_equal(seq.poses, ref.poses)
+        if kwargs.get("mover"):
+            assert seq.mover_mask.any()
+            np.testing.assert_array_equal(seq.mover_mask, ref.mover_mask)
+        else:
+            assert seq.mover_mask is None and ref.mover_mask is None
+        if "motion_scale" not in kwargs and "mover" not in kwargs:
+            # rotation is on: some camera's axes leave the world's
+            assert not np.allclose(seq.poses[:, :3, :3], np.eye(3))
 
 
 class TestRendererWarperCrossValidation:

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from litedepth.engine import (
     ConvSpec, Tensor, as_tensor, avg_pool, batch_norm, bilinear_sample, conv2d,
-    elu, gelu, grad_check, layer_norm, resize_bilinear, same_padding,
+    elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, same_padding,
     sigmoid, softmax, using_dtype,
 )
 from litedepth.engine.functional import _COLS_BYTES, _ERF_BLOCK, _erf
@@ -645,6 +645,21 @@ class TestFusedBatchNorm:
         for g, r in zip(*grads):
             assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
+    def test_eval_mode_writes_one_output_map(self, rng):
+        # the unfused expression held centered, normed and the output at once
+        with using_dtype("f32"):
+            x = Tensor(rng.standard_normal((1, 64, 96, 320)).astype(np.float32))
+            scale, shift = Tensor(np.ones(64, np.float32)), Tensor(np.zeros(64, np.float32))
+            stats = np.zeros(64, np.float32), np.ones(64, np.float32)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                out = batch_norm(x, scale, shift, *stats, training=False)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes
+
     @pytest.mark.parametrize("training", [True, False])
     def test_one_node(self, training, count_nodes, rng):
         x, scale, shift, stats = self.inputs(rng, (2, 3, 4, 4))
@@ -681,6 +696,30 @@ class TestActivations:
         assert not view.flags.c_contiguous
         out = gelu(Tensor(view)).data
         np.testing.assert_array_equal(out, gelu(Tensor(np.ascontiguousarray(view))).data)
+
+    @pytest.mark.parametrize("mode", ["no_grad", "input_needs_no_grad"])
+    def test_gelu_without_a_backward_equals_the_grad_path(self, mode, rng):
+        x = (3.0 * rng.standard_normal(2 * _ERF_BLOCK + 1001)).astype(np.float32)
+        ref = gelu(Tensor(x, requires_grad=True)).data
+        if mode == "no_grad":
+            with no_grad():
+                out = gelu(Tensor(x, requires_grad=True)).data
+        else:
+            out = gelu(Tensor(x)).data
+        np.testing.assert_array_equal(out, ref)
+
+    def test_gelu_without_a_backward_peaks_near_one_output_map(self, rng):
+        # a full-size phi for the backward doubled the peak
+        x = Tensor(rng.standard_normal((1, 288, 48, 160)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = gelu(x)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes
 
     def test_gelu_of_an_integer_array_is_f64(self):
         out = gelu(Tensor(np.arange(-3, 4))).data
