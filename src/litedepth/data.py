@@ -73,16 +73,12 @@ def _texture(rect: _Rect, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Smooth procedural color at rectangle-local coordinates; anchoring the
     texture to the rectangle keeps co-moving objects pixel-identical.
 
-    Each octave and channel adds aperiodic value noise in [0, 1]: hashed
-    values at the integer lattice of noise cells, cosine-interpolated
-    between the four corners of each pixel's cell (Perlin 1985).
-    Aperiodicity matters: a repeating texture would let wrong depths that
-    shift sampling by one period match photometrically. The cell geometry
-    of an octave is shared by its three channels, and each channel hashes
-    every lattice point of the cells' bounding box once, then gathers the
-    corners by index. Every value is bit-identical to hashing the four
-    corners of each pixel: the hash and the blend are the same f64
-    expressions, evaluated in the same order.
+    Each octave and channel adds value noise: lattice hashes, cosine-blended
+    between the four corners of each pixel's cell (Perlin 1985). It is
+    aperiodic, so wrong depths that shift sampling by one period cannot
+    match photometrically. An octave's cell geometry serves all three
+    channels, and each lattice point is hashed once; the values are
+    bit-identical to hashing each pixel's four corners.
     """
     color = np.broadcast_to(rect.base_color[:, None], (3, u.size)).copy()
     for cell, salts, amp in zip(rect.cells, rect.salts, rect.amps):
@@ -99,6 +95,7 @@ def _texture(rect: _Rect, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         for ch in range(3):
             lattice = _lattice_hash(gx, gy[:, None], salts[ch])
             v00, v10, v01, v11 = lattice.take(corners)
+            # products left to right, never tx * ty first: rounding stays put
             noise = v00 * tx * ty + v10 * sx * ty + v01 * tx * sy + v11 * sx * sy
             color[ch] += amp * (2.0 * noise - 1.0)
     return np.clip(color, 0.02, 0.98)

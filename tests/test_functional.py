@@ -646,7 +646,7 @@ class TestFusedBatchNorm:
             assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
     def test_eval_mode_writes_one_output_map(self, rng):
-        # the unfused expression held centered, normed and the output at once
+        # separate centered and normed maps would each add one output's worth
         with using_dtype("f32"):
             x = Tensor(rng.standard_normal((1, 64, 96, 320)).astype(np.float32))
             scale, shift = Tensor(np.ones(64, np.float32)), Tensor(np.zeros(64, np.float32))
@@ -709,7 +709,7 @@ class TestActivations:
         np.testing.assert_array_equal(out, ref)
 
     def test_gelu_without_a_backward_peaks_near_one_output_map(self, rng):
-        # a full-size phi for the backward doubled the peak
+        # phi is a full-size map only when a backward will read it
         x = Tensor(rng.standard_normal((1, 288, 48, 160)).astype(np.float32))
         tracemalloc.start()
         try:
