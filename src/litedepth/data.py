@@ -21,7 +21,7 @@ from .warp import CameraIntrinsics
 
 __all__ = [
     "SyntheticSequence", "Triplet", "augment",
-    "generate_synthetic_sequence", "load_triplet_dir", "occlusion_boundary_mask",
+    "generate_synthetic_sequence", "occlusion_boundary_mask",
     "save_dataset", "SyntheticSource", "DirectorySource",
 ]
 
@@ -398,52 +398,6 @@ def _resize_frame(frame: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
     return out.data[0]
 
 
-def load_triplet_dir(path: Union[str, Path], index: int,
-                     size: Optional[Tuple[int, int]] = None) -> Triplet:
-    """Load frames (index-1, index, index+1) from a dataset directory.
-
-    Layout: frames/NNNNNN.png, intrinsics.txt with "fx fy cx cy", optional
-    depth/NNNNNN.f32 and poses.txt. Frames are resized to `size` (width,
-    height) with the intrinsics rescaled to match.
-    """
-    root = Path(path)
-    frame_dir = root / "frames"
-    frame_files = sorted(frame_dir.glob("*.png"))
-    if not frame_files:
-        raise FileNotFoundError(f"no frames found under {frame_dir}")
-    if index < 1 or index > len(frame_files) - 2:
-        raise IndexError(
-            f"index {index} needs neighbors; valid range is 1..{len(frame_files) - 2}")
-    intr_file = root / "intrinsics.txt"
-    if not intr_file.exists():
-        raise FileNotFoundError(f"missing {intr_file}")
-    fx, fy, cx, cy = (float(v) for v in intr_file.read_text().split()[:4])
-
-    frames = []
-    for i in (index - 1, index, index + 1):
-        frames.append(load_image(frame_files[i]))
-    _, h0, w0 = frames[0].shape
-    intr = CameraIntrinsics(fx, fy, cx, cy, width=w0, height=h0)
-    if size is not None:
-        frames = [_resize_frame(f, size) for f in frames]
-        intr = intr.scaled(*size)
-
-    gt_depth = None
-    depth_file = root / "depth" / f"{frame_files[index].stem}.f32"
-    if depth_file.exists():
-        gt_depth = read_f32(depth_file)[0]
-        if size is not None and gt_depth.shape != (size[1], size[0]):
-            gt_depth = _resize_frame(gt_depth[None], size)[0]
-
-    gt_poses = None
-    pose_file = root / "poses.txt"
-    if pose_file.exists():
-        rows = np.loadtxt(pose_file).reshape(-1, 4, 4)
-        gt_poses = rows[index - 1: index + 2]
-
-    return Triplet(tuple(frames), intr, gt_depth=gt_depth, gt_poses=gt_poses)
-
-
 def save_dataset(seq: SyntheticSequence, outdir: Union[str, Path]) -> None:
     """Write the documented directory layout: frames/NNNNNN.png,
     intrinsics.txt, depth/NNNNNN.f32 and poses.txt."""
@@ -484,19 +438,83 @@ class SyntheticSource:
 
 
 class DirectorySource:
-    """Triplet source over a dataset directory."""
+    """Triplet source over a dataset directory.
+
+    Layout: frames/NNNNNN.png, intrinsics.txt with "fx fy cx cy", optional
+    depth/NNNNNN.f32 and poses.txt with one row-major 4x4 world-from-camera
+    pose per frame. The frame list, the camera and the poses are read once,
+    here; each triplet reads its three frames and its depth. Frames are
+    resized to `size` (width, height) with the intrinsics rescaled to match.
+    Malformed text files raise ValueError naming the file.
+    """
 
     def __init__(self, path: Union[str, Path],
                  size: Optional[Tuple[int, int]] = None):
         self.path = Path(path)
         self.size = size
-        n = len(sorted((self.path / "frames").glob("*.png")))
+        frame_dir = self.path / "frames"
+        self.frame_files = sorted(frame_dir.glob("*.png"))
+        if not self.frame_files:
+            raise FileNotFoundError(f"no frames found under {frame_dir}")
+        n = len(self.frame_files)
         if n < 3:
             raise ValueError(f"{path}: need at least 3 frames, found {n}")
-        self._count = n - 2
+        self.camera = _read_camera(self.path / "intrinsics.txt")
+        self.poses = None
+        pose_file = self.path / "poses.txt"
+        if pose_file.exists():
+            self.poses = _read_poses(pose_file, n)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.frame_files) - 2
 
     def triplet(self, i: int) -> Triplet:
-        return load_triplet_dir(self.path, i + 1, self.size)
+        """Frames i, i + 1 and i + 2, centred on frame i + 1."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"triplet {i} needs neighbors; valid range is 0..{len(self) - 1}")
+        files = self.frame_files[i: i + 3]
+        frames = [load_image(f) for f in files]
+        _, h0, w0 = frames[0].shape
+        intr = CameraIntrinsics(*self.camera, width=w0, height=h0)
+        if self.size is not None:
+            frames = [_resize_frame(f, self.size) for f in frames]
+            intr = intr.scaled(*self.size)
+
+        gt_depth = None
+        depth_file = self.path / "depth" / f"{files[1].stem}.f32"
+        if depth_file.exists():
+            gt_depth = read_f32(depth_file)[0]
+            if self.size is not None and gt_depth.shape != (self.size[1], self.size[0]):
+                gt_depth = _resize_frame(gt_depth[None], self.size)[0]
+
+        gt_poses = None if self.poses is None else self.poses[i: i + 3].copy()
+        return Triplet(tuple(frames), intr, gt_depth=gt_depth, gt_poses=gt_poses)
+
+
+def _read_camera(path: Path) -> Tuple[float, float, float, float]:
+    """fx fy cx cy from intrinsics.txt: exactly four numbers, positive focal
+    lengths."""
+    if not path.exists():
+        raise FileNotFoundError(f"missing {path}")
+    try:
+        values = [float(v) for v in path.read_text().split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(values) != 4:
+        raise ValueError(f"{path}: expected 4 numbers (fx fy cx cy), found {len(values)}")
+    fx, fy, cx, cy = values
+    if not (fx > 0 and fy > 0):
+        raise ValueError(f"{path}: focal lengths must be positive, got fx={fx}, fy={fy}")
+    return fx, fy, cx, cy
+
+
+def _read_poses(path: Path, n_frames: int) -> np.ndarray:
+    """(n_frames, 4, 4) from poses.txt: 16 numbers per frame."""
+    try:
+        values = np.loadtxt(path, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if values.size != 16 * n_frames:
+        raise ValueError(f"{path}: expected one 4x4 pose (16 numbers) for each of "
+                         f"{n_frames} frames, found {values.size} numbers")
+    return values.reshape(n_frames, 4, 4)

@@ -3,16 +3,14 @@ sigmoid heads for inverse depth at full, half and quarter resolution."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .engine import Tensor, concat, elu, resize_bilinear, sigmoid
 from .nn import Conv2d, Module
-from .encoder import FeaturePyramid
 
-__all__ = ["DepthDecoder", "DepthPyramid", "disp_to_depth"]
+__all__ = ["DepthDecoder", "disp_to_depth"]
 
 _DEC_CHANNELS = (16, 32, 64)   # decoder widths at full, half and quarter resolution
 
@@ -27,20 +25,6 @@ def disp_to_depth(disp: Tensor, min_depth: float, max_depth: float) -> Tensor:
         raise ValueError(f"min_depth {min_depth} must be below max_depth {max_depth}")
     lo, hi = 1.0 / max_depth, 1.0 / min_depth
     return 1.0 / (lo + (hi - lo) * disp)
-
-
-@dataclass
-class DepthPyramid:
-    """Inverse-depth maps at scale levels 0 (full), 1 (half), 2 (quarter),
-    each (N, 1, H/2^s, W/2^s) with values strictly inside (0, 1)."""
-
-    disps: Tuple[Tensor, Tensor, Tensor]
-
-    def disp(self, level: int) -> Tensor:
-        return self.disps[level]
-
-    def depth(self, level: int, min_depth: float, max_depth: float) -> Tensor:
-        return disp_to_depth(self.disps[level], min_depth, max_depth)
 
 
 class _ConvElu(Module):
@@ -59,6 +43,11 @@ class DepthDecoder(Module):
     encoder skip (none at the finest level), 3x3 conv + ELU. Each level's
     prediction head is a 3x3 conv whose output is upsampled x2 and squashed
     by a sigmoid, emitting disp at 1/4, 1/2 and full resolution.
+
+    Takes the encoder's three stage outputs and returns the inverse-depth
+    maps of scale levels 0 (full), 1 (half) and 2 (quarter), each
+    (N, 1, H/2^s, W/2^s) with values inside (0, 1), except where the
+    sigmoid of a large-magnitude logit rounds to exactly 0 or 1.
     """
 
     def __init__(self, enc_channels: Tuple[int, int, int], seed: int = 0):
@@ -74,8 +63,8 @@ class DepthDecoder(Module):
         self.heads = [Conv2d(d2, 1, 3, rng), Conv2d(d1, 1, 3, rng),
                       Conv2d(d0, 1, 3, rng)]
 
-    def __call__(self, pyramid: FeaturePyramid) -> DepthPyramid:
-        skips = pyramid.stages()
+    def __call__(self, skips: Tuple[Tensor, Tensor, Tensor]
+                 ) -> Tuple[Tensor, Tensor, Tensor]:
         for s, (feat, c) in enumerate(zip(skips, self.enc_channels)):
             if feat.shape[1] != c:
                 raise ValueError(
@@ -89,4 +78,4 @@ class DepthDecoder(Module):
                 x = concat([x, skips[level - 1]], axis=1)
             x = self.post[step](x)
             disps[level] = sigmoid(resize_bilinear(self.heads[step](x), scale=2.0))
-        return DepthPyramid(tuple(disps))
+        return tuple(disps)

@@ -23,7 +23,6 @@ __all__ = [
     "DepthEncoder",
     "DilatedConvBlock",
     "EncoderConfig",
-    "FeaturePyramid",
     "count_flops",
     "count_params",
     "spatial_attention_probe",
@@ -81,19 +80,6 @@ class EncoderConfig:
         for s, (c, h) in enumerate(zip(self.channels[1:], self.heads)):
             if c % h != 0:
                 raise ValueError(f"stage {s + 1}: channels {c} not divisible by heads {h}")
-
-
-@dataclass
-class FeaturePyramid:
-    """Encoder outputs: stem at H/2 plus the three stage outputs."""
-
-    stem: Tensor      # (N, C1, H/2,  W/2)
-    stage1: Tensor    # (N, C2, H/4,  W/4)
-    stage2: Tensor    # (N, C3, H/8,  W/8)
-    stage3: Tensor    # (N, C4, H/16, W/16)
-
-    def stages(self) -> Tuple[Tensor, Tensor, Tensor]:
-        return self.stage1, self.stage2, self.stage3
 
 
 # ------------------------------------------------------------------ attention
@@ -279,7 +265,10 @@ class DepthEncoder(Module):
             for i, b in enumerate(blocks):
                 yield f"stages.{s}.{i}", b
 
-    def __call__(self, image: Tensor) -> FeaturePyramid:
+    def __call__(self, image: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+        """The three stage outputs, (N, C2, H/4, W/4), (N, C3, H/8, W/8) and
+        (N, C4, H/16, W/16). No reference to the stem map outlives the first
+        downsampling, so under ``no_grad`` it is freed there."""
         cfg = self.config
         pooled = []
         if cfg.use_pooled_concat:
@@ -290,8 +279,7 @@ class DepthEncoder(Module):
         else:
             pooled = [None, None, None]
 
-        stem_out = self.stem(image)
-        x, carry = stem_out, None
+        x, carry = self.stem(image), None
         outputs = []
         for s in range(3):
             ds_out = self.down[s](x, pooled[s],
@@ -301,7 +289,7 @@ class DepthEncoder(Module):
                 x = block(x)
             carry = ds_out
             outputs.append(x)
-        return FeaturePyramid(stem_out, *outputs)
+        return tuple(outputs)
 
 
 # ----------------------------------------------------------------- accounting

@@ -411,8 +411,11 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     inv_count = np.asarray(1.0 / (n * h * w), dtype=default_dtype())
     if training:
         mu = x.data.sum(axis=axes, keepdims=True) * inv_count
-        centered = x.data - mu
-        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+        # the squared deviations in one map, freed before the output exists
+        sq = x.data - mu
+        sq *= sq
+        var = sq.sum(axis=axes, keepdims=True) * inv_count
+        del sq
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu.reshape(c)
         running_var *= (1.0 - momentum)
@@ -422,17 +425,14 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         var = running_var.reshape(cshape).astype(x.dtype)
     std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
     gamma, beta = scale.data.reshape(cshape), shift.data.reshape(cshape)
-    if training:
-        out = centered / std * gamma + beta
-    else:
-        # one output map: the ops of (x - mu) / std * gamma + beta in place,
-        # each step in the dtype that expression gives it
-        dtype = np.result_type(x.data, mu)
-        out = np.empty(x.shape, np.result_type(dtype, std, gamma, beta))
-        np.subtract(x.data, mu, out=out, dtype=dtype)
-        for op, arg in ((np.divide, std), (np.multiply, gamma), (np.add, beta)):
-            dtype = np.result_type(dtype, arg)
-            op(out, arg, out=out, dtype=dtype)
+    # one output map: the ops of (x - mu) / std * gamma + beta in place,
+    # each step in the dtype that expression gives it
+    dtype = np.result_type(x.data, mu)
+    out = np.empty(x.shape, np.result_type(dtype, std, gamma, beta))
+    np.subtract(x.data, mu, out=out, dtype=dtype)
+    for op, arg in ((np.divide, std), (np.multiply, gamma), (np.add, beta)):
+        dtype = np.result_type(dtype, arg)
+        op(out, arg, out=out, dtype=dtype)
 
     def bw(g):
         normed = (x.data - mu) / std

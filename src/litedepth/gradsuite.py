@@ -17,8 +17,7 @@ from .engine import (
 )
 from .losses import LossConfig, smoothness, ssim, total_loss
 from .nn import Conv2d
-from .decoder import DepthPyramid
-from .posenet import Pose, pose_to_matrix, rotation_from_axis_angle
+from .posenet import pose_to_matrix, rotation_from_axis_angle
 from .warp import CameraIntrinsics, synthesize
 
 __all__ = ["CheckResult", "run_suite"]
@@ -108,7 +107,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         aa = Tensor(rng.standard_normal((2, 3)) * 0.5)
         tr = Tensor(rng.standard_normal((2, 3)))
         wp = _weighted(rng, (2, 4, 4))
-        check("pose_to_matrix", lambda a, t: wp(pose_to_matrix(Pose(a, t))), [aa, tr])
+        check("pose_to_matrix", lambda a, t: wp(pose_to_matrix(a, t)), [aa, tr])
 
         sa = Tensor(rng.random((1, 3, 6, 6)))
         sbm = Tensor(rng.random((1, 3, 6, 6)))
@@ -158,7 +157,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         from .warp import backproject, project
         with no_grad():
             coords0, _ = project(backproject(depth8, intr), intr,
-                                 pose_to_matrix(Pose(aa8, tr8)))
+                                 pose_to_matrix(aa8, tr8))
         frac = np.abs(coords0.data - np.round(coords0.data))
         interior = ((frac.min(axis=-1) > 0.05)
                     & (coords0.data[..., 0] > 0.6) & (coords0.data[..., 0] < 6.4)
@@ -166,7 +165,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         smooth_w = Tensor(interior[:, None].astype(np.float64))
 
         def synth_loss(d, a, t):
-            out, _ = synthesize(img8, d, pose_to_matrix(Pose(a, t)), intr)
+            out, _ = synthesize(img8, d, pose_to_matrix(a, t), intr)
             return (((out - tgt8) ** 2.0) * smooth_w).sum()
 
         check("synthesize", synth_loss, [depth8, aa8, tr8])
@@ -174,16 +173,15 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         cfgl = LossConfig(automask=False)
         src8 = [Tensor(resize_bilinear(Tensor(rng.random((1, 3, 2, 2))),
                                        size=(8, 8)).data) for _ in range(2)]
-        tfs = [pose_to_matrix(Pose(Tensor(rng.standard_normal((1, 3)) * 0.01),
-                                   Tensor(rng.standard_normal((1, 3)) * 0.05)))
+        tfs = [pose_to_matrix(Tensor(rng.standard_normal((1, 3)) * 0.01),
+                              Tensor(rng.standard_normal((1, 3)) * 0.05))
                for _ in range(2)]
         d0 = Tensor(rng.uniform(0.2, 0.5, size=(1, 1, 8, 8)))
         d1 = Tensor(rng.uniform(0.2, 0.5, size=(1, 1, 4, 4)))
         d2 = Tensor(rng.uniform(0.2, 0.5, size=(1, 1, 2, 2)))
 
         def full_loss(a, b, c):
-            loss, _ = total_loss(DepthPyramid((a, b, c)), tgt8, src8, tfs,
-                                 intr, cfgl)
+            loss, _ = total_loss((a, b, c), tgt8, src8, tfs, intr, cfgl)
             return loss
 
         check("total_loss_8x8", full_loss, [d0, d1, d2], tol=END_TO_END_TOL)

@@ -12,7 +12,7 @@ import numpy as np
 from .engine import (
     Tensor, as_tensor, default_dtype, maximum, minimum, resize_bilinear,
 )
-from .decoder import DepthPyramid, disp_to_depth
+from .decoder import disp_to_depth
 from .warp import Cameras, synthesize
 
 __all__ = [
@@ -219,18 +219,20 @@ def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
     return (best_warped * Tensor(valid_any)).sum() * (1.0 / count)
 
 
-def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
+def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor],
                transforms: Sequence[Tensor], intr: Cameras,
-               config: LossConfig) -> Tuple[Tensor, Dict]:
+               config: LossConfig) -> Tuple[Tensor, Dict[str, object]]:
     """Full objective over scale levels 0, 1 and 2, averaged 1/3 over scales.
 
-    `transforms` carries one source-camera-from-target-camera matrix per
-    source frame (typically previous and next), and `intr` one camera for
-    the batch or one per sample. Lower-scale disparities are
+    `disps` holds the decoder's inverse depth at levels 0, 1 and 2,
+    `transforms` one source-camera-from-target-camera matrix per source
+    frame (typically previous and next), and `intr` one camera for the
+    batch or one per sample. Lower-scale disparities are
     upsampled to full resolution before synthesis; the smoothness term runs
     at each scale's native resolution with its weight divided by 2^scale.
-    Returns the scalar loss and a diagnostics dict of intermediate maps: the
-    forward arrays themselves, not copies, so callers must not write to them.
+    Returns the scalar loss and a dict of Python floats: the per-scale
+    "reconstruction" and "smoothness" terms and weighted "per_scale"
+    losses (lists indexed by level), and the "total".
     """
     if len(sources) != len(transforms):
         raise ValueError(f"{len(sources)} sources but {len(transforms)} transforms")
@@ -242,10 +244,11 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
     unwarped = [photometric_loss(as_tensor(s), target, config.alpha)
                 for s in sources]
     best_unwarped = min_reprojection(unwarped)   # the same at every scale
-    diagnostics: Dict = {"scales": {}}
     scale_losses: List[Tensor] = []
+    reconstructions: List[float] = []
+    smooths: List[float] = []
     for level in range(3):
-        disp = pyramid.disp(level)
+        disp = disps[level]
         disp_full = resize_bilinear(disp, size=(h, w))
         depth_full = disp_to_depth(disp_full, config.min_depth, config.max_depth)
 
@@ -256,7 +259,6 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
             valid_masks.append(valid)
 
         best_warped = min_reprojection(warped_maps)
-        mu = auto_mask(unwarped, warped_maps)
         valid_any = np.logical_or.reduce(valid_masks).astype(best_warped.dtype)
 
         reconstruction = _reconstruction_term(best_warped, best_unwarped,
@@ -268,19 +270,13 @@ def total_loss(pyramid: DepthPyramid, target: Tensor, sources: Sequence[Tensor],
         weight = config.lambda_smooth / (2.0 ** level)
         scale_losses.append(reconstruction + weight * smooth)
 
-        diagnostics["scales"][level] = {
-            "reconstruction": float(reconstruction.data),
-            "smoothness": float(smooth.data),
-            "automask": mu,
-            "valid": valid_any,
-            "min_reprojection": best_warped.data,
-            "disp": disp.data,
-        }
+        reconstructions.append(float(reconstruction.data))
+        smooths.append(float(smooth.data))
 
     total = scale_losses[0]
     for sl in scale_losses[1:]:
         total = total + sl
     total = total * (1.0 / len(scale_losses))
-    diagnostics["total"] = float(total.data)
-    diagnostics["per_scale"] = [float(sl.data) for sl in scale_losses]
-    return total, diagnostics
+    return total, {"reconstruction": reconstructions, "smoothness": smooths,
+                   "per_scale": [float(sl.data) for sl in scale_losses],
+                   "total": float(total.data)}

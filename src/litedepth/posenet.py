@@ -13,7 +13,7 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .engine import Tensor, concat, gelu, unary_op
 from .nn import Conv2d, ConvBnGelu, Module
 
 __all__ = [
-    "Pose", "PoseNet", "pose_to_matrix", "rotation_from_axis_angle",
+    "PoseNet", "pose_to_matrix", "rotation_from_axis_angle",
 ]
 
 _SERIES_CUTOFF = 1e-6
@@ -76,21 +76,14 @@ def rotation_from_axis_angle(v: Tensor) -> Tensor:
     return eye + a_coef * skew + b_coef * (skew @ skew)
 
 
-@dataclass
-class Pose:
-    """6-DoF relative camera motion: axis-angle rotation plus translation,
-    both (B, 3) tensors in scene units / radians."""
-
-    axis_angle: Tensor
-    translation: Tensor
-
-
-def pose_to_matrix(pose: Pose, invert: bool = False) -> Tensor:
-    """Assemble (B, 4, 4) rigid transforms; invert=True yields the exact
-    inverse [R^T | -R^T t]."""
-    rot = rotation_from_axis_angle(pose.axis_angle)
+def pose_to_matrix(axis_angle: Tensor, translation: Tensor,
+                   invert: bool = False) -> Tensor:
+    """Assemble (B, 4, 4) rigid transforms from 6-DoF relative motion: an
+    axis-angle rotation and a translation, both (B, 3), in radians and scene
+    units. invert=True yields the exact inverse [R^T | -R^T t]."""
+    rot = rotation_from_axis_angle(axis_angle)
     b = rot.shape[0]
-    t = pose.translation.reshape(b, 3, 1)
+    t = translation.reshape(b, 3, 1)
     if invert:
         rot = rot.swap_last_axes()
         t = -(rot @ t)
@@ -122,7 +115,7 @@ class PoseNet(Module):
 
     A strided conv encoder feeds a four-conv decoder; the spatially averaged
     output is scaled by 0.01 so training starts near the identity pose, then
-    split into axis-angle and translation.
+    split into axis-angle and translation, each (N, 3).
     """
 
     OUTPUT_SCALE = 0.01
@@ -137,7 +130,7 @@ class PoseNet(Module):
         self.conv2 = Conv2d(256, 256, 3, rng)
         self.head = Conv2d(256, 6, 1, rng)
 
-    def __call__(self, frame_pair: Tensor) -> Pose:
+    def __call__(self, frame_pair: Tensor) -> Tuple[Tensor, Tensor]:
         if frame_pair.ndim != 4 or frame_pair.shape[1] != 6:
             raise ValueError(
                 f"pose input must be (N, 6, H, W) stacked frames, got {frame_pair.shape}")
@@ -147,7 +140,7 @@ class PoseNet(Module):
         x = gelu(self.conv2(x))
         x = self.head(x)
         pooled = x.mean(axis=(2, 3)) * self.OUTPUT_SCALE    # (N, 6)
-        return Pose(axis_angle=pooled[:, 0:3], translation=pooled[:, 3:6])
+        return pooled[:, 0:3], pooled[:, 3:6]
 
     def pose_between(self, target: Tensor, source: Tensor,
                      source_is_previous: bool) -> Tensor:
@@ -159,5 +152,4 @@ class PoseNet(Module):
         """
         pair = (concat([source, target], axis=1) if source_is_previous
                 else concat([target, source], axis=1))
-        pose = self(pair)
-        return pose_to_matrix(pose, invert=source_is_previous)
+        return pose_to_matrix(*self(pair), invert=source_is_previous)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import augment
-from .decoder import DepthDecoder, DepthPyramid
+from .decoder import DepthDecoder, disp_to_depth
 from .encoder import DepthEncoder, EncoderConfig
 from .engine import Tensor, no_grad, set_default_dtype
 from .losses import LossConfig, total_loss
@@ -38,7 +38,8 @@ _TAG_FOR_KIND = {"f4": 1, "f8": 2, "i8": 3, "u1": 4}
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; diagnostics are dumped first."""
+    """Raised when the network outputs or the loss cannot be trained on;
+    the disparities are dumped first."""
 
 
 # ------------------------------------------------------------------ optimizer
@@ -288,8 +289,10 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     Per batch: depth pyramid on the target frame, poses against the previous
     and next frames, full multi-scale loss, backward, one AdamW step at the
-    per-iteration cosine rate. Deterministic for a fixed seed. Aborts with a
-    diagnostics dump if the loss stops being finite.
+    per-iteration cosine rate. Deterministic for a fixed seed. Raises
+    TrainingDiverged, after dumping the disparities under
+    ``out_dir/diagnostics``, on a non-finite network output, an all-zero
+    disparity map or a non-finite loss.
     """
     cfg = train_config
     loss_cfg = loss_config or LossConfig()
@@ -310,12 +313,10 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
         (out_path / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(cfg.seed)
-    curve: List[dict] = []
-    for step in range(total_steps):
-        if step % steps_per_epoch == 0:
-            order = rng.permutation(n_items)
-        start = (step % steps_per_epoch) * cfg.batch_size
-        idx = order[start: start + cfg.batch_size]
+
+    def run_step(step: int, idx: np.ndarray) -> dict:
+        """Load the batch, take one optimization step and return its curve
+        row. Nothing the step builds outlives the call."""
         triplets = [data_source.triplet(int(i)) for i in idx]
         if cfg.augment:
             triplets = [augment(t, seed=int(rng.integers(2 ** 31)))
@@ -332,41 +333,39 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
         # the last step's gradients stay readable until this step's data
         # is loaded, but are not held under the new graph
         models.zero_grad()
-        pyramid = models.decoder(models.encoder(tgt_net))
+        disps = models.decoder(models.encoder(tgt_net))
         t_prev = models.pose.pose_between(tgt_net, prev_net, source_is_previous=True)
         t_next = models.pose.pose_between(tgt_net, next_net, source_is_previous=False)
 
-        finite = (all(np.isfinite(pyramid.disp(s).data).all() for s in range(3))
-                  and np.isfinite(t_prev.data).all()
-                  and np.isfinite(t_next.data).all())
-        if not finite:
+        fault = _network_fault(disps, (t_prev, t_next))
+        if fault is None:
+            loss, diag = total_loss(disps, tgt_clean, [prev_clean, next_clean],
+                                    [t_prev, t_next],
+                                    [t.intrinsics for t in triplets], loss_cfg)
+            if not np.isfinite(loss.data):
+                fault = "non-finite loss"
+        if fault is not None:
             if out_path is not None:
-                _dump_network_state(out_path / "diagnostics", step, pyramid)
+                _dump_disparities(out_path / "diagnostics", step, disps)
             raise TrainingDiverged(
-                f"non-finite network output at step {step}; diagnostics "
-                f"{'dumped' if out_path is not None else 'not persisted'}")
-
-        loss, diag = total_loss(pyramid, tgt_clean, [prev_clean, next_clean],
-                                [t_prev, t_next],
-                                [t.intrinsics for t in triplets], loss_cfg)
-        if not np.isfinite(loss.data):
-            if out_path is not None:
-                _dump_diagnostics(out_path / "diagnostics", step, diag)
-            raise TrainingDiverged(
-                f"non-finite loss at step {step}; diagnostics "
+                f"{fault} at step {step}; diagnostics "
                 f"{'dumped' if out_path is not None else 'not persisted'}")
 
         lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
         loss.backward()
         opt.step(lr)
+        return {"step": step, "lr": lr, "total": float(loss.data),
+                "scale0": diag["per_scale"][0],
+                "scale1": diag["per_scale"][1],
+                "scale2": diag["per_scale"][2],
+                "smoothness": float(np.mean(diag["smoothness"]))}
 
-        smooth = float(np.mean([diag["scales"][s]["smoothness"]
-                                for s in diag["scales"]]))
-        curve.append({"step": step, "lr": lr, "total": float(loss.data),
-                      "scale0": diag["per_scale"][0],
-                      "scale1": diag["per_scale"][1],
-                      "scale2": diag["per_scale"][2],
-                      "smoothness": smooth})
+    curve: List[dict] = []
+    for step in range(total_steps):
+        if step % steps_per_epoch == 0:
+            order = rng.permutation(n_items)
+        start = (step % steps_per_epoch) * cfg.batch_size
+        curve.append(run_step(step, order[start: start + cfg.batch_size]))
         done = step + 1
         if (out_path is not None and cfg.checkpoint_every > 0
                 and done % cfg.checkpoint_every == 0):
@@ -394,20 +393,24 @@ def _write_curve(path: Path, curve: List[dict]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _dump_network_state(out_dir: Path, step: int, pyramid: DepthPyramid) -> None:
+def _network_fault(disps: Sequence[Tensor], poses: Sequence[Tensor]) -> Optional[str]:
+    """Why the network outputs cannot enter the objective, or None: a
+    non-finite value, or a sample whose disparity is all zero at some scale
+    (smoothness normalizes by the mean disparity)."""
+    if not all(np.isfinite(t.data).all() for t in (*disps, *poses)):
+        return "non-finite network output"
+    if not all(d.data.reshape(d.shape[0], -1).any(axis=1).all() for d in disps):
+        return "all-zero disparity"
+    return None
+
+
+def _dump_disparities(out_dir: Path, step: int, disps: Sequence[Tensor]) -> None:
+    """step{step}_scale{level}_disp.f32 for the batch's first sample, NaN and
+    infinities replaced by finite values."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for level in range(3):
+    for level, disp in enumerate(disps):
         write_f32(out_dir / f"step{step}_scale{level}_disp.f32",
-                  np.nan_to_num(pyramid.disp(level).data[0]))
-
-
-def _dump_diagnostics(out_dir: Path, step: int, diag: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for level, entry in diag["scales"].items():
-        base = out_dir / f"step{step}_scale{level}"
-        write_f32(f"{base}_disp.f32", entry["disp"][0])
-        write_f32(f"{base}_minreproj.f32", entry["min_reprojection"][0])
-        write_f32(f"{base}_automask.f32", entry["automask"][0].astype(np.float32))
+                  np.nan_to_num(disp.data[0]))
 
 
 # ----------------------------------------------------------------- evaluation
@@ -419,8 +422,8 @@ def predict_depth(models: Models, frame: np.ndarray,
     loss_cfg = loss_config or LossConfig()
     dtype = next(models.parameters()).data.dtype
     with no_grad():
-        pyramid = models.decoder(models.encoder(Tensor(frame[None].astype(dtype))))
-        depth = pyramid.depth(0, loss_cfg.min_depth, loss_cfg.max_depth)
+        disp = models.decoder(models.encoder(Tensor(frame[None].astype(dtype))))[0]
+        depth = disp_to_depth(disp, loss_cfg.min_depth, loss_cfg.max_depth)
     return depth.data[0, 0]
 
 

@@ -18,7 +18,7 @@ from litedepth.losses import (
     LossConfig, auto_mask, min_reprojection, photometric_loss, smoothness, ssim,
 )
 from litedepth.metrics import METRIC_COLUMNS, depth_metrics
-from litedepth.posenet import Pose, pose_to_matrix, rotation_from_axis_angle
+from litedepth.posenet import pose_to_matrix, rotation_from_axis_angle
 from litedepth.trainer import build_models, evaluate, train
 from litedepth.warp import CameraIntrinsics, backproject, project, synthesize
 
@@ -96,8 +96,8 @@ class TestCriterion06GeometryIdentities:
         intr = CameraIntrinsics(20.0, 22.0, 7.5, 5.5, 16, 12)
         img = Tensor(rng.random((1, 3, 12, 16)))
         depth = Tensor(rng.uniform(2.0, 9.0, size=(1, 1, 12, 16)))
-        pose = Pose(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-        out, _ = synthesize(img, depth, pose_to_matrix(pose), intr)
+        identity = pose_to_matrix(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+        out, _ = synthesize(img, depth, identity, intr)
         err = np.abs(out.data - img.data).max()
         assert err < 1e-6
 

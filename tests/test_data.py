@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from litedepth import data
 from litedepth.data import (
     DirectorySource, SyntheticSource, Triplet, augment,
-    generate_synthetic_sequence, load_triplet_dir, occlusion_boundary_mask,
+    generate_synthetic_sequence, occlusion_boundary_mask,
     save_dataset,
 )
 from litedepth.data import _jitter
@@ -415,14 +417,14 @@ class TestDatasetDirectory:
     def test_roundtrip_and_resize(self, tmp_path):
         seq = generate_synthetic_sequence(3, 4, (128, 64))
         save_dataset(seq, tmp_path)
-        trip = load_triplet_dir(tmp_path, 1)
+        trip = DirectorySource(tmp_path).triplet(0)
         assert trip.frames[1].shape == (3, 64, 128)
         # 8-bit quantization bounds the reload error
         assert np.abs(trip.frames[1] - seq.frames[1]).max() < 1.0 / 255.0 + 1e-9
         np.testing.assert_allclose(trip.gt_depth, seq.depths[1], atol=1e-6)
         np.testing.assert_allclose(trip.gt_poses, seq.poses[0:3], atol=1e-12)
 
-        half = load_triplet_dir(tmp_path, 1, size=(64, 32))
+        half = DirectorySource(tmp_path, size=(64, 32)).triplet(0)
         assert half.frames[1].shape == (3, 32, 64)
         assert half.intrinsics.fx == pytest.approx(seq.intrinsics.fx / 2)
         assert half.intrinsics.cx == pytest.approx(seq.intrinsics.cx / 2)
@@ -430,14 +432,44 @@ class TestDatasetDirectory:
     def test_boundary_indices_rejected(self, tmp_path):
         seq = generate_synthetic_sequence(3, 3, SIZE)
         save_dataset(seq, tmp_path)
+        src = DirectorySource(tmp_path)
         with pytest.raises(IndexError, match="neighbors"):
-            load_triplet_dir(tmp_path, 0)
+            src.triplet(-1)
         with pytest.raises(IndexError, match="neighbors"):
-            load_triplet_dir(tmp_path, 2)
+            src.triplet(1)
 
     def test_missing_directory_errors_with_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="frames"):
-            load_triplet_dir(tmp_path / "nope", 1)
+            DirectorySource(tmp_path / "nope")
+
+    def test_text_files_are_read_once(self, tmp_path, monkeypatch):
+        save_dataset(generate_synthetic_sequence(3, 5, SIZE), tmp_path)
+        src = DirectorySource(tmp_path)
+        first = [src.triplet(i) for i in range(len(src))]
+        (tmp_path / "intrinsics.txt").unlink()
+        (tmp_path / "poses.txt").unlink()
+        monkeypatch.setattr(Path, "glob", lambda *a: pytest.fail("frames globbed again"))
+        for i, trip in enumerate(first):
+            again = src.triplet(i)
+            assert again.intrinsics == trip.intrinsics
+            np.testing.assert_array_equal(again.gt_poses, trip.gt_poses)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("intrinsics.txt", "50 50 31.5\n", "expected 4 numbers.*found 3"),
+        ("intrinsics.txt", "50 50 31.5 15.5 7\n", "expected 4 numbers.*found 5"),
+        ("intrinsics.txt", "a b c d\n", "could not convert"),
+        ("intrinsics.txt", "0 50 31.5 15.5\n", "focal lengths must be positive"),
+        ("intrinsics.txt", "50 -50 31.5 15.5\n", "focal lengths must be positive"),
+        ("poses.txt", "1 0 0 0 0 1 0 0 0 0 1\n", "one 4x4 pose.*found 11"),
+        ("poses.txt", "1 0 0 0\nx 1 0 0\n", "poses.txt"),
+    ], ids=["three", "five", "words", "zero-fx", "negative-fy", "short-poses",
+            "bad-pose-number"])
+    def test_malformed_text_names_the_file(self, tmp_path, name, text, message):
+        save_dataset(generate_synthetic_sequence(3, 3, SIZE), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            DirectorySource(tmp_path)
+        assert str(tmp_path / name) in str(info.value)
 
     def test_sources(self, tmp_path):
         src = SyntheticSource(seed=1, n_frames=5, size=SIZE)

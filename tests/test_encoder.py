@@ -230,22 +230,21 @@ class TestEncoderForward:
         enc = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0)
         x = Tensor(np.random.default_rng(0).random((1, 3, 32, 64)))
         with no_grad():
-            fp = enc(x)
-        assert fp.stem.shape == (1, 32, 16, 32)
-        assert fp.stage1.shape == (1, 32, 8, 16)
-        assert fp.stage2.shape == (1, 64, 4, 8)
-        assert fp.stage3.shape == (1, 128, 2, 4)
+            stem = enc.stem(x)
+            stages = enc(x)
+        assert stem.shape == (1, 32, 16, 32)
+        assert [s.shape for s in stages] == [(1, 32, 8, 16), (1, 64, 4, 8), (1, 128, 2, 4)]
 
     def test_base_full_resolution_table_sizes(self):
         set_default_dtype("f32")
         enc = DepthEncoder(EncoderConfig.variant_preset("base"), seed=0)
         x = Tensor(np.random.default_rng(0).random((1, 3, 192, 640)).astype(np.float32))
         with no_grad():
-            fp = enc(x)
-        assert fp.stem.shape == (1, 48, 96, 320)
-        assert fp.stage1.shape == (1, 48, 48, 160)
-        assert fp.stage2.shape == (1, 80, 24, 80)
-        assert fp.stage3.shape == (1, 128, 12, 40)
+            stem = enc.stem(x)
+            stages = enc(x)
+        assert stem.shape == (1, 48, 96, 320)
+        assert [s.shape for s in stages] == [(1, 48, 48, 160), (1, 80, 24, 80),
+                                             (1, 128, 12, 40)]
 
     def test_indivisible_input_rejected_before_compute(self, rng):
         enc = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0)
@@ -262,7 +261,7 @@ class TestEncoderForward:
         enc.eval()
         x = Tensor(np.random.default_rng(0).random((1, 3, 32, 64)))
         with no_grad():
-            fp = enc(x)
+            stages = enc(x)
             # manual stem + downsample chain with the same weights
             pooled = []
             p = x
@@ -273,9 +272,8 @@ class TestEncoderForward:
             d1 = enc.down[0](y, pooled[0])
             d2 = enc.down[1](d1, pooled[1], d1)
             d3 = enc.down[2](d2, pooled[2], d2)
-        np.testing.assert_array_equal(fp.stage1.data, d1.data)
-        np.testing.assert_array_equal(fp.stage2.data, d2.data)
-        np.testing.assert_array_equal(fp.stage3.data, d3.data)
+        for got, want in zip(stages, (d1, d2, d3)):
+            np.testing.assert_array_equal(got.data, want.data)
 
     def test_ablations_shrink_downsample_inputs(self):
         full = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0)
@@ -289,8 +287,8 @@ class TestEncoderForward:
             "tiny", use_pooled_concat=False, use_cross_stage=False, use_lgfi=False)
         enc = DepthEncoder(cfg, seed=0)
         with no_grad():
-            fp = enc(Tensor(np.random.default_rng(0).random((1, 3, 32, 32))))
-        assert fp.stage3.shape == (1, 128, 2, 2)
+            stages = enc(Tensor(np.random.default_rng(0).random((1, 3, 32, 32))))
+        assert stages[2].shape == (1, 128, 2, 2)
 
 
 class TestBudgets:

@@ -645,8 +645,10 @@ class TestFusedBatchNorm:
         for g, r in zip(*grads):
             assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
-    def test_eval_mode_writes_one_output_map(self, rng):
-        # separate centered and normed maps would each add one output's worth
+    @pytest.mark.parametrize("training", [False, True])
+    def test_eval_mode_writes_one_output_map(self, training, rng):
+        # separate centered and normed maps would each add one output's
+        # worth; train mode frees its squared deviations before the output
         with using_dtype("f32"):
             x = Tensor(rng.standard_normal((1, 64, 96, 320)).astype(np.float32))
             scale, shift = Tensor(np.ones(64, np.float32)), Tensor(np.zeros(64, np.float32))
@@ -654,7 +656,7 @@ class TestFusedBatchNorm:
             tracemalloc.start()
             try:
                 held = tracemalloc.get_traced_memory()[0]
-                out = batch_norm(x, scale, shift, *stats, training=False)
+                out = batch_norm(x, scale, shift, *stats, training=training)
                 peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()

@@ -4,12 +4,11 @@ import pytest
 from litedepth.engine import (
     Tensor, as_tensor, avg_pool, concat, grad_check, resize_bilinear, using_dtype,
 )
-from litedepth.decoder import DepthPyramid
 from litedepth.losses import (
     LossConfig, SSIM_C1, SSIM_C2, auto_mask, min_reprojection, photometric_loss,
     smoothness, ssim, total_loss,
 )
-from litedepth.posenet import Pose, pose_to_matrix
+from litedepth.posenet import pose_to_matrix
 from litedepth.warp import CameraIntrinsics
 
 
@@ -236,9 +235,8 @@ def build_inputs(rng, h=8, w=8, n_sources=2):
     sources = [Tensor(smooth_image(rng, h, w)) for _ in range(n_sources)]
     transforms = []
     for _ in range(n_sources):
-        pose = Pose(Tensor(rng.standard_normal((1, 3)) * 0.01),
-                    Tensor(rng.standard_normal((1, 3)) * 0.05))
-        transforms.append(pose_to_matrix(pose))
+        transforms.append(pose_to_matrix(Tensor(rng.standard_normal((1, 3)) * 0.01),
+                                         Tensor(rng.standard_normal((1, 3)) * 0.05)))
     disps = (Tensor(rng.uniform(0.2, 0.5, size=(1, 1, h, w))),
              Tensor(rng.uniform(0.2, 0.5, size=(1, 1, h // 2, w // 2))),
              Tensor(rng.uniform(0.2, 0.5, size=(1, 1, h // 4, w // 4))))
@@ -250,26 +248,32 @@ class TestTotalLoss:
         intr, target, _, transforms, disps = build_inputs(rng)
         cfg = LossConfig(lambda_smooth=0.0)
         sources = [target, target]
-        total, diag = total_loss(DepthPyramid(disps), target, sources,
+        total, diag = total_loss(disps, target, sources,
                                  transforms, intr, cfg)
         assert float(total.data) == 0.0   # every pixel automasked by the tie
 
     def test_total_is_mean_of_scales(self, rng):
         intr, target, sources, transforms, disps = build_inputs(rng)
         cfg = LossConfig()
-        total, diag = total_loss(DepthPyramid(disps), target, sources,
+        total, diag = total_loss(disps, target, sources,
                                  transforms, intr, cfg)
         np.testing.assert_allclose(float(total.data), np.mean(diag["per_scale"]),
                                    rtol=1e-12)
 
-    def test_diagnostics_expose_intermediates(self, rng):
+    def test_diagnostics_are_floats(self, rng):
+        # per-scale terms only: no map of the step outlives the loss tensor
         intr, target, sources, transforms, disps = build_inputs(rng)
-        _, diag = total_loss(DepthPyramid(disps), target, sources, transforms,
-                             intr, LossConfig())
-        for level in (0, 1, 2):
-            entry = diag["scales"][level]
-            assert entry["automask"].shape == (1, 1, 8, 8)
-            assert entry["min_reprojection"].shape == (1, 1, 8, 8)
+        cfg = LossConfig()
+        total, diag = total_loss(disps, target, sources, transforms, intr, cfg)
+        assert set(diag) == {"reconstruction", "smoothness", "per_scale", "total"}
+        assert diag["total"] == float(total.data)
+        for level in range(3):
+            assert all(type(diag[k][level]) is float
+                       for k in ("reconstruction", "smoothness", "per_scale"))
+            weight = cfg.lambda_smooth / 2 ** level
+            assert diag["per_scale"][level] == pytest.approx(
+                diag["reconstruction"][level] + weight * diag["smoothness"][level],
+                rel=1e-12)
 
     def test_unwarped_minimum_is_built_once(self, rng, monkeypatch):
         # the identity-warp floor is the same at every scale
@@ -278,13 +282,13 @@ class TestTotalLoss:
         monkeypatch.setattr(losses, "min_reprojection",
                             lambda maps: reduced.append(maps) or min_reprojection(maps))
         intr, target, sources, transforms, disps = build_inputs(rng)
-        total_loss(DepthPyramid(disps), target, sources, transforms, intr, LossConfig())
+        total_loss(disps, target, sources, transforms, intr, LossConfig())
         assert len(reduced) == 4   # the unwarped maps once, the warped once per scale
 
     def test_source_transform_count_mismatch(self, rng):
         intr, target, sources, transforms, disps = build_inputs(rng)
         with pytest.raises(ValueError, match="transforms"):
-            total_loss(DepthPyramid(disps), target, sources, transforms[:1],
+            total_loss(disps, target, sources, transforms[:1],
                        intr, LossConfig())
 
     def test_end_to_end_grad_check(self, rng):
@@ -294,8 +298,8 @@ class TestTotalLoss:
         tr = Tensor(np.array([[0.03, 0.01, -0.04]]))
 
         def f(d0, d1, d2, a_, t_):
-            tfs = [pose_to_matrix(Pose(a_, t_)), transforms[1]]
-            total, _ = total_loss(DepthPyramid((d0, d1, d2)), target, sources,
+            tfs = [pose_to_matrix(a_, t_), transforms[1]]
+            total, _ = total_loss((d0, d1, d2), target, sources,
                                   tfs, intr, cfg)
             return total
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from litedepth.engine import Tensor, grad_check, no_grad
-from litedepth.posenet import Pose, PoseNet, pose_to_matrix, rotation_from_axis_angle
+from litedepth.posenet import PoseNet, pose_to_matrix, rotation_from_axis_angle
 
 
 def rodrigues_oracle(v):
@@ -61,21 +61,19 @@ class TestRotation:
 
 class TestPoseMatrix:
     def test_identity_pose(self):
-        pose = Pose(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-        np.testing.assert_array_equal(pose_to_matrix(pose).data[0], np.eye(4))
+        m = pose_to_matrix(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3)))).data
+        np.testing.assert_array_equal(m[0], np.eye(4))
 
     def test_inverse_composes_to_identity(self, rng):
-        pose = Pose(Tensor(rng.standard_normal((4, 3))),
-                    Tensor(rng.standard_normal((4, 3))))
-        m = pose_to_matrix(pose).data
-        mi = pose_to_matrix(pose, invert=True).data
+        pose = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 3)))
+        m = pose_to_matrix(*pose).data
+        mi = pose_to_matrix(*pose, invert=True).data
         np.testing.assert_allclose(m @ mi, np.broadcast_to(np.eye(4), (4, 4, 4)),
                                    atol=1e-6)
 
     def test_translation_row(self, rng):
         t = rng.standard_normal((1, 3))
-        pose = Pose(Tensor(np.zeros((1, 3))), Tensor(t))
-        m = pose_to_matrix(pose).data[0]
+        m = pose_to_matrix(Tensor(np.zeros((1, 3))), Tensor(t)).data[0]
         np.testing.assert_allclose(m[:3, 3], t[0], atol=1e-12)
         np.testing.assert_array_equal(m[3], [0, 0, 0, 1])
 
@@ -83,7 +81,7 @@ class TestPoseMatrix:
         wts = Tensor(rng.standard_normal((1, 4, 4)))
 
         def f(aa, tr):
-            return (pose_to_matrix(Pose(aa, tr)) * wts).sum()
+            return (pose_to_matrix(aa, tr) * wts).sum()
 
         aa = Tensor(rng.standard_normal((1, 3)) * 0.5)
         tr = Tensor(rng.standard_normal((1, 3)))
@@ -96,27 +94,27 @@ class TestPoseNet:
         net.head.weight.data[...] = 0.0
         net.head.bias.data[...] = 0.0
         with no_grad():
-            pose = net(Tensor(rng.random((2, 6, 32, 32))))
-        np.testing.assert_array_equal(pose.axis_angle.data, np.zeros((2, 3)))
-        np.testing.assert_array_equal(pose.translation.data, np.zeros((2, 3)))
+            axis_angle, translation = net(Tensor(rng.random((2, 6, 32, 32))))
+        np.testing.assert_array_equal(axis_angle.data, np.zeros((2, 3)))
+        np.testing.assert_array_equal(translation.data, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("hw", [(32, 32), (32, 64), (64, 96)])
     def test_six_outputs_for_any_divisible_size(self, hw, rng):
         net = PoseNet(seed=0)
         with no_grad():
-            pose = net(Tensor(rng.random((3, 6, *hw))))
-        assert pose.axis_angle.shape == (3, 3)
-        assert pose.translation.shape == (3, 3)
+            axis_angle, translation = net(Tensor(rng.random((3, 6, *hw))))
+        assert axis_angle.shape == (3, 3)
+        assert translation.shape == (3, 3)
 
     def test_output_scale_applied_to_head(self, rng):
         net = PoseNet(seed=0)
         net.head.weight.data[...] = 0.0
         net.head.bias.data[...] = np.arange(1.0, 7.0)
         with no_grad():
-            pose = net(Tensor(rng.random((1, 6, 32, 32))))
-        np.testing.assert_allclose(pose.axis_angle.data[0], 0.01 * np.array([1, 2, 3]),
+            axis_angle, translation = net(Tensor(rng.random((1, 6, 32, 32))))
+        np.testing.assert_allclose(axis_angle.data[0], 0.01 * np.array([1, 2, 3]),
                                    atol=1e-7)
-        np.testing.assert_allclose(pose.translation.data[0], 0.01 * np.array([4, 5, 6]),
+        np.testing.assert_allclose(translation.data[0], 0.01 * np.array([4, 5, 6]),
                                    atol=1e-7)
 
     def test_wrong_channel_count_rejected(self, rng):

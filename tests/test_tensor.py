@@ -97,8 +97,8 @@ class TestGraphRelease:
                    for level in range(3)]
 
         def f(*_):
-            pyramid = dec(enc(image))
-            return sum((pyramid.disp(level).mean(axis=(0, 1, 2)) * weights[level]).sum()
+            disps = dec(enc(image))
+            return sum((disps[level].mean(axis=(0, 1, 2)) * weights[level]).sum()
                        for level in range(3))
 
         # one parameter from the stem, the attention, a convolution block and a head

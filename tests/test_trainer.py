@@ -1,5 +1,6 @@
 import errno
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from litedepth import trainer
 from litedepth.config import TrainConfig
 from litedepth.data import SyntheticSource, augment, generate_synthetic_sequence
-from litedepth.encoder import EncoderConfig
+from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import Tensor, set_default_dtype
 from litedepth.losses import LossConfig
+from litedepth.pngio import read_f32
 from litedepth.warp import CameraIntrinsics
 from litedepth.trainer import (
     AdamW, Checkpoint, TrainingDiverged, build_models, cosine_lr, evaluate,
@@ -329,9 +331,9 @@ class TestTrainLoop:
                             lambda t, seed: augment(t, seed, force_flip=next(flips)))
         cameras, total_loss = [], trainer.total_loss
 
-        def record(pyramid, target, sources, transforms, cams, config):
+        def record(disps, target, sources, transforms, cams, config):
             cameras.append(cams)
-            return total_loss(pyramid, target, sources, transforms, cams, config)
+            return total_loss(disps, target, sources, transforms, cams, config)
 
         monkeypatch.setattr(trainer, "total_loss", record)
         train(toy_train_config(steps=1, augment=True), TINY, src)
@@ -339,13 +341,83 @@ class TestTrainLoop:
         cams = [cams] * 2 if isinstance(cams, CameraIntrinsics) else list(cams)
         assert [c.cx for c in cams] == [36.0, 27.0]
 
+    DUMPED = ["step0_scale0_disp.f32", "step0_scale1_disp.f32", "step0_scale2_disp.f32"]
+
     def test_nan_input_aborts_with_diagnostics(self, tmp_path):
         set_default_dtype("f32")
         src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
         src.sequence.frames[1][:] = np.nan
-        with pytest.raises(TrainingDiverged, match="non-finite"):
+        with pytest.raises(TrainingDiverged, match="non-finite network output at step 0"):
             train(toy_train_config(steps=3), TINY, src, out_dir=tmp_path)
-        assert any((tmp_path / "diagnostics").iterdir())
+        assert sorted(f.name for f in (tmp_path / "diagnostics").iterdir()) == self.DUMPED
+
+    def test_all_zero_disparity_aborts_with_diagnostics(self, tmp_path, monkeypatch):
+        # the sigmoid of -1e4 rounds to exactly 0, so the disparity has no
+        # mean for the smoothness term to normalize by
+        set_default_dtype("f32")
+        build = trainer.build_models
+
+        def saturated(*args, **kwargs):
+            models = build(*args, **kwargs)
+            for head in models.decoder.heads:
+                head.bias.data[...] = -1e4
+            return models
+
+        monkeypatch.setattr(trainer, "build_models", saturated)
+        src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
+        with pytest.raises(TrainingDiverged, match="all-zero disparity at step 0"):
+            train(toy_train_config(steps=2), TINY, src, out_dir=tmp_path)
+        assert sorted(f.name for f in (tmp_path / "diagnostics").iterdir()) == self.DUMPED
+        disp = read_f32(tmp_path / "diagnostics" / "step0_scale0_disp.f32")
+        assert disp.shape == (1, 32, 64) and not disp.any()
+
+    def test_nan_loss_aborts_with_diagnostics(self, tmp_path, monkeypatch):
+        set_default_dtype("f32")
+        total_loss = trainer.total_loss
+
+        def nan_loss(*args, **kwargs):
+            loss, diag = total_loss(*args, **kwargs)
+            return loss * float("nan"), diag
+
+        monkeypatch.setattr(trainer, "total_loss", nan_loss)
+        src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
+        with pytest.raises(TrainingDiverged, match="non-finite loss at step 0"):
+            train(toy_train_config(steps=2), TINY, src, out_dir=tmp_path)
+        assert sorted(f.name for f in (tmp_path / "diagnostics").iterdir()) == self.DUMPED
+
+    def test_nothing_from_a_step_outlives_it(self, monkeypatch):
+        # step 0's disparities, loss and whatever total_loss returned are
+        # freed before step 1's encoder runs
+        set_default_dtype("f32")
+        refs, alive_at_encoder = [], []
+        total_loss, encode = trainer.total_loss, DepthEncoder.__call__
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from arrays(v)
+
+        def record_loss(disps, *args):
+            loss, diag = total_loss(disps, *args)
+            if not refs:
+                refs.extend(weakref.ref(x) for x in
+                            (*(d.data for d in disps), loss, *arrays(diag)))
+            return loss, diag
+
+        def record_encoder(self, image):
+            alive_at_encoder.append(sum(r() is not None for r in refs))
+            return encode(self, image)
+
+        monkeypatch.setattr(trainer, "total_loss", record_loss)
+        monkeypatch.setattr(DepthEncoder, "__call__", record_encoder)
+        train(toy_train_config(steps=2), TINY, SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
+        assert alive_at_encoder == [0, 0]
+        assert len(refs) == 4           # the disparities and the loss: no arrays in diag
 
     def test_grads_cleared_after_the_data_and_before_the_forward(self, monkeypatch):
         # the last step's gradients stay readable while the next batch loads,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from litedepth.engine import Tensor, grad_check
-from litedepth.posenet import Pose, pose_to_matrix
+from litedepth.posenet import pose_to_matrix
 from litedepth.warp import CameraIntrinsics, backproject, project, synthesize
 
 
@@ -98,8 +98,8 @@ class TestSynthesize:
     def test_identity_warp_reproduces_source(self, rng):
         img = Tensor(rng.random((1, 3, 12, 16)))
         depth = Tensor(rng.uniform(2.0, 9.0, size=(1, 1, 12, 16)))
-        pose = Pose(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-        out, valid = synthesize(img, depth, pose_to_matrix(pose), INTR)
+        identity = pose_to_matrix(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+        out, valid = synthesize(img, depth, identity, INTR)
         np.testing.assert_allclose(out.data, img.data, atol=1e-6)
 
     def test_accepts_plain_matrix(self, rng):
@@ -117,7 +117,7 @@ class TestSynthesize:
         tr0 = Tensor(rng.standard_normal((1, 3)) * 0.05)
 
         def f(depth, aa, tr):
-            out, _ = synthesize(img, depth, pose_to_matrix(Pose(aa, tr)), intr)
+            out, _ = synthesize(img, depth, pose_to_matrix(aa, tr), intr)
             diff = out - tgt
             return (diff * diff).sum()
 
