@@ -116,10 +116,25 @@ def _out_size(n: int, k: int, s: int, p0: int, p1: int, r: int) -> int:
     return (n + p0 + p1 - r * (k - 1) - 1) // s + 1
 
 
+def _reads_input(first: int, step: int, count: int, size: int) -> bool:
+    """Whether any of the positions first + i * step, 0 <= i < count, lies in
+    [0, size): the first one that is not negative, i = ceil(-first / step),
+    decides."""
+    i = max(0, -(first // step))
+    return i < count and first + i * step < size
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) -> Tensor:
     """Zero-padded 2-D convolution (cross-correlation) of an NCHW tensor.
 
     weight is (C_out, C_in/groups, kh, kw). Differentiable in x, weight, bias.
+
+    The backward skips every kernel tap whose sampled rows, or whose sampled
+    columns, all lie in the zero padding: its weight gradient is exactly +0
+    and its input gradient lands only in the border that is cropped off. So
+    the gradients equal those of a backward over all taps, bit for bit, for
+    a finite upstream gradient. With inf or NaN in it, a skipped tap's
+    weight gradient reads 0 where BLAS would give NaN.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4:
@@ -188,27 +203,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
         out += bias.data.reshape(cout, 1, 1)
 
     def bw(grad):
-        # one kernel tap at a time, so no (Cg*kh*kw, M) column matrix is held;
-        # the weights go tap-major, (kh*kw, G, Og, Cg), because matmul calls
-        # BLAS only on operands with a unit stride. The padded input is rebuilt
-        # here rather than kept alive between the forward and the backward.
+        # One kernel tap at a time, so no (Cg*kh*kw, M) column matrix is held,
+        # and only the taps that read the input (see the docstring). The
+        # padded input is rebuilt here rather than kept alive between the
+        # forward and the backward.
         xp = padded()
+        taps = [(ki * kw + kj, slice(ki * r, ki * r + ho * s, s),
+                 slice(kj * r, kj * r + wo * s, s))
+                for ki in range(kh) if _reads_input(ki * r - pt, s, ho, h)
+                for kj in range(kw) if _reads_input(kj * r - pl, s, wo, w)]
         gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
-        gw = np.empty((kh * kw, g, og, cg), dtype=np.result_type(grad, xp))
-        for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
-            tap = as_strided(xp[:, :, ki * r:, kj * r:], shape=(g, cg, n, ho, wo),
-                             strides=(sc * cg, sc, sn, sh * s, sw * s),
-                             writeable=False).reshape(g, cg, m)
+        gw = np.zeros((kh * kw, g, og, cg), dtype=np.result_type(grad, xp))
+        for t, si, sj in taps:
+            tap = xp[:, :, si, sj].transpose(1, 0, 2, 3).reshape(g, cg, m)
             np.matmul(gout, tap.transpose(0, 2, 1), out=gw[t])
         gx = None
         if x.requires_grad:      # images, as in the encoder stem, need no gx
-            wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
             gxp = np.zeros(xp.shape, dtype=xp.dtype)
-            gxg = gxp.reshape((n, g, cg) + xp.shape[2:])
-            for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
-                gx_t = (wt[t].transpose(0, 2, 1) @ gout).reshape(g, cg, n, ho, wo)
-                gxg[..., ki * r: ki * r + ho * s: s, kj * r: kj * r + wo * s: s] += (
-                    gx_t.transpose(2, 0, 1, 3, 4))
+            wr = weight.data.reshape(g, og, cg, kh * kw)
+            # with one output channel per group the product has inner
+            # dimension 1: a broadcast multiply gives BLAS's values exactly
+            product = np.multiply if og == 1 else np.matmul
+            for t, si, sj in taps:
+                # matmul calls BLAS only on operands with a unit stride
+                wt = np.ascontiguousarray(wr[..., t])
+                gx_t = product(wt.transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
+                gxp[:, :, si, sj] += gx_t.transpose(1, 0, 2, 3)
             gx = gxp[:, :, pt: pt + h, pl: pl + w]
         gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(weight.shape)
         if bias is None:
@@ -514,31 +534,59 @@ def _erf(buf: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     return buf
 
 
+def _phi_blocks(ops):
+    """Yield phi = 0.5 * (1 + erf(x / sqrt 2)) of x = ops[0] one _ERF_BLOCK at
+    a time, with the matching block of each array in `ops`.
+
+    phi and x / sqrt 2 are in the dtype the unblocked expression gives them
+    (an integer x gives f64). The last array of `ops` is the one written; the
+    others may be any views, which are read through block-sized buffers, so
+    each block stays in cache from its inputs to its output.
+    """
+    phi = np.empty(min(ops[0].size, _ERF_BLOCK), np.result_type(ops[0], _SQRT2))
+    scratch = np.empty((4, phi.size))
+    with np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"]] * (len(ops) - 1) + [["writeonly"]],
+                   buffersize=_ERF_BLOCK) as blocks:
+        for block in blocks:
+            pb = phi[:block[0].size]
+            np.divide(block[0], _SQRT2, out=pb)
+            _erf(pb, scratch)
+            pb += 1.0
+            pb *= 0.5
+            yield (pb,) + tuple(block)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based GELU (no tanh approximation)."""
+    """Exact erf-based GELU (no tanh approximation).
+
+    Keeps no phi for the backward: the backward rebuilds it block by block
+    with the forward's ops, so its gradient is the one the closed form
+    g * (phi + x * pdf) gives on a kept phi, bit for bit.
+    """
     x = as_tensor(x)
     xd = x.data
-    # x * phi, phi = 0.5 * (1 + erf(x / sqrt 2)): the same ops, in blocks of
-    # _ERF_BLOCK elements so each block stays in cache from x to the output
-    dtype = np.result_type(xd, _SQRT2)   # an integer x gives f64, as x / sqrt 2 does
-    # only the backward reads phi whole; without one it lives a block at a time
-    keep_phi = grad_enabled() and x.requires_grad
-    phi = np.empty(xd.shape if keep_phi else min(xd.size, _ERF_BLOCK), dtype)
+    dtype = np.result_type(xd, _SQRT2)
     out = np.empty(xd.shape, dtype)
-    xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
-    scratch = np.empty((4, min(xf.size, _ERF_BLOCK)))
-    for i in range(0, xf.size, _ERF_BLOCK):
-        xb = xf[i:i + _ERF_BLOCK]
-        pb = pf[i:i + _ERF_BLOCK] if keep_phi else pf[:xb.size]
-        np.divide(xb, _SQRT2, out=pb)
-        _erf(pb, scratch)
-        pb += 1.0
-        pb *= 0.5
-        np.multiply(xb, pb, out=of[i:i + _ERF_BLOCK])
+    for pb, xb, ob in _phi_blocks([xd, out]):
+        np.multiply(xb, pb, out=ob)
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        return (g * (phi + xd * pdf),)
+        # pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), then g * (phi + x * pdf):
+        # the unblocked expression's ops in its order and dtypes, so an f32 x
+        # under an f64 g sums in f32 and multiplies in f64
+        gx = np.empty(xd.shape, np.result_type(g, dtype))
+        pdf = np.empty(min(xd.size, _ERF_BLOCK), dtype)
+        for pb, xb, gb, gxb in _phi_blocks([xd, g, gx]):
+            d = pdf[:xb.size]
+            np.multiply(xb, -0.5, out=d)
+            d *= xb
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= xb
+            d += pb
+            np.multiply(gb, d, out=gxb)
+        return (gx,)
 
     return Tensor._from_op(out, (x,), bw)
 

@@ -723,6 +723,21 @@ class TestActivations:
             tracemalloc.stop()
         assert peak <= 1.25 * out.data.nbytes
 
+    def test_gelu_backward_peaks_near_one_output_map(self, rng):
+        # phi is rebuilt a block at a time; the gradient is the only full map
+        x = Tensor(rng.standard_normal((1, 288, 48, 160)).astype(np.float32),
+                   requires_grad=True)
+        out = gelu(x)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes
+
     def test_gelu_of_an_integer_array_is_f64(self):
         out = gelu(Tensor(np.arange(-3, 4))).data
         assert out.dtype == np.float64

@@ -3,10 +3,14 @@ holds, and still return the same bits.
 
 Each ``*_reference`` below is the closure these ops had when they kept their
 forward intermediates (the padded input, the normalized input, the sampling
-corners and corner values, all six SSIM terms, ELU's negative branch). The
-lean closures rebuild those values in the backward with the same operations,
-so their gradients must be equal element for element.
+corners and corner values, all six SSIM terms, ELU's negative branch, GELU's
+phi), and ``conv2d_reference`` is the conv2d closure that ran every kernel
+tap. The lean closures rebuild those values in the backward with the same
+operations, and skip only taps that read nothing but zero padding, so their
+gradients must be equal element for element.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +22,10 @@ from litedepth.data import SyntheticSource
 from litedepth.encoder import EncoderConfig
 from litedepth.engine import (
     ConvSpec, Tensor, batch_norm, bilinear_sample, conv2d, default_dtype, elu,
-    using_dtype,
+    gelu, using_dtype,
+)
+from litedepth.engine.functional import (
+    _ERF_BLOCK, _INV_SQRT_2PI, _SQRT2, _erf, _reads_input,
 )
 from litedepth.losses import _box3, _box3_adjoint, ssim
 
@@ -142,6 +149,16 @@ def elu_reference(x, g, alpha=1.0):
     return (g * np.where(x.data > 0, 1.0, neg + alpha),)
 
 
+def gelu_reference(x, g):
+    xd = x.data
+    phi = np.ascontiguousarray(xd / _SQRT2)
+    _erf(phi)
+    phi += 1.0
+    phi *= 0.5
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
+    return (g * (phi + xd * pdf),)
+
+
 # ---------------------------------------------------- bit-identical grads
 
 
@@ -166,23 +183,43 @@ def leaf(rng, shape, dtype, grad=True, scale=1.0):
 
 
 class TestBackwardUnchanged:
-    @pytest.mark.parametrize("spec", [
-        ConvSpec(kernel=(3, 3), padding=1),
-        ConvSpec(kernel=(3, 3), padding=2, dilation=2, stride=2),
-        ConvSpec(kernel=(3, 3), padding=1, groups=4),
-        ConvSpec(kernel=(3, 3), padding=(0, 1, 2, 1)),
-        ConvSpec(kernel=(3, 3)),
-        ConvSpec(kernel=(1, 1)),
+    @pytest.mark.parametrize("spec, size, cout", [
+        pytest.param(spec, (9, 11), 8, id=f"spec{i}") for i, spec in enumerate([
+            ConvSpec(kernel=(3, 3), padding=1),
+            ConvSpec(kernel=(3, 3), padding=2, dilation=2, stride=2),
+            ConvSpec(kernel=(3, 3), padding=1, groups=4),
+            ConvSpec(kernel=(3, 3), padding=(0, 1, 2, 1)),
+            ConvSpec(kernel=(3, 3)),
+            ConvSpec(kernel=(1, 1)),
+        ])
+    ] + [
+        # taps whose rows or columns all fall in the zero padding
+        pytest.param(ConvSpec(kernel=(3, 3), padding=1), (1, 2), 8, id="posenet-1x2"),
+        pytest.param(ConvSpec(kernel=(3, 3), padding=6, dilation=6), (2, 4), 8,
+                     id="dilation6-2x4"),
+        pytest.param(ConvSpec(kernel=(3, 3), padding=1, stride=2), (2, 4), 8, id="stride2-2x4"),
+        # one output channel per group
+        pytest.param(ConvSpec(kernel=(3, 3), padding=1, groups=4), (9, 11), 4, id="depthwise"),
+        pytest.param(ConvSpec(kernel=(3, 3), padding=3, dilation=3, groups=4), (2, 4), 4,
+                     id="depthwise-dilation3-2x4"),
     ])
     @pytest.mark.parametrize("x_grad", [True, False])
-    def test_conv2d(self, spec, x_grad, dtype, rng):
-        x = leaf(rng, (2, 4, 9, 11), dtype, grad=x_grad)
+    def test_conv2d(self, spec, size, cout, x_grad, dtype, rng):
+        x = leaf(rng, (2, 4) + size, dtype, grad=x_grad)
         kh, kw = spec.kernel
-        weight = leaf(rng, (8, 4 // spec.groups, kh, kw), dtype)
-        bias = leaf(rng, (8,), dtype)
+        weight = leaf(rng, (cout, 4 // spec.groups, kh, kw), dtype)
+        bias = leaf(rng, (cout,), dtype)
         out = conv2d(x, weight, bias, spec)
         g = rng.standard_normal(out.shape).astype(dtype)
         assert_same_grads(out._backward(g), conv2d_reference(x, weight, spec, g))
+
+    def test_conv2d_skips_exactly_the_taps_that_read_only_padding(self):
+        # a tap runs iff one of its sampled rows (and one of its columns)
+        # lies in the input
+        for first, step, count, size in product(range(-9, 9), range(1, 4), range(1, 6),
+                                                range(1, 6)):
+            hits = any(0 <= first + i * step < size for i in range(count))
+            assert _reads_input(first, step, count, size) == hits
 
     @pytest.mark.parametrize("training", [True, False])
     def test_batch_norm(self, training, dtype, rng):
@@ -219,6 +256,22 @@ class TestBackwardUnchanged:
         out = elu(x)
         g = rng.standard_normal(out.shape).astype(dtype)
         assert_same_grads(out._backward(g), elu_reference(x, g))
+
+    @pytest.mark.parametrize("upstream", ["contiguous", "transposed", "f64", "strided-input"])
+    def test_gelu(self, upstream, dtype, rng):
+        # more than two _ERF_BLOCKs, so phi is rebuilt across two boundaries
+        x = leaf(rng, (3, 14 if upstream == "strided-input" else 7, 3169), dtype, scale=3.0)
+        if upstream == "strided-input":
+            x = Tensor(x.data[:, ::2], requires_grad=True)
+        assert x.data.size > 2 * _ERF_BLOCK
+        out = gelu(x)
+        if upstream == "transposed":
+            g = rng.standard_normal(out.shape[::-1]).astype(dtype).T
+            assert not g.flags.c_contiguous
+        else:
+            g = rng.standard_normal(out.shape).astype(
+                np.float64 if upstream == "f64" else dtype)
+        assert_same_grads(out._backward(g), gelu_reference(x, g))
 
 
 # ------------------------------------------------- the graph holds its maps
@@ -285,7 +338,7 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     for op, shape, first_parent_grad, own in records:
         ops[op] = ops.get(op, 0) + 1
         kept = sorted((a.shape, a.dtype.kind) for a in own)
-        if op in ("conv2d", "batch_norm", "elu") and own:
+        if op in ("conv2d", "batch_norm", "elu", "gelu") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":
             n, c, ho, wo = shape
@@ -298,4 +351,4 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
             faults.append((op, kept))
     assert not faults
     assert all(ops.get(op, 0) > 0 for op in
-               ("conv2d", "batch_norm", "elu", "bilinear_sample", "ssim")), ops
+               ("conv2d", "batch_norm", "elu", "gelu", "bilinear_sample", "ssim")), ops
