@@ -19,7 +19,8 @@ import numpy as np
 
 from .colormap import colorize
 from .config import RunConfig
-from .data import DirectorySource, SyntheticSource, generate_synthetic_sequence, save_dataset
+from .data import (DirectorySource, SyntheticSource, generate_synthetic_sequence,
+                   resize_depth, resize_frame, save_dataset)
 from .decoder import DepthDecoder
 from .encoder import EncoderConfig, count_flops, count_params
 from .engine import set_default_dtype
@@ -97,9 +98,9 @@ def _build_config(args) -> RunConfig:
         if getattr(args, "mover", False):
             cfg.set("data.mover", "true")
         cfg.apply_overrides(args.overrides)
-    except KeyError as exc:      # an unknown key in --config or --set
+        cfg.validate()
+    except (KeyError, ValueError) as exc:   # an unknown key or a bad value
         raise _UsageError(exc.args[0]) from None
-    cfg.validate()
     return cfg
 
 
@@ -120,8 +121,9 @@ def _models_from_checkpoint(path: str):
     ckpt = Checkpoint.load(path)
     cfg = RunConfig()
     try:
-        cfg.apply_text(ckpt.config_text, source=f"{path} (saved config)")
-    except KeyError as exc:
+        cfg.apply_text(ckpt.config_text)
+        cfg.validate()
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path} (saved config): {exc.args[0]}") from None
     set_default_dtype(cfg.train.precision)
     models = build_models(cfg.encoder, seed=cfg.train.seed)
@@ -163,8 +165,11 @@ def _cmd_infer(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     image = load_image(args.image)
-    depth = predict_depth(models, image, cfg.loss)
-    depth = np.clip(depth, cfg.loss.min_depth, args.depth_cap)
+    # the network runs at the size it was trained at
+    depth = predict_depth(models, resize_frame(image, (cfg.data.width, cfg.data.height)),
+                          cfg.loss)
+    depth = np.clip(resize_depth(depth, image.shape[1:]), cfg.loss.min_depth,
+                    args.depth_cap)
 
     stem = Path(args.image).stem
     write_f32(out / f"{stem}_depth.f32", depth.astype(np.float32))

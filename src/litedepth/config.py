@@ -29,12 +29,18 @@ class TrainConfig:
     checkpoint_every: int = 0       # steps; 0 means final checkpoint only
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+            raise ValueError(f"train.lr0 must be positive, got {self.lr0}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        if self.steps <= 0 and self.epochs < 1:
+            raise ValueError(f"train.epochs must be >= 1 when train.steps <= 0 "
+                             f"(no step would run), got {self.epochs}")
         if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
+            raise ValueError(f"train.precision must be f32 or f64, got {self.precision!r}")
 
 
 @dataclass
@@ -44,6 +50,11 @@ class DataConfig:
     frames: int = 16                # synthetic sequence length
     scene_seed: int = 0
     mover: bool = False
+
+    def validate(self) -> None:
+        if self.width % 32 or self.height % 32:
+            raise ValueError(f"data.width and data.height must be divisible by 32, "
+                             f"got {self.width}x{self.height}")
 
 
 @dataclass
@@ -56,7 +67,7 @@ class RunConfig:
     _SECTIONS = ("encoder", "train", "loss", "data")
     # the encoder fields a variant sets; a variant change re-derives those
     # not set by name, whatever the order the keys arrive in
-    _PRESET = ("channels", "cdc_repeats", "dilation_schedule")
+    _PRESET = ("channels", "dilation_schedule")
 
     def __post_init__(self):
         self._explicit = set()      # keys given to set()
@@ -127,10 +138,9 @@ class RunConfig:
             self.set(key, raw)
 
     def validate(self) -> None:
-        self.encoder.validate()
-        if self.data.width % 32 or self.data.height % 32:
-            raise ValueError(
-                f"data size {self.data.width}x{self.data.height} must be divisible by 32")
+        """Each section's checks, whatever set the values."""
+        for section in self._SECTIONS:
+            getattr(self, section).validate()
 
     def describe(self) -> str:
         """Per-key one-liners with defaults, for --help output."""
@@ -160,14 +170,17 @@ def _parse_value(raw: str, current, key: str):
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
     if isinstance(current, str):
         return raw
-    if isinstance(current, tuple) and current and isinstance(current[0], (list, tuple)):
-        return tuple([int(v) for v in stage.split(",")] for stage in raw.split(";"))
-    if isinstance(current, (tuple, list)):
-        return tuple(int(v) for v in raw.split(","))
+    try:
+        if isinstance(current, int):
+            return int(raw)
+        if isinstance(current, float):
+            return float(raw)
+        if isinstance(current, tuple) and current and isinstance(current[0], (list, tuple)):
+            return tuple([int(v) for v in stage.split(",")] for stage in raw.split(";"))
+        if isinstance(current, (tuple, list)):
+            return tuple(int(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
     raise ValueError(f"{key}: unsupported value type {type(current).__name__}")

@@ -22,7 +22,8 @@ from .warp import CameraIntrinsics
 __all__ = [
     "SyntheticSequence", "Triplet", "augment",
     "generate_synthetic_sequence", "occlusion_boundary_mask",
-    "save_dataset", "SyntheticSource", "DirectorySource",
+    "resize_depth", "resize_frame", "save_dataset", "SyntheticSource",
+    "DirectorySource",
 ]
 
 DEPTH_RANGE = (2.0, 50.0)        # scene depth budget in world units
@@ -36,7 +37,6 @@ _MOVER_DEPTH = 2.2               # in front of everything else, never occluded
 _FORWARD_STEP = 0.06             # per-frame dolly, world units
 _LATERAL_AMP = (0.44, 0.12)      # x / y sway amplitude over the sequence
 _ROTATION_AMP = 0.015            # radians of yaw/pitch sway
-_MIRROR_X = np.diag([-1.0, 1.0, 1.0, 1.0])   # horizontal flip of a pose
 
 
 @dataclass
@@ -267,7 +267,8 @@ def occlusion_boundary_mask(depth: np.ndarray, rel_jump: float = 0.03,
 
 @dataclass
 class Triplet:
-    """Previous/target/next frames with intrinsics and optional ground truth.
+    """Previous/target/next frames with intrinsics and, optionally, the
+    target's ground-truth depth at its stored resolution.
 
     ``frames`` are the clean images the losses compare against; when
     augmentation adds color jitter, ``frames_jittered`` carries the versions
@@ -277,7 +278,6 @@ class Triplet:
     frames: Tuple[np.ndarray, np.ndarray, np.ndarray]
     intrinsics: CameraIntrinsics
     gt_depth: Optional[np.ndarray] = None
-    gt_poses: Optional[np.ndarray] = None      # (3, 4, 4) world-from-camera
     frames_jittered: Optional[Tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
@@ -351,8 +351,8 @@ def _jitter(frame: np.ndarray, order, brightness, contrast, saturation, hue):
 def augment(triplet: Triplet, seed: int, force_flip: Optional[bool] = None) -> Triplet:
     """Horizontal flip and color jitter, each with 50% probability.
 
-    The flip applies to all frames, the depth and the poses consistently,
-    with the principal point mirrored; color jitter
+    The flip applies to all frames and the depth consistently, with the
+    principal point mirrored; color jitter
     (brightness/contrast/saturation +-0.2, hue +-0.1, random order) is
     identical across the three frames and only feeds the networks, leaving
     the loss targets clean. ``force_flip`` overrides the flip decision and
@@ -370,26 +370,22 @@ def augment(triplet: Triplet, seed: int, force_flip: Optional[bool] = None) -> T
     frames = tuple(f.copy() for f in triplet.frames)
     intr = triplet.intrinsics
     gt_depth = triplet.gt_depth
-    gt_poses = triplet.gt_poses
     if do_flip:
         frames = tuple(f[:, :, ::-1].copy() for f in frames)
         intr = intr.flipped()
         if gt_depth is not None:
             gt_depth = gt_depth[:, ::-1].copy()
-        if gt_poses is not None:
-            # mirroring the world's and every camera's x axis maps each
-            # relative transform T to M @ T @ M as well
-            gt_poses = _MIRROR_X @ gt_poses @ _MIRROR_X
 
     jittered = None
     if do_jitter:
         jittered = tuple(_jitter(f, order, brightness, contrast, saturation, hue)
                          for f in frames)
     return replace(triplet, frames=frames, intrinsics=intr, gt_depth=gt_depth,
-                   gt_poses=gt_poses, frames_jittered=jittered)
+                   frames_jittered=jittered)
 
 
-def _resize_frame(frame: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
+def resize_frame(frame: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
+    """A (C, H, W) image resized bilinearly to size (width, height)."""
     w, h = size
     if frame.shape[1:] == (h, w):
         return frame
@@ -398,9 +394,18 @@ def _resize_frame(frame: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
     return out.data[0]
 
 
+def resize_depth(depth: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    """A depth map (H, W) at shape (h, w): its inverse resized bilinearly,
+    then inverted back."""
+    if depth.shape == shape:
+        return depth
+    return 1.0 / resize_frame(1.0 / depth[None], shape[::-1])[0]
+
+
 def save_dataset(seq: SyntheticSequence, outdir: Union[str, Path]) -> None:
     """Write the documented directory layout: frames/NNNNNN.png,
-    intrinsics.txt, depth/NNNNNN.f32 and poses.txt."""
+    intrinsics.txt, depth/NNNNNN.f32 and poses.txt. The poses record the
+    renderer's exact trajectory; no reader of the layout parses them."""
     root = Path(outdir)
     (root / "frames").mkdir(parents=True, exist_ok=True)
     (root / "depth").mkdir(parents=True, exist_ok=True)
@@ -433,19 +438,19 @@ class SyntheticSource:
             frames=(seq.frames[t - 1], seq.frames[t], seq.frames[t + 1]),
             intrinsics=seq.intrinsics,
             gt_depth=seq.depths[t],
-            gt_poses=seq.poses[t - 1: t + 2],
         )
 
 
 class DirectorySource:
     """Triplet source over a dataset directory.
 
-    Layout: frames/NNNNNN.png, intrinsics.txt with "fx fy cx cy", optional
-    depth/NNNNNN.f32 and poses.txt with one row-major 4x4 world-from-camera
-    pose per frame. The frame list, the camera and the poses are read once,
-    here; each triplet reads its three frames and its depth. Frames are
-    resized to `size` (width, height) with the intrinsics rescaled to match.
-    Malformed text files raise ValueError naming the file.
+    Layout: frames/NNNNNN.png, intrinsics.txt with "fx fy cx cy" and
+    optional depth/NNNNNN.f32; a poses.txt is not read. The frame list and
+    the camera are read once, here; each triplet reads its three frames and
+    its depth. Frames are resized to `size` (width, height) with the
+    intrinsics rescaled to match; the depth keeps its stored resolution, so
+    resizing never blends invalid zeros into valid depths. A malformed
+    intrinsics.txt raises ValueError naming the file.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -460,10 +465,6 @@ class DirectorySource:
         if n < 3:
             raise ValueError(f"{path}: need at least 3 frames, found {n}")
         self.camera = _read_camera(self.path / "intrinsics.txt")
-        self.poses = None
-        pose_file = self.path / "poses.txt"
-        if pose_file.exists():
-            self.poses = _read_poses(pose_file, n)
 
     def __len__(self) -> int:
         return len(self.frame_files) - 2
@@ -477,18 +478,12 @@ class DirectorySource:
         _, h0, w0 = frames[0].shape
         intr = CameraIntrinsics(*self.camera, width=w0, height=h0)
         if self.size is not None:
-            frames = [_resize_frame(f, self.size) for f in frames]
+            frames = [resize_frame(f, self.size) for f in frames]
             intr = intr.scaled(*self.size)
 
-        gt_depth = None
         depth_file = self.path / "depth" / f"{files[1].stem}.f32"
-        if depth_file.exists():
-            gt_depth = read_f32(depth_file)[0]
-            if self.size is not None and gt_depth.shape != (self.size[1], self.size[0]):
-                gt_depth = _resize_frame(gt_depth[None], self.size)[0]
-
-        gt_poses = None if self.poses is None else self.poses[i: i + 3].copy()
-        return Triplet(tuple(frames), intr, gt_depth=gt_depth, gt_poses=gt_poses)
+        gt_depth = read_f32(depth_file)[0] if depth_file.exists() else None
+        return Triplet(tuple(frames), intr, gt_depth=gt_depth)
 
 
 def _read_camera(path: Path) -> Tuple[float, float, float, float]:
@@ -507,14 +502,3 @@ def _read_camera(path: Path) -> Tuple[float, float, float, float]:
         raise ValueError(f"{path}: focal lengths must be positive, got fx={fx}, fy={fy}")
     return fx, fy, cx, cy
 
-
-def _read_poses(path: Path, n_frames: int) -> np.ndarray:
-    """(n_frames, 4, 4) from poses.txt: 16 numbers per frame."""
-    try:
-        values = np.loadtxt(path, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if values.size != 16 * n_frames:
-        raise ValueError(f"{path}: expected one 4x4 pose (16 numbers) for each of "
-                         f"{n_frames} frames, found {values.size} numbers")
-    return values.reshape(n_frames, 4, 4)

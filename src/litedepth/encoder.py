@@ -32,22 +32,20 @@ __all__ = [
 _STAGE12_DILATIONS = [1, 2, 3]
 
 _VARIANTS = {
-    "tiny": dict(channels=(32, 32, 64, 128), cdc_repeats=(3, 3, 6),
-                 stage3_dilations=[1, 2, 3, 2, 4, 6]),
-    "small": dict(channels=(48, 48, 80, 128), cdc_repeats=(3, 3, 6),
-                  stage3_dilations=[1, 2, 3, 2, 4, 6]),
-    "base": dict(channels=(48, 48, 80, 128), cdc_repeats=(3, 3, 9),
-                 stage3_dilations=[1, 2, 3, 1, 2, 3, 2, 4, 6]),
+    "tiny": dict(channels=(32, 32, 64, 128), stage3_dilations=[1, 2, 3, 2, 4, 6]),
+    "small": dict(channels=(48, 48, 80, 128), stage3_dilations=[1, 2, 3, 2, 4, 6]),
+    "base": dict(channels=(48, 48, 80, 128), stage3_dilations=[1, 2, 3, 1, 2, 3, 2, 4, 6]),
 }
 
 
 @dataclass
 class EncoderConfig:
-    """Per-variant widths, depths, dilation schedule and ablation toggles."""
+    """Per-variant widths, dilation schedule and ablation toggles. Each
+    stage runs one dilated block per rate its schedule lists, so the
+    schedule alone sets the stage depths."""
 
     variant: str = "base"
     channels: Tuple[int, int, int, int] = (48, 48, 80, 128)
-    cdc_repeats: Tuple[int, int, int] = (3, 3, 9)
     dilation_schedule: Tuple[List[int], ...] = ()
     heads: Tuple[int, int, int] = (4, 4, 8)
     expansion: int = 6
@@ -60,7 +58,7 @@ class EncoderConfig:
         if name not in _VARIANTS:
             raise ValueError(f"unknown variant {name!r}; expected one of {sorted(_VARIANTS)}")
         v = _VARIANTS[name]
-        cfg = cls(variant=name, channels=v["channels"], cdc_repeats=v["cdc_repeats"],
+        cfg = cls(variant=name, channels=v["channels"],
                   dilation_schedule=(list(_STAGE12_DILATIONS),
                                      list(_STAGE12_DILATIONS),
                                      list(v["stage3_dilations"])))
@@ -70,16 +68,17 @@ class EncoderConfig:
 
     def validate(self) -> None:
         if len(self.dilation_schedule) != 3:
-            raise ValueError("dilation_schedule must cover the three stages")
-        for s, (dils, reps) in enumerate(zip(self.dilation_schedule, self.cdc_repeats)):
-            if len(dils) != reps:
-                raise ValueError(
-                    f"stage {s + 1}: {len(dils)} dilation rates for {reps} blocks")
+            raise ValueError("encoder.dilation_schedule must cover the three stages")
+        for s, dils in enumerate(self.dilation_schedule):
+            if not dils:
+                raise ValueError(f"encoder.dilation_schedule: stage {s + 1} has no blocks")
             if any(d < 1 for d in dils):
-                raise ValueError(f"stage {s + 1}: dilation rates must be >= 1")
+                raise ValueError(
+                    f"encoder.dilation_schedule: stage {s + 1} rates must be >= 1")
         for s, (c, h) in enumerate(zip(self.channels[1:], self.heads)):
             if c % h != 0:
-                raise ValueError(f"stage {s + 1}: channels {c} not divisible by heads {h}")
+                raise ValueError(
+                    f"encoder.heads: stage {s + 1} channels {c} not divisible by heads {h}")
 
 
 # ------------------------------------------------------------------ attention
@@ -98,17 +97,14 @@ def xca_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                   temperature: Optional[Tensor] = None) -> Tensor:
     """Cross-covariance (channel) attention.
 
-    q, k, v are (N_tok, d) or batched (B, N_tok, d); d must divide by heads.
+    q, k, v are batched (B, N_tok, d); d must divide by heads.
     Per head the mixing matrix is softmax over the K-channel index of
     K^T Q, a (d/h) x (d/h) array independent of N_tok, so each output
     channel is a convex mixture of input channels. Each channel of Q and K is
     first L2-normalized over tokens, and the logits are scaled by the
     per-head `temperature` when one is given.
     """
-    squeeze = q.ndim == 2
-    if squeeze:
-        q, k, v = (t.reshape(1, *t.shape) for t in (q, k, v))
-    _, n, d = q.shape
+    _, _, d = q.shape
     if d % heads != 0:
         raise ValueError(f"token dimension {d} not divisible by heads {heads}")
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
@@ -118,25 +114,20 @@ def xca_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     if temperature is not None:
         logits = logits * temperature.reshape(1, heads, 1, 1)
     attn = softmax(logits, axis=-2)                        # columns sum to 1
-    out = vh @ attn                                        # (B, h, N, dh)
-    out = _merge_heads(out)
-    return out.reshape(n, d) if squeeze else out
+    return _merge_heads(vh @ attn)                         # (B, N, d)
 
 
 def spatial_attention_probe(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Reference token-by-token attention; its buffer grows as N_tok^2.
+    """Reference token-by-token attention over batched (B, N_tok, d)
+    inputs; its buffer grows as N_tok^2.
 
     Only used to demonstrate the memory gap against the channel form.
     """
-    squeeze = q.ndim == 2
-    if squeeze:
-        q, k, v = (t.reshape(1, *t.shape) for t in (q, k, v))
-    _, n, d = q.shape
+    _, _, d = q.shape
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     logits = (qh @ kh.swap_last_axes()) * (1.0 / np.sqrt(d // heads))  # (B,h,N,N)
     attn = softmax(logits, axis=-1)
-    out = _merge_heads(attn @ vh)
-    return out.reshape(n, d) if squeeze else out
+    return _merge_heads(attn @ vh)
 
 
 # --------------------------------------------------------------------- blocks

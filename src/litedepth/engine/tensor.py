@@ -362,18 +362,17 @@ class Tensor:
                                lambda g: (np.swapaxes(g, -1, -2),))
 
     def __getitem__(self, idx):
+        # basic indices only: each element is selected at most once
         a = self
-        # basic indices select each element at most once; advanced ones may repeat
-        basic = all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
-                    and not isinstance(p, bool)
-                    for p in (idx if isinstance(idx, tuple) else (idx,)))
+        if not all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
+                   and not isinstance(p, bool)
+                   for p in (idx if isinstance(idx, tuple) else (idx,))):
+            raise TypeError(f"only basic indices (ints, slices, None, ...) are "
+                            f"supported, got {idx!r}")
 
         def bw(g):
             full = np.zeros_like(a.data)
-            if basic:
-                full[idx] = g
-            else:
-                np.add.at(full, idx, g)
+            full[idx] = g
             return (full,)
 
         return Tensor._from_op(a.data[idx], (a,), bw)

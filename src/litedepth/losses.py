@@ -33,10 +33,13 @@ class LossConfig:
     max_depth: float = 100.0
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+            raise ValueError(f"loss.alpha must lie in [0, 1], got {self.alpha}")
         if self.lambda_smooth < 0:
-            raise ValueError(f"lambda_smooth must be >= 0, got {self.lambda_smooth}")
+            raise ValueError(f"loss.lambda_smooth must be >= 0, got {self.lambda_smooth}")
 
 
 def _sum3(x: np.ndarray, axis: int) -> np.ndarray:
@@ -153,14 +156,11 @@ def min_reprojection(loss_maps: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def auto_mask(unwarped_losses: Sequence[Tensor],
-              warped_losses: Sequence[Tensor]) -> np.ndarray:
-    """Binary keep-mask: 1 where the best warped source beats the best
-    unwarped source strictly, 0 elsewhere (ties mask out). Static scenes and
-    objects moving with the camera fail the strict inequality and drop out."""
-    unwarped = np.minimum.reduce([m.data for m in unwarped_losses])
-    warped = np.minimum.reduce([m.data for m in warped_losses])
-    return (unwarped > warped).astype(warped.dtype)
+def auto_mask(best_unwarped: Tensor, best_warped: Tensor) -> np.ndarray:
+    """Binary keep-mask over the two `min_reprojection` outputs: 1 where the
+    best warped source beats the best unwarped one strictly. Ties mask out,
+    so static scenes and objects moving with the camera drop out."""
+    return (best_unwarped.data > best_warped.data).astype(best_warped.dtype)
 
 
 def _x_grad(x: Tensor) -> Tensor:
@@ -200,19 +200,17 @@ def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
                          valid_any: np.ndarray, automask: bool) -> Tensor:
     """Reduce the per-pixel reconstruction objective to a scalar.
 
-    With auto-masking the per-pixel value is min(unwarped, warped) averaged
-    over every pixel: exactly the masked objective mu * min(warped) plus the
-    parameter-free identity floor where mu = 0. Keeping the floor (instead
-    of averaging only kept pixels) removes the degenerate optimum where the
-    model silences pixels by matching the identity warp, since the loss can
-    then only drop below the floor through genuine parallax. Ties select the
-    identity branch, honoring the strict inequality of the mask definition.
-    Fully-invalid pixels contribute their identity floor as well.
+    With auto-masking the per-pixel value is the warped loss where
+    `auto_mask` keeps the pixel and the identity floor elsewhere, averaged
+    over every pixel. Keeping the floor (instead of averaging only kept
+    pixels) removes the degenerate optimum where the model silences pixels
+    by matching the identity warp, since the loss can then only drop below
+    the floor through genuine parallax. Fully-invalid pixels contribute
+    their identity floor as well.
     """
     if automask:
-        combined = minimum(best_unwarped, best_warped)
-        keep = Tensor(valid_any)
-        return (combined * keep + best_unwarped * (1.0 - keep)).mean()
+        keep = Tensor(valid_any * auto_mask(best_unwarped, best_warped))
+        return (best_warped * keep + best_unwarped * (1.0 - keep)).mean()
     count = float(valid_any.sum())
     if count == 0:
         return Tensor(np.zeros((), dtype=best_warped.dtype))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -88,13 +88,11 @@ class Module:
 class Conv2d(Module):
     def __init__(self, cin: int, cout: int, kernel: int, rng: np.random.Generator,
                  stride: int = 1, dilation: int = 1, groups: int = 1,
-                 bias: bool = True, padding: Optional[int] = None,
-                 init: str = "conv"):
+                 bias: bool = True, init: str = "conv"):
         super().__init__()
-        if padding is None:
-            padding = same_padding(kernel, dilation)
         self.spec = ConvSpec(kernel=(kernel, kernel), stride=stride,
-                             padding=padding, dilation=dilation, groups=groups)
+                             padding=same_padding(kernel, dilation),
+                             dilation=dilation, groups=groups)
         shape = (cout, cin // groups, kernel, kernel)
         if init == "proj":
             data = trunc_normal(shape, rng)

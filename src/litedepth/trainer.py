@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import TrainConfig
-from .data import augment
+from .data import augment, resize_depth
 from .decoder import DepthDecoder, disp_to_depth
 from .encoder import DepthEncoder, EncoderConfig
 from .engine import Tensor, no_grad, set_default_dtype
@@ -431,8 +431,11 @@ def evaluate(models: Models, data_source,
              loss_config: Optional[LossConfig] = None,
              cap: float = 80.0, median_scale: bool = True
              ) -> Tuple[DepthMetrics, List[DepthMetrics]]:
-    """Full-resolution depth against ground truth for every triplet,
-    median-scaled by default; returns the mean row and the per-frame rows."""
+    """Depth against ground truth for every triplet, median-scaled by
+    default; returns the mean row and the per-frame rows. Where the ground
+    truth's resolution differs from the frames', the predicted inverse depth
+    is resized to it and inverted back, so metrics compare at the ground
+    truth's resolution."""
     models.eval()
     per_frame: List[DepthMetrics] = []
     for i in range(len(data_source)):
@@ -440,8 +443,10 @@ def evaluate(models: Models, data_source,
         if trip.gt_depth is None:
             raise ValueError(f"triplet {i} carries no ground-truth depth")
         # no local name: each depth map is freed before the next forward
-        per_frame.append(depth_metrics(predict_depth(models, trip.frames[1], loss_config),
-                                       trip.gt_depth, cap=cap, median_scale=median_scale))
+        per_frame.append(depth_metrics(
+            resize_depth(predict_depth(models, trip.frames[1], loss_config),
+                         trip.gt_depth.shape),
+            trip.gt_depth, cap=cap, median_scale=median_scale))
     mean = DepthMetrics(*[float(np.mean([getattr(m, c) for m in per_frame]))
                           for c in ("abs_rel", "sq_rel", "rmse", "rmse_log",
                                     "delta1", "delta2", "delta3")])

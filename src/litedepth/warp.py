@@ -81,23 +81,16 @@ def _pixel_rays(cams: List[CameraIntrinsics], h: int, w: int) -> np.ndarray:
     return np.stack([c.inverse_matrix() @ grid for c in cams])
 
 
-def backproject(depth: Tensor, intr: Cameras, strict: bool = True) -> Tensor:
+def backproject(depth: Tensor, intr: Cameras) -> Tensor:
     """Lift a depth map (N, 1, H, W) to camera-frame points (N, 3, H, W),
-    with one camera for the batch or one per sample.
-
-    strict mode rejects non-positive depth; otherwise depth is clamped to
-    Z_EPS (the training-path behavior, where sigmoid outputs keep depth
-    positive anyway).
+    with one camera for the batch or one per sample. Depth is clamped at
+    Z_EPS, so every point lies in front of the camera.
     """
     depth = as_tensor(depth)
     if depth.ndim != 4 or depth.shape[1] != 1:
         raise ValueError(f"depth must be (N, 1, H, W), got {depth.shape}")
     n, _, h, w = depth.shape
-    if strict:
-        if np.any(depth.data <= 0):
-            raise ValueError("non-positive depth in strict mode")
-    else:
-        depth = maximum(depth, Z_EPS)
+    depth = maximum(depth, Z_EPS)
     rays = Tensor(_pixel_rays(_per_sample(intr, n), h, w).astype(depth.dtype))
     points = depth.reshape(n, 1, h * w) * rays          # (N, 3, HW)
     return points.reshape(n, 3, h, w)
@@ -149,6 +142,6 @@ def synthesize(source: Tensor, depth: Tensor, transform: Tensor,
     transform = as_tensor(transform)
     if transform.shape[1:] != (4, 4):
         raise ValueError(f"transform must be (N, 4, 4), got {transform.shape}")
-    points = backproject(depth, intr, strict=False)
+    points = backproject(depth, intr)
     coords, valid = project(points, intr, transform)
     return bilinear_sample(source, coords), valid

@@ -27,6 +27,22 @@ def relative_transform():
 
 
 @pytest.fixture
+def reconstruction_grad():
+    """reconstruction_grad(unwarped, warped, valid) -> the auto-masked
+    reconstruction term training runs, over per-source photometric maps and
+    a validity map, and its gradient with respect to the best warped map."""
+    from litedepth.losses import _reconstruction_term, min_reprojection
+
+    def grad(unwarped, warped, valid):
+        best_warped = Tensor(min_reprojection(warped).data, requires_grad=True)
+        term = _reconstruction_term(best_warped, min_reprojection(unwarped),
+                                    np.asarray(valid, dtype=best_warped.dtype), True)
+        term.backward()
+        return float(term.data), best_warped.grad
+    return grad
+
+
+@pytest.fixture
 def count_nodes(monkeypatch):
     """count_nodes(fn) -> the number of graph nodes built while fn() runs."""
     def count(fn):

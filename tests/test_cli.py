@@ -35,7 +35,7 @@ class TestConfig:
     def test_keys_are_pinned(self):
         # a new knob has to be added here, where a reviewer sees it
         assert RunConfig().keys() == [
-            "encoder.variant", "encoder.channels", "encoder.cdc_repeats",
+            "encoder.variant", "encoder.channels",
             "encoder.dilation_schedule", "encoder.heads", "encoder.expansion",
             "encoder.use_lgfi", "encoder.use_pooled_concat", "encoder.use_cross_stage",
             "train.batch_size", "train.epochs", "train.steps", "train.lr0",
@@ -93,7 +93,6 @@ class TestConfig:
     def test_dilation_schedule_parse(self):
         cfg = RunConfig()
         cfg.set("encoder.dilation_schedule", "1,2;1,2;1,2,5")
-        cfg.set("encoder.cdc_repeats", "2,2,3")
         cfg.encoder.validate()
         assert cfg.encoder.dilation_schedule == ([1, 2], [1, 2], [1, 2, 5])
 
@@ -218,8 +217,26 @@ class TestCliCommands:
 
     def test_synth_rejects_bad_size(self, tmp_path, capsys):
         assert run_cli("synth", "--size", "60x30", "--out",
-                       str(tmp_path / "x")) == 2
+                       str(tmp_path / "x")) == 1
         assert "divisible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,key", [
+        (["--steps", "1", "--set", "loss.alpha=2"], "loss.alpha"),
+        (["--steps", "1", "--set", "train.lr0=-1"], "train.lr0"),
+        (["--steps", "1", "--set", "loss.lambda_smooth=-5"], "loss.lambda_smooth"),
+        (["--epochs", "0"], "train.epochs"),
+        (["--steps", "1", "--set", "train.batch_size=0"], "train.batch_size"),
+        (["--steps", "1", "--set", "train.steps=abc"], "train.steps"),
+        (["--steps", "1", "--set", "encoder.heads=3,3,3"], "encoder.heads"),
+    ], ids=["alpha", "lr0", "lambda-smooth", "zero-epochs", "zero-batch",
+            "steps-not-a-number", "heads"])
+    def test_bad_config_value_is_a_usage_error(self, extra, key, tmp_path, capsys):
+        # values from --set and flags pass the same checks as the dataclasses'
+        out = tmp_path / "run"
+        assert run_cli("train", "--variant", "tiny", "--size", "64x32", "--frames", "4",
+                       "--batch", "2", "--out", str(out), *extra) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_infer_eval_roundtrip(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -313,6 +330,32 @@ class TestCliCommands:
                        "--set", "loss.nope=1") == 1
         assert "unrecognized arguments: --set loss.nope=1" in capsys.readouterr().err
 
+    def test_infer_runs_the_network_at_its_trained_size(self, tiny_checkpoint, tmp_path,
+                                                       monkeypatch):
+        from litedepth import cli
+        sizes = []
+        predict = cli.predict_depth
+        monkeypatch.setattr(cli, "predict_depth", lambda models, frame, loss_config:
+                            sizes.append(frame.shape) or predict(models, frame, loss_config))
+        image = tmp_path / "frame.png"
+        write_png(image, np.full((50, 100, 3), 128, dtype=np.uint8))
+        out = tmp_path / "depth"
+        assert run_cli("infer", "--checkpoint", str(tiny_checkpoint), "--image", str(image),
+                       "--out", str(out)) == 0
+        assert sizes == [(3, 32, 64)]
+        assert read_f32(out / "frame_depth.f32").shape == (1, 50, 100)
+        assert read_png(out / "frame_depth_mm.png").shape[:2] == (50, 100)
+        assert read_png(out / "frame_depth_vis.png").shape == (50, 200, 3)
+
+    def test_checkpoint_with_an_invalid_saved_value_fails_cleanly(self, tmp_path, capsys):
+        models = build_models(EncoderConfig.variant_preset("tiny"))
+        ckpt = tmp_path / "bad.lmck"
+        text = RunConfig().to_text().replace("loss.alpha = 0.85", "loss.alpha = 2.0")
+        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"litedepth: {ckpt} (saved config): loss.alpha must lie in [0, 1]")
+
     def test_infer_rejects_a_seed(self, tiny_checkpoint, tmp_path, capsys):
         image = tmp_path / "frame.png"
         write_png(image, np.full((32, 64, 3), 128, dtype=np.uint8))
@@ -333,6 +376,12 @@ class TestCliCommands:
         Checkpoint.from_models(models, None, 0, text).save(ckpt)
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         assert "unknown config key 'encoder.use_dilation'" in capsys.readouterr().err
+        # nor one saved before the dilation schedule alone set the stage depths
+        text = RunConfig().to_text().replace(
+            "encoder.dilation_schedule", "encoder.cdc_repeats = 3,3,9\nencoder.dilation_schedule")
+        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
+        assert "unknown config key 'encoder.cdc_repeats'" in capsys.readouterr().err
 
     def test_gradcheck_subset_passes(self, capsys):
         assert run_cli("gradcheck") == 0

@@ -6,12 +6,13 @@ import pytest
 from litedepth import data
 from litedepth.data import (
     DirectorySource, SyntheticSource, Triplet, augment,
-    generate_synthetic_sequence, occlusion_boundary_mask,
+    generate_synthetic_sequence, occlusion_boundary_mask, resize_depth,
     save_dataset,
 )
 from litedepth.data import _jitter
 from litedepth.engine import Tensor, no_grad
-from litedepth.losses import auto_mask, photometric_loss
+from litedepth.losses import photometric_loss
+from litedepth.pngio import write_f32
 from litedepth.warp import CameraIntrinsics, backproject, project, synthesize
 
 
@@ -204,37 +205,42 @@ class TestRendererWarperCrossValidation:
 
 
 class TestMoverAutoMask:
-    def test_camera_speed_mover_is_masked_out(self, relative_transform):
+    def test_camera_speed_mover_is_masked_out(self, relative_transform,
+                                              reconstruction_grad):
         seq = generate_synthetic_sequence(11, 6, (128, 64), mover=True)
         t = 2
         tgt = Tensor(seq.frames[t][None])
-        unwarped, warped = [], []
+        unwarped, warped, valid = [], [], []
         with no_grad():
             for s in (t - 1, t + 1):
-                out, _ = synthesize(
+                out, ok = synthesize(
                     Tensor(seq.frames[s][None]), Tensor(seq.depths[t][None, None]),
                     Tensor(relative_transform(seq, t, s)[None]), seq.intrinsics)
                 warped.append(photometric_loss(out, tgt, 0.85))
                 unwarped.append(photometric_loss(Tensor(seq.frames[s][None]), tgt, 0.85))
-        mu = auto_mask(unwarped, warped)
+                valid.append(ok)
+        # the objective training runs passes no gradient to masked pixels
+        _, grad = reconstruction_grad(unwarped, warped, np.logical_or.reduce(valid))
         mover = seq.mover_mask[t]
         assert mover.sum() > 100
-        assert (mu[0, 0][mover] == 0).mean() >= 0.90
+        assert (grad[0, 0][mover] == 0).mean() >= 0.90
         # the static remainder keeps most pixels
-        assert mu[0, 0][~mover].mean() > 0.5
+        assert (grad[0, 0][~mover] != 0).mean() > 0.5
 
 
 class TestAugment:
     MIRROR = np.diag([-1.0, 1.0, 1.0, 1.0])
 
-    def make_triplet(self, seed=4):
+    def make_sequence(self, seed=4):
         # an off-center principal point, so that a flip changes cx
         intr = CameraIntrinsics(fx=57.6, fy=57.6, cx=36.0, cy=15.5,
                                 width=SIZE[0], height=SIZE[1])
-        seq = generate_synthetic_sequence(seed, 3, SIZE, intrinsics=intr)
+        return generate_synthetic_sequence(seed, 3, SIZE, intrinsics=intr)
+
+    def make_triplet(self, seed=4):
+        seq = self.make_sequence(seed)
         return Triplet(frames=(seq.frames[0], seq.frames[1], seq.frames[2]),
-                       intrinsics=seq.intrinsics, gt_depth=seq.depths[1],
-                       gt_poses=seq.poses)
+                       intrinsics=seq.intrinsics, gt_depth=seq.depths[1])
 
     def test_deterministic_per_seed(self):
         t = self.make_triplet()
@@ -258,7 +264,6 @@ class TestAugment:
                               free.frames + free.network_frames()):
                 np.testing.assert_array_equal(fa, fb)
             np.testing.assert_array_equal(forced.gt_depth, free.gt_depth)
-            np.testing.assert_array_equal(forced.gt_poses, free.gt_poses)
 
     def test_forced_flip_is_involution(self):
         t = self.make_triplet()
@@ -267,20 +272,13 @@ class TestAugment:
         for fa, fb in zip(twice.frames, t.frames):
             np.testing.assert_array_equal(fa, fb)
         assert twice.intrinsics.cx == pytest.approx(t.intrinsics.cx)
-        np.testing.assert_array_equal(twice.gt_poses, t.gt_poses)
+        np.testing.assert_array_equal(twice.gt_depth, t.gt_depth)
 
     def test_flip_mirrors_principal_point(self):
         t = self.make_triplet()
         flipped = augment(t, seed=0, force_flip=True)
         w = t.intrinsics.width
         assert flipped.intrinsics.cx == pytest.approx(w - 1 - t.intrinsics.cx)
-        # the poses follow the mirrored world: source-from-target becomes
-        # M @ T @ M, the transform the warp of a flipped triplet needs
-        def rel(poses):
-            return np.linalg.inv(poses[2]) @ poses[1]
-        np.testing.assert_allclose(rel(flipped.gt_poses),
-                                   self.MIRROR @ rel(t.gt_poses) @ self.MIRROR,
-                                   rtol=0, atol=1e-12)
 
     def test_brightness_clamp_keeps_white_white(self):
         white = np.ones((3, 8, 8))
@@ -324,15 +322,18 @@ class TestAugment:
         """One warp call over an unflipped and a flipped sample, each with its
         own camera (cx 36 and 27), gives the flipped sample the mirror image
         of the unflipped one's sampling points and warped image."""
+        seq = self.make_sequence()
         t = self.make_triplet()
         batch = [augment(t, seed=0, force_flip=flip) for flip in (False, True)]
         cams = [b.intrinsics for b in batch]
         assert [c.cx for c in cams] == [36.0, 27.0]
         source = Tensor(np.stack([b.frames[2] for b in batch]))
         depth = Tensor(np.stack([b.gt_depth for b in batch])[:, None])
-        # next-camera-from-target; the poses are world-from-camera
-        transform = Tensor(np.stack([np.linalg.inv(b.gt_poses[2]) @ b.gt_poses[1]
-                                     for b in batch]))
+        # next-camera-from-target from the renderer's world-from-camera
+        # poses; mirroring the world's and every camera's x axis maps it to
+        # M @ T @ M for the flipped sample
+        rel = np.linalg.inv(seq.poses[2]) @ seq.poses[1]
+        transform = Tensor(np.stack([rel, self.MIRROR @ rel @ self.MIRROR]))
         with no_grad():
             coords, valid = project(backproject(depth, cams), cams, transform)
             warped, _ = synthesize(source, depth, transform, cams)
@@ -405,6 +406,19 @@ class TestAugment:
         assert shift[base_valid].mean() > floor
 
 
+class TestResizeDepth:
+    def test_interpolates_inverse_depth(self):
+        # inverse depths 1 and 1/4 blend to 13/16 and 7/16 between the
+        # pixel centers; the borders clamp
+        depth = np.array([[1.0, 4.0]] * 2)
+        np.testing.assert_allclose(resize_depth(depth, (2, 4)),
+                                   [[1.0, 16 / 13, 16 / 7, 4.0]] * 2, rtol=1e-12)
+
+    def test_same_shape_passes_through(self):
+        depth = np.ones((2, 3))
+        assert resize_depth(depth, (2, 3)) is depth
+
+
 class TestIntrinsics:
     def test_resize_scales_focal_lengths(self):
         intr = CameraIntrinsics(100.0, 100.0, 63.5, 31.5, 128, 64)
@@ -422,12 +436,25 @@ class TestDatasetDirectory:
         # 8-bit quantization bounds the reload error
         assert np.abs(trip.frames[1] - seq.frames[1]).max() < 1.0 / 255.0 + 1e-9
         np.testing.assert_allclose(trip.gt_depth, seq.depths[1], atol=1e-6)
-        np.testing.assert_allclose(trip.gt_poses, seq.poses[0:3], atol=1e-12)
 
         half = DirectorySource(tmp_path, size=(64, 32)).triplet(0)
         assert half.frames[1].shape == (3, 32, 64)
         assert half.intrinsics.fx == pytest.approx(seq.intrinsics.fx / 2)
         assert half.intrinsics.cx == pytest.approx(seq.intrinsics.cx / 2)
+        np.testing.assert_array_equal(half.gt_depth, trip.gt_depth)
+
+    def test_sparse_ground_truth_keeps_its_stored_resolution(self, tmp_path):
+        # every other row invalid: resizing to the frames' size would blend
+        # the zeros into valid depths and mark every pixel valid
+        seq = generate_synthetic_sequence(3, 3, (128, 64))
+        save_dataset(seq, tmp_path)
+        sparse = seq.depths[1].astype(np.float32)
+        sparse[::2] = 0.0
+        write_f32(tmp_path / "depth" / "000001.f32", sparse)
+        trip = DirectorySource(tmp_path, size=(64, 32)).triplet(0)
+        assert trip.frames[1].shape == (3, 32, 64)
+        np.testing.assert_array_equal(trip.gt_depth, sparse)
+        assert (trip.gt_depth > 0).mean() == 0.5
 
     def test_boundary_indices_rejected(self, tmp_path):
         seq = generate_synthetic_sequence(3, 3, SIZE)
@@ -447,12 +474,9 @@ class TestDatasetDirectory:
         src = DirectorySource(tmp_path)
         first = [src.triplet(i) for i in range(len(src))]
         (tmp_path / "intrinsics.txt").unlink()
-        (tmp_path / "poses.txt").unlink()
         monkeypatch.setattr(Path, "glob", lambda *a: pytest.fail("frames globbed again"))
         for i, trip in enumerate(first):
-            again = src.triplet(i)
-            assert again.intrinsics == trip.intrinsics
-            np.testing.assert_array_equal(again.gt_poses, trip.gt_poses)
+            assert src.triplet(i).intrinsics == trip.intrinsics
 
     @pytest.mark.parametrize("name,text,message", [
         ("intrinsics.txt", "50 50 31.5\n", "expected 4 numbers.*found 3"),
@@ -460,10 +484,7 @@ class TestDatasetDirectory:
         ("intrinsics.txt", "a b c d\n", "could not convert"),
         ("intrinsics.txt", "0 50 31.5 15.5\n", "focal lengths must be positive"),
         ("intrinsics.txt", "50 -50 31.5 15.5\n", "focal lengths must be positive"),
-        ("poses.txt", "1 0 0 0 0 1 0 0 0 0 1\n", "one 4x4 pose.*found 11"),
-        ("poses.txt", "1 0 0 0\nx 1 0 0\n", "poses.txt"),
-    ], ids=["three", "five", "words", "zero-fx", "negative-fy", "short-poses",
-            "bad-pose-number"])
+    ], ids=["three", "five", "words", "zero-fx", "negative-fy"])
     def test_malformed_text_names_the_file(self, tmp_path, name, text, message):
         save_dataset(generate_synthetic_sequence(3, 3, SIZE), tmp_path)
         (tmp_path / name).write_text(text)
@@ -475,7 +496,7 @@ class TestDatasetDirectory:
         src = SyntheticSource(seed=1, n_frames=5, size=SIZE)
         assert len(src) == 3
         trip = src.triplet(0)
-        assert trip.gt_depth is not None and trip.gt_poses.shape == (3, 4, 4)
+        assert trip.gt_depth is not None
 
         save_dataset(src.sequence, tmp_path)
         dsrc = DirectorySource(tmp_path, size=SIZE)

@@ -11,7 +11,8 @@ from litedepth.encoder import (
 
 
 def xca_oracle(q, k, v, heads, temps=None):
-    """Independent dense evaluation of the channel-attention definition."""
+    """Independent dense evaluation of the channel-attention definition on
+    one (N_tok, d) batch item."""
     n, d = q.shape
     dh = d // heads
     out = np.zeros_like(v)
@@ -39,16 +40,22 @@ class TestConfig:
     def test_variant_presets(self, variant, channels, repeats, stage3):
         cfg = EncoderConfig.variant_preset(variant)
         assert cfg.channels == channels
-        assert cfg.cdc_repeats == repeats
+        assert tuple(len(cfg.dilation_schedule[s]) for s in range(3)) == repeats
         assert cfg.dilation_schedule[0] == [1, 2, 3]
         assert cfg.dilation_schedule[1] == [1, 2, 3]
         assert cfg.dilation_schedule[2] == stage3
 
-    def test_schedule_length_mismatch_rejected(self):
+    def test_empty_stage_rejected(self):
         cfg = EncoderConfig.variant_preset("tiny")
-        cfg.dilation_schedule = ([1, 2], [1, 2, 3], [1, 2, 3, 2, 4, 6])
-        with pytest.raises(ValueError, match="dilation"):
+        cfg.dilation_schedule = ([1, 2], [], [1, 2, 3, 2, 4, 6])
+        with pytest.raises(ValueError, match="dilation_schedule: stage 2 has no blocks"):
             cfg.validate()
+
+    def test_schedule_alone_sets_stage_depths(self):
+        cfg = EncoderConfig.variant_preset("tiny", dilation_schedule=([1, 2], [1], [1, 2, 5]))
+        enc = DepthEncoder(cfg)
+        assert [sum(isinstance(b, DilatedConvBlock) for b in stage)
+                for stage in enc.stages] == [2, 1, 3]
 
     def test_heads_divisibility_enforced(self):
         with pytest.raises(ValueError, match="heads"):
@@ -69,67 +76,68 @@ class TestConfig:
 
 class TestChannelAttention:
     def test_single_channel_single_head_returns_v(self, rng):
-        q, k, v = (Tensor(rng.standard_normal((10, 1))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((1, 10, 1))) for _ in range(3))
         out = xca_attention(q, k, v, heads=1)
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_shapes_and_buffer_size(self, rng, attention_sizes):
-        q, k, v = (Tensor(rng.standard_normal((100, 64))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((1, 100, 64))) for _ in range(3))
         out = xca_attention(q, k, v, heads=4)
-        assert out.shape == (100, 64)
+        assert out.shape == (1, 100, 64)
         assert attention_sizes == [4 * 16 * 16]
 
     def test_single_token_matches_direct_oracle(self, rng):
-        q, k, v = (rng.standard_normal((1, 8)) for _ in range(3))
+        q, k, v = (rng.standard_normal((1, 1, 8)) for _ in range(3))
         out = xca_attention(Tensor(q), Tensor(k), Tensor(v), heads=2)
-        np.testing.assert_allclose(out.data, xca_oracle(q, k, v, 2), atol=1e-12)
+        np.testing.assert_allclose(out.data[0], xca_oracle(q[0], k[0], v[0], 2),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("with_temperature", [True, False])
     def test_matches_oracle_on_random_inputs(self, with_temperature, rng):
         for _ in range(5):
-            q, k, v = (rng.standard_normal((12, 8)) for _ in range(3))
+            q, k, v = (rng.standard_normal((1, 12, 8)) for _ in range(3))
             temps = rng.uniform(0.5, 2.0, size=2) if with_temperature else None
             out = xca_attention(Tensor(q), Tensor(k), Tensor(v), heads=2,
                                 temperature=None if temps is None else Tensor(temps))
-            ref = xca_oracle(q, k, v, 2, temps)
-            np.testing.assert_allclose(out.data, ref, atol=1e-10)
+            ref = xca_oracle(q[0], k[0], v[0], 2, temps)
+            np.testing.assert_allclose(out.data[0], ref, atol=1e-10)
 
     def test_mixing_weights_sum_to_one_per_output_channel(self, rng):
         # with constant-per-channel V, each output channel is the same convex
         # mixture of the channel constants, so outputs stay in their hull
         consts = rng.standard_normal(6)
-        v = np.tile(consts, (20, 1))
-        q, k = rng.standard_normal((2, 20, 6))
+        v = np.tile(consts, (1, 20, 1))
+        q, k = rng.standard_normal((2, 1, 20, 6))
         out = xca_attention(Tensor(q), Tensor(k), Tensor(v), heads=1).data
         assert out.min() >= consts.min() - 1e-6
         assert out.max() <= consts.max() + 1e-6
         # and an all-ones V must map to exactly ones (weights sum to 1)
-        ones = xca_attention(Tensor(q), Tensor(k), Tensor(np.ones((20, 6))),
+        ones = xca_attention(Tensor(q), Tensor(k), Tensor(np.ones((1, 20, 6))),
                              heads=1).data
         np.testing.assert_allclose(ones, 1.0, atol=1e-6)
 
     def test_buffer_constant_in_token_count(self, rng, attention_sizes):
         for n_tok in (64, 256, 1024):
-            q, k, v = (Tensor(rng.standard_normal((n_tok, 32))) for _ in range(3))
+            q, k, v = (Tensor(rng.standard_normal((1, n_tok, 32))) for _ in range(3))
             xca_attention(q, k, v, heads=4)
         assert attention_sizes == [4 * 8 * 8] * 3
 
     def test_spatial_probe_scales_quadratically(self, rng, attention_sizes):
         for n_tok in (16, 32, 64):
-            q, k, v = (Tensor(rng.standard_normal((n_tok, 8))) for _ in range(3))
+            q, k, v = (Tensor(rng.standard_normal((1, n_tok, 8))) for _ in range(3))
             spatial_attention_probe(q, k, v, heads=2)
         # heads * N^2 elements per batch item
         assert attention_sizes == [2 * 16 * 16, 2 * 32 * 32, 2 * 64 * 64]
 
     def test_indivisible_heads_rejected(self, rng):
-        q = Tensor(rng.standard_normal((4, 6)))
+        q = Tensor(rng.standard_normal((1, 4, 6)))
         with pytest.raises(ValueError, match="heads"):
             xca_attention(q, q, q, heads=4)
 
     def test_grad_check(self, rng):
-        q, k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((1, 5, 4))) for _ in range(3))
         t = Tensor(np.ones(2))
-        wts = Tensor(rng.standard_normal((5, 4)))
+        wts = Tensor(rng.standard_normal((1, 5, 4)))
 
         def f(qi, ki, vi, ti):
             return (xca_attention(qi, ki, vi, 2, ti) * wts).sum()

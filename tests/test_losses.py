@@ -166,21 +166,40 @@ class TestMinReprojection:
 
 
 class TestAutoMask:
-    def test_identical_static_frames_fully_masked(self, rng):
-        z = Tensor(np.zeros((1, 1, 4, 4)))
-        mu = auto_mask([z], [z])
-        np.testing.assert_array_equal(mu, 0.0)   # strict inequality fails on ties
+    """The auto-mask as the objective applies it, through the
+    reconstruction term."""
 
-    def test_strictly_better_warp_kept(self):
+    def test_identical_static_frames_fully_masked(self, reconstruction_grad):
+        z = Tensor(np.zeros((1, 1, 4, 4)))
+        value, grad = reconstruction_grad([z], [z], np.ones((1, 1, 4, 4)))
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, 0.0)   # strict inequality fails on ties
+
+    def test_strictly_better_warp_kept(self, reconstruction_grad):
         unwarped = Tensor(np.full((1, 1, 2, 2), 0.5))
         warped = Tensor(np.full((1, 1, 2, 2), 0.2))
-        np.testing.assert_array_equal(auto_mask([unwarped], [warped]), 1.0)
+        value, grad = reconstruction_grad([unwarped], [warped], np.ones((1, 1, 2, 2)))
+        assert value == pytest.approx(0.2, rel=1e-12)
+        np.testing.assert_array_equal(grad, 0.25)
 
-    def test_binary_values(self, rng):
+    def test_masked_pixels_keep_the_identity_floor(self, rng, reconstruction_grad):
         u = [Tensor(rng.random((1, 1, 6, 6))) for _ in range(2)]
         w = [Tensor(rng.random((1, 1, 6, 6))) for _ in range(2)]
+        valid = rng.random((1, 1, 6, 6)) < 0.8
+        best_u = np.minimum(u[0].data, u[1].data)
+        best_w = np.minimum(w[0].data, w[1].data)
+        keep = valid & (best_u > best_w)
+        value, grad = reconstruction_grad(u, w, valid)
+        assert 0 < keep.sum() < keep.size
+        assert value == pytest.approx(np.where(keep, best_w, best_u).mean(), rel=1e-12)
+        np.testing.assert_array_equal(grad, keep / keep.size)
+
+    def test_binary_values(self, rng):
+        u = Tensor(rng.random((1, 1, 6, 6)).astype(np.float32))
+        w = Tensor(rng.random((1, 1, 6, 6)).astype(np.float32))
         mu = auto_mask(u, w)
-        assert set(np.unique(mu)) <= {0.0, 1.0}
+        assert mu.dtype == np.float32
+        np.testing.assert_array_equal(mu, u.data > w.data)
 
 
 class TestSmoothness:

@@ -88,7 +88,7 @@ class TestGraphRelease:
         np.testing.assert_array_equal(x.grad, 2 * x.data)
 
     def test_encoder_decoder_graph_passes_grad_check(self):
-        cfg = EncoderConfig(variant="tiny", channels=(4, 4, 8, 8), cdc_repeats=(1, 1, 1),
+        cfg = EncoderConfig(variant="tiny", channels=(4, 4, 8, 8),
                             dilation_schedule=([1], [2], [1]), heads=(1, 1, 2), expansion=2)
         enc, dec = DepthEncoder(cfg, seed=0), DepthDecoder(cfg.channels[1:], seed=1)
         params = dict(enc.named_parameters()) | dict(dec.named_parameters())

@@ -8,7 +8,8 @@ import pytest
 
 from litedepth import trainer
 from litedepth.config import TrainConfig
-from litedepth.data import SyntheticSource, augment, generate_synthetic_sequence
+from litedepth.data import (DirectorySource, SyntheticSource, augment,
+                            generate_synthetic_sequence, resize_depth, save_dataset)
 from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import Tensor, set_default_dtype
 from litedepth.losses import LossConfig
@@ -16,8 +17,9 @@ from litedepth.pngio import read_f32
 from litedepth.warp import CameraIntrinsics
 from litedepth.trainer import (
     AdamW, Checkpoint, TrainingDiverged, build_models, cosine_lr, evaluate,
-    load_checkpoint, save_checkpoint, train,
+    load_checkpoint, predict_depth, save_checkpoint, train,
 )
+from litedepth.metrics import depth_metrics
 
 
 def toy_train_config(**kw):
@@ -493,6 +495,22 @@ class TestEvaluate:
         Checkpoint.load(res.checkpoint_path).restore_into(models2)
         reloaded, _ = evaluate(models2, src)
         assert direct == reloaded
+
+    def test_metrics_compare_at_the_ground_truth_resolution(self, tmp_path, monkeypatch):
+        # ground truth stored at 128x64, frames read at 64x32: the predicted
+        # inverse depth is resized up to the ground truth and inverted back
+        save_dataset(generate_synthetic_sequence(3, 3, (128, 64)), tmp_path)
+        src = DirectorySource(tmp_path, size=(64, 32))
+        models = build_models(TINY, seed=0)
+        seen = []
+        monkeypatch.setattr(trainer, "depth_metrics",
+                            lambda pred, gt, **kw: seen.append((pred, gt))
+                            or depth_metrics(pred, gt, **kw))
+        evaluate(models, src)
+        ((pred, gt),) = seen
+        assert pred.shape == gt.shape == (64, 128)
+        small = predict_depth(models, src.triplet(0).frames[1])
+        np.testing.assert_array_equal(pred, resize_depth(small, (64, 128)))
 
     def test_missing_gt_rejected(self):
         src = SyntheticSource(seed=2, n_frames=4, size=(64, 32))

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from litedepth.engine import Tensor, grad_check
 from litedepth.posenet import pose_to_matrix
@@ -34,16 +33,10 @@ class TestBackproject:
         np.testing.assert_allclose(pts[1], (vs - INTR.cy) / INTR.fy, atol=1e-12)
         np.testing.assert_allclose(pts[2], 1.0, atol=1e-12)
 
-    def test_strict_mode_rejects_nonpositive_depth(self):
-        depth = np.ones((1, 1, 12, 16))
-        depth[0, 0, 3, 3] = 0.0
-        with pytest.raises(ValueError, match="non-positive"):
-            backproject(Tensor(depth), INTR, strict=True)
-
     def test_training_mode_clamps(self):
         depth = np.full((1, 1, 4, 4), -1.0)
         intr = CameraIntrinsics(2.0, 2.0, 1.5, 1.5, 4, 4)
-        pts = backproject(Tensor(depth), intr, strict=False).data
+        pts = backproject(Tensor(depth), intr).data
         assert np.all(pts[0, 2] > 0)
 
 
