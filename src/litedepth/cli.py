@@ -235,11 +235,11 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _build_config(args)
+    if cfg.train.steps <= 0:
+        cfg.train.steps = 120
     out = Path(args.out) if args.out else None
     if out is not None:
         _echo_config(cfg, out)
-    if cfg.train.steps <= 0:
-        cfg.train.steps = 120
 
     architecture_grid = [
         ("full", {}),

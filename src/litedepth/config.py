@@ -34,6 +34,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.lr0 <= 0:
             raise ValueError(f"train.lr0 must be positive, got {self.lr0}")
+        if self.lr_min < 0:
+            raise ValueError(f"train.lr_min must be >= 0, got {self.lr_min}")
+        if self.weight_decay < 0:
+            raise ValueError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.steps <= 0 and self.epochs < 1:
@@ -52,9 +56,14 @@ class DataConfig:
     mover: bool = False
 
     def validate(self) -> None:
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError(f"data.width and data.height must be positive, "
+                             f"got {self.width}x{self.height}")
         if self.width % 32 or self.height % 32:
             raise ValueError(f"data.width and data.height must be divisible by 32, "
                              f"got {self.width}x{self.height}")
+        if self.frames < 3:
+            raise ValueError(f"data.frames must be >= 3 (one triplet), got {self.frames}")
 
 
 @dataclass

@@ -20,18 +20,16 @@ from .pngio import load_image, read_f32, save_image, write_f32
 from .warp import CameraIntrinsics
 
 __all__ = [
-    "SyntheticSequence", "Triplet", "augment",
-    "generate_synthetic_sequence", "occlusion_boundary_mask",
+    "SyntheticSequence", "Triplet", "augment", "generate_synthetic_sequence",
     "resize_depth", "resize_frame", "save_dataset", "SyntheticSource",
     "DirectorySource",
 ]
 
-DEPTH_RANGE = (2.0, 50.0)        # scene depth budget in world units
 # layout and trajectory are sized together so that per-frame disparities
 # span several pixels in the foreground and stay measurable on the
 # background, which is what makes the toy task learnable at 64x32
 _N_RECTS = 7                     # textured rectangles in front of the background
-_RECT_DEPTHS = (2.5, 12.0)       # rectangles live well inside the budget
+_RECT_DEPTHS = (2.5, 12.0)       # rectangles sit in front of the background
 _BACKGROUND_DEPTH = 18.0
 _MOVER_DEPTH = 2.2               # in front of everything else, never occluded
 _FORWARD_STEP = 0.06             # per-frame dolly, world units
@@ -238,28 +236,6 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
             mover_mask[i] = (hit_index == mover_idx).reshape(h, w)
 
     return SyntheticSequence(frames, depths, poses, intr, mover_mask)
-
-
-def occlusion_boundary_mask(depth: np.ndarray, rel_jump: float = 0.03,
-                            dilate: int = 2) -> np.ndarray:
-    """True near depth discontinuities; used to exclude pixels whose warp is
-    undefined by construction (disocclusions)."""
-    jump = np.zeros_like(depth, dtype=bool)
-    rel = np.abs(np.diff(depth, axis=1)) / np.minimum(depth[:, 1:], depth[:, :-1])
-    jump[:, 1:] |= rel > rel_jump
-    jump[:, :-1] |= rel > rel_jump
-    rel = np.abs(np.diff(depth, axis=0)) / np.minimum(depth[1:], depth[:-1])
-    jump[1:] |= rel > rel_jump
-    jump[:-1] |= rel > rel_jump
-    out = jump
-    for _ in range(dilate):
-        grown = out.copy()
-        grown[1:] |= out[:-1]
-        grown[:-1] |= out[1:]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
 
 
 # -------------------------------------------------------------------- triplets

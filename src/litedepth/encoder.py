@@ -25,7 +25,6 @@ __all__ = [
     "EncoderConfig",
     "count_flops",
     "count_params",
-    "spatial_attention_probe",
     "xca_attention",
 ]
 
@@ -115,19 +114,6 @@ def xca_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         logits = logits * temperature.reshape(1, heads, 1, 1)
     attn = softmax(logits, axis=-2)                        # columns sum to 1
     return _merge_heads(vh @ attn)                         # (B, N, d)
-
-
-def spatial_attention_probe(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Reference token-by-token attention over batched (B, N_tok, d)
-    inputs; its buffer grows as N_tok^2.
-
-    Only used to demonstrate the memory gap against the channel form.
-    """
-    _, _, d = q.shape
-    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-    logits = (qh @ kh.swap_last_axes()) * (1.0 / np.sqrt(d // heads))  # (B,h,N,N)
-    attn = softmax(logits, axis=-1)
-    return _merge_heads(attn @ vh)
 
 
 # --------------------------------------------------------------------- blocks

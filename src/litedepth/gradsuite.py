@@ -170,7 +170,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
 
         check("synthesize", synth_loss, [depth8, aa8, tr8])
 
-        cfgl = LossConfig(automask=False)
+        cfgl = LossConfig()
         src8 = [Tensor(resize_bilinear(Tensor(rng.random((1, 3, 2, 2))),
                                        size=(8, 8)).data) for _ in range(2)]
         tfs = [pose_to_matrix(Tensor(rng.standard_normal((1, 3)) * 0.01),

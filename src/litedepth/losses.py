@@ -28,7 +28,6 @@ SSIM_C2 = 0.03 ** 2
 class LossConfig:
     alpha: float = 0.85               # SSIM weight in the photometric mix
     lambda_smooth: float = 1e-3
-    automask: bool = True
     min_depth: float = 0.1
     max_depth: float = 100.0
 
@@ -40,6 +39,9 @@ class LossConfig:
             raise ValueError(f"loss.alpha must lie in [0, 1], got {self.alpha}")
         if self.lambda_smooth < 0:
             raise ValueError(f"loss.lambda_smooth must be >= 0, got {self.lambda_smooth}")
+        if not 0 < self.min_depth < self.max_depth:
+            raise ValueError(f"loss.min_depth must lie in (0, loss.max_depth = "
+                             f"{self.max_depth}), got {self.min_depth}")
 
 
 def _sum3(x: np.ndarray, axis: int) -> np.ndarray:
@@ -197,24 +199,18 @@ def smoothness(disp: Tensor, image: Tensor) -> Tensor:
 
 
 def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
-                         valid_any: np.ndarray, automask: bool) -> Tensor:
+                         valid_any: np.ndarray) -> Tensor:
     """Reduce the per-pixel reconstruction objective to a scalar.
 
-    With auto-masking the per-pixel value is the warped loss where
-    `auto_mask` keeps the pixel and the identity floor elsewhere, averaged
-    over every pixel. Keeping the floor (instead of averaging only kept
-    pixels) removes the degenerate optimum where the model silences pixels
-    by matching the identity warp, since the loss can then only drop below
-    the floor through genuine parallax. Fully-invalid pixels contribute
-    their identity floor as well.
+    The per-pixel value is the warped loss where `auto_mask` keeps the pixel
+    and the identity floor elsewhere, averaged over every pixel. Keeping the
+    floor (instead of averaging only kept pixels) removes the degenerate
+    optimum where the model silences pixels by matching the identity warp,
+    since the loss can then only drop below the floor through genuine
+    parallax. Fully-invalid pixels contribute their identity floor as well.
     """
-    if automask:
-        keep = Tensor(valid_any * auto_mask(best_unwarped, best_warped))
-        return (best_warped * keep + best_unwarped * (1.0 - keep)).mean()
-    count = float(valid_any.sum())
-    if count == 0:
-        return Tensor(np.zeros((), dtype=best_warped.dtype))
-    return (best_warped * Tensor(valid_any)).sum() * (1.0 / count)
+    keep = Tensor(valid_any * auto_mask(best_unwarped, best_warped))
+    return (best_warped * keep + best_unwarped * (1.0 - keep)).mean()
 
 
 def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor],
@@ -259,8 +255,7 @@ def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor
         best_warped = min_reprojection(warped_maps)
         valid_any = np.logical_or.reduce(valid_masks).astype(best_warped.dtype)
 
-        reconstruction = _reconstruction_term(best_warped, best_unwarped,
-                                              valid_any, config.automask)
+        reconstruction = _reconstruction_term(best_warped, best_unwarped, valid_any)
 
         img_scaled = (target if level == 0
                       else resize_bilinear(target, size=disp.shape[2:]))

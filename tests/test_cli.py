@@ -41,8 +41,7 @@ class TestConfig:
             "train.batch_size", "train.epochs", "train.steps", "train.lr0",
             "train.lr_min", "train.weight_decay", "train.precision", "train.seed",
             "train.augment", "train.checkpoint_every",
-            "loss.alpha", "loss.lambda_smooth", "loss.automask",
-            "loss.min_depth", "loss.max_depth",
+            "loss.alpha", "loss.lambda_smooth", "loss.min_depth", "loss.max_depth",
             "data.width", "data.height", "data.frames", "data.scene_seed",
             "data.mover",
         ]
@@ -228,8 +227,17 @@ class TestCliCommands:
         (["--steps", "1", "--set", "train.batch_size=0"], "train.batch_size"),
         (["--steps", "1", "--set", "train.steps=abc"], "train.steps"),
         (["--steps", "1", "--set", "encoder.heads=3,3,3"], "encoder.heads"),
+        (["--steps", "1", "--set", "loss.min_depth=-1"], "loss.min_depth"),
+        (["--steps", "1", "--set", "loss.min_depth=0"], "loss.min_depth"),
+        (["--steps", "1", "--set", "loss.min_depth=200"], "loss.min_depth"),
+        (["--steps", "1", "--set", "train.weight_decay=-1"], "train.weight_decay"),
+        (["--steps", "1", "--set", "train.lr_min=-1"], "train.lr_min"),
+        (["--steps", "1", "--set", "data.width=0"], "data.width"),
+        (["--steps", "1", "--frames", "2"], "data.frames"),
     ], ids=["alpha", "lr0", "lambda-smooth", "zero-epochs", "zero-batch",
-            "steps-not-a-number", "heads"])
+            "steps-not-a-number", "heads", "negative-min-depth", "zero-min-depth",
+            "min-depth-above-max", "negative-weight-decay", "negative-lr-min",
+            "zero-width", "two-frames"])
     def test_bad_config_value_is_a_usage_error(self, extra, key, tmp_path, capsys):
         # values from --set and flags pass the same checks as the dataclasses'
         out = tmp_path / "run"
@@ -382,9 +390,39 @@ class TestCliCommands:
         Checkpoint.from_models(models, None, 0, text).save(ckpt)
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         assert "unknown config key 'encoder.cdc_repeats'" in capsys.readouterr().err
+        # nor one saved while the objective had an unmasked form
+        text = RunConfig().to_text().replace(
+            "loss.min_depth", "loss.automask = true\nloss.min_depth")
+        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        for command in (["eval", "--checkpoint", str(ckpt)],
+                        ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "x.png"),
+                         "--out", str(tmp_path / "depth")]):
+            assert run_cli(*command) == 2
+            assert "unknown config key 'loss.automask'" in capsys.readouterr().err
+        assert not (tmp_path / "depth").exists()
 
-    def test_gradcheck_subset_passes(self, capsys):
-        assert run_cli("gradcheck") == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        assert "checks passed" in out
+    @pytest.mark.parametrize("errors,code", [((1e-6, 1e-6), 0), ((1e-6, 0.5), 2)],
+                             ids=["all-pass", "one-fails"])
+    def test_gradcheck_reports_each_check(self, errors, code, monkeypatch, capsys):
+        # the suite itself runs in criterion 4; this pins the command around it
+        from litedepth import gradsuite
+        seeds = []
+        monkeypatch.setattr(gradsuite, "run_suite", lambda seed: seeds.append(seed) or [
+            gradsuite.CheckResult(name, err, 1e-4) for name, err in zip(("add", "mul"), errors)])
+        assert run_cli("gradcheck", "--seed", "7") == code
+        assert seeds == [7]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("add") and lines[0].endswith("PASS")
+        assert lines[1].startswith("mul") and lines[1].endswith("PASS" if code == 0 else "FAIL")
+        assert lines[2] == f"{2 if code == 0 else 1}/2 checks passed"
+
+    def test_ablate_echoes_the_steps_it_runs(self, monkeypatch, tmp_path):
+        from litedepth import cli
+        steps = []
+        monkeypatch.setattr(cli, "_ablate_run", lambda cfg, enc_cfg, source:
+                            steps.append(cfg.train.steps) or (1, 0.0, 0.0))
+        out = tmp_path / "ablate"
+        assert run_cli("ablate", "--variant", "tiny", "--size", "64x32", "--frames", "4",
+                       "--out", str(out)) == 0
+        assert set(steps) == {120}
+        assert "train.steps = 120\n" in (out / "config.txt").read_text()

@@ -6,8 +6,7 @@ import pytest
 from litedepth import data
 from litedepth.data import (
     DirectorySource, SyntheticSource, Triplet, augment,
-    generate_synthetic_sequence, occlusion_boundary_mask, resize_depth,
-    save_dataset,
+    generate_synthetic_sequence, resize_depth, save_dataset,
 )
 from litedepth.data import _jitter
 from litedepth.engine import Tensor, no_grad
@@ -165,7 +164,8 @@ class TestRendererWarperCrossValidation:
 
     # motion_scale 0.7 keeps per-frame steps inside the learnable band while
     # leaving margin to the photometric budget at the bad-luck seeds
-    def test_gt_warp_error_below_budget(self, relative_transform):
+    def test_gt_warp_error_below_budget(self, relative_transform,
+                                        occlusion_boundary_mask):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
         with no_grad():
@@ -177,7 +177,8 @@ class TestRendererWarperCrossValidation:
         assert keep.mean() > 0.4
         assert err[keep].mean() < 0.02
 
-    def test_gt_depth_strictly_beats_doubled_depth(self, relative_transform):
+    def test_gt_depth_strictly_beats_doubled_depth(self, relative_transform,
+                                                   occlusion_boundary_mask):
         seq = generate_synthetic_sequence(7, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 3
         tf = Tensor(relative_transform(seq, t, s)[None])
@@ -192,7 +193,8 @@ class TestRendererWarperCrossValidation:
                 errs.append(err[keep].mean())
         assert errs[0] < errs[1]
 
-    def test_previous_frame_also_warps(self, relative_transform):
+    def test_previous_frame_also_warps(self, relative_transform,
+                                       occlusion_boundary_mask):
         seq = generate_synthetic_sequence(21, 6, (128, 64), motion_scale=0.7)
         t, s = 2, 1
         with no_grad():

@@ -6,7 +6,7 @@ from litedepth.engine import (
 )
 from litedepth.encoder import (
     AttentionBlock, DepthEncoder, DilatedConvBlock, EncoderConfig,
-    count_flops, count_params, spatial_attention_probe, xca_attention,
+    count_flops, count_params, xca_attention,
 )
 
 
@@ -122,7 +122,8 @@ class TestChannelAttention:
             xca_attention(q, k, v, heads=4)
         assert attention_sizes == [4 * 8 * 8] * 3
 
-    def test_spatial_probe_scales_quadratically(self, rng, attention_sizes):
+    def test_spatial_probe_scales_quadratically(self, rng, attention_sizes,
+                                                spatial_attention_probe):
         for n_tok in (16, 32, 64):
             q, k, v = (Tensor(rng.standard_normal((1, n_tok, 8))) for _ in range(3))
             spatial_attention_probe(q, k, v, heads=2)

@@ -310,16 +310,33 @@ class TestTotalLoss:
             total_loss(disps, target, sources, transforms[:1],
                        intr, LossConfig())
 
-    def test_end_to_end_grad_check(self, rng):
+    @staticmethod
+    def _end_to_end(rng):
         intr, target, sources, transforms, disps = build_inputs(rng)
-        cfg = LossConfig(automask=False)   # keep the loss surface smooth
         aa = Tensor(np.array([[0.01, -0.02, 0.015]]))
-        tr = Tensor(np.array([[0.03, 0.01, -0.04]]))
+        # at a y translation of 0.01 one valid pixel sits 3.7 EPS from a kink
+        tr = Tensor(np.array([[0.03, 0.02, -0.04]]))
 
         def f(d0, d1, d2, a_, t_):
             tfs = [pose_to_matrix(a_, t_), transforms[1]]
             total, _ = total_loss((d0, d1, d2), target, sources,
-                                  tfs, intr, cfg)
+                                  tfs, intr, LossConfig())
             return total
+        return grad_check(f, [*disps, aa, tr])
 
-        assert grad_check(f, [*disps, aa, tr]) < 1e-3
+    def test_end_to_end_grad_check(self, rng, kink_margins):
+        # the objective training runs, auto-mask included
+        assert self._end_to_end(rng) < 1e-3
+        kink_margins()
+
+    def test_end_to_end_grad_check_fails_a_detached_warp(self, rng, monkeypatch):
+        # a planted defect: the warped image stops carrying depth gradients
+        from litedepth import losses
+        synthesize = losses.synthesize
+
+        def detached(*args):
+            image, valid = synthesize(*args)
+            return Tensor(image.data), valid
+
+        monkeypatch.setattr(losses, "synthesize", detached)
+        assert self._end_to_end(rng) > 1e-3
