@@ -22,7 +22,7 @@ from .config import RunConfig
 from .data import (DirectorySource, SyntheticSource, generate_synthetic_sequence,
                    resize_depth, resize_frame, save_dataset)
 from .decoder import DepthDecoder
-from .encoder import EncoderConfig, count_flops, count_params
+from .encoder import FRAME_MULTIPLE, EncoderConfig, check_frame_size, count_flops, count_params
 from .engine import set_default_dtype
 from .metrics import DepthMetrics
 from .pngio import load_image, write_f32, write_png
@@ -55,12 +55,24 @@ def _size(text: str):
     """--size WxH, e.g. 640x192, as (width, height)."""
     try:
         w, h = (int(v) for v in text.lower().split("x"))
-        if w > 0 and h > 0:
-            return w, h
+        check_frame_size(w, h, "size")
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected WxH with positive integers, "
-                                     f"e.g. 640x192, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected WxH with both sides positive and divisible by {FRAME_MULTIPLE}, "
+            f"e.g. 640x192, got {text!r}") from None
+    return w, h
+
+
+def _checked(kind, ok, expected: str):
+    """An argparse type: the text read by `kind`, refused unless ok(value)."""
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
 def _add_config_flags(p: argparse.ArgumentParser, variant: bool = True) -> None:
@@ -162,6 +174,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_infer(args) -> int:
     models, cfg = _models_from_checkpoint(args.checkpoint)
+    if args.depth_cap <= cfg.loss.min_depth:
+        raise _UsageError(f"--depth-cap {args.depth_cap} must be above the checkpoint's "
+                          f"loss.min_depth {cfg.loss.min_depth}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     image = load_image(args.image)
@@ -187,12 +202,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_eval(args) -> int:
     models, cfg = _models_from_checkpoint(args.checkpoint)
-    if args.data:
-        source = DirectorySource(args.data, size=(cfg.data.width, cfg.data.height))
-    else:
-        source = _source_from(cfg, None)
-    mean, rows = evaluate(models, source, cfg.loss, cap=args.depth_cap,
-                          median_scale=not args.no_median_scale)
+    mean, rows = evaluate(models, _source_from(cfg, args.data), cfg.loss,
+                          cap=args.depth_cap, median_scale=not args.no_median_scale)
     print(DepthMetrics.header())
     print(mean.as_row())
     print()
@@ -323,17 +334,18 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     # infer and eval read the configuration saved in the checkpoint
+    depth_cap = _checked(float, lambda v: v > 0, "a positive number")
     p = sub.add_parser("infer", help="depth map for one image from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--depth-cap", type=float, default=80.0)
+    p.add_argument("--depth-cap", type=depth_cap, default=80.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("eval", help="metric table against ground-truth depth")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory with depth/ (default: synthetic)")
-    p.add_argument("--depth-cap", type=float, default=80.0)
+    p.add_argument("--depth-cap", type=depth_cap, default=80.0)
     p.add_argument("--no-median-scale", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
@@ -345,7 +357,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0, help="seed for the test inputs")
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "a non-negative integer"),
+                   default=0, help="seed for the test inputs")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="architecture/dilation grid on the toy task")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Union
 
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, check_frame_size
 from .losses import LossConfig
 
 __all__ = ["DataConfig", "RunConfig", "TrainConfig"]
@@ -34,10 +34,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.lr0 <= 0:
             raise ValueError(f"train.lr0 must be positive, got {self.lr0}")
-        if self.lr_min < 0:
-            raise ValueError(f"train.lr_min must be >= 0, got {self.lr_min}")
-        if self.weight_decay < 0:
-            raise ValueError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("lr_min", "weight_decay", "seed", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"train.{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.steps <= 0 and self.epochs < 1:
@@ -56,14 +55,11 @@ class DataConfig:
     mover: bool = False
 
     def validate(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"data.width and data.height must be positive, "
-                             f"got {self.width}x{self.height}")
-        if self.width % 32 or self.height % 32:
-            raise ValueError(f"data.width and data.height must be divisible by 32, "
-                             f"got {self.width}x{self.height}")
+        check_frame_size(self.width, self.height, "data.width x data.height")
         if self.frames < 3:
             raise ValueError(f"data.frames must be >= 3 (one triplet), got {self.frames}")
+        if self.scene_seed < 0:
+            raise ValueError(f"data.scene_seed must be >= 0, got {self.scene_seed}")
 
 
 @dataclass

@@ -157,15 +157,13 @@ def generate_synthetic_sequence(seed: int, n_frames: int,
                                 ) -> SyntheticSequence:
     """Render a deterministic pinhole sequence with exact depth and poses.
 
-    size is (width, height), both divisible by 32. The camera dollies
-    forward with lateral sway; rotation is disabled when a mover is present
-    so the co-moving rectangle renders pixel-identically in every frame.
+    size is (width, height), any size. The camera dollies forward with
+    lateral sway; rotation is disabled when a mover is present so the
+    co-moving rectangle renders pixel-identically in every frame.
     ``motion_scale`` scales the whole trajectory (0 pins the camera).
     Occlusion resolves to the nearest surface.
     """
     w, h = size
-    if w % 32 or h % 32:
-        raise ValueError(f"size {w}x{h} must be divisible by 32")
     if n_frames < 1:
         raise ValueError("need at least one frame")
     rng = np.random.default_rng(seed)
@@ -260,9 +258,6 @@ class Triplet:
         shapes = {f.shape for f in self.frames}
         if len(shapes) != 1:
             raise ValueError(f"triplet frames disagree in shape: {shapes}")
-        _, h, w = self.frames[0].shape
-        if h % 32 or w % 32:
-            raise ValueError(f"triplet size {w}x{h} must be divisible by 32")
 
     def network_frames(self) -> Tuple[np.ndarray, ...]:
         return self.frames_jittered if self.frames_jittered is not None else self.frames

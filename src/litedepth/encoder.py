@@ -23,12 +23,16 @@ __all__ = [
     "DepthEncoder",
     "DilatedConvBlock",
     "EncoderConfig",
+    "FRAME_MULTIPLE",
+    "check_frame_size",
     "count_flops",
     "count_params",
     "xca_attention",
 ]
 
 _STAGE12_DILATIONS = [1, 2, 3]
+
+FRAME_MULTIPLE = 32     # the pose encoder halves a frame five times, each exactly
 
 _VARIANTS = {
     "tiny": dict(channels=(32, 32, 64, 128), stage3_dilations=[1, 2, 3, 2, 4, 6]),
@@ -78,6 +82,13 @@ class EncoderConfig:
             if c % h != 0:
                 raise ValueError(
                     f"encoder.heads: stage {s + 1} channels {c} not divisible by heads {h}")
+
+
+def check_frame_size(width: int, height: int, what: str) -> None:
+    """Refuse a frame unless both its sides are positive multiples of FRAME_MULTIPLE."""
+    if min(width, height) <= 0 or width % FRAME_MULTIPLE or height % FRAME_MULTIPLE:
+        raise ValueError(
+            f"{what} {width}x{height} must be positive and divisible by {FRAME_MULTIPLE}")
 
 
 # ------------------------------------------------------------------ attention
@@ -185,9 +196,7 @@ class ConvStem(Module):
         self.conv3 = ConvBnGelu(cout, cout, rng)
 
     def __call__(self, image: Tensor) -> Tensor:
-        n, c, h, w = image.shape
-        if h % 32 or w % 32:
-            raise ValueError(f"input size {h}x{w} must be divisible by 32")
+        check_frame_size(image.shape[3], image.shape[2], "input size")
         return self.conv3(self.conv2(self.conv1(image)))
 
 
@@ -291,8 +300,7 @@ def count_flops(config: EncoderConfig, input_size: Tuple[int, int]) -> int:
     """
     config.validate()
     w, h = input_size
-    if h % 32 or w % 32:
-        raise ValueError(f"input size {w}x{h} must be divisible by 32")
+    check_frame_size(w, h, "input size")
     c1, c2, c3, c4 = config.channels
     pooled = 3 if config.use_pooled_concat else 0
     macs = 0

@@ -73,37 +73,30 @@ def _pair(v) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of a 2-D convolution.
+    """Geometry of a 2-D convolution; the kernel size is the weight's.
 
-    ``padding`` is symmetric per spatial axis (int or (ph, pw)) or fully
-    per-side as (top, bottom, left, right). ``dilation`` r >= 1 spaces the
-    kernel taps r apart; r = 1 is a standard convolution. ``groups`` must
-    divide both channel counts; groups == channels gives a depthwise conv.
+    ``padding`` is an int, the same on every side, or (top, bottom, left,
+    right). ``dilation`` r >= 1 spaces the kernel taps r apart; r = 1 is a
+    standard convolution. ``groups`` must divide both channel counts;
+    groups == channels gives a depthwise conv.
     """
 
-    kernel: Tuple[int, int] = (3, 3)
     stride: int = 1
-    padding: Union[int, Tuple[int, int], Tuple[int, int, int, int]] = 0
+    padding: Union[int, Tuple[int, int, int, int]] = 0
     dilation: int = 1
     groups: int = 1
 
     def pads(self) -> Tuple[int, int, int, int]:
-        p = self.padding
-        if isinstance(p, (tuple, list)):
-            if len(p) == 2:
-                return int(p[0]), int(p[0]), int(p[1]), int(p[1])
-            if len(p) == 4:
-                return tuple(int(v) for v in p)  # type: ignore[return-value]
-            raise ValueError(f"padding must be int, pair or 4-tuple, got {p!r}")
-        return int(p), int(p), int(p), int(p)
+        p = self.padding if isinstance(self.padding, (tuple, list)) else (self.padding,) * 4
+        if len(p) != 4:
+            raise ValueError(f"padding must be an int or (top, bottom, left, right), got {p!r}")
+        return tuple(int(v) for v in p)  # type: ignore[return-value]
 
     def __post_init__(self):
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
+        self.pads()
+        for name in ("dilation", "stride", "groups"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def same_padding(kernel: int, dilation: int = 1) -> int:
@@ -149,8 +142,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
     if cper != cin // g:
         raise ValueError(
             f"weight channel axis mismatch: got {cper}, expected {cin}//{g} = {cin // g}")
-    if (kh, kw) != _pair(spec.kernel):
-        raise ValueError(f"weight kernel {kh}x{kw} does not match spec {spec.kernel}")
     pt, pb, pl, pr = spec.pads()
     s, r = spec.stride, spec.dilation
     ho = _out_size(h, kh, s, pt, pb, r)
@@ -277,15 +268,18 @@ def _resolve_size(h: int, w: int, scale=None, size=None) -> Tuple[int, int]:
     return ho, wo
 
 
+def _corners(c: np.ndarray, n: int):
+    """The rule both bilinear samplers share: coordinates `c` on an axis of
+    n pixels, clamped to the edge, as the two neighbouring pixel indices and
+    the offset from the first."""
+    c = np.clip(c, 0.0, n - 1.0)
+    i0 = np.minimum(np.floor(c).astype(np.int64), n - 1)
+    return i0, np.minimum(i0 + 1, n - 1), c - i0
+
+
 def _bilinear_axis(n_in: int, n_out: int):
-    """Half-pixel source coordinates for an axis, clamped to the edge."""
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i0 = np.minimum(i0, n_in - 1)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    frac = src - i0
-    return i0, i1, frac
+    """Half-pixel source corners for an axis resized from n_in to n_out."""
+    return _corners((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, n_in)
 
 
 def resize_bilinear(x: Tensor, scale=None, size=None) -> Tensor:
@@ -303,18 +297,16 @@ def resize_bilinear(x: Tensor, scale=None, size=None) -> Tensor:
 
     y0, y1, fy = _bilinear_axis(h, ho)
     x0, x1, fx = _bilinear_axis(w, wo)
-    fy = fy.reshape(1, 1, ho, 1)
-    fx = fx.reshape(1, 1, 1, wo)
+    fy = fy.reshape(ho, 1)
     d = x.data
-    top = d[:, :, y0, :][:, :, :, x0] * (1 - fx) + d[:, :, y0, :][:, :, :, x1] * fx
-    bot = d[:, :, y1, :][:, :, :, x0] * (1 - fx) + d[:, :, y1, :][:, :, :, x1] * fx
-    out = top * (1 - fy) + bot * fy
+    # out = Ry @ x @ Rx^T with (n_out, n_in) interpolation matrices of two
+    # nonzeros a row: each input row along x once, then those rows along y
+    rows = d[..., x0] * (1 - fx) + d[..., x1] * fx
+    out = rows[:, :, y0] * (1 - fy) + rows[:, :, y1] * fy
 
     def bw(g):
-        # out = Ry @ x @ Rx^T with one-hot (n_out, n_in) interpolation matrices
         ry, rx = [(np.arange(size) == i0[:, None]) * (1 - f) + (np.arange(size) == i1[:, None]) * f
-                  for size, i0, i1, f in ((h, y0, y1, fy.reshape(ho, 1)),
-                                          (w, x0, x1, fx.reshape(wo, 1)))]
+                  for size, i0, i1, f in ((h, y0, y1, fy), (w, x0, x1, fx[:, None]))]
         return ((ry.T @ g @ rx).astype(d.dtype),)
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), bw)
@@ -336,14 +328,9 @@ def bilinear_sample(source: Tensor, coords: Tensor) -> Tensor:
     if not np.isfinite(coords.data).all():
         raise ValueError("bilinear_sample requires finite coordinates")
     n, c, h, w = source.shape
-    cx = np.clip(coords.data[..., 0], 0.0, w - 1.0)
-    cy = np.clip(coords.data[..., 1], 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx).astype(np.int64), w - 1)
-    y0 = np.minimum(np.floor(cy).astype(np.int64), h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (cx - x0)[:, None]                      # (N,1,Ho,Wo)
-    fy = (cy - y0)[:, None]
+    x0, x1, fx = _corners(coords.data[..., 0], w)
+    y0, y1, fy = _corners(coords.data[..., 1], h)
+    fx, fy = fx[:, None], fy[:, None]           # (N,1,Ho,Wo)
     # flat (n, c, y, x) index of each corner's source pixel, the four corners
     # stacked first: (4, N, 1, Ho, Wo) pixel offsets plus (N, C, 1, 1) planes
     corners = np.stack([(yi * w + xi)[:, None]

@@ -384,30 +384,29 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; on ties the gradient routes to the first operand."""
+def _extremum(pick, a, b) -> Tensor:
+    """pick(a, b) elementwise. The gradient goes to a where the output equals
+    a, so ties route it to the first operand, and to b elsewhere."""
     a, b = as_tensor(a), as_tensor(b)
+    out = pick(a.data, b.data)
 
     def bw(g):
-        take_a = a.data >= b.data
+        take_a = out == a.data
         ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None
         gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None
         return ga, gb
 
-    return Tensor._from_op(np.maximum(a.data, b.data), (a, b), bw)
+    return Tensor._from_op(out, (a, b), bw)
+
+
+def maximum(a, b) -> Tensor:
+    """Elementwise maximum; ties as in `_extremum`."""
+    return _extremum(np.maximum, a, b)
 
 
 def minimum(a, b) -> Tensor:
-    """Elementwise minimum; on ties the gradient routes to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        take_a = a.data <= b.data
-        ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return Tensor._from_op(np.minimum(a.data, b.data), (a, b), bw)
+    """Elementwise minimum; ties as in `_extremum`."""
+    return _extremum(np.minimum, a, b)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

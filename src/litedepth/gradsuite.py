@@ -68,12 +68,12 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         xc = Tensor(rng.standard_normal((1, 4, 6, 6)))
         wc = Tensor(rng.standard_normal((4, 4, 3, 3)) * 0.3)
         bc = Tensor(rng.standard_normal(4) * 0.1)
-        check("conv2d", lambda a, w, b: (conv2d(a, w, b, ConvSpec(
-            kernel=(3, 3), padding=1)) ** 2.0).sum(), [xc, wc, bc])
+        check("conv2d", lambda a, w, b: (conv2d(a, w, b, ConvSpec(padding=1)) ** 2.0).sum(),
+              [xc, wc, bc])
         wd = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.3)
         check("conv2d_depthwise_dilated", lambda a, w: (conv2d(
-            a, w, None, ConvSpec(kernel=(3, 3), padding=same_padding(3, 2),
-                                 dilation=2, groups=4)) ** 2.0).sum(), [xc, wd])
+            a, w, None, ConvSpec(padding=same_padding(3, 2), dilation=2,
+                                 groups=4)) ** 2.0).sum(), [xc, wd])
         check("avg_pool", lambda a: (avg_pool(a, (2, 2)) ** 2.0).sum(), [xc])
         check("resize_bilinear", lambda a: (resize_bilinear(a, scale=2.0) ** 2.0).sum(),
               [Tensor(rng.standard_normal((1, 2, 3, 4)))])
@@ -192,9 +192,9 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
 
         # ---- drawn last, so every earlier check keeps its inputs
         for name, shape, spec in (
-                ("conv2d_pointwise", (5, 4, 1, 1), ConvSpec(kernel=(1, 1))),
+                ("conv2d_pointwise", (5, 4, 1, 1), ConvSpec()),
                 ("conv2d_grouped_stride2", (6, 2, 3, 3),
-                 ConvSpec(kernel=(3, 3), stride=2, padding=1, groups=2))):
+                 ConvSpec(stride=2, padding=1, groups=2))):
             check(name, lambda a, w, spec=spec: (conv2d(a, w, None, spec) ** 2.0).sum(),
                   [xc, Tensor(rng.standard_normal(shape) * 0.3)])
         target = Tensor(rng.random((1, 3, 5, 7)))

@@ -47,6 +47,8 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP,
     median(gt)/median(pred), removing the global scale ambiguity of
     monocular training; both maps are then clamped to [1e-3, cap].
     """
+    if not cap > _FLOOR:
+        raise ValueError(f"depth cap {cap} must be above the {_FLOOR} m floor")
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:

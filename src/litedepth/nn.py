@@ -90,8 +90,7 @@ class Conv2d(Module):
                  stride: int = 1, dilation: int = 1, groups: int = 1,
                  bias: bool = True, init: str = "conv"):
         super().__init__()
-        self.spec = ConvSpec(kernel=(kernel, kernel), stride=stride,
-                             padding=same_padding(kernel, dilation),
+        self.spec = ConvSpec(stride=stride, padding=same_padding(kernel, dilation),
                              dilation=dilation, groups=groups)
         shape = (cout, cin // groups, kernel, kernel)
         if init == "proj":

@@ -219,6 +219,22 @@ class TestCliCommands:
                        str(tmp_path / "x")) == 1
         assert "divisible" in capsys.readouterr().err
 
+    def test_bench_rejects_bad_size(self, capsys):
+        # the frame rule is checked at parse time for every command
+        assert run_cli("bench", "--size", "96x40") == 1
+        err = capsys.readouterr().err
+        assert "argument --size: expected WxH with both sides positive and divisible by 32" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["synth", "--seed", "-2", "--out", "d"], "train.seed"),
+        (["gradcheck", "--seed", "-1"], "argument --seed"),
+    ], ids=["synth", "gradcheck"])
+    def test_negative_seed_is_a_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("extra,key", [
         (["--steps", "1", "--set", "loss.alpha=2"], "loss.alpha"),
         (["--steps", "1", "--set", "train.lr0=-1"], "train.lr0"),
@@ -234,10 +250,14 @@ class TestCliCommands:
         (["--steps", "1", "--set", "train.lr_min=-1"], "train.lr_min"),
         (["--steps", "1", "--set", "data.width=0"], "data.width"),
         (["--steps", "1", "--frames", "2"], "data.frames"),
+        (["--steps", "1", "--seed", "-1"], "train.seed"),
+        (["--steps", "1", "--set", "data.scene_seed=-1"], "data.scene_seed"),
+        (["--steps", "1", "--set", "train.checkpoint_every=-3"], "train.checkpoint_every"),
     ], ids=["alpha", "lr0", "lambda-smooth", "zero-epochs", "zero-batch",
             "steps-not-a-number", "heads", "negative-min-depth", "zero-min-depth",
             "min-depth-above-max", "negative-weight-decay", "negative-lr-min",
-            "zero-width", "two-frames"])
+            "zero-width", "two-frames", "negative-seed", "negative-scene-seed",
+            "negative-checkpoint-every"])
     def test_bad_config_value_is_a_usage_error(self, extra, key, tmp_path, capsys):
         # values from --set and flags pass the same checks as the dataclasses'
         out = tmp_path / "run"
@@ -354,6 +374,28 @@ class TestCliCommands:
         assert read_f32(out / "frame_depth.f32").shape == (1, 50, 100)
         assert read_png(out / "frame_depth_mm.png").shape[:2] == (50, 100)
         assert read_png(out / "frame_depth_vis.png").shape == (50, 200, 3)
+
+    @pytest.mark.parametrize("cap", ["-5", "0", "nan", "abc"])
+    def test_eval_rejects_a_nonpositive_depth_cap(self, tiny_checkpoint, cap, capsys):
+        # -5 printed a perfect score, 0 printed nan
+        assert run_cli("eval", "--checkpoint", str(tiny_checkpoint), "--depth-cap", cap) == 1
+        assert "argument --depth-cap: expected a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap, named", [
+        ("-1", "argument --depth-cap"), ("0", "argument --depth-cap"),
+        ("0.1", "loss.min_depth 0.1"), ("0.05", "loss.min_depth 0.1"),
+    ])
+    def test_infer_rejects_a_depth_cap_at_or_below_min_depth(self, tiny_checkpoint, cap, named,
+                                                             tmp_path, capsys):
+        # -1 wrote a -1 m depth map, 0 failed on an index out of bounds
+        image = tmp_path / "frame.png"
+        write_png(image, np.full((32, 64, 3), 128, dtype=np.uint8))
+        out = tmp_path / "depth"
+        assert run_cli("infer", "--checkpoint", str(tiny_checkpoint), "--image", str(image),
+                       "--depth-cap", cap, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert named in err and "--depth-cap" in err
+        assert not out.exists()
 
     def test_checkpoint_with_an_invalid_saved_value_fails_cleanly(self, tmp_path, capsys):
         models = build_models(EncoderConfig.variant_preset("tiny"))

@@ -37,7 +37,7 @@ def conv_as_1d(x, w, r):
     k = len(w)
     xt = Tensor(np.asarray(x, dtype=np.float64).reshape(1, 1, 1, -1))
     wt = Tensor(np.asarray(w, dtype=np.float64).reshape(1, 1, 1, k))
-    spec = ConvSpec(kernel=(1, k), padding=(0, 0, 0, r * k), dilation=r)
+    spec = ConvSpec(padding=(0, 0, 0, r * k), dilation=r)
     return conv2d(xt, wt, None, spec).data.reshape(-1)
 
 
@@ -121,7 +121,7 @@ class TestBlockedConvForward:
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_every_geometry_spans_blocks_bit_identically(self, geometry, n, dtype, rng):
         cin, cout, k, spec_kw = self.GEOMETRIES[geometry]
-        spec = ConvSpec(kernel=(k, k), **spec_kw)
+        spec = ConvSpec(**spec_kw)
         x = rng.standard_normal((n, cin, 32, 160)).astype(dtype)
         wt = rng.standard_normal((cout, cin // spec.groups, k, k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
@@ -135,7 +135,7 @@ class TestBlockedConvForward:
         x = rng.standard_normal((7, 8, 32, 80)).astype(dtype)
         wt = rng.standard_normal((8, 8, 3, 3)).astype(dtype)
         b = rng.standard_normal(8).astype(dtype)
-        spec = ConvSpec(kernel=(3, 3), padding=1)
+        spec = ConvSpec(padding=1)
         out, ref = self.run(x, wt, b, spec)
         np.testing.assert_array_equal(out, ref)
         total, per_sample = column_bytes(x, wt, spec, out.shape)
@@ -146,7 +146,7 @@ class TestBlockedConvForward:
         # the 640x192 stem map: 53 MiB of f32 columns in one GEMM
         x = rng.standard_normal(shape).astype(np.float32)
         wt = rng.standard_normal((shape[1], shape[1], 3, 3)).astype(np.float32)
-        np.testing.assert_array_equal(*self.run(x, wt, None, ConvSpec(kernel=(3, 3), padding=1)))
+        np.testing.assert_array_equal(*self.run(x, wt, None, ConvSpec(padding=1)))
 
     @pytest.mark.parametrize("dtype,n,h,w,groups,pads", [
         (np.float64, 1, 32, 160, 1, (1, 0, 2, 1)),    # 16 columns of rows overflow the budget
@@ -156,7 +156,7 @@ class TestBlockedConvForward:
     def test_off_tile_blocks_differ_only_in_rounding(self, dtype, n, h, w, groups, pads, rng):
         # OpenBLAS rounds a column by where it sits in its tile, and switches
         # sgemv kernels above 16,384 columns: these blocks may round apart
-        spec = ConvSpec(kernel=(3, 3), padding=pads, groups=groups)
+        spec = ConvSpec(padding=pads, groups=groups)
         x = rng.standard_normal((n, 32, h, w)).astype(dtype)
         wt = rng.standard_normal((32, 32 // groups, 3, 3)).astype(dtype)
         out, ref = self.run(x, wt, None, spec)
@@ -171,7 +171,7 @@ class TestBlockedConvForward:
         monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
         x = rng.standard_normal((4, 32, 16, 32)).astype(np.float32)
         wt = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        conv2d(Tensor(x), Tensor(wt), None, ConvSpec(kernel=(3, 3), padding=1))
+        conv2d(Tensor(x), Tensor(wt), None, ConvSpec(padding=1))
         assert calls == [1]
 
     def test_forward_peak_is_bounded_by_the_budget(self, rng):
@@ -181,7 +181,7 @@ class TestBlockedConvForward:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            out = conv2d(x, wt, None, ConvSpec(kernel=(3, 3), padding=1))
+            out = conv2d(x, wt, None, ConvSpec(padding=1))
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -207,7 +207,7 @@ class TestConv2d:
     def test_identity_pointwise_kernel(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 5, 4)))
         w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
-        out = conv2d(x, w, None, ConvSpec(kernel=(1, 1)))
+        out = conv2d(x, w, None, ConvSpec())
         np.testing.assert_array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("r,support", [(1, 3), (2, 5)])
@@ -216,7 +216,7 @@ class TestConv2d:
         x = np.zeros((1, 1, 11, 11))
         x[0, 0, 5, 5] = 1.0
         w = Tensor(np.ones((1, 1, 3, 3)))
-        spec = ConvSpec(kernel=(3, 3), padding=same_padding(3, r), dilation=r)
+        spec = ConvSpec(padding=same_padding(3, r), dilation=r)
         out = conv2d(Tensor(x), w, None, spec).data[0, 0]
         rows = np.nonzero(out.sum(axis=1))[0]
         cols = np.nonzero(out.sum(axis=0))[0]
@@ -231,7 +231,7 @@ class TestConv2d:
         x = rng.integers(-64, 64, size=(n, cin, h, w)) / 8.0
         wt = rng.integers(-64, 64, size=(cout, cin, k, k)) / 8.0
         b = rng.integers(-64, 64, size=cout) / 8.0
-        spec = ConvSpec(kernel=(k, k))
+        spec = ConvSpec()
         out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
         np.testing.assert_array_equal(out, seven_loop_conv(x, wt, b, spec))
 
@@ -245,7 +245,7 @@ class TestConv2d:
         (2, 3, 3, dict(dilation=2, padding=(0, 2, 1, 3))),
     ])
     def test_every_geometry_matches_seven_loop_reference(self, cin, cout, k, spec_kw, rng):
-        spec = ConvSpec(kernel=(k, k), **spec_kw)
+        spec = ConvSpec(**spec_kw)
         x = rng.integers(-64, 64, size=(3, cin, 9, 8)) / 8.0
         wt = rng.integers(-64, 64, size=(cout, cin // spec.groups, k, k)) / 8.0
         b = rng.integers(-64, 64, size=cout) / 8.0
@@ -258,7 +258,7 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)).astype(np.float32),
                    requires_grad=True)
-        out = conv2d(x, w, None, ConvSpec(kernel=(3, 3), padding=1, groups=groups))
+        out = conv2d(x, w, None, ConvSpec(padding=1, groups=groups))
         (out * Tensor(np.ones(out.shape))).sum().backward()
         assert x.grad.dtype == np.float32
 
@@ -268,7 +268,7 @@ class TestConv2d:
         x = rng.standard_normal((2, 4, 7, 6))
         w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        spec = ConvSpec(kernel=(3, 3), stride=stride, padding=(1, 0, 2, 1), groups=groups)
+        spec = ConvSpec(stride=stride, padding=(1, 0, 2, 1), groups=groups)
         upstream = rng.standard_normal(conv2d(Tensor(x), w, b, spec).shape)
         grads = []
         for needs in (True, False):
@@ -282,30 +282,35 @@ class TestConv2d:
         x = rng.standard_normal((1, 3, 6, 6))
         w = rng.standard_normal((3, 1, 3, 3))
         out = conv2d(Tensor(x), Tensor(w), None,
-                     ConvSpec(kernel=(3, 3), groups=3)).data
+                     ConvSpec(groups=3)).data
         for c in range(3):
             ref = conv2d(Tensor(x[:, c: c + 1]), Tensor(w[c: c + 1]), None,
-                         ConvSpec(kernel=(3, 3))).data
+                         ConvSpec()).data
             np.testing.assert_allclose(out[:, c: c + 1], ref, atol=1e-12)
+
+    def test_padding_pair_rejected(self):
+        # padding is an int or (top, bottom, left, right); the kernel is the weight's
+        with pytest.raises(ValueError, match="padding"):
+            ConvSpec(padding=(1, 2))
 
     def test_group_mismatch_error_names_axis(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
         w = Tensor(np.zeros((4, 1, 3, 3)))
         with pytest.raises(ValueError, match="channel axis"):
-            conv2d(x, w, None, ConvSpec(kernel=(3, 3), groups=2))
+            conv2d(x, w, None, ConvSpec(groups=2))
 
     def test_nonpositive_output_size_error(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
         w = Tensor(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ValueError, match="output size"):
-            conv2d(x, w, None, ConvSpec(kernel=(3, 3)))
+            conv2d(x, w, None, ConvSpec())
 
     @pytest.mark.parametrize("groups,dilation,stride", [(1, 1, 1), (1, 2, 1), (2, 1, 2), (4, 2, 1)])
     def test_grad_check(self, groups, dilation, stride, rng):
         x = Tensor(rng.standard_normal((2, 4, 6, 6)))
         w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)))
         b = Tensor(rng.standard_normal(4))
-        spec = ConvSpec(kernel=(3, 3), stride=stride,
+        spec = ConvSpec(stride=stride,
                         padding=same_padding(3, dilation),
                         dilation=dilation, groups=groups)
 
@@ -377,7 +382,40 @@ def bilinear_resize_oracle(img, ho, wo):
     return out
 
 
+def two_gather_resize(d, ho, wo):
+    """resize_bilinear's forward in its first form: the axis rule written
+    out, and each output row's x-interpolation evaluated again for its top
+    and its bottom source row, over four double gathers."""
+    def axis(n_in, n_out):
+        src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        i0 = np.minimum(np.floor(src).astype(np.int64), n_in - 1)
+        return i0, np.minimum(i0 + 1, n_in - 1), src - i0
+
+    y0, y1, fy = axis(d.shape[2], ho)
+    x0, x1, fx = axis(d.shape[3], wo)
+    fy, fx = fy.reshape(1, 1, ho, 1), fx.reshape(1, 1, 1, wo)
+    top = d[:, :, y0, :][:, :, :, x0] * (1 - fx) + d[:, :, y0, :][:, :, :, x1] * fx
+    bot = d[:, :, y1, :][:, :, :, x0] * (1 - fx) + d[:, :, y1, :][:, :, :, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
 class TestResizeBilinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw, size", [
+        ((6, 8), (12, 16)),        # x2 up, the decoder's
+        ((12, 16), (6, 8)),        # /2 down
+        ((16, 24), (4, 6)),        # /4 down
+        ((5, 7), (8, 3)),          # non-integer ratios
+        ((1, 9), (3, 18)),         # one input row
+        ((6, 8), (1, 4)),          # one output row
+    ], ids=["up2", "down2", "down4", "non-integer", "one-input-row", "one-output-row"])
+    def test_row_once_forward_equals_two_gather_form(self, hw, size, dtype, rng):
+        d = rng.standard_normal((2, 3) + hw).astype(dtype)
+        out = resize_bilinear(Tensor(d), size=size).data
+        ref = two_gather_resize(d, *size)
+        assert out.dtype == ref.dtype
+        np.testing.assert_array_equal(out, ref)
+
     def test_unit_scale_is_bit_identical(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)))
         assert resize_bilinear(x, scale=1.0) is x
@@ -780,7 +818,7 @@ class TestActivations:
         s, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
 
         def f(xi, wi, si, bi):
-            h = conv2d(xi, wi, None, ConvSpec(kernel=(3, 3), padding=1))
+            h = conv2d(xi, wi, None, ConvSpec(padding=1))
             h = batch_norm(h, si, bi, np.zeros(3), np.ones(3), training=True)
             return gelu(h).sum()
 

@@ -183,31 +183,29 @@ def leaf(rng, shape, dtype, grad=True, scale=1.0):
 
 
 class TestBackwardUnchanged:
-    @pytest.mark.parametrize("spec, size, cout", [
-        pytest.param(spec, (9, 11), 8, id=f"spec{i}") for i, spec in enumerate([
-            ConvSpec(kernel=(3, 3), padding=1),
-            ConvSpec(kernel=(3, 3), padding=2, dilation=2, stride=2),
-            ConvSpec(kernel=(3, 3), padding=1, groups=4),
-            ConvSpec(kernel=(3, 3), padding=(0, 1, 2, 1)),
-            ConvSpec(kernel=(3, 3)),
-            ConvSpec(kernel=(1, 1)),
+    @pytest.mark.parametrize("spec, k, size, cout", [
+        pytest.param(spec, k, (9, 11), 8, id=f"spec{i}") for i, (spec, k) in enumerate([
+            (ConvSpec(padding=1), 3),
+            (ConvSpec(padding=2, dilation=2, stride=2), 3),
+            (ConvSpec(padding=1, groups=4), 3),
+            (ConvSpec(padding=(0, 1, 2, 1)), 3),
+            (ConvSpec(), 3),
+            (ConvSpec(), 1),
         ])
     ] + [
         # taps whose rows or columns all fall in the zero padding
-        pytest.param(ConvSpec(kernel=(3, 3), padding=1), (1, 2), 8, id="posenet-1x2"),
-        pytest.param(ConvSpec(kernel=(3, 3), padding=6, dilation=6), (2, 4), 8,
-                     id="dilation6-2x4"),
-        pytest.param(ConvSpec(kernel=(3, 3), padding=1, stride=2), (2, 4), 8, id="stride2-2x4"),
+        pytest.param(ConvSpec(padding=1), 3, (1, 2), 8, id="posenet-1x2"),
+        pytest.param(ConvSpec(padding=6, dilation=6), 3, (2, 4), 8, id="dilation6-2x4"),
+        pytest.param(ConvSpec(padding=1, stride=2), 3, (2, 4), 8, id="stride2-2x4"),
         # one output channel per group
-        pytest.param(ConvSpec(kernel=(3, 3), padding=1, groups=4), (9, 11), 4, id="depthwise"),
-        pytest.param(ConvSpec(kernel=(3, 3), padding=3, dilation=3, groups=4), (2, 4), 4,
+        pytest.param(ConvSpec(padding=1, groups=4), 3, (9, 11), 4, id="depthwise"),
+        pytest.param(ConvSpec(padding=3, dilation=3, groups=4), 3, (2, 4), 4,
                      id="depthwise-dilation3-2x4"),
     ])
     @pytest.mark.parametrize("x_grad", [True, False])
-    def test_conv2d(self, spec, size, cout, x_grad, dtype, rng):
+    def test_conv2d(self, spec, k, size, cout, x_grad, dtype, rng):
         x = leaf(rng, (2, 4) + size, dtype, grad=x_grad)
-        kh, kw = spec.kernel
-        weight = leaf(rng, (cout, 4 // spec.groups, kh, kw), dtype)
+        weight = leaf(rng, (cout, 4 // spec.groups, k, k), dtype)
         bias = leaf(rng, (cout,), dtype)
         out = conv2d(x, weight, bias, spec)
         g = rng.standard_normal(out.shape).astype(dtype)

@@ -89,6 +89,12 @@ class TestDepthMetrics:
         m = depth_metrics(pred, gt, cap=80.0, median_scale=False)
         assert m.abs_rel == 0.0     # both capped to 80
 
+    @pytest.mark.parametrize("cap", [1e-3, 0.0, -5.0, float("nan")])
+    def test_cap_at_or_below_the_floor_rejected(self, cap):
+        # a cap under the 1e-3 clamp floor scored every prediction perfect
+        with pytest.raises(ValueError, match="cap"):
+            depth_metrics(np.full((2, 2), 3.0), np.full((2, 2), 9.0), cap=cap)
+
     def test_no_valid_pixels_rejected(self):
         with pytest.raises(ValueError, match="valid"):
             depth_metrics(np.ones((3, 3)), np.zeros((3, 3)))

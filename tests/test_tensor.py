@@ -141,6 +141,20 @@ class TestSkippedGradients:
             np.testing.assert_array_equal(grads[0], grads[1])
 
 
+class TestExtremum:
+    @pytest.mark.parametrize("op, routes_to_a", [
+        (maximum, [0.0, 1.0, 1.0, 0.0, 0.0]),
+        (minimum, [1.0, 1.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_gradient_follows_the_output_and_ties_go_first(self, op, routes_to_a):
+        # a < b, a == b, a > b, then a NaN in either operand
+        a = Tensor(np.array([1.0, 2.0, 3.0, np.nan, 1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0, 2.0, 2.0, 0.0, np.nan]), requires_grad=True)
+        ga, gb = op(a, b)._backward(np.ones(5))
+        np.testing.assert_array_equal(ga, routes_to_a)
+        np.testing.assert_array_equal(gb, 1.0 - np.array(routes_to_a))
+
+
 class TestMatmul:
     def test_matches_triple_loop_oracle(self, rng):
         a = rng.standard_normal((2, 3))
