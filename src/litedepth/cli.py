@@ -24,9 +24,10 @@ from .data import (DirectorySource, SyntheticSource, generate_synthetic_sequence
 from .decoder import DepthDecoder
 from .encoder import FRAME_MULTIPLE, EncoderConfig, check_frame_size, count_flops, count_params
 from .engine import set_default_dtype
-from .metrics import DepthMetrics
+from .metrics import DEPTH_CAP, DEPTH_FLOOR, DepthMetrics
 from .pngio import load_image, write_f32, write_png
-from .trainer import Checkpoint, build_models, evaluate, predict_depth, train
+from .trainer import (build_models, evaluate, load_checkpoint, predict_depth,
+                      restore_checkpoint, saved_config_text, train)
 
 __all__ = ["main"]
 
@@ -75,12 +76,15 @@ def _checked(kind, ok, expected: str):
     return parse
 
 
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
 def _add_config_flags(p: argparse.ArgumentParser, variant: bool = True) -> None:
     """The flags that build a run configuration, for the commands that read one."""
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", dest="overrides",
                    help="override any config key (repeatable)")
-    p.add_argument("--seed", type=int, help="seed for training and scene generation")
+    p.add_argument("--seed", type=_seed, help="seed for training and scene generation")
     if variant:
         p.add_argument("--variant", choices=("tiny", "small", "base"),
                        help="encoder size preset")
@@ -130,16 +134,17 @@ def _source_from(cfg: RunConfig, data: Optional[str]):
 
 
 def _models_from_checkpoint(path: str):
-    ckpt = Checkpoint.load(path)
+    entries = load_checkpoint(path)
+    text = saved_config_text(entries, path)
     cfg = RunConfig()
     try:
-        cfg.apply_text(ckpt.config_text)
+        cfg.apply_text(text)
         cfg.validate()
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path} (saved config): {exc.args[0]}") from None
     set_default_dtype(cfg.train.precision)
     models = build_models(cfg.encoder, seed=cfg.train.seed)
-    ckpt.restore_into(models)
+    restore_checkpoint(entries, models, path=path)
     return models, cfg
 
 
@@ -299,11 +304,9 @@ def _cmd_ablate(args) -> int:
 def _ablate_run(cfg: RunConfig, enc_cfg: EncoderConfig, source):
     enc_cfg.validate()
     result = train(cfg.train, enc_cfg, source, loss_config=cfg.loss)
-    models = build_models(enc_cfg, seed=cfg.train.seed)
-    result.checkpoint.restore_into(models)
-    mean, _ = evaluate(models, source, cfg.loss)
+    mean, _ = evaluate(result.models, source, cfg.loss)
     final = float(np.mean([r["total"] for r in result.curve[-10:]]))
-    return models.num_params(), final, mean.abs_rel
+    return result.models.num_params(), final, mean.abs_rel
 
 
 def _build_parser() -> _Parser:
@@ -334,18 +337,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     # infer and eval read the configuration saved in the checkpoint
-    depth_cap = _checked(float, lambda v: v > 0, "a positive number")
+    depth_cap = _checked(float, lambda v: v > DEPTH_FLOOR,
+                         f"a positive number above the {DEPTH_FLOOR} m metrics floor")
     p = sub.add_parser("infer", help="depth map for one image from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--depth-cap", type=depth_cap, default=80.0)
+    p.add_argument("--depth-cap", type=depth_cap, default=DEPTH_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("eval", help="metric table against ground-truth depth")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory with depth/ (default: synthetic)")
-    p.add_argument("--depth-cap", type=depth_cap, default=80.0)
+    p.add_argument("--depth-cap", type=depth_cap, default=DEPTH_CAP)
     p.add_argument("--no-median-scale", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
@@ -357,8 +361,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "a non-negative integer"),
-                   default=0, help="seed for the test inputs")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the test inputs")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="architecture/dilation grid on the toy task")

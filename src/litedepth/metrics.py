@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DepthMetrics", "depth_metrics", "METRIC_COLUMNS"]
+__all__ = ["DEPTH_CAP", "DEPTH_FLOOR", "DepthMetrics", "depth_metrics", "METRIC_COLUMNS"]
 
 METRIC_COLUMNS = ("abs_rel", "sq_rel", "rmse", "rmse_log",
                   "delta1", "delta2", "delta3")
 
 DEPTH_CAP = 80.0
-_FLOOR = 1e-3    # lower clamp before logs
+DEPTH_FLOOR = 1e-3    # lower clamp before logs
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP,
     Validity means gt > 0. With
     median scaling the prediction is first multiplied by
     median(gt)/median(pred), removing the global scale ambiguity of
-    monocular training; both maps are then clamped to [1e-3, cap].
+    monocular training; both maps are then clamped to [DEPTH_FLOOR, cap].
     """
-    if not cap > _FLOOR:
-        raise ValueError(f"depth cap {cap} must be above the {_FLOOR} m floor")
+    if not cap > DEPTH_FLOOR:
+        raise ValueError(f"depth cap {cap} must be above the {DEPTH_FLOOR} m floor")
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -61,8 +61,8 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray, cap: float = DEPTH_CAP,
     p, g = pred[mask], gt[mask]
     if median_scale:
         p = p * (np.median(g) / np.median(p))
-    p = np.clip(p, _FLOOR, cap)
-    g = np.clip(g, _FLOOR, cap)
+    p = np.clip(p, DEPTH_FLOOR, cap)
+    g = np.clip(g, DEPTH_FLOOR, cap)
 
     err = p - g
     ratio = np.maximum(p / g, g / p)

@@ -19,14 +19,15 @@ from .decoder import DepthDecoder, disp_to_depth
 from .encoder import DepthEncoder, EncoderConfig
 from .engine import Tensor, no_grad, set_default_dtype
 from .losses import LossConfig, total_loss
-from .metrics import DepthMetrics, depth_metrics
+from .metrics import DEPTH_CAP, METRIC_COLUMNS, DepthMetrics, depth_metrics
 from .nn import Module
 from .pngio import write_f32
 from .posenet import PoseNet
 
 __all__ = [
-    "AdamW", "Checkpoint", "Models", "TrainingDiverged", "build_models",
-    "cosine_lr", "evaluate", "load_checkpoint", "save_checkpoint", "train",
+    "AdamW", "Models", "TrainingDiverged", "build_models", "checkpoint_entries",
+    "cosine_lr", "evaluate", "load_checkpoint", "restore_checkpoint",
+    "save_checkpoint", "saved_config_text", "train",
 ]
 
 CHECKPOINT_MAGIC = b"LMCK"
@@ -87,18 +88,6 @@ class AdamW:
             np.divide(m, s, out=s)
             s *= lr / bc1
             p.data -= s
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        out = {f"opt.m.{k}": v for k, v in self.m.items()}
-        out.update({f"opt.v.{k}": v for k, v in self.v.items()})
-        out["opt.step"] = np.array([self.step_count], dtype=np.int64)
-        return out
-
-    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        for k in self.m:
-            self.m[k] = arrays[f"opt.m.{k}"].astype(self.m[k].dtype)
-            self.v[k] = arrays[f"opt.v.{k}"].astype(self.v[k].dtype)
-        self.step_count = int(arrays["opt.step"][0])
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 1e-6) -> float:
@@ -206,64 +195,58 @@ def build_models(encoder_config: EncoderConfig, seed: int = 0) -> Models:
     return Models(enc, dec, pose)
 
 
-@dataclass
-class Checkpoint:
-    """Everything needed to resume or evaluate: parameters, norm buffers,
-    optimizer moments, the number of completed epochs and a config snapshot."""
+def _state(models: Models, opt: Optional[AdamW] = None) -> Dict[str, np.ndarray]:
+    """Each array a checkpoint holds for these models (and optimizer), by
+    entry name: the live arrays, except ``opt.step``, a copy of the count."""
+    state = {f"param.{k}": p.data for k, p in models.named_parameters()}
+    state.update({f"buf.{k}": b for k, b in models.named_buffers()})
+    if opt is not None:
+        state.update({f"opt.m.{k}": m for k, m in opt.m.items()})
+        state.update({f"opt.v.{k}": v for k, v in opt.v.items()})
+        state["opt.step"] = np.array([opt.step_count], dtype=np.int64)
+    return state
 
-    params: Dict[str, np.ndarray]
-    buffers: Dict[str, np.ndarray]
-    opt_state: Dict[str, np.ndarray]
-    epoch: int
-    config_text: str
 
-    def save(self, path: Union[str, Path]) -> None:
-        entries: Dict[str, Union[np.ndarray, bytes]] = {}
-        entries.update({f"param.{k}": v for k, v in self.params.items()})
-        entries.update(self.buffers)
-        entries.update(self.opt_state)
-        entries["meta.epoch"] = np.array([self.epoch], dtype=np.int64)
-        entries["meta.config"] = self.config_text.encode("utf-8")
-        save_checkpoint(path, entries)
+def checkpoint_entries(models: Models, opt: Optional[AdamW], epoch: int,
+                       config_text: str) -> Dict[str, Union[np.ndarray, bytes]]:
+    """What ``save_checkpoint`` writes: parameters, norm buffers, optimizer
+    moments and step, the number of completed epochs and a config snapshot.
+    The arrays are the live ones, so save them before the next step."""
+    entries: Dict[str, Union[np.ndarray, bytes]] = dict(_state(models, opt))
+    entries["meta.epoch"] = np.array([epoch], dtype=np.int64)
+    entries["meta.config"] = config_text.encode("utf-8")
+    return entries
 
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Checkpoint":
-        raw = load_checkpoint(path)
-        params = {k[len("param."):]: v for k, v in raw.items() if k.startswith("param.")}
-        buffers = {k: v for k, v in raw.items() if k.startswith("buf.")}
-        opt_state = {k: v for k, v in raw.items() if k.startswith("opt.")}
-        return cls(params=params, buffers=buffers, opt_state=opt_state,
-                   epoch=int(raw["meta.epoch"][0]),
-                   config_text=raw["meta.config"].tobytes().decode("utf-8"))
 
-    @classmethod
-    def from_models(cls, models: Models, opt: Optional[AdamW], epoch: int,
-                    config_text: str) -> "Checkpoint":
-        return cls(
-            params={k: p.data.copy() for k, p in models.named_parameters()},
-            buffers={f"buf.{k}": b.copy() for k, b in models.named_buffers()},
-            opt_state=opt.state_arrays() if opt is not None else {},
-            epoch=epoch, config_text=config_text)
+def saved_config_text(entries: Dict[str, np.ndarray],
+                      path: Union[str, Path] = "checkpoint") -> str:
+    """The config snapshot of loaded checkpoint entries."""
+    if "meta.config" not in entries:
+        raise ValueError(f"{path}: checkpoint is missing meta.config")
+    try:
+        return entries["meta.config"].tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: meta.config is not UTF-8") from None
 
-    def restore_into(self, models: Models, opt: Optional[AdamW] = None) -> None:
-        """Copy all parameters and buffers in, after checking every shape."""
-        params = dict(models.named_parameters())
-        buffers = {f"buf.{k}": b for k, b in models.named_buffers()}
-        for kind, saved, live in (("parameters", self.params, params),
-                                  ("buffers", self.buffers, buffers)):
-            missing = set(live) - set(saved)
-            if missing:
-                raise ValueError(f"checkpoint is missing {kind}: {sorted(missing)[:4]}...")
-            for name, target in live.items():
-                if tuple(saved[name].shape) != target.shape:
-                    raise ValueError(f"{name}: checkpoint shape {saved[name].shape} "
-                                     f"vs model {target.shape}")
-        for name, p in params.items():
-            p.data = self.params[name].astype(p.data.dtype).copy()
-        for name, b in buffers.items():
-            b[...] = self.buffers[name]
-        if opt is not None and self.opt_state:
-            opt.load_state_arrays(self.opt_state)
+
+def restore_checkpoint(entries: Dict[str, np.ndarray], models: Models,
+                       opt: Optional[AdamW] = None,
+                       path: Union[str, Path] = "checkpoint") -> None:
+    """Copy the entries into the models (and the optimizer, given one),
+    after checking that every entry is present with the model's shape."""
+    state = _state(models, opt)
+    missing = [name for name in state if name not in entries]
+    if missing:
+        more = f" and {len(missing) - 1} more entries" if len(missing) > 1 else ""
+        raise ValueError(f"{path}: checkpoint is missing {missing[0]}{more}")
+    for name, target in state.items():
+        if entries[name].shape != target.shape:
+            raise ValueError(f"{path}: {name}: checkpoint shape {entries[name].shape} "
+                             f"vs model {target.shape}")
+    for name, target in state.items():
+        target[...] = entries[name]
+    if opt is not None:
+        opt.step_count = int(state["opt.step"][0])
 
 
 # ------------------------------------------------------------------- training
@@ -275,7 +258,7 @@ def _stack(frames: Sequence[np.ndarray], dtype) -> Tensor:
 
 @dataclass
 class TrainResult:
-    checkpoint: Checkpoint
+    models: Models
     curve: List[dict]
     checkpoint_path: Optional[Path] = None
     curve_path: Optional[Path] = None
@@ -370,18 +353,18 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
         if (out_path is not None and cfg.checkpoint_every > 0
                 and done % cfg.checkpoint_every == 0):
             # every checkpoint records the number of completed epochs
-            Checkpoint.from_models(models, opt, done // steps_per_epoch, config_text).save(
-                out_path / "checkpoints" / f"step{done:07d}.lmck")
+            save_checkpoint(out_path / "checkpoints" / f"step{done:07d}.lmck",
+                            checkpoint_entries(models, opt, done // steps_per_epoch,
+                                               config_text))
 
-    checkpoint = Checkpoint.from_models(models, opt, total_steps // steps_per_epoch,
-                                        config_text)
     ckpt_path = curve_path = None
     if out_path is not None:
         ckpt_path = out_path / "checkpoints" / "final.lmck"
-        checkpoint.save(ckpt_path)
+        save_checkpoint(ckpt_path, checkpoint_entries(
+            models, opt, total_steps // steps_per_epoch, config_text))
         curve_path = out_path / "curves.csv"
         _write_curve(curve_path, curve)
-    return TrainResult(checkpoint, curve, ckpt_path, curve_path)
+    return TrainResult(models, curve, ckpt_path, curve_path)
 
 
 def _write_curve(path: Path, curve: List[dict]) -> None:
@@ -429,7 +412,7 @@ def predict_depth(models: Models, frame: np.ndarray,
 
 def evaluate(models: Models, data_source,
              loss_config: Optional[LossConfig] = None,
-             cap: float = 80.0, median_scale: bool = True
+             cap: float = DEPTH_CAP, median_scale: bool = True
              ) -> Tuple[DepthMetrics, List[DepthMetrics]]:
     """Depth against ground truth for every triplet, median-scaled by
     default; returns the mean row and the per-frame rows. Where the ground
@@ -448,6 +431,5 @@ def evaluate(models: Models, data_source,
                          trip.gt_depth.shape),
             trip.gt_depth, cap=cap, median_scale=median_scale))
     mean = DepthMetrics(*[float(np.mean([getattr(m, c) for m in per_frame]))
-                          for c in ("abs_rel", "sq_rel", "rmse", "rmse_log",
-                                    "delta1", "delta2", "delta3")])
+                          for c in METRIC_COLUMNS])
     return mean, per_frame

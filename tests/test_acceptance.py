@@ -16,7 +16,10 @@ from litedepth.losses import (
 )
 from litedepth.metrics import METRIC_COLUMNS, depth_metrics
 from litedepth.posenet import pose_to_matrix, rotation_from_axis_angle
-from litedepth.trainer import build_models, evaluate, train
+from litedepth.trainer import (
+    AdamW, build_models, checkpoint_entries, evaluate, load_checkpoint, restore_checkpoint,
+    save_checkpoint, saved_config_text, train,
+)
 from litedepth.warp import CameraIntrinsics, backproject, project, synthesize
 
 from test_metrics import metrics_oracle
@@ -224,8 +227,12 @@ class TestCriterion12Determinism:
         assert [r["total"] for r in a.curve] == [r["total"] for r in b.curve]
 
         p1 = tmp_path / "a" / "checkpoints" / "final.lmck"
-        from litedepth.trainer import Checkpoint
-        Checkpoint.load(p1).save(tmp_path / "resaved.lmck")
+        entries = load_checkpoint(p1)
+        models = build_models(tiny, seed=9)
+        opt = AdamW(dict(models.named_parameters()))
+        restore_checkpoint(entries, models, opt)
+        save_checkpoint(tmp_path / "resaved.lmck", checkpoint_entries(
+            models, opt, int(entries["meta.epoch"][0]), saved_config_text(entries)))
         assert p1.read_bytes() == (tmp_path / "resaved.lmck").read_bytes()
         report("12 determinism",
                f"{len(a.curve)}-step curves bit-identical; checkpoint "

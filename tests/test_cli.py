@@ -11,7 +11,9 @@ from litedepth.config import RunConfig
 from litedepth.encoder import EncoderConfig
 from litedepth.pngio import read_f32, read_png, write_png
 from litedepth.engine import set_default_dtype
-from litedepth.trainer import Checkpoint, build_models
+from litedepth.metrics import DEPTH_FLOOR
+from litedepth.trainer import (build_models, checkpoint_entries, load_checkpoint,
+                               save_checkpoint)
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +153,8 @@ def tiny_checkpoint(tmp_path):
                        ("data.height", "32"), ("data.frames", "3")):
         cfg.set(key, value)
     path = tmp_path / "tiny.lmck"
-    Checkpoint.from_models(build_models(cfg.encoder), None, 0, cfg.to_text()).save(path)
+    save_checkpoint(path, checkpoint_entries(build_models(cfg.encoder), None, 0,
+                                             cfg.to_text()))
     return path
 
 
@@ -225,14 +228,19 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "argument --size: expected WxH with both sides positive and divisible by 32" in err
 
-    @pytest.mark.parametrize("argv, named", [
-        (["synth", "--seed", "-2", "--out", "d"], "train.seed"),
-        (["gradcheck", "--seed", "-1"], "argument --seed"),
-    ], ids=["synth", "gradcheck"])
-    def test_negative_seed_is_a_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "-2", "--out", "d"],
+        ["train", "--variant", "tiny", "--size", "64x32", "--steps", "1", "--seed", "-1",
+         "--out", "d"],
+        ["ablate", "--size", "64x32", "--steps", "1", "--seed", "-1", "--out", "d"],
+        ["gradcheck", "--seed", "-1"],
+    ], ids=["synth", "train", "ablate", "gradcheck"])
+    def test_negative_seed_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # synth used to name train.seed, a key it never reads
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 1
-        assert named in capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("extra,key", [
@@ -250,7 +258,7 @@ class TestCliCommands:
         (["--steps", "1", "--set", "train.lr_min=-1"], "train.lr_min"),
         (["--steps", "1", "--set", "data.width=0"], "data.width"),
         (["--steps", "1", "--frames", "2"], "data.frames"),
-        (["--steps", "1", "--seed", "-1"], "train.seed"),
+        (["--steps", "1", "--set", "train.seed=-1"], "train.seed"),
         (["--steps", "1", "--set", "data.scene_seed=-1"], "data.scene_seed"),
         (["--steps", "1", "--set", "train.checkpoint_every=-3"], "train.checkpoint_every"),
     ], ids=["alpha", "lr0", "lambda-smooth", "zero-epochs", "zero-batch",
@@ -345,7 +353,7 @@ class TestCliCommands:
         models = build_models(EncoderConfig.variant_preset("tiny"))
         ckpt = tmp_path / "bad.lmck"
         text = RunConfig().to_text() + "loss.nope = 1\n"
-        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        save_checkpoint(ckpt, checkpoint_entries(models, None, 0, text))
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         err = capsys.readouterr().err
         assert err == f"litedepth: {ckpt} (saved config): unknown config key 'loss.nope'\n"
@@ -375,14 +383,17 @@ class TestCliCommands:
         assert read_png(out / "frame_depth_mm.png").shape[:2] == (50, 100)
         assert read_png(out / "frame_depth_vis.png").shape == (50, 200, 3)
 
-    @pytest.mark.parametrize("cap", ["-5", "0", "nan", "abc"])
+    @pytest.mark.parametrize("cap", ["-5", "0", "nan", "abc", "0.0005", "0.001"])
     def test_eval_rejects_a_nonpositive_depth_cap(self, tiny_checkpoint, cap, capsys):
-        # -5 printed a perfect score, 0 printed nan
+        # -5 printed a perfect score, 0 printed nan, 0.0005 exited 2 from
+        # inside depth_metrics
         assert run_cli("eval", "--checkpoint", str(tiny_checkpoint), "--depth-cap", cap) == 1
-        assert "argument --depth-cap: expected a positive number" in capsys.readouterr().err
+        assert ("argument --depth-cap: expected a positive number above the "
+                f"{DEPTH_FLOOR} m metrics floor, got '{cap}'") in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap, named", [
         ("-1", "argument --depth-cap"), ("0", "argument --depth-cap"),
+        ("0.0005", "argument --depth-cap"),
         ("0.1", "loss.min_depth 0.1"), ("0.05", "loss.min_depth 0.1"),
     ])
     def test_infer_rejects_a_depth_cap_at_or_below_min_depth(self, tiny_checkpoint, cap, named,
@@ -401,10 +412,35 @@ class TestCliCommands:
         models = build_models(EncoderConfig.variant_preset("tiny"))
         ckpt = tmp_path / "bad.lmck"
         text = RunConfig().to_text().replace("loss.alpha = 0.85", "loss.alpha = 2.0")
-        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        save_checkpoint(ckpt, checkpoint_entries(models, None, 0, text))
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         assert capsys.readouterr().err.startswith(
             f"litedepth: {ckpt} (saved config): loss.alpha must lie in [0, 1]")
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("damage, named", [
+        (lambda e: {k: v for k, v in e.items() if not k.startswith("param.")},
+         "checkpoint is missing param."),
+        (lambda e: {k: v for k, v in e.items() if k != "meta.config"},
+         "checkpoint is missing meta.config"),
+        (lambda e: {**e, "meta.config": b"\xff" + e["meta.config"].tobytes()},
+         "meta.config is not UTF-8"),
+        # nothing reads meta.epoch, so loading does not require it
+        (lambda e: {k: v for k, v in e.items() if k != "meta.epoch"}, None),
+    ], ids=["no-params", "no-config", "config-not-utf8", "no-epoch"])
+    def test_incomplete_checkpoint_names_the_file_and_entry(
+            self, tiny_checkpoint, command, damage, named, tmp_path, capsys):
+        ckpt = tmp_path / "damaged.lmck"
+        save_checkpoint(ckpt, damage(load_checkpoint(tiny_checkpoint)))
+        image = tmp_path / "frame.png"
+        write_png(image, np.full((32, 64, 3), 128, dtype=np.uint8))
+        extra = ["--image", str(image), "--out", str(tmp_path / "depth")] * (command == "infer")
+        if named is None:
+            assert run_cli(command, "--checkpoint", str(ckpt), *extra) == 0
+            return
+        assert run_cli(command, "--checkpoint", str(ckpt), *extra) == 2
+        assert capsys.readouterr().err.startswith(f"litedepth: {ckpt}: {named}")
+        assert not (tmp_path / "depth").exists()
 
     def test_infer_rejects_a_seed(self, tiny_checkpoint, tmp_path, capsys):
         image = tmp_path / "frame.png"
@@ -423,19 +459,19 @@ class TestCliCommands:
         text = RunConfig().to_text().replace(
             "encoder.use_lgfi = true\n", "encoder.use_lgfi = true\nencoder.use_dilation = true\n")
         ckpt = tmp_path / "old.lmck"
-        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        save_checkpoint(ckpt, checkpoint_entries(models, None, 0, text))
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         assert "unknown config key 'encoder.use_dilation'" in capsys.readouterr().err
         # nor one saved before the dilation schedule alone set the stage depths
         text = RunConfig().to_text().replace(
             "encoder.dilation_schedule", "encoder.cdc_repeats = 3,3,9\nencoder.dilation_schedule")
-        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        save_checkpoint(ckpt, checkpoint_entries(models, None, 0, text))
         assert run_cli("eval", "--checkpoint", str(ckpt)) == 2
         assert "unknown config key 'encoder.cdc_repeats'" in capsys.readouterr().err
         # nor one saved while the objective had an unmasked form
         text = RunConfig().to_text().replace(
             "loss.min_depth", "loss.automask = true\nloss.min_depth")
-        Checkpoint.from_models(models, None, 0, text).save(ckpt)
+        save_checkpoint(ckpt, checkpoint_entries(models, None, 0, text))
         for command in (["eval", "--checkpoint", str(ckpt)],
                         ["infer", "--checkpoint", str(ckpt), "--image", str(tmp_path / "x.png"),
                          "--out", str(tmp_path / "depth")]):

@@ -16,8 +16,8 @@ from litedepth.losses import LossConfig
 from litedepth.pngio import read_f32
 from litedepth.warp import CameraIntrinsics
 from litedepth.trainer import (
-    AdamW, Checkpoint, TrainingDiverged, build_models, cosine_lr, evaluate,
-    load_checkpoint, predict_depth, save_checkpoint, train,
+    AdamW, TrainingDiverged, build_models, checkpoint_entries, cosine_lr, evaluate,
+    load_checkpoint, predict_depth, restore_checkpoint, save_checkpoint, train,
 )
 from litedepth.metrics import depth_metrics
 
@@ -237,34 +237,69 @@ class TestCheckpointFormat:
         res = train(toy_train_config(steps=2), TINY, src, out_dir=tmp_path)
         models = build_models(TINY, seed=99)     # different init
         opt = AdamW(dict(models.named_parameters()))
-        loaded = Checkpoint.load(res.checkpoint_path)
-        loaded.restore_into(models, opt)
+        restore_checkpoint(load_checkpoint(res.checkpoint_path), models, opt)
+        trained = dict(res.models.named_parameters())
         for name, p in models.named_parameters():
-            np.testing.assert_array_equal(p.data, res.checkpoint.params[name])
+            np.testing.assert_array_equal(p.data, trained[name].data)
         assert opt.step_count == 2
+
+    def test_entries_are_named_after_the_model(self):
+        set_default_dtype("f32")
+        models = build_models(TINY, seed=0)
+        entries = checkpoint_entries(models, AdamW(dict(models.named_parameters())), 3, "x = 1")
+        params = [k for k, _ in models.named_parameters()]
+        assert sorted(entries) == sorted(
+            [f"param.{k}" for k in params] + [f"buf.{k}" for k, _ in models.named_buffers()]
+            + [f"opt.m.{k}" for k in params] + [f"opt.v.{k}" for k in params]
+            + ["opt.step", "meta.epoch", "meta.config"])
+        assert entries["meta.epoch"].tolist() == [3]
+        assert entries["meta.config"] == b"x = 1"
+
+    def test_restore_reproduces_model_and_optimizer_bit_for_bit(self, tmp_path, rng):
+        set_default_dtype("f32")
+        models = build_models(TINY, seed=0)
+        opt = AdamW(dict(models.named_parameters()))
+        for p in models.parameters():
+            p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+        opt.step(1e-3)
+        opt.step(1e-3)
+        for _, b in models.named_buffers():
+            b[...] = rng.standard_normal(b.shape)
+        save_checkpoint(tmp_path / "a.lmck", checkpoint_entries(models, opt, 0, ""))
+
+        other = build_models(TINY, seed=5)
+        fresh = AdamW(dict(other.named_parameters()))
+        restore_checkpoint(load_checkpoint(tmp_path / "a.lmck"), other, fresh)
+        for (name, p), (_, q) in zip(models.named_parameters(), other.named_parameters()):
+            np.testing.assert_array_equal(q.data, p.data)
+            np.testing.assert_array_equal(fresh.m[name], opt.m[name])
+            np.testing.assert_array_equal(fresh.v[name], opt.v[name])
+        for (_, a), (_, b) in zip(models.named_buffers(), other.named_buffers()):
+            np.testing.assert_array_equal(b, a)
+        assert fresh.step_count == opt.step_count == 2
 
     def test_restore_rejects_shape_mismatch(self, tmp_path):
         set_default_dtype("f32")
-        ck = Checkpoint.from_models(build_models(TINY, seed=0), None, 0, "")
+        entries = checkpoint_entries(build_models(TINY, seed=0), None, 0, "")
         other = build_models(EncoderConfig.variant_preset("small"), seed=0)
         with pytest.raises(ValueError):
-            ck.restore_into(other)
+            restore_checkpoint(entries, other)
 
     def test_restore_rejects_missing_buffers(self):
         set_default_dtype("f32")
-        ck = Checkpoint.from_models(build_models(TINY, seed=0), None, 0, "")
-        ck.buffers = {}
-        with pytest.raises(ValueError, match="missing buffers.*buf\\."):
-            ck.restore_into(build_models(TINY, seed=1))
+        entries = checkpoint_entries(build_models(TINY, seed=0), None, 0, "")
+        entries = {k: v for k, v in entries.items() if not k.startswith("buf.")}
+        with pytest.raises(ValueError, match="run.lmck: checkpoint is missing buf\\."):
+            restore_checkpoint(entries, build_models(TINY, seed=1), path="run.lmck")
 
     def test_restore_rejects_wrong_shaped_buffer(self):
         set_default_dtype("f32")
-        ck = Checkpoint.from_models(build_models(TINY, seed=0), None, 0, "")
-        name = next(iter(ck.buffers))
+        entries = checkpoint_entries(build_models(TINY, seed=0), None, 0, "")
+        name = next(k for k in entries if k.startswith("buf."))
         # a length-1 array would broadcast into the buffer under b[...] = saved
-        ck.buffers[name] = np.ones(1, dtype=np.float32)
+        entries[name] = np.ones(1, dtype=np.float32)
         with pytest.raises(ValueError, match=f"{name}: checkpoint shape"):
-            ck.restore_into(build_models(TINY, seed=1))
+            restore_checkpoint(entries, build_models(TINY, seed=1))
 
 
 class TestTrainLoop:
@@ -274,9 +309,8 @@ class TestTrainLoop:
         a = train(toy_train_config(), TINY, src)
         b = train(toy_train_config(), TINY, src)
         assert [r["total"] for r in a.curve] == [r["total"] for r in b.curve]
-        for name in a.checkpoint.params:
-            np.testing.assert_array_equal(a.checkpoint.params[name],
-                                          b.checkpoint.params[name])
+        for (_, p), (_, q) in zip(a.models.named_parameters(), b.models.named_parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
 
     def test_augmented_runs_are_also_deterministic(self):
         set_default_dtype("f32")
@@ -299,28 +333,29 @@ class TestTrainLoop:
         train(toy_train_config(steps=3, checkpoint_every=2), TINY, src, out_dir=tmp_path)
         ckpt_dir = tmp_path / "checkpoints"
         assert sorted(f.name for f in ckpt_dir.iterdir()) == ["final.lmck", "step0000002.lmck"]
-        mid = Checkpoint.load(ckpt_dir / "step0000002.lmck")
-        final = Checkpoint.load(ckpt_dir / "final.lmck")
-        assert any(not np.array_equal(mid.params[k], final.params[k]) for k in final.params)
+        mid = load_checkpoint(ckpt_dir / "step0000002.lmck")
+        final = load_checkpoint(ckpt_dir / "final.lmck")
+        params = [k for k in final if k.startswith("param.")]
+        assert any(not np.array_equal(mid[k], final[k]) for k in params)
         for ck, steps in ((mid, 2), (final, 3)):
             models = build_models(TINY, seed=99)
             opt = AdamW(dict(models.named_parameters()))
-            ck.restore_into(models, opt)
+            restore_checkpoint(ck, models, opt)
             for name, p in models.named_parameters():
-                np.testing.assert_array_equal(p.data, ck.params[name])
+                np.testing.assert_array_equal(p.data, ck[f"param.{name}"])
             assert opt.step_count == steps
-            assert ck.epoch == steps            # one step per epoch: 2 triplets, batch 2
+            assert ck["meta.epoch"].tolist() == [steps]   # one step per epoch: 2 triplets, batch 2
 
     @pytest.mark.parametrize("kw,epoch", [
         (dict(steps=1), 0), (dict(steps=2), 1), (dict(steps=3), 1), (dict(steps=4), 2),
         (dict(steps=0, epochs=2), 2),
     ], ids=["steps1", "steps2", "steps3", "steps4", "epochs2"])
-    def test_checkpoint_epoch_counts_completed_epochs(self, kw, epoch):
+    def test_checkpoint_epoch_counts_completed_epochs(self, kw, epoch, tmp_path):
         set_default_dtype("f32")
         src = SyntheticSource(seed=5, n_frames=6, size=(64, 32))   # 4 triplets: 2 steps an epoch
-        res = train(toy_train_config(**kw), TINY, src)
+        res = train(toy_train_config(**kw), TINY, src, out_dir=tmp_path)
         assert len(res.curve) == (kw["steps"] or 4)
-        assert res.checkpoint.epoch == epoch
+        assert load_checkpoint(res.checkpoint_path)["meta.epoch"].tolist() == [epoch]
 
     def test_mixed_flip_batch_passes_each_sample_its_camera(self, monkeypatch):
         # off-centre cx: a flip moves it from 36 to 64 - 1 - 36 = 27
@@ -487,12 +522,10 @@ class TestEvaluate:
         set_default_dtype("f32")
         src = SyntheticSource(seed=2, n_frames=4, size=(64, 32))
         res = train(toy_train_config(steps=2), TINY, src, out_dir=tmp_path)
-        models = build_models(TINY, seed=0)
-        res.checkpoint.restore_into(models)
-        direct, _ = evaluate(models, src)
+        direct, _ = evaluate(res.models, src)
 
         models2 = build_models(TINY, seed=77)
-        Checkpoint.load(res.checkpoint_path).restore_into(models2)
+        restore_checkpoint(load_checkpoint(res.checkpoint_path), models2)
         reloaded, _ = evaluate(models2, src)
         assert direct == reloaded
 
