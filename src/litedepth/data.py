@@ -319,20 +319,17 @@ def _jitter(frame: np.ndarray, order, brightness, contrast, saturation, hue):
     return out
 
 
-def augment(triplet: Triplet, seed: int, force_flip: Optional[bool] = None) -> Triplet:
+def augment(triplet: Triplet, seed: int) -> Triplet:
     """Horizontal flip and color jitter, each with 50% probability.
 
     The flip applies to all frames and the depth consistently, with the
     principal point mirrored; color jitter
     (brightness/contrast/saturation +-0.2, hue +-0.1, random order) is
     identical across the three frames and only feeds the networks, leaving
-    the loss targets clean. ``force_flip`` overrides the flip decision and
-    leaves every other draw of the seed as it is.
+    the loss targets clean.
     """
     rng = np.random.default_rng(seed)
     do_flip = bool(rng.random() < 0.5)
-    if force_flip is not None:
-        do_flip = force_flip
     do_jitter = bool(rng.random() < 0.5)
     brightness, saturation, contrast = rng.uniform(0.8, 1.2, size=3)
     hue = rng.uniform(-0.1, 0.1)

@@ -73,9 +73,10 @@ class DepthDecoder(Module):
         x = skips[2]
         disps = [None, None, None]
         for step, level in enumerate((2, 1, 0)):
-            x = resize_bilinear(self.pre[step](x), scale=2.0)
+            h, w = x.shape[2:]
+            x = resize_bilinear(self.pre[step](x), size=(2 * h, 2 * w))
             if level > 0:
                 x = concat([x, skips[level - 1]], axis=1)
             x = self.post[step](x)
-            disps[level] = sigmoid(resize_bilinear(self.heads[step](x), scale=2.0))
+            disps[level] = sigmoid(resize_bilinear(self.heads[step](x), size=(4 * h, 4 * w)))
         return tuple(disps)

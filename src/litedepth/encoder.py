@@ -70,6 +70,12 @@ class EncoderConfig:
         return cfg
 
     def validate(self) -> None:
+        if len(self.channels) != 4 or min(self.channels) < 1:
+            raise ValueError(f"encoder.channels must be four positive widths, got {self.channels}")
+        if len(self.heads) != 3 or min(self.heads) < 1:
+            raise ValueError(f"encoder.heads must be three positive counts, got {self.heads}")
+        if self.expansion < 1:
+            raise ValueError(f"encoder.expansion must be >= 1, got {self.expansion}")
         if len(self.dilation_schedule) != 3:
             raise ValueError("encoder.dilation_schedule must cover the three stages")
         for s, dils in enumerate(self.dilation_schedule):
@@ -244,12 +250,6 @@ class DepthEncoder(Module):
             if config.use_lgfi:
                 blocks.append(AttentionBlock(c, config.heads[s], rng, config.expansion))
             self.stages.append(blocks)
-
-    def _children(self):
-        yield from super()._children()
-        for s, blocks in enumerate(self.stages):
-            for i, b in enumerate(blocks):
-                yield f"stages.{s}.{i}", b
 
     def __call__(self, image: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
         """The three stage outputs, (N, C2, H/4, W/4), (N, C3, H/8, W/8) and

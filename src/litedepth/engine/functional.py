@@ -256,18 +256,6 @@ def avg_pool(x: Tensor, window, stride=None) -> Tensor:
     return Tensor._from_op(np.ascontiguousarray(out), (x,), bw)
 
 
-def _resolve_size(h: int, w: int, scale=None, size=None) -> Tuple[int, int]:
-    if (scale is None) == (size is None):
-        raise ValueError("pass exactly one of scale or size")
-    if size is not None:
-        ho, wo = _pair(size)
-    else:
-        ho, wo = int(round(h * scale)), int(round(w * scale))
-    if ho < 1 or wo < 1:
-        raise ValueError(f"target size must be >= 1, got {ho}x{wo}")
-    return ho, wo
-
-
 def _corners(c: np.ndarray, n: int):
     """The rule both bilinear samplers share: coordinates `c` on an axis of
     n pixels, clamped to the edge, as the two neighbouring pixel indices and
@@ -282,16 +270,19 @@ def _bilinear_axis(n_in: int, n_out: int):
     return _corners((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, n_in)
 
 
-def resize_bilinear(x: Tensor, scale=None, size=None) -> Tensor:
-    """Bilinear resize of an NCHW tensor (half-pixel centers, edge clamp).
+def resize_bilinear(x: Tensor, size) -> Tensor:
+    """Bilinear resize of an NCHW tensor to ``size`` (height, width; an int
+    for both), with half-pixel centers and edge clamp.
 
-    Unit scale returns the input tensor itself, bit-identical.
+    The input's own size returns the input tensor itself, bit-identical.
     """
     x = as_tensor(x)
     if x.ndim != 4:
         raise ValueError(f"resize_bilinear input must be NCHW, got shape {x.shape}")
     n, c, h, w = x.shape
-    ho, wo = _resolve_size(h, w, scale, size)
+    ho, wo = _pair(size)
+    if ho < 1 or wo < 1:
+        raise ValueError(f"target size must be >= 1, got {ho}x{wo}")
     if (ho, wo) == (h, w):
         return x
 

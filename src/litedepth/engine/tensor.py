@@ -11,6 +11,7 @@ on distinct threads concurrently.
 from __future__ import annotations
 
 import contextlib
+import operator
 import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -130,9 +131,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -207,56 +205,26 @@ class Tensor:
     # -------------------------------------------------------------- arithmetic
 
     def __add__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
-
-        def bw(g):
-            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                    _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-        return Tensor._from_op(a.data + b.data, (a, b), bw)
+        return _binary(self, other, *_ADD)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
-
-        def bw(g):
-            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                    _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-        return Tensor._from_op(a.data - b.data, (a, b), bw)
+        return _binary(self, other, *_SUB)
 
     def __rsub__(self, other):
-        return as_tensor(other).__sub__(self)
+        return _binary(other, self, *_SUB)
 
     def __mul__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
-
-        def bw(g):
-            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-        return Tensor._from_op(a.data * b.data, (a, b), bw)
+        return _binary(self, other, *_MUL)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
-
-        def bw(g):
-            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-            gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-                  if b.requires_grad else None)
-            return ga, gb
-
-        return Tensor._from_op(a.data / b.data, (a, b), bw)
+        return _binary(self, other, *_DIV)
 
     def __rtruediv__(self, other):
-        return as_tensor(other).__truediv__(self)
+        return _binary(other, self, *_DIV)
 
     def __neg__(self):
         a = self
@@ -273,21 +241,12 @@ class Tensor:
         return Tensor._from_op(a.data ** p, (a,), bw)
 
     def __matmul__(self, other):
-        other = as_tensor(other)
-        a, b = self, other
+        a, b = self, as_tensor(other)
         if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
             raise ValueError(
                 f"matmul inner dimensions disagree: {a.shape} @ {b.shape} "
                 f"(axis {a.ndim - 1} vs axis {max(b.ndim - 2, 0)})")
-
-        def bw(g):
-            ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-                  if a.requires_grad else None)
-            gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-                  if b.requires_grad else None)
-            return ga, gb
-
-        return Tensor._from_op(a.data @ b.data, (a, b), bw)
+        return _binary(a, b, *_MATMUL)
 
     # ------------------------------------------------------------- elementwise
 
@@ -384,29 +343,45 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _extremum(pick, a, b) -> Tensor:
-    """pick(a, b) elementwise. The gradient goes to a where the output equals
-    a, so ties route it to the first operand, and to b elsewhere."""
+def _binary(a, b, fn, grad_a, grad_b) -> Tensor:
+    """fn(a, b) under numpy broadcasting, with the one gradient rule of the
+    binary ops: ``grad_a(g, a, b, out)`` and ``grad_b(...)`` map the output
+    gradient, given the operands' and the output's arrays, to each operand's
+    gradient at the output's shape. Each runs only if its operand requires
+    grad, and its result is summed back to that operand's shape."""
     a, b = as_tensor(a), as_tensor(b)
-    out = pick(a.data, b.data)
+    out = fn(a.data, b.data)
 
     def bw(g):
-        take_a = out == a.data
-        ga = _unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(grad_a(g, a.data, b.data, out), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g, a.data, b.data, out), b.shape) if b.requires_grad else None
         return ga, gb
 
     return Tensor._from_op(out, (a, b), bw)
 
 
+# (fn, grad_a, grad_b) of each binary op, as `_binary` takes them
+_ADD = (operator.add, lambda g, a, b, out: g, lambda g, a, b, out: g)
+_SUB = (operator.sub, lambda g, a, b, out: g, lambda g, a, b, out: -g)
+_MUL = (operator.mul, lambda g, a, b, out: g * b, lambda g, a, b, out: g * a)
+_DIV = (operator.truediv, lambda g, a, b, out: g / b,
+        lambda g, a, b, out: -g * a / (b * b))
+_MATMUL = (operator.matmul, lambda g, a, b, out: g @ np.swapaxes(b, -1, -2),
+           lambda g, a, b, out: np.swapaxes(a, -1, -2) @ g)
+# maximum and minimum: the gradient goes to a where the output equals a, so
+# ties route it to the first operand, and to b elsewhere
+_PICKED = (lambda g, a, b, out: np.where(out == a, g, 0.0),
+           lambda g, a, b, out: np.where(out == a, 0.0, g))
+
+
 def maximum(a, b) -> Tensor:
-    """Elementwise maximum; ties as in `_extremum`."""
-    return _extremum(np.maximum, a, b)
+    """Elementwise maximum; a tie sends the gradient to `a`."""
+    return _binary(a, b, np.maximum, *_PICKED)
 
 
 def minimum(a, b) -> Tensor:
-    """Elementwise minimum; ties as in `_extremum`."""
-    return _extremum(np.minimum, a, b)
+    """Elementwise minimum; a tie sends the gradient to `a`."""
+    return _binary(a, b, np.minimum, *_PICKED)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

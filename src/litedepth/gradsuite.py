@@ -75,7 +75,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
             a, w, None, ConvSpec(padding=same_padding(3, 2), dilation=2,
                                  groups=4)) ** 2.0).sum(), [xc, wd])
         check("avg_pool", lambda a: (avg_pool(a, (2, 2)) ** 2.0).sum(), [xc])
-        check("resize_bilinear", lambda a: (resize_bilinear(a, scale=2.0) ** 2.0).sum(),
+        check("resize_bilinear", lambda a: (resize_bilinear(a, size=(6, 8)) ** 2.0).sum(),
               [Tensor(rng.standard_normal((1, 2, 3, 4)))])
 
         src = Tensor(rng.standard_normal((1, 2, 5, 5)))
@@ -135,9 +135,9 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         wdec = _weighted(rng, (1, 1, 8, 12))
 
         def decoder_level(d, s):
-            z = resize_bilinear(pre(d), scale=2.0)
+            z = resize_bilinear(pre(d), size=(4, 6))
             z = post(concat([z, s], axis=1))
-            return wdec(sigmoid(resize_bilinear(head(z), scale=2.0)))
+            return wdec(sigmoid(resize_bilinear(head(z), size=(8, 12))))
 
         check("decoder_level", decoder_level, [deep, skip])
 

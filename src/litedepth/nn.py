@@ -42,12 +42,7 @@ class Module:
 
     def _children(self) -> Iterator[Tuple[str, "Module"]]:
         for name, value in vars(self).items():
-            if isinstance(value, Module):
-                yield name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield f"{name}.{i}", item
+            yield from _modules_in(name, value)
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         for name, value in vars(self).items():
@@ -83,6 +78,16 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
+
+
+def _modules_in(name: str, value) -> Iterator[Tuple[str, Module]]:
+    """The modules in an attribute value, through nested lists and tuples;
+    an item is named by its index path (``stages.0.1``)."""
+    if isinstance(value, Module):
+        yield name, value
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _modules_in(f"{name}.{i}", item)
 
 
 class Conv2d(Module):

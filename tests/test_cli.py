@@ -261,11 +261,17 @@ class TestCliCommands:
         (["--steps", "1", "--set", "train.seed=-1"], "train.seed"),
         (["--steps", "1", "--set", "data.scene_seed=-1"], "data.scene_seed"),
         (["--steps", "1", "--set", "train.checkpoint_every=-3"], "train.checkpoint_every"),
+        (["--steps", "1", "--set", "encoder.channels=32,32,64"], "encoder.channels"),
+        (["--steps", "1", "--set", "encoder.channels=0,32,64,128"], "encoder.channels"),
+        (["--steps", "1", "--set", "encoder.heads=4,4"], "encoder.heads"),
+        (["--steps", "1", "--set", "encoder.heads=0,4,8"], "encoder.heads"),
+        (["--steps", "1", "--set", "encoder.expansion=0"], "encoder.expansion"),
     ], ids=["alpha", "lr0", "lambda-smooth", "zero-epochs", "zero-batch",
             "steps-not-a-number", "heads", "negative-min-depth", "zero-min-depth",
             "min-depth-above-max", "negative-weight-decay", "negative-lr-min",
             "zero-width", "two-frames", "negative-seed", "negative-scene-seed",
-            "negative-checkpoint-every"])
+            "negative-checkpoint-every", "three-channels", "zero-channels", "two-heads",
+            "zero-heads", "zero-expansion"])
     def test_bad_config_value_is_a_usage_error(self, extra, key, tmp_path, capsys):
         # values from --set and flags pass the same checks as the dataclasses'
         out = tmp_path / "run"

@@ -416,18 +416,18 @@ class TestResizeBilinear:
         assert out.dtype == ref.dtype
         np.testing.assert_array_equal(out, ref)
 
-    def test_unit_scale_is_bit_identical(self, rng):
+    def test_unit_size_is_bit_identical(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)))
-        assert resize_bilinear(x, scale=1.0) is x
+        assert resize_bilinear(x, size=(4, 4)) is x
 
     def test_constant_image_stays_constant(self):
         x = Tensor(np.full((1, 2, 3, 5), 0.7))
-        out = resize_bilinear(x, scale=2.0)
+        out = resize_bilinear(x, size=(6, 10))
         np.testing.assert_allclose(out.data, 0.7, atol=1e-12)
 
     def test_checkerboard_matches_direct_oracle(self):
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = resize_bilinear(Tensor(img.reshape(1, 1, 2, 2)), scale=2.0)
+        out = resize_bilinear(Tensor(img.reshape(1, 1, 2, 2)), size=(4, 4))
         np.testing.assert_allclose(out.data[0, 0], bilinear_resize_oracle(img, 4, 4),
                                    atol=1e-12)
 
@@ -439,12 +439,12 @@ class TestResizeBilinear:
 
     def test_up_down_roundtrip_exact_on_constants(self):
         x = Tensor(np.full((1, 1, 4, 4), 2.25))
-        back = resize_bilinear(resize_bilinear(x, scale=2.0), scale=0.5)
+        back = resize_bilinear(resize_bilinear(x, size=(8, 8)), size=(4, 4))
         np.testing.assert_array_equal(back.data, x.data)
 
     def test_grad_check(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 3, 4)))
-        assert grad_check(lambda a: (resize_bilinear(a, scale=2.0) ** 2.0).sum(),
+        assert grad_check(lambda a: (resize_bilinear(a, size=(6, 8)) ** 2.0).sum(),
                           [x]) < 1e-4
         assert grad_check(lambda a: (resize_bilinear(a, size=(2, 2)) ** 2.0).sum(),
                           [x]) < 1e-4
@@ -540,7 +540,7 @@ class TestScatterOracles:
 
     def test_resize_bilinear_grad_keeps_input_dtype(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 3, 4)).astype(np.float32), requires_grad=True)
-        (resize_bilinear(x, scale=2.0) * Tensor(np.ones((1, 2, 6, 8)))).sum().backward()
+        (resize_bilinear(x, size=(6, 8)) * Tensor(np.ones((1, 2, 6, 8)))).sum().backward()
         assert x.grad.dtype == np.float32
 
     @pytest.mark.parametrize("idx", [

@@ -141,6 +141,120 @@ class TestSkippedGradients:
             np.testing.assert_array_equal(grads[0], grads[1])
 
 
+def old_unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def old_add(a, b):
+    def bw(g):
+        return (old_unbroadcast(g, a.shape) if a.requires_grad else None,
+                old_unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return a.data + b.data, bw
+
+
+def old_sub(a, b):
+    def bw(g):
+        return (old_unbroadcast(g, a.shape) if a.requires_grad else None,
+                old_unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return a.data - b.data, bw
+
+
+def old_mul(a, b):
+    def bw(g):
+        return (old_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                old_unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return a.data * b.data, bw
+
+
+def old_div(a, b):
+    def bw(g):
+        ga = old_unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (old_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
+        return ga, gb
+
+    return a.data / b.data, bw
+
+
+def old_matmul(a, b):
+    def bw(g):
+        ga = (old_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+              if a.requires_grad else None)
+        gb = (old_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+              if b.requires_grad else None)
+        return ga, gb
+
+    return a.data @ b.data, bw
+
+
+def old_extremum(pick):
+    def op(a, b):
+        out = pick(a.data, b.data)
+
+        def bw(g):
+            take_a = out == a.data
+            ga = old_unbroadcast(np.where(take_a, g, 0.0), a.shape) if a.requires_grad else None
+            gb = old_unbroadcast(np.where(take_a, 0.0, g), b.shape) if b.requires_grad else None
+            return ga, gb
+
+        return out, bw
+
+    return op
+
+
+class TestBinaryRule:
+    """The seven binary ops, built by one gradient rule, against the forward
+    and backward each op wrote out for itself before: (forward data, backward
+    closure) on two Tensors."""
+
+    OLD = {
+        "add": old_add, "sub": old_sub, "mul": old_mul, "div": old_div,
+        "matmul": old_matmul, "maximum": old_extremum(np.maximum),
+        "minimum": old_extremum(np.minimum),
+    }
+    ELEMENTWISE_SHAPES = [((3, 4), (3, 4)), ((3, 4), (1, 4)), ((4,), (2, 3, 4)),
+                          ((1, 4), (3, 1)), ((2, 3, 4), ())]
+    MATMUL_SHAPES = [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
+                     ((2, 1, 3, 4), (3, 4, 2))]
+
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 2, (np.float64,) * 2,
+                                        (np.float32, np.float64)],
+                             ids=["f32", "f64", "f32-f64"])
+    @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)],
+                             ids=["both", "a-only", "b-only"])
+    @pytest.mark.parametrize("name", sorted(OLD))
+    def test_equals_the_per_op_closures(self, name, needs, dtypes, rng):
+        shapes = self.MATMUL_SHAPES if name == "matmul" else self.ELEMENTWISE_SHAPES
+        # a few shared values, so maximum and minimum meet ties
+        pool = rng.uniform(0.5, 2.0, 5)
+        for shape_a, shape_b in shapes:
+            a_data = (rng.choice(pool, shape_a) * rng.choice([-1.0, 1.0], shape_a))
+            b_data = rng.choice(pool, shape_b)
+            a = Tensor(a_data.astype(dtypes[0]), requires_grad=needs[0])
+            b = Tensor(b_data.astype(dtypes[1]), requires_grad=needs[1])
+            out = TestSkippedGradients.OPS[name](a, b)
+            ref, ref_bw = self.OLD[name](a, b)
+            assert out.data.dtype == ref.dtype
+            np.testing.assert_array_equal(out.data, ref)
+            g = rng.standard_normal(ref.shape).astype(ref.dtype)
+            for got, want in zip(out._backward(g), ref_bw(g)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+
+
 class TestExtremum:
     @pytest.mark.parametrize("op, routes_to_a", [
         (maximum, [0.0, 1.0, 1.0, 0.0, 0.0]),
