@@ -5,6 +5,7 @@ configuration is echoed into the output directory."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Union
@@ -32,11 +33,13 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.lr0 <= 0:
-            raise ValueError(f"train.lr0 must be positive, got {self.lr0}")
+        # written so that NaN, which fails every comparison, fails the check
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"train.lr0 must be positive and finite, got {self.lr0}")
         for name in ("lr_min", "weight_decay", "seed", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"train.{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"train.{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.steps <= 0 and self.epochs < 1:

@@ -260,7 +260,7 @@ class DepthEncoder(Module):
         if cfg.use_pooled_concat:
             p = image
             for _ in range(3):
-                p = avg_pool(p, (2, 2))
+                p = avg_pool(p)
                 pooled.append(p)
         else:
             pooled = [None, None, None]

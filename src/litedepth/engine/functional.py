@@ -12,10 +12,9 @@ Conventions fixed here and used everywhere else in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from math import gcd
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -63,37 +62,24 @@ _ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
           1.65666309194161350182E3, 5.57535340817727675546E2)
 
 
-def _pair(v) -> Tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ValueError(f"expected a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
 @dataclass(frozen=True)
 class ConvSpec:
     """Geometry of a 2-D convolution; the kernel size is the weight's.
 
-    ``padding`` is an int, the same on every side, or (top, bottom, left,
-    right). ``dilation`` r >= 1 spaces the kernel taps r apart; r = 1 is a
-    standard convolution. ``groups`` must divide both channel counts;
-    groups == channels gives a depthwise conv.
+    ``padding`` p >= 0 zero-pads every side of the input by p.
+    ``dilation`` r >= 1 spaces the kernel taps r apart; r = 1 is a standard
+    convolution. ``groups`` must divide both channel counts; groups ==
+    channels gives a depthwise conv.
     """
 
     stride: int = 1
-    padding: Union[int, Tuple[int, int, int, int]] = 0
+    padding: int = 0
     dilation: int = 1
     groups: int = 1
 
-    def pads(self) -> Tuple[int, int, int, int]:
-        p = self.padding if isinstance(self.padding, (tuple, list)) else (self.padding,) * 4
-        if len(p) != 4:
-            raise ValueError(f"padding must be an int or (top, bottom, left, right), got {p!r}")
-        return tuple(int(v) for v in p)  # type: ignore[return-value]
-
     def __post_init__(self):
-        self.pads()
+        if not isinstance(self.padding, int) or self.padding < 0:
+            raise ValueError(f"padding must be an int >= 0, got {self.padding!r}")
         for name in ("dilation", "stride", "groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -105,8 +91,8 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
     return dilation * (kernel - 1) // 2
 
 
-def _out_size(n: int, k: int, s: int, p0: int, p1: int, r: int) -> int:
-    return (n + p0 + p1 - r * (k - 1) - 1) // s + 1
+def _out_size(n: int, k: int, s: int, p: int, r: int) -> int:
+    return (n + 2 * p - r * (k - 1) - 1) // s + 1
 
 
 def _reads_input(first: int, step: int, count: int, size: int) -> bool:
@@ -142,21 +128,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
     if cper != cin // g:
         raise ValueError(
             f"weight channel axis mismatch: got {cper}, expected {cin}//{g} = {cin // g}")
-    pt, pb, pl, pr = spec.pads()
-    s, r = spec.stride, spec.dilation
-    ho = _out_size(h, kh, s, pt, pb, r)
-    wo = _out_size(w, kw, s, pl, pr, r)
+    p, s, r = spec.padding, spec.stride, spec.dilation
+    ho, wo = _out_size(h, kh, s, p, r), _out_size(w, kw, s, p, r)
     if ho < 1 or wo < 1:
         raise ValueError(
             f"non-positive conv output size {ho}x{wo} for input {h}x{w}, "
-            f"kernel {kh}x{kw}, stride {s}, dilation {r}, padding {(pt, pb, pl, pr)}")
+            f"kernel {kh}x{kw}, stride {s}, dilation {r}, padding {p}")
 
     def padded():
-        # np.pad's bookkeeping costs more than the copy on these maps
-        if not any(spec.pads()):
-            return x.data
-        xp = np.zeros((n, cin, h + pt + pb, w + pl + pr), dtype=x.dtype)
-        xp[:, :, pt: pt + h, pl: pl + w] = x.data
+        # the zero-padded input channel-major, (Cin, N, H + 2p, W + 2p), the
+        # layout of the GEMMs' columns; unpadded, a view of x that is only read
+        if p == 0:
+            return x.data.transpose(1, 0, 2, 3)
+        xp = np.zeros((cin, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p: p + h, p: p + w] = x.data.transpose(1, 0, 2, 3)
         return xp
 
     if bias is not None:
@@ -165,7 +150,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
             raise ValueError(f"bias axis mismatch: got {bias.shape}, expected ({cout},)")
 
     xp = padded()
-    sn, sc, sh, sw = xp.strides
+    sc, sn, sh, sw = xp.strides
     cg, og, m = cin // g, cout // g, n * ho * wo
     wmat = weight.data.reshape(g, og, -1)
     # One GEMM per group and block of columns, (N, Ho, Wo) order. The block is
@@ -181,10 +166,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
     if tile_rows <= rb < ho:
         rb -= rb % tile_rows
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = np.empty((n, cout, ho, wo), dtype=np.result_type(*(p.data for p in parents)))
+    out = np.empty((n, cout, ho, wo), dtype=np.result_type(*(t.data for t in parents)))
     for n0, i0 in product(range(0, n, nb), range(0, ho, rb)):
         nbb, rbb = min(nb, n - n0), min(rb, ho - i0)
-        cols = as_strided(xp[n0:, :, i0 * s:], shape=(g, cg, kh, kw, nbb, rbb, wo),
+        cols = as_strided(xp[:, n0:, i0 * s:], shape=(g, cg, kh, kw, nbb, rbb, wo),
                           strides=(sc * cg, sc, sh * r, sw * r, sn, sh * s, sw * s),
                           writeable=False).reshape(g, cg * kh * kw, nbb * rbb * wo)
         out[n0: n0 + nbb, :, i0: i0 + rbb] = (
@@ -201,13 +186,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
         xp = padded()
         taps = [(ki * kw + kj, slice(ki * r, ki * r + ho * s, s),
                  slice(kj * r, kj * r + wo * s, s))
-                for ki in range(kh) if _reads_input(ki * r - pt, s, ho, h)
-                for kj in range(kw) if _reads_input(kj * r - pl, s, wo, w)]
+                for ki in range(kh) if _reads_input(ki * r - p, s, ho, h)
+                for kj in range(kw) if _reads_input(kj * r - p, s, wo, w)]
         gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
-        gw = np.zeros((kh * kw, g, og, cg), dtype=np.result_type(grad, xp))
+        # skipped taps keep their +0
+        gw = np.zeros((g, og, cg, kh * kw), dtype=np.result_type(grad, xp))
         for t, si, sj in taps:
-            tap = xp[:, :, si, sj].transpose(1, 0, 2, 3).reshape(g, cg, m)
-            np.matmul(gout, tap.transpose(0, 2, 1), out=gw[t])
+            gw[..., t] = gout @ xp[:, :, si, sj].reshape(g, cg, m).transpose(0, 2, 1)
         gx = None
         if x.requires_grad:      # images, as in the encoder stem, need no gx
             gxp = np.zeros(xp.shape, dtype=xp.dtype)
@@ -218,10 +203,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
             for t, si, sj in taps:
                 # matmul calls BLAS only on operands with a unit stride
                 wt = np.ascontiguousarray(wr[..., t])
-                gx_t = product(wt.transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
-                gxp[:, :, si, sj] += gx_t.transpose(1, 0, 2, 3)
-            gx = gxp[:, :, pt: pt + h, pl: pl + w]
-        gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(weight.shape)
+                gxp[:, :, si, sj] += product(wt.transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
+            gx = np.ascontiguousarray(gxp[:, :, p: p + h, p: p + w].transpose(1, 0, 2, 3))
+        gw = gw.reshape(weight.shape)
         if bias is None:
             return gx, gw
         return gx, gw, grad.sum(axis=(0, 2, 3))
@@ -229,28 +213,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
     return Tensor._from_op(out, parents, bw)
 
 
-def avg_pool(x: Tensor, window, stride=None) -> Tensor:
-    """Mean over non-overlapping (or strided) windows of an NCHW tensor."""
+def avg_pool(x: Tensor) -> Tensor:
+    """Mean over the 2x2 windows of an NCHW tensor at stride 2; an odd last
+    row or column is left out."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ValueError(f"avg_pool input must be NCHW, got shape {x.shape}")
-    wh, ww = _pair(window)
-    sh_, sw_ = _pair(stride) if stride is not None else (wh, ww)
     n, c, h, w = x.shape
-    if wh > h or ww > w:
-        raise ValueError(f"pool window {wh}x{ww} exceeds spatial extent {h}x{w}")
-    ho = (h - wh) // sh_ + 1
-    wo = (w - ww) // sw_ + 1
+    if h < 2 or w < 2:
+        raise ValueError(f"pool window 2x2 exceeds spatial extent {h}x{w}")
+    ho, wo = h // 2, w // 2
     # columns first, then rows: the summation order of a windowed .mean
-    cols = reduce(np.add, (x.data[..., kj: kj + (wo - 1) * sw_ + 1: sw_] for kj in range(ww)))
-    out = reduce(np.add, (cols[:, :, ki: ki + (ho - 1) * sh_ + 1: sh_] for ki in range(wh)))
-    out = out / (wh * ww)
+    cols = x.data[..., 0: 2 * wo: 2] + x.data[..., 1: 2 * wo: 2]
+    out = (cols[:, :, 0: 2 * ho: 2] + cols[:, :, 1: 2 * ho: 2]) / 4
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        share = g / (wh * ww)
-        for ki, kj in np.ndindex(wh, ww):
-            gx[:, :, ki: ki + ho * sh_: sh_, kj: kj + wo * sw_: sw_] += share
+        share = g / 4
+        for ki, kj in np.ndindex(2, 2):
+            gx[:, :, ki: 2 * ho: 2, kj: 2 * wo: 2] += share
         return (gx,)
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), bw)
@@ -271,8 +252,8 @@ def _bilinear_axis(n_in: int, n_out: int):
 
 
 def resize_bilinear(x: Tensor, size) -> Tensor:
-    """Bilinear resize of an NCHW tensor to ``size`` (height, width; an int
-    for both), with half-pixel centers and edge clamp.
+    """Bilinear resize of an NCHW tensor to ``size`` = (height, width), with
+    half-pixel centers and edge clamp.
 
     The input's own size returns the input tensor itself, bit-identical.
     """
@@ -280,7 +261,7 @@ def resize_bilinear(x: Tensor, size) -> Tensor:
     if x.ndim != 4:
         raise ValueError(f"resize_bilinear input must be NCHW, got shape {x.shape}")
     n, c, h, w = x.shape
-    ho, wo = _pair(size)
+    ho, wo = size
     if ho < 1 or wo < 1:
         raise ValueError(f"target size must be >= 1, got {ho}x{wo}")
     if (ho, wo) == (h, w):

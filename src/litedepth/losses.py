@@ -4,6 +4,7 @@ edge-aware smoothness on mean-normalized inverse depth."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -37,8 +38,12 @@ class LossConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"loss.alpha must lie in [0, 1], got {self.alpha}")
-        if self.lambda_smooth < 0:
-            raise ValueError(f"loss.lambda_smooth must be >= 0, got {self.lambda_smooth}")
+        # written so that NaN, which fails every comparison, fails the check
+        if not 0 <= self.lambda_smooth < math.inf:
+            raise ValueError(
+                f"loss.lambda_smooth must be finite and >= 0, got {self.lambda_smooth}")
+        if not self.max_depth < math.inf:
+            raise ValueError(f"loss.max_depth must be finite, got {self.max_depth}")
         if not 0 < self.min_depth < self.max_depth:
             raise ValueError(f"loss.min_depth must lie in (0, loss.max_depth = "
                              f"{self.max_depth}), got {self.min_depth}")
@@ -46,7 +51,7 @@ class LossConfig:
 
 def _sum3(x: np.ndarray, axis: int) -> np.ndarray:
     """Each 3-window sum along `axis` of the reflection-padded x, added left
-    to right as `avg_pool` adds a window (x[-1] reflects to x[1])."""
+    to right (x[-1] reflects to x[1])."""
     x = np.moveaxis(x, axis, 0)
     out = np.empty_like(x)
     np.add(x[:-2], x[1:-1], out=out[1:-1])
@@ -71,8 +76,8 @@ def _sum3_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _box3(x: np.ndarray) -> np.ndarray:
-    """3x3 mean of a reflection-padded NCHW map in `avg_pool`'s order: the
-    window's columns, then its rows, then a division by 9."""
+    """3x3 mean of a reflection-padded NCHW map in the order of a windowed
+    mean: the window's columns, then its rows, then a division by 9."""
     out = _sum3(_sum3(x, 3), 2)
     out /= 9
     return out

@@ -266,12 +266,21 @@ class TestCliCommands:
         (["--steps", "1", "--set", "encoder.heads=4,4"], "encoder.heads"),
         (["--steps", "1", "--set", "encoder.heads=0,4,8"], "encoder.heads"),
         (["--steps", "1", "--set", "encoder.expansion=0"], "encoder.expansion"),
+    ] + [
+        # NaN fails every comparison, so a range check must be written to catch it
+        (["--steps", "1", "--set", f"{key}={value}"], key)
+        for key in ("train.lr0", "train.lr_min", "train.weight_decay", "loss.lambda_smooth")
+        for value in ("nan", "inf")
+    ] + [
+        (["--steps", "1", "--set", "loss.max_depth=inf"], "loss.max_depth"),
     ], ids=["alpha", "lr0", "lambda-smooth", "zero-epochs", "zero-batch",
             "steps-not-a-number", "heads", "negative-min-depth", "zero-min-depth",
             "min-depth-above-max", "negative-weight-decay", "negative-lr-min",
             "zero-width", "two-frames", "negative-seed", "negative-scene-seed",
             "negative-checkpoint-every", "three-channels", "zero-channels", "two-heads",
-            "zero-heads", "zero-expansion"])
+            "zero-heads", "zero-expansion",
+            "nan-lr0", "inf-lr0", "nan-lr-min", "inf-lr-min", "nan-weight-decay",
+            "inf-weight-decay", "nan-lambda-smooth", "inf-lambda-smooth", "inf-max-depth"])
     def test_bad_config_value_is_a_usage_error(self, extra, key, tmp_path, capsys):
         # values from --set and flags pass the same checks as the dataclasses'
         out = tmp_path / "run"

@@ -275,7 +275,7 @@ class TestEncoderForward:
             pooled = []
             p = x
             for _ in range(3):
-                p = avg_pool(p, (2, 2))
+                p = avg_pool(p)
                 pooled.append(p)
             y = enc.stem(x)
             d1 = enc.down[0](y, pooled[0])

@@ -31,21 +31,25 @@ def dilated_conv_1d_oracle(x, w, r):
     return np.array(out)
 
 
+def pad_hw(x, pads):
+    """x zero-padded by (top, bottom, left, right) on its two spatial axes."""
+    pt, pb, pl, pr = pads
+    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+
+
 def conv_as_1d(x, w, r):
-    """Run conv2d on a 1xK row kernel with right-only zero padding so that
-    output position i sees taps x[i], x[i+r], x[i+2r], ..."""
+    """Run conv2d on a 1xK row kernel over a row zero-padded on the right
+    only, so that output position i sees taps x[i], x[i+r], x[i+2r], ..."""
     k = len(w)
-    xt = Tensor(np.asarray(x, dtype=np.float64).reshape(1, 1, 1, -1))
+    xt = Tensor(pad_hw(np.asarray(x, dtype=np.float64).reshape(1, 1, 1, -1), (0, 0, 0, r * k)))
     wt = Tensor(np.asarray(w, dtype=np.float64).reshape(1, 1, 1, k))
-    spec = ConvSpec(padding=(0, 0, 0, r * k), dilation=r)
-    return conv2d(xt, wt, None, spec).data.reshape(-1)
+    return conv2d(xt, wt, None, ConvSpec(dilation=r)).data.reshape(-1)
 
 
 def seven_loop_conv(x, wt, b, spec):
     """Direct zero-padded grouped convolution, one multiply-add at a time."""
-    pt, pb, pl, pr = spec.pads()
-    s, r, g = spec.stride, spec.dilation, spec.groups
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    p, s, r, g = spec.padding, spec.stride, spec.dilation, spec.groups
+    xp = pad_hw(x, (p,) * 4)
     n, cout, (cg, kh, kw) = x.shape[0], wt.shape[0], wt.shape[1:]
     og = cout // g
     ho = (xp.shape[2] - r * (kh - 1) - 1) // s + 1
@@ -70,15 +74,10 @@ def single_gemm_conv(x, wt, b, spec):
     batch: the full (Cg*kh*kw, N*Ho*Wo) im2col matrix at once."""
     n, cin, h, w = x.shape
     cout, cg, kh, kw = wt.shape
-    g = spec.groups
-    pt, pb, pl, pr = spec.pads()
-    s, r = spec.stride, spec.dilation
-    ho = (h + pt + pb - r * (kh - 1) - 1) // s + 1
-    wo = (w + pl + pr - r * (kw - 1) - 1) // s + 1
-    xp = x
-    if any(spec.pads()):
-        xp = np.zeros((n, cin, h + pt + pb, w + pl + pr), dtype=x.dtype)
-        xp[:, :, pt: pt + h, pl: pl + w] = x
+    g, p, s, r = spec.groups, spec.padding, spec.stride, spec.dilation
+    ho = (h + 2 * p - r * (kh - 1) - 1) // s + 1
+    wo = (w + 2 * p - r * (kw - 1) - 1) // s + 1
+    xp = pad_hw(x, (p,) * 4)
     sn, sc, sh, sw = xp.strides
     cols = as_strided(xp, shape=(g, cg, kh, kw, n, ho, wo),
                       strides=(sc * cg, sc, sh * r, sw * r, sn, sh * s, sw * s),
@@ -101,13 +100,15 @@ class TestBlockedConvForward:
     its row blocks fall on 16-column BLAS tiles (every map the model makes),
     each value equals the single-GEMM forward bit for bit."""
 
+    # (in channels, out channels, kernel, spec, zero border (top, bottom,
+    # left, right) the caller pads the 32x160 input with)
     GEOMETRIES = {
-        "dense3x3": (32, 32, 3, dict(padding=1)),
-        "pointwise": (256, 64, 1, dict()),
-        "depthwise": (32, 32, 3, dict(padding=1, groups=32)),
-        "stride2": (128, 48, 3, dict(stride=2, padding=1)),
-        "dilation3": (32, 32, 3, dict(padding=3, dilation=3)),
-        "pads4": (32, 32, 3, dict(padding=(1, 0, 2, 0))),
+        "dense3x3": (32, 32, 3, dict(padding=1), None),
+        "pointwise": (256, 64, 1, dict(), None),
+        "depthwise": (32, 32, 3, dict(padding=1, groups=32), None),
+        "stride2": (128, 48, 3, dict(stride=2, padding=1), None),
+        "dilation3": (32, 32, 3, dict(padding=3, dilation=3), None),
+        "pads4": (32, 32, 3, dict(), (1, 0, 2, 0)),
     }
 
     def run(self, x, wt, b, spec):
@@ -120,9 +121,11 @@ class TestBlockedConvForward:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_every_geometry_spans_blocks_bit_identically(self, geometry, n, dtype, rng):
-        cin, cout, k, spec_kw = self.GEOMETRIES[geometry]
+        cin, cout, k, spec_kw, pads = self.GEOMETRIES[geometry]
         spec = ConvSpec(**spec_kw)
         x = rng.standard_normal((n, cin, 32, 160)).astype(dtype)
+        if pads:
+            x = pad_hw(x, pads)
         wt = rng.standard_normal((cout, cin // spec.groups, k, k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
         out, ref = self.run(x, wt, b, spec)
@@ -156,8 +159,8 @@ class TestBlockedConvForward:
     def test_off_tile_blocks_differ_only_in_rounding(self, dtype, n, h, w, groups, pads, rng):
         # OpenBLAS rounds a column by where it sits in its tile, and switches
         # sgemv kernels above 16,384 columns: these blocks may round apart
-        spec = ConvSpec(padding=pads, groups=groups)
-        x = rng.standard_normal((n, 32, h, w)).astype(dtype)
+        spec = ConvSpec(groups=groups)
+        x = pad_hw(rng.standard_normal((n, 32, h, w)).astype(dtype), pads)
         wt = rng.standard_normal((32, 32 // groups, 3, 3)).astype(dtype)
         out, ref = self.run(x, wt, None, spec)
         scale = np.abs(ref).max()
@@ -235,18 +238,22 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
         np.testing.assert_array_equal(out, seven_loop_conv(x, wt, b, spec))
 
-    @pytest.mark.parametrize("cin,cout,k,spec_kw", [
-        (4, 6, 3, dict(groups=2, padding=1)),
-        (4, 4, 3, dict(groups=4, padding=2, dilation=2)),
-        (4, 8, 3, dict(groups=4, padding=1)),
-        (5, 3, 1, dict()),
-        (3, 4, 3, dict(stride=2, padding=1)),
-        (4, 6, 3, dict(groups=2, stride=2, padding=(1, 0, 2, 1))),
-        (2, 3, 3, dict(dilation=2, padding=(0, 2, 1, 3))),
+    @pytest.mark.parametrize("cin,cout,k,spec_kw,pads", [
+        (4, 6, 3, dict(groups=2, padding=1), None),
+        (4, 4, 3, dict(groups=4, padding=2, dilation=2), None),
+        (4, 8, 3, dict(groups=4, padding=1), None),
+        (5, 3, 1, dict(), None),
+        (3, 4, 3, dict(stride=2, padding=1), None),
+        # uneven zero borders, padded by the caller
+        (4, 6, 3, dict(groups=2, stride=2), (1, 0, 2, 1)),
+        (2, 3, 3, dict(dilation=2), (0, 2, 1, 3)),
     ])
-    def test_every_geometry_matches_seven_loop_reference(self, cin, cout, k, spec_kw, rng):
+    def test_every_geometry_matches_seven_loop_reference(self, cin, cout, k, spec_kw, pads,
+                                                         rng):
         spec = ConvSpec(**spec_kw)
         x = rng.integers(-64, 64, size=(3, cin, 9, 8)) / 8.0
+        if pads:
+            x = pad_hw(x, pads)
         wt = rng.integers(-64, 64, size=(cout, cin // spec.groups, k, k)) / 8.0
         b = rng.integers(-64, 64, size=cout) / 8.0
         out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
@@ -265,10 +272,10 @@ class TestConv2d:
     @pytest.mark.parametrize("groups,stride", [(1, 1), (4, 2)])
     def test_weight_grad_same_without_input_grad(self, groups, stride, rng):
         # an image input needs no gradient, so conv2d skips the gx taps
-        x = rng.standard_normal((2, 4, 7, 6))
+        x = pad_hw(rng.standard_normal((2, 4, 7, 6)), (1, 0, 2, 1))
         w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        spec = ConvSpec(stride=stride, padding=(1, 0, 2, 1), groups=groups)
+        spec = ConvSpec(stride=stride, groups=groups)
         upstream = rng.standard_normal(conv2d(Tensor(x), w, b, spec).shape)
         grads = []
         for needs in (True, False):
@@ -288,10 +295,11 @@ class TestConv2d:
                          ConvSpec()).data
             np.testing.assert_allclose(out[:, c: c + 1], ref, atol=1e-12)
 
-    def test_padding_pair_rejected(self):
-        # padding is an int or (top, bottom, left, right); the kernel is the weight's
+    @pytest.mark.parametrize("padding", [(1, 2), (1, 0, 2, 1), -1])
+    def test_padding_other_than_one_int_rejected(self, padding):
+        # padding is one int >= 0, the same on every side
         with pytest.raises(ValueError, match="padding"):
-            ConvSpec(padding=(1, 2))
+            ConvSpec(padding=padding)
 
     def test_group_mismatch_error_names_axis(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -324,42 +332,37 @@ class TestConv2d:
 class TestAvgPool:
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 2, 4, 4), 3.5))
-        out = avg_pool(x, (2, 2))
+        out = avg_pool(x)
         np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 3.5))
 
     def test_four_pixel_mean(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        assert avg_pool(x, (2, 2)).data.reshape(()) == 2.5
+        assert avg_pool(x).data.reshape(()) == 2.5
 
     def test_stride_two_halves_even_sizes(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 8, 6)))
-        assert avg_pool(x, (2, 2)).shape == (2, 3, 4, 3)
+        assert avg_pool(x).shape == (2, 3, 4, 3)
 
     def test_window_exceeding_extent_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            avg_pool(Tensor(np.zeros((1, 1, 2, 2))), (3, 3))
+            avg_pool(Tensor(np.zeros((1, 1, 1, 2))))
 
     def test_grad_check(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        assert grad_check(lambda a: (avg_pool(a, (2, 2)) ** 2.0).sum(), [x]) < 1e-4
+        assert grad_check(lambda a: (avg_pool(a) ** 2.0).sum(), [x]) < 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape,window,stride", [
-        ((4, 3, 34, 66), (3, 3), (1, 1)),   # SSIM's box filter on a padded frame
-        ((4, 1, 10, 18), (3, 3), (1, 1)),
-        ((4, 48, 8, 16), (2, 2), None),     # the encoder's input pyramid
-        ((1, 3, 7, 9), (2, 2), None),
-        ((2, 2, 9, 7), (3, 2), (2, 1)),
+    @pytest.mark.parametrize("shape", [
+        (4, 48, 8, 16),     # the encoder's input pyramid
+        (1, 3, 7, 9),
     ])
-    def test_bit_identical_to_windowed_mean(self, shape, window, stride, dtype, rng):
+    def test_bit_identical_to_windowed_mean(self, shape, dtype, rng):
         x = rng.random(shape).astype(dtype)
-        sh_, sw_ = stride or window
         n, c, h, w = shape
-        ho, wo = (h - window[0]) // sh_ + 1, (w - window[1]) // sw_ + 1
         sn, sc, sh, sw = x.strides
-        oracle = as_strided(x, shape=(n, c, ho, wo) + window,
-                            strides=(sn, sc, sh * sh_, sw * sw_, sh, sw)).mean(axis=(4, 5))
-        out = avg_pool(Tensor(x), window, stride).data
+        oracle = as_strided(x, shape=(n, c, h // 2, w // 2, 2, 2),
+                            strides=(sn, sc, sh * 2, sw * 2, sh, sw)).mean(axis=(4, 5))
+        out = avg_pool(Tensor(x)).data
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, oracle)
 

@@ -36,12 +36,10 @@ from litedepth.losses import _box3, _box3_adjoint, ssim
 def conv2d_reference(x, weight, spec, grad):
     n, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
-    g = spec.groups
-    pt, pb, pl, pr = spec.pads()
-    s, r = spec.stride, spec.dilation
-    ho = (h + pt + pb - r * (kh - 1) - 1) // s + 1
-    wo = (w + pl + pr - r * (kw - 1) - 1) // s + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(spec.pads()) else x.data
+    g, p, s, r = spec.groups, spec.padding, spec.stride, spec.dilation
+    ho = (h + 2 * p - r * (kh - 1) - 1) // s + 1
+    wo = (w + 2 * p - r * (kw - 1) - 1) // s + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     sn, sc, sh, sw = xp.strides
     cg, og, m = cin // g, cout // g, n * ho * wo
     gout = grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3).reshape(g, og, m)
@@ -60,7 +58,7 @@ def conv2d_reference(x, weight, spec, grad):
             gx_t = (wt[t].transpose(0, 2, 1) @ gout).reshape(g, cg, n, ho, wo)
             gxg[..., ki * r: ki * r + ho * s: s, kj * r: kj * r + wo * s: s] += (
                 gx_t.transpose(2, 0, 1, 3, 4))
-        gx = gxp[:, :, pt: pt + h, pl: pl + w]
+        gx = gxp[:, :, p: p + h, p: p + w]
     gw = np.ascontiguousarray(gw.transpose(1, 2, 3, 0)).reshape(weight.shape)
     return gx, gw, grad.sum(axis=(0, 2, 3))
 
@@ -183,33 +181,54 @@ def leaf(rng, shape, dtype, grad=True, scale=1.0):
 
 
 class TestBackwardUnchanged:
-    @pytest.mark.parametrize("spec, k, size, cout", [
-        pytest.param(spec, k, (9, 11), 8, id=f"spec{i}") for i, (spec, k) in enumerate([
-            (ConvSpec(padding=1), 3),
-            (ConvSpec(padding=2, dilation=2, stride=2), 3),
-            (ConvSpec(padding=1, groups=4), 3),
-            (ConvSpec(padding=(0, 1, 2, 1)), 3),
-            (ConvSpec(), 3),
-            (ConvSpec(), 1),
+    # (spec, kernel, batch, input H x W, output channels, zero border (top,
+    # bottom, left, right) the caller pads the input with)
+    @pytest.mark.parametrize("spec, k, n, size, cout, pads", [
+        pytest.param(spec, k, 2, (9, 11), 8, pads, id=f"spec{i}")
+        for i, (spec, k, pads) in enumerate([
+            (ConvSpec(padding=1), 3, None),
+            (ConvSpec(padding=2, dilation=2, stride=2), 3, None),
+            (ConvSpec(padding=1, groups=4), 3, None),
+            (ConvSpec(), 3, (0, 1, 2, 1)),
+            (ConvSpec(), 3, None),
+            # 1x1 without padding: the channel-major input is a view of x
+            (ConvSpec(), 1, None),
         ])
     ] + [
+        # channel-major order is NCHW order at batch 1
+        pytest.param(ConvSpec(padding=1), 3, 1, (9, 11), 8, None, id="batch1"),
         # taps whose rows or columns all fall in the zero padding
-        pytest.param(ConvSpec(padding=1), 3, (1, 2), 8, id="posenet-1x2"),
-        pytest.param(ConvSpec(padding=6, dilation=6), 3, (2, 4), 8, id="dilation6-2x4"),
-        pytest.param(ConvSpec(padding=1, stride=2), 3, (2, 4), 8, id="stride2-2x4"),
+        pytest.param(ConvSpec(padding=1), 3, 2, (1, 2), 8, None, id="posenet-1x2"),
+        pytest.param(ConvSpec(padding=6, dilation=6), 3, 2, (2, 4), 8, None,
+                     id="dilation6-2x4"),
+        pytest.param(ConvSpec(padding=1, stride=2), 3, 2, (2, 4), 8, None, id="stride2-2x4"),
         # one output channel per group
-        pytest.param(ConvSpec(padding=1, groups=4), 3, (9, 11), 4, id="depthwise"),
-        pytest.param(ConvSpec(padding=3, dilation=3, groups=4), 3, (2, 4), 4,
+        pytest.param(ConvSpec(padding=1, groups=4), 3, 2, (9, 11), 4, None, id="depthwise"),
+        pytest.param(ConvSpec(padding=3, dilation=3, groups=4), 3, 2, (2, 4), 4, None,
                      id="depthwise-dilation3-2x4"),
     ])
     @pytest.mark.parametrize("x_grad", [True, False])
-    def test_conv2d(self, spec, k, size, cout, x_grad, dtype, rng):
-        x = leaf(rng, (2, 4) + size, dtype, grad=x_grad)
+    def test_conv2d(self, spec, k, n, size, cout, pads, x_grad, dtype, rng):
+        x = leaf(rng, (n, 4) + size, dtype, grad=x_grad)
+        if pads:
+            pt, pb, pl, pr = pads
+            x = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))), requires_grad=x_grad)
+        kept = x.data.copy()
         weight = leaf(rng, (cout, 4 // spec.groups, k, k), dtype)
         bias = leaf(rng, (cout,), dtype)
         out = conv2d(x, weight, bias, spec)
         g = rng.standard_normal(out.shape).astype(dtype)
-        assert_same_grads(out._backward(g), conv2d_reference(x, weight, spec, g))
+        grads, reference = out._backward(g), conv2d_reference(x, weight, spec, g)
+        assert_same_grads(grads, reference)
+        # skipped taps' weight gradients are +0, as BLAS gives them
+        for a, b in zip(grads, reference):
+            if b is not None:
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+        gx = grads[0]
+        if x_grad:
+            assert gx.flags.c_contiguous and gx.dtype == x.dtype and gx.shape == x.shape
+        # the backward never writes to the input it reads
+        assert x.data.tobytes() == kept.tobytes()
 
     def test_conv2d_skips_exactly_the_taps_that_read_only_padding(self):
         # a tap runs iff one of its sampled rows (and one of its columns)
