@@ -419,6 +419,8 @@ def evaluate(models: Models, data_source,
     truth's resolution differs from the frames', the predicted inverse depth
     is resized to it and inverted back, so metrics compare at the ground
     truth's resolution."""
+    if len(data_source) == 0:
+        raise ValueError("data source has no triplets")
     models.eval()
     per_frame: List[DepthMetrics] = []
     for i in range(len(data_source)):

@@ -1,8 +1,24 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from litedepth.engine import Tensor, set_default_dtype
 from litedepth.gradsuite import EPS
+
+# Every property test draws the same examples on every run, keeps no example
+# database and has no per-example deadline, since a grad_check's time grows
+# with its draw; each test sets its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+# Hypothesis still writes a cache of the constants it reads from local
+# modules, and a failing example's patch, under its storage directory: put it
+# in the system's temporary directory, not ./.hypothesis. Hypothesis reads
+# the variable once, while test modules are collected.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "litedepth-hypothesis"))
 
 
 @pytest.fixture(autouse=True)

@@ -11,62 +11,16 @@ from numpy.lib.stride_tricks import as_strided
 
 from litedepth.engine import (
     ConvSpec, Tensor, as_tensor, avg_pool, batch_norm, bilinear_sample, conv2d,
-    elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, same_padding,
-    sigmoid, softmax, using_dtype,
+    elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, sigmoid,
+    softmax, using_dtype,
 )
 from litedepth.engine.functional import _COLS_BYTES, _ERF_BLOCK, _erf
-
-
-def dilated_conv_1d_oracle(x, w, r):
-    """Brute-force dilated convolution with taps at i + r*k, k = 1..K,
-    zero-padded outside the signal."""
-    x = list(x)
-    out = []
-    for i in range(len(x)):
-        acc = 0.0
-        for k in range(1, len(w) + 1):
-            j = i + r * k
-            acc += (x[j] if j < len(x) else 0.0) * w[k - 1]
-        out.append(acc)
-    return np.array(out)
 
 
 def pad_hw(x, pads):
     """x zero-padded by (top, bottom, left, right) on its two spatial axes."""
     pt, pb, pl, pr = pads
     return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-
-
-def conv_as_1d(x, w, r):
-    """Run conv2d on a 1xK row kernel over a row zero-padded on the right
-    only, so that output position i sees taps x[i], x[i+r], x[i+2r], ..."""
-    k = len(w)
-    xt = Tensor(pad_hw(np.asarray(x, dtype=np.float64).reshape(1, 1, 1, -1), (0, 0, 0, r * k)))
-    wt = Tensor(np.asarray(w, dtype=np.float64).reshape(1, 1, 1, k))
-    return conv2d(xt, wt, None, ConvSpec(dilation=r)).data.reshape(-1)
-
-
-def seven_loop_conv(x, wt, b, spec):
-    """Direct zero-padded grouped convolution, one multiply-add at a time."""
-    p, s, r, g = spec.padding, spec.stride, spec.dilation, spec.groups
-    xp = pad_hw(x, (p,) * 4)
-    n, cout, (cg, kh, kw) = x.shape[0], wt.shape[0], wt.shape[1:]
-    og = cout // g
-    ho = (xp.shape[2] - r * (kh - 1) - 1) // s + 1
-    wo = (xp.shape[3] - r * (kw - 1) - 1) // s + 1
-    ref = np.zeros((n, cout, ho, wo))
-    for ni in range(n):
-        for oc in range(cout):
-            for ic in range(cg):
-                for i in range(ho):
-                    for j in range(wo):
-                        for ki in range(kh):
-                            for kj in range(kw):
-                                ref[ni, oc, i, j] += (
-                                    xp[ni, (oc // og) * cg + ic, i * s + ki * r, j * s + kj * r]
-                                    * wt[oc, ic, ki, kj])
-            ref[ni, oc] += b[oc]
-    return ref
 
 
 def single_gemm_conv(x, wt, b, spec):
@@ -193,82 +147,6 @@ class TestBlockedConvForward:
 
 
 class TestConv2d:
-    def test_1d_dilated_oracle_value(self):
-        # y[0] = x[2] + x[4] + pad = 3 + 5 + 0 = 8 with r=2, w=[1,1,1]
-        y = dilated_conv_1d_oracle([1, 2, 3, 4, 5], [1, 1, 1], r=2)
-        assert y[0] == 8.0
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_conv2d_matches_1d_oracle_up_to_tap_origin(self, r, rng):
-        x = rng.standard_normal(11)
-        w = rng.standard_normal(3)
-        oracle = dilated_conv_1d_oracle(x, w, r)
-        ours = conv_as_1d(x, w, r)
-        # the oracle's first tap sits r steps ahead of conv2d's
-        np.testing.assert_allclose(ours[r:11], oracle[: 11 - r], atol=1e-12)
-
-    def test_identity_pointwise_kernel(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 5, 4)))
-        w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
-        out = conv2d(x, w, None, ConvSpec())
-        np.testing.assert_array_equal(out.data, x.data)
-
-    @pytest.mark.parametrize("r,support", [(1, 3), (2, 5)])
-    def test_impulse_response_support(self, r, support):
-        # receptive field of a 3x3 kernel is 3 (r=1) vs 5 (r=2) per axis
-        x = np.zeros((1, 1, 11, 11))
-        x[0, 0, 5, 5] = 1.0
-        w = Tensor(np.ones((1, 1, 3, 3)))
-        spec = ConvSpec(padding=same_padding(3, r), dilation=r)
-        out = conv2d(Tensor(x), w, None, spec).data[0, 0]
-        rows = np.nonzero(out.sum(axis=1))[0]
-        cols = np.nonzero(out.sum(axis=0))[0]
-        assert rows.max() - rows.min() + 1 == support
-        assert cols.max() - cols.min() + 1 == support
-
-    def test_matches_naive_seven_loop_reference(self, rng):
-        n, cin, cout, h, w, k = 2, 4, 3, 9, 9, 3
-        # dyadic-rational values keep every product and partial sum exactly
-        # representable, so the equality is bit-exact regardless of the
-        # summation order and any indexing bug shows up undamped
-        x = rng.integers(-64, 64, size=(n, cin, h, w)) / 8.0
-        wt = rng.integers(-64, 64, size=(cout, cin, k, k)) / 8.0
-        b = rng.integers(-64, 64, size=cout) / 8.0
-        spec = ConvSpec()
-        out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
-        np.testing.assert_array_equal(out, seven_loop_conv(x, wt, b, spec))
-
-    @pytest.mark.parametrize("cin,cout,k,spec_kw,pads", [
-        (4, 6, 3, dict(groups=2, padding=1), None),
-        (4, 4, 3, dict(groups=4, padding=2, dilation=2), None),
-        (4, 8, 3, dict(groups=4, padding=1), None),
-        (5, 3, 1, dict(), None),
-        (3, 4, 3, dict(stride=2, padding=1), None),
-        # uneven zero borders, padded by the caller
-        (4, 6, 3, dict(groups=2, stride=2), (1, 0, 2, 1)),
-        (2, 3, 3, dict(dilation=2), (0, 2, 1, 3)),
-    ])
-    def test_every_geometry_matches_seven_loop_reference(self, cin, cout, k, spec_kw, pads,
-                                                         rng):
-        spec = ConvSpec(**spec_kw)
-        x = rng.integers(-64, 64, size=(3, cin, 9, 8)) / 8.0
-        if pads:
-            x = pad_hw(x, pads)
-        wt = rng.integers(-64, 64, size=(cout, cin // spec.groups, k, k)) / 8.0
-        b = rng.integers(-64, 64, size=cout) / 8.0
-        out = conv2d(Tensor(x), Tensor(wt), Tensor(b), spec).data
-        np.testing.assert_array_equal(out, seven_loop_conv(x, wt, b, spec))
-
-    @pytest.mark.parametrize("groups", [1, 4])
-    def test_input_grad_keeps_input_dtype(self, groups, rng):
-        # an f64 upstream gradient must not promote the f32 input's gradient
-        x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)).astype(np.float32),
-                   requires_grad=True)
-        out = conv2d(x, w, None, ConvSpec(padding=1, groups=groups))
-        (out * Tensor(np.ones(out.shape))).sum().backward()
-        assert x.grad.dtype == np.float32
-
     @pytest.mark.parametrize("groups,stride", [(1, 1), (4, 2)])
     def test_weight_grad_same_without_input_grad(self, groups, stride, rng):
         # an image input needs no gradient, so conv2d skips the gx taps
@@ -284,16 +162,6 @@ class TestConv2d:
             grads.append((gw, gb))
         for with_x, without_x in zip(*grads):
             np.testing.assert_array_equal(with_x, without_x)
-
-    def test_depthwise_equals_per_channel_conv(self, rng):
-        x = rng.standard_normal((1, 3, 6, 6))
-        w = rng.standard_normal((3, 1, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), None,
-                     ConvSpec(groups=3)).data
-        for c in range(3):
-            ref = conv2d(Tensor(x[:, c: c + 1]), Tensor(w[c: c + 1]), None,
-                         ConvSpec()).data
-            np.testing.assert_allclose(out[:, c: c + 1], ref, atol=1e-12)
 
     @pytest.mark.parametrize("padding", [(1, 2), (1, 0, 2, 1), -1])
     def test_padding_other_than_one_int_rejected(self, padding):
@@ -313,43 +181,11 @@ class TestConv2d:
         with pytest.raises(ValueError, match="output size"):
             conv2d(x, w, None, ConvSpec())
 
-    @pytest.mark.parametrize("groups,dilation,stride", [(1, 1, 1), (1, 2, 1), (2, 1, 2), (4, 2, 1)])
-    def test_grad_check(self, groups, dilation, stride, rng):
-        x = Tensor(rng.standard_normal((2, 4, 6, 6)))
-        w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)))
-        b = Tensor(rng.standard_normal(4))
-        spec = ConvSpec(stride=stride,
-                        padding=same_padding(3, dilation),
-                        dilation=dilation, groups=groups)
-
-        def f(xi, wi, bi):
-            out = conv2d(xi, wi, bi, spec)
-            return (out * out).sum()
-
-        assert grad_check(f, [x, w, b]) < 1e-4
-
 
 class TestAvgPool:
-    def test_constant_preserved(self):
-        x = Tensor(np.full((1, 2, 4, 4), 3.5))
-        out = avg_pool(x)
-        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 3.5))
-
-    def test_four_pixel_mean(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        assert avg_pool(x).data.reshape(()) == 2.5
-
-    def test_stride_two_halves_even_sizes(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 8, 6)))
-        assert avg_pool(x).shape == (2, 3, 4, 3)
-
     def test_window_exceeding_extent_rejected(self):
         with pytest.raises(ValueError, match="window"):
             avg_pool(Tensor(np.zeros((1, 1, 1, 2))))
-
-    def test_grad_check(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        assert grad_check(lambda a: (avg_pool(a) ** 2.0).sum(), [x]) < 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [
@@ -367,152 +203,15 @@ class TestAvgPool:
         np.testing.assert_array_equal(out, oracle)
 
 
-def bilinear_resize_oracle(img, ho, wo):
-    """Direct half-pixel bilinear interpolation, one output pixel at a time."""
-    h, w = img.shape
-    out = np.zeros((ho, wo))
-    for i in range(ho):
-        for j in range(wo):
-            sy = min(max((i + 0.5) * h / ho - 0.5, 0.0), h - 1.0)
-            sx = min(max((j + 0.5) * w / wo - 0.5, 0.0), w - 1.0)
-            y0, x0 = int(np.floor(sy)), int(np.floor(sx))
-            y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
-            fy, fx = sy - y0, sx - x0
-            out[i, j] = (img[y0, x0] * (1 - fy) * (1 - fx)
-                         + img[y0, x1] * (1 - fy) * fx
-                         + img[y1, x0] * fy * (1 - fx)
-                         + img[y1, x1] * fy * fx)
-    return out
-
-
-def two_gather_resize(d, ho, wo):
-    """resize_bilinear's forward in its first form: the axis rule written
-    out, and each output row's x-interpolation evaluated again for its top
-    and its bottom source row, over four double gathers."""
-    def axis(n_in, n_out):
-        src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
-        i0 = np.minimum(np.floor(src).astype(np.int64), n_in - 1)
-        return i0, np.minimum(i0 + 1, n_in - 1), src - i0
-
-    y0, y1, fy = axis(d.shape[2], ho)
-    x0, x1, fx = axis(d.shape[3], wo)
-    fy, fx = fy.reshape(1, 1, ho, 1), fx.reshape(1, 1, 1, wo)
-    top = d[:, :, y0, :][:, :, :, x0] * (1 - fx) + d[:, :, y0, :][:, :, :, x1] * fx
-    bot = d[:, :, y1, :][:, :, :, x0] * (1 - fx) + d[:, :, y1, :][:, :, :, x1] * fx
-    return top * (1 - fy) + bot * fy
-
-
 class TestResizeBilinear:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("hw, size", [
-        ((6, 8), (12, 16)),        # x2 up, the decoder's
-        ((12, 16), (6, 8)),        # /2 down
-        ((16, 24), (4, 6)),        # /4 down
-        ((5, 7), (8, 3)),          # non-integer ratios
-        ((1, 9), (3, 18)),         # one input row
-        ((6, 8), (1, 4)),          # one output row
-    ], ids=["up2", "down2", "down4", "non-integer", "one-input-row", "one-output-row"])
-    def test_row_once_forward_equals_two_gather_form(self, hw, size, dtype, rng):
-        d = rng.standard_normal((2, 3) + hw).astype(dtype)
-        out = resize_bilinear(Tensor(d), size=size).data
-        ref = two_gather_resize(d, *size)
-        assert out.dtype == ref.dtype
-        np.testing.assert_array_equal(out, ref)
-
-    def test_unit_size_is_bit_identical(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 4, 4)))
-        assert resize_bilinear(x, size=(4, 4)) is x
-
-    def test_constant_image_stays_constant(self):
-        x = Tensor(np.full((1, 2, 3, 5), 0.7))
-        out = resize_bilinear(x, size=(6, 10))
-        np.testing.assert_allclose(out.data, 0.7, atol=1e-12)
-
-    def test_checkerboard_matches_direct_oracle(self):
-        img = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = resize_bilinear(Tensor(img.reshape(1, 1, 2, 2)), size=(4, 4))
-        np.testing.assert_allclose(out.data[0, 0], bilinear_resize_oracle(img, 4, 4),
-                                   atol=1e-12)
-
-    def test_random_sizes_match_oracle(self, rng):
-        img = rng.standard_normal((3, 5))
-        out = resize_bilinear(Tensor(img.reshape(1, 1, 3, 5)), size=(7, 4))
-        np.testing.assert_allclose(out.data[0, 0], bilinear_resize_oracle(img, 7, 4),
-                                   atol=1e-12)
-
     def test_up_down_roundtrip_exact_on_constants(self):
         x = Tensor(np.full((1, 1, 4, 4), 2.25))
         back = resize_bilinear(resize_bilinear(x, size=(8, 8)), size=(4, 4))
         np.testing.assert_array_equal(back.data, x.data)
 
-    def test_grad_check(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 3, 4)))
-        assert grad_check(lambda a: (resize_bilinear(a, size=(6, 8)) ** 2.0).sum(),
-                          [x]) < 1e-4
-        assert grad_check(lambda a: (resize_bilinear(a, size=(2, 2)) ** 2.0).sum(),
-                          [x]) < 1e-4
-
 
 class TestBilinearSample:
-    def test_integer_coords_recover_pixels(self, rng):
-        src = rng.standard_normal((1, 3, 4, 5))
-        xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
-        coords = np.stack([xs, ys], axis=-1)[None]
-        out = bilinear_sample(Tensor(src), Tensor(coords))
-        np.testing.assert_allclose(out.data, src, atol=1e-12)
-
-    def test_identity_grid_is_identity(self, rng):
-        src = rng.standard_normal((2, 1, 3, 3))
-        xs, ys = np.meshgrid(np.arange(3.0), np.arange(3.0))
-        coords = np.broadcast_to(np.stack([xs, ys], axis=-1), (2, 3, 3, 2)).copy()
-        out = bilinear_sample(Tensor(src), Tensor(coords))
-        np.testing.assert_allclose(out.data, src, atol=1e-12)
-
-    def test_grad_wrt_coords_and_source(self, rng):
-        src = Tensor(rng.standard_normal((1, 2, 5, 5)))
-        # interior, non-integer coordinates keep the sampler away from kinks
-        coords = Tensor(rng.uniform(0.3, 3.4, size=(1, 3, 3, 2)))
-
-        def f(s, c):
-            return (bilinear_sample(s, c) ** 2.0).sum()
-
-        assert grad_check(f, [src, coords]) < 1e-4
-
-
-def upstream_grad(f, inputs, rng):
-    """Gradients of sum(f(*inputs) * G) for a random upstream gradient G."""
-    out = f(*inputs)
-    upstream = rng.standard_normal(out.shape)
-    (out * Tensor(upstream)).sum().backward()
-    return upstream, [t.grad for t in inputs]
-
-
-class TestScatterOracles:
-    """Backward passes against a sequential np.add.at scatter of the same
-    contributions."""
-
-    def test_bilinear_sample_source_grad(self, rng):
-        n, c, h, w = 2, 3, 5, 6
-        src = Tensor(rng.standard_normal((n, c, h, w)), requires_grad=True)
-        xy = rng.uniform(-1.0, 7.0, size=(n, 4, 5, 2))
-        xy[0, :2] = (2.5, 1.25)          # many samples on the same pixels
-        xy[1, 0, :, 0] = np.arange(5.0)  # integer coordinates
-        upstream, (gsrc,) = upstream_grad(
-            lambda s: bilinear_sample(s, Tensor(xy)), [src], rng)
-        cx, cy = np.clip(xy[..., 0], 0, w - 1.0), np.clip(xy[..., 1], 0, h - 1.0)
-        x0 = np.minimum(np.floor(cx).astype(int), w - 1)
-        y0 = np.minimum(np.floor(cy).astype(int), h - 1)
-        x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
-        fx, fy = cx - x0, cy - y0
-        oracle = np.zeros((n, c, h, w))
-        bidx = np.arange(n).reshape(n, 1, 1)
-        for yi, xi, wgt in ((y0, x0, (1 - fx) * (1 - fy)), (y0, x1, fx * (1 - fy)),
-                            (y1, x0, (1 - fx) * fy), (y1, x1, fx * fy)):
-            np.add.at(oracle, (bidx, slice(None), yi, xi),
-                      (upstream * wgt[:, None]).transpose(0, 2, 3, 1))
-        np.testing.assert_allclose(gsrc, oracle, rtol=0, atol=1e-12)
-
-    def test_bilinear_sample_coord_grad_without_source_grad(self, rng):
+    def test_coord_grad_without_source_grad(self, rng):
         src = rng.standard_normal((1, 2, 5, 5))
         xy = rng.uniform(0.3, 3.4, size=(1, 3, 3, 2))
         grads = []
@@ -522,52 +221,6 @@ class TestScatterOracles:
             assert (s.grad is None) != needs
             grads.append(c.grad)
         np.testing.assert_array_equal(*grads)
-
-    @pytest.mark.parametrize("size", [(10, 12), (3, 2), (4, 11)])
-    def test_resize_bilinear_grad(self, size, rng):
-        x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
-        upstream, (gx,) = upstream_grad(lambda a: resize_bilinear(a, size=size), [x], rng)
-        ho, wo = size
-        sy = np.clip((np.arange(ho) + 0.5) * 5 / ho - 0.5, 0, 4.0)
-        sx = np.clip((np.arange(wo) + 0.5) * 6 / wo - 0.5, 0, 5.0)
-        oracle = np.zeros((2, 3, 5, 6))
-        for i in range(ho):
-            for j in range(wo):
-                y0, x0 = int(sy[i]), int(sx[j])
-                fy, fx = sy[i] - y0, sx[j] - x0
-                for yi, wy in ((y0, 1 - fy), (min(y0 + 1, 4), fy)):
-                    for xi, wx in ((x0, 1 - fx), (min(x0 + 1, 5), fx)):
-                        np.add.at(oracle, (slice(None), slice(None), yi, xi),
-                                  upstream[:, :, i, j] * wy * wx)
-        np.testing.assert_allclose(gx, oracle, rtol=0, atol=1e-12)
-
-    def test_resize_bilinear_grad_keeps_input_dtype(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 3, 4)).astype(np.float32), requires_grad=True)
-        (resize_bilinear(x, size=(6, 8)) * Tensor(np.ones((1, 2, 6, 8)))).sum().backward()
-        assert x.grad.dtype == np.float32
-
-    @pytest.mark.parametrize("idx", [
-        (slice(None), slice(1, None, 2)),
-        (Ellipsis, slice(0, 1)),
-        (0, None, slice(None, None, -1)),
-        (-1,),
-        1,
-        np.int64(2),
-    ])
-    def test_getitem_grad(self, idx, rng):
-        a = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        upstream, (ga,) = upstream_grad(lambda t: t[idx], [a], rng)
-        oracle = np.zeros((3, 4, 5))
-        np.add.at(oracle, idx, upstream)
-        np.testing.assert_allclose(ga, oracle, rtol=0, atol=1e-12)
-
-    def test_getitem_rejects_advanced_indices(self):
-        # integer arrays, lists and boolean masks may select an element twice
-        a = Tensor(np.zeros((3, 4, 5)))
-        for idx in (np.array([0, 2, 2]), (slice(None), [1, 1, 3]),
-                    (np.array([True, False, True]),), True):
-            with pytest.raises(TypeError, match="basic indices"):
-                a[idx]
 
 
 class TestNormalize:
@@ -601,20 +254,10 @@ class TestNormalize:
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
-    def test_grad_checks(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-        s, b = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
+    def test_layer_norm_grad_check(self, rng):
         # a fixed random weighting keeps the loss sensitive to the input;
         # sums of squares of normalized outputs are constant up to O(eps)
         # and would starve the finite differences of signal
-        wq = Tensor(rng.standard_normal((2, 3, 4, 4)))
-
-        def f_bn(xi, si, bi):
-            out = batch_norm(xi, si, bi, np.zeros(3), np.ones(3), training=True)
-            return (out * wq).sum()
-
-        assert grad_check(f_bn, [x, s, b]) < 1e-4
-
         xt = Tensor(rng.standard_normal((3, 5)))
         s5, b5 = Tensor(rng.standard_normal(5)), Tensor(rng.standard_normal(5))
         wt = Tensor(rng.standard_normal((3, 5)))

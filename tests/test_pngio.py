@@ -9,9 +9,9 @@ from litedepth.pngio import (
     load_image, read_f32, read_png, save_image, write_f32, write_png,
 )
 
-# malformed files are rebuilt in pytest's tmp_path for every example
-fuzz = settings(max_examples=150, deadline=None, database=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
+# malformed files are rebuilt in pytest's tmp_path for every example; the
+# rest of the settings come from conftest.py's profile
+fuzz = settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 PNG_KINDS = {"rgb8": ((3,), np.uint8), "gray8": ((), np.uint8), "gray16": ((), np.uint16)}
 
 

@@ -492,8 +492,9 @@ class TestTrainLoop:
         assert dtypes and set(dtypes.values()) == {np.dtype(np.float32)}
 
     def test_loss_decreases_on_short_run(self):
-        # a smoke check that optimization makes progress at all; the real
-        # convergence bar lives in the acceptance suite
+        # a smoke check that optimization makes progress at all. No test holds
+        # a convergence bar: criterion 9, that the toy run learns depth, is
+        # run by hand (README), and the loss can fall while depth collapses
         set_default_dtype("f32")
         src = SyntheticSource(seed=5, n_frames=8, size=(64, 32))
         res = train(toy_train_config(steps=40, batch_size=4, lr0=1e-3), TINY, src)
@@ -503,6 +504,14 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
+    def test_source_without_triplets_is_refused(self):
+        # two frames make no (previous, target, next) triplet; train refuses
+        # the same source with the same message
+        src = SyntheticSource(seed=0, n_frames=2, size=(64, 32))
+        assert len(src) == 0
+        with pytest.raises(ValueError, match="data source has no triplets"):
+            evaluate(build_models(TINY), src)
+
     def test_passthrough_stub_gives_perfect_row(self, monkeypatch):
         src = SyntheticSource(seed=2, n_frames=4, size=(64, 32))
         seq = src.sequence
