@@ -11,8 +11,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from litedepth.engine import (
     ConvSpec, Tensor, as_tensor, avg_pool, batch_norm, bilinear_sample, conv2d,
-    elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, sigmoid,
-    softmax, using_dtype,
+    elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, same_padding,
+    sigmoid, softmax, using_dtype,
 )
 from litedepth.engine.functional import _COLS_BYTES, _ERF_BLOCK, _erf
 
@@ -147,6 +147,35 @@ class TestBlockedConvForward:
 
 
 class TestConv2d:
+    def test_identity_pointwise_kernel(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)))
+        w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
+        out = conv2d(x, w, None, ConvSpec())
+        np.testing.assert_array_equal(out.data, x.data)
+
+    @pytest.mark.parametrize("r,support", [(1, 3), (2, 5)])
+    def test_impulse_response_support(self, r, support):
+        # receptive field of a 3x3 kernel is 3 (r=1) vs 5 (r=2) per axis
+        x = np.zeros((1, 1, 11, 11))
+        x[0, 0, 5, 5] = 1.0
+        w = Tensor(np.ones((1, 1, 3, 3)))
+        spec = ConvSpec(padding=same_padding(3, r), dilation=r)
+        out = conv2d(Tensor(x), w, None, spec).data[0, 0]
+        rows = np.nonzero(out.sum(axis=1))[0]
+        cols = np.nonzero(out.sum(axis=0))[0]
+        assert rows.max() - rows.min() + 1 == support
+        assert cols.max() - cols.min() + 1 == support
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_input_grad_keeps_input_dtype(self, groups, rng):
+        # an f64 upstream gradient must not promote the f32 input's gradient
+        x = Tensor(rng.standard_normal((2, 4, 5, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4 // groups, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        out = conv2d(x, w, None, ConvSpec(padding=1, groups=groups))
+        (out * Tensor(np.ones(out.shape))).sum().backward()
+        assert x.grad.dtype == np.float32
+
     @pytest.mark.parametrize("groups,stride", [(1, 1), (4, 2)])
     def test_weight_grad_same_without_input_grad(self, groups, stride, rng):
         # an image input needs no gradient, so conv2d skips the gx taps
@@ -183,6 +212,19 @@ class TestConv2d:
 
 
 class TestAvgPool:
+    def test_constant_preserved(self):
+        x = Tensor(np.full((1, 2, 4, 4), 3.5))
+        out = avg_pool(x)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 3.5))
+
+    def test_four_pixel_mean(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
+        assert avg_pool(x).data.reshape(()) == 2.5
+
+    def test_stride_two_halves_even_sizes(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 8, 6)))
+        assert avg_pool(x).shape == (2, 3, 4, 3)
+
     def test_window_exceeding_extent_rejected(self):
         with pytest.raises(ValueError, match="window"):
             avg_pool(Tensor(np.zeros((1, 1, 1, 2))))
@@ -204,6 +246,20 @@ class TestAvgPool:
 
 
 class TestResizeBilinear:
+    def test_unit_size_is_bit_identical(self, rng):
+        x = Tensor(rng.standard_normal((1, 1, 4, 4)))
+        assert resize_bilinear(x, size=(4, 4)) is x
+
+    def test_constant_image_stays_constant(self):
+        x = Tensor(np.full((1, 2, 3, 5), 0.7))
+        out = resize_bilinear(x, size=(6, 10))
+        np.testing.assert_allclose(out.data, 0.7, atol=1e-12)
+
+    def test_grad_keeps_input_dtype(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 4)).astype(np.float32), requires_grad=True)
+        (resize_bilinear(x, size=(6, 8)) * Tensor(np.ones((1, 2, 6, 8)))).sum().backward()
+        assert x.grad.dtype == np.float32
+
     def test_up_down_roundtrip_exact_on_constants(self):
         x = Tensor(np.full((1, 1, 4, 4), 2.25))
         back = resize_bilinear(resize_bilinear(x, size=(8, 8)), size=(4, 4))
@@ -211,6 +267,20 @@ class TestResizeBilinear:
 
 
 class TestBilinearSample:
+    def test_integer_coords_recover_pixels(self, rng):
+        src = rng.standard_normal((1, 3, 4, 5))
+        xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
+        coords = np.stack([xs, ys], axis=-1)[None]
+        out = bilinear_sample(Tensor(src), Tensor(coords))
+        np.testing.assert_allclose(out.data, src, atol=1e-12)
+
+    def test_identity_grid_is_identity(self, rng):
+        src = rng.standard_normal((2, 1, 3, 3))
+        xs, ys = np.meshgrid(np.arange(3.0), np.arange(3.0))
+        coords = np.broadcast_to(np.stack([xs, ys], axis=-1), (2, 3, 3, 2)).copy()
+        out = bilinear_sample(Tensor(src), Tensor(coords))
+        np.testing.assert_allclose(out.data, src, atol=1e-12)
+
     def test_coord_grad_without_source_grad(self, rng):
         src = rng.standard_normal((1, 2, 5, 5))
         xy = rng.uniform(0.3, 3.4, size=(1, 3, 3, 2))

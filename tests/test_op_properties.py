@@ -7,10 +7,16 @@ in f32 and f64, so the engine and the reference agree bit for bit in any
 summation order and in either precision. Gradients are also checked against
 central finite differences with `grad_check` on f64 normal draws. Draws are
 derandomized (conftest.py's profile), so every run checks the same examples.
+
+Axes with a few discrete values (dtype, conv kind, kernel and stride, which
+operands need a gradient, resize direction, where sample points fall) are
+enumerated with `pytest.mark.parametrize`, so every combination is checked on
+every run and a failure names it; sizes, offsets and values are drawn.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference_ops as ref
@@ -24,7 +30,7 @@ from litedepth.engine import (
 # finite differences are exact up to rounding
 GRAD_TOL = 1e-4
 
-DTYPES = st.sampled_from([np.float32, np.float64])
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
@@ -65,31 +71,46 @@ def grad_check_weighted(op, arrays, rng):
 
 
 @st.composite
-def conv_geometries(draw):
-    """(batch, in channels, out channels, kernel, spec, height, width)."""
-    kind = draw(st.sampled_from(["dense", "two groups", "depthwise"]))
+def conv_geometries(draw, kind, k, stride):
+    """(batch, in channels, out channels, spec, height, width) of a conv of
+    the given kind ("dense", "two groups" or "depthwise"), kernel and stride."""
     if kind == "depthwise":
         groups = cin = cout = draw(st.integers(1, 3))
     else:
         groups = 1 if kind == "dense" else 2
         cin, cout = (groups * draw(st.integers(1, 2)) for _ in range(2))
-    k = draw(st.sampled_from([1, 3]))
-    stride, dilation = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    dilation = draw(st.integers(1, 6))
     h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     # from the least padding that leaves an output pixel up to k * dilation,
     # where whole output rows read nothing but padding
     least = max(0, -(-(dilation * (k - 1) + 1 - min(h, w)) // 2))
     padding = draw(st.integers(least, max(least, k * dilation)))
     spec = ConvSpec(stride=stride, padding=padding, dilation=dilation, groups=groups)
-    return draw(st.integers(1, 2)), cin, cout, k, spec, h, w
+    return draw(st.integers(1, 2)), cin, cout, spec, h, w
 
 
-@settings(max_examples=60)
-@given(conv_geometries(), st.booleans(), DTYPES, SEEDS)
-def test_conv2d(geometry, with_bias, dtype, seed):
-    n, cin, cout, k, spec, h, w = geometry
+def conv_shapes(geometry, k, with_bias):
+    """The input, weight and (if with_bias) bias shapes of a conv geometry."""
+    n, cin, cout, spec, h, w = geometry
+    return [(n, cin, h, w), (cout, cin // spec.groups, k, k)] + ([(cout,)] if with_bias else [])
+
+
+CONV_KINDS = pytest.mark.parametrize("kind", ["dense", "two groups", "depthwise"])
+CONV_KERNELS = pytest.mark.parametrize("k", [1, 3], ids=["k1", "k3"])
+CONV_STRIDES = pytest.mark.parametrize("stride", [1, 2], ids=["s1", "s2"])
+
+
+@CONV_KINDS
+@CONV_KERNELS
+@CONV_STRIDES
+@DTYPES
+@settings(max_examples=6)
+@given(st.data(), st.booleans(), SEEDS)
+def test_conv2d(kind, k, stride, dtype, draws, with_bias, seed):
+    geometry = draws.draw(conv_geometries(kind, k, stride), label="geometry")
+    spec, h, w = geometry[3:]
     rng = np.random.default_rng(seed)
-    shapes = [(n, cin, h, w), (cout, cin // spec.groups, k, k)] + ([(cout,)] if with_bias else [])
+    shapes = conv_shapes(geometry, k, with_bias)
     arrays = [dyadic(rng, shape, dtype) for shape in shapes]
     before = [a.copy() for a in arrays]
     x, wt, *b = leaves(*arrays)
@@ -110,6 +131,16 @@ def test_conv2d(geometry, with_bias, dtype, seed):
     for a, kept in zip(arrays, before):     # neither pass writes its inputs
         np.testing.assert_array_equal(a, kept)
 
+
+@CONV_KINDS
+@CONV_KERNELS
+@CONV_STRIDES
+@settings(max_examples=6)
+@given(st.data(), st.booleans(), SEEDS)
+def test_conv2d_grad_check(kind, k, stride, draws, with_bias, seed):
+    geometry = draws.draw(conv_geometries(kind, k, stride), label="geometry")
+    spec, shapes = geometry[3], conv_shapes(geometry, k, with_bias)
+    rng = np.random.default_rng(seed)
     grad_check_weighted(lambda x, wt, *b: conv2d(x, wt, b[0] if b else None, spec),
                         [rng.standard_normal(shape) for shape in shapes], rng)
 
@@ -117,9 +148,13 @@ def test_conv2d(geometry, with_bias, dtype, seed):
 # ----------------------------------------------------------------- pooling
 
 
-@settings(max_examples=20)
-@given(st.integers(1, 2), st.integers(1, 2), st.integers(2, 7), st.integers(2, 7), DTYPES, SEEDS)
-def test_avg_pool(n, c, h, w, dtype, seed):
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@DTYPES
+@settings(max_examples=6)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3), SEEDS)
+def test_avg_pool(parity, dtype, n, c, half_h, half_w, seed):
+    # odd sizes drop their last row and column
+    h, w = 2 * half_h + parity, 2 * half_w + parity
     rng = np.random.default_rng(seed)
     (x,) = leaves(dyadic(rng, (n, c, h, w), dtype))
     out = avg_pool(x)
@@ -134,13 +169,33 @@ def test_avg_pool(n, c, h, w, dtype, seed):
 # ---------------------------------------------------------------- samplers
 
 
-@settings(max_examples=50)
-@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 7), st.integers(1, 7),
-       st.integers(1, 14), st.integers(1, 14), st.booleans(), DTYPES, SEEDS)
-def test_resize_bilinear(n, c, h, w, ho, wo, own_size, dtype, seed):
-    # down and up ratios, integer or not, and one-pixel maps either side
-    if own_size:
-        ho, wo = h, w
+@st.composite
+def resize_sizes(draw, direction):
+    """((h, w), (ho, wo)) from 1 to 7 pixels in and 1 to 14 out per axis:
+    "down" and "up" shrink or grow one axis or both (the other may keep its
+    size), "mixed" shrinks one axis and grows the other, and "own size" keeps
+    both; ratios integer or not, and one-pixel maps either side."""
+    if direction == "mixed":
+        h, w = draw(st.integers(2, 7)), draw(st.integers(1, 7))
+        size = draw(st.integers(1, h - 1)), draw(st.integers(w + 1, 14))
+        if draw(st.booleans()):
+            (h, w), size = (w, h), size[::-1]
+        return (h, w), size
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if direction == "own size":
+        return (h, w), (h, w)
+    size = tuple(draw(st.integers(1, n) if direction == "down" else st.integers(n, 14))
+                 for n in (h, w))
+    assume(size != (h, w))
+    return (h, w), size
+
+
+@pytest.mark.parametrize("direction", ["down", "up", "mixed", "own size"])
+@DTYPES
+@settings(max_examples=12)
+@given(st.data(), st.integers(1, 2), st.integers(1, 2), SEEDS)
+def test_resize_bilinear(direction, dtype, draws, n, c, seed):
+    (h, w), (ho, wo) = draws.draw(resize_sizes(direction), label="sizes")
     rng = np.random.default_rng(seed)
     data = dyadic(rng, (n, c, h, w), dtype)
     (x,) = leaves(data.copy())
@@ -171,21 +226,29 @@ def test_resize_bilinear(n, c, h, w, ho, wo, own_size, dtype, seed):
                         [rng.standard_normal(x.shape)], rng)
 
 
-def sample_points(rng, n, ho, wo, h, w):
-    """(x, y) points in multiples of 1/8 from two pixels out on each side,
-    a quarter of them moved onto the border pixels' centers."""
-    xy = np.stack([rng.integers(-16, 8 * (w + 1) + 1, (n, ho, wo)) / 8.0,
-                   rng.integers(-16, 8 * (h + 1) + 1, (n, ho, wo)) / 8.0], axis=-1)
-    edge = rng.integers(0, 2, xy.shape) * (np.array([w, h]) - 1.0)
-    return np.where(rng.random(xy.shape) < 0.25, edge, xy)
+def sample_points(rng, region, n, ho, wo, h, w):
+    """(x, y) points in multiples of 1/8: "inside" the map's pixel centers;
+    "around" it, from two pixels out on each side, where the sampler clamps;
+    or "on the border", each point with at least one coordinate on a border
+    pixel's center and the other anywhere "around"."""
+    far = np.array([w, h]) - 1.0
+    lo, hi = (0, 8 * far) if region == "inside" else (-16, 8 * (far + 2))
+    xy = rng.integers(lo, hi + 1, (n, ho, wo, 2)) / 8.0
+    if region == "on the border":
+        axis = rng.integers(0, 2, (n, ho, wo))
+        xy[axis == 0, 0] = rng.integers(0, 2, (axis == 0).sum()) * far[0]
+        xy[axis == 1, 1] = rng.integers(0, 2, (axis == 1).sum()) * far[1]
+    return xy
 
 
-@settings(max_examples=40)
+@pytest.mark.parametrize("region", ["inside", "around", "on the border"])
+@DTYPES
+@settings(max_examples=8)
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 6), st.integers(1, 6),
-       st.integers(1, 4), st.integers(1, 4), DTYPES, SEEDS)
-def test_bilinear_sample(n, c, h, w, ho, wo, dtype, seed):
+       st.integers(1, 4), st.integers(1, 4), SEEDS)
+def test_bilinear_sample(region, dtype, n, c, h, w, ho, wo, seed):
     rng = np.random.default_rng(seed)
-    data, xy = dyadic(rng, (n, c, h, w), dtype), sample_points(rng, n, ho, wo, h, w)
+    data, xy = dyadic(rng, (n, c, h, w), dtype), sample_points(rng, region, n, ho, wo, h, w)
     src, coords = leaves(data.copy(), xy.astype(dtype))
     out = bilinear_sample(src, coords)
     np.testing.assert_array_equal(out.data, ref.bilinear_sample(data, xy))
@@ -209,11 +272,12 @@ def test_bilinear_sample(n, c, h, w, ho, wo, dtype, seed):
 # -------------------------------------------------------------- tensor ops
 
 
-@settings(max_examples=40)
+@DTYPES
+@settings(max_examples=20)
 @given(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4).flatmap(
     lambda shape: st.tuples(st.just(shape), hnp.basic_indices(
-        shape, allow_newaxis=True, allow_ellipsis=True))), DTYPES, SEEDS)
-def test_getitem(shape_index, dtype, seed):
+        shape, allow_newaxis=True, allow_ellipsis=True))), SEEDS)
+def test_getitem(dtype, shape_index, seed):
     shape, idx = shape_index
     rng = np.random.default_rng(seed)
     (x,) = leaves(dyadic(rng, shape, dtype))
@@ -236,14 +300,30 @@ BINARY = {
 }
 
 
-NEEDS = st.sampled_from([(True, True), (True, False), (False, True)])
+def binary_shapes(name):
+    """Operand shapes that broadcast: (m, k) @ (k, n) with broadcast batch
+    axes for matmul, any pair of mutually broadcastable shapes for the rest."""
+    if name == "matmul":
+        return hnp.mutually_broadcastable_shapes(signature="(m,k),(k,n)->(m,n)",
+                                                 max_dims=2, max_side=3)
+    return hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3)
 
 
-def check_binary(name, shapes, dtypes, needs, rng):
-    """One binary op on dyadic operands of the given shapes and dtypes,
-    against its reference: the forward, each needed operand's gradient, and
-    the finite differences of f64 normal draws of the same shapes."""
-    (shape_a, shape_b), (dtype_a, dtype_b) = shapes, dtypes
+@pytest.mark.parametrize("name", sorted(BINARY))
+@pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)],
+                         ids=["both", "a-only", "b-only"])
+@pytest.mark.parametrize("dtypes", ["f32", "f64", "mixed"])
+@settings(max_examples=5)
+@given(st.data(), SEEDS)
+def test_binary_op(name, needs, dtypes, draws, seed):
+    # each op on drawn broadcast shapes, f32, f64 or mixed operands (either
+    # one f32), with both operands or only one needing a gradient
+    shape_a, shape_b = draws.draw(binary_shapes(name), label="shapes").input_shapes
+    if dtypes == "mixed":
+        dtype_a, dtype_b = draws.draw(st.permutations([np.float32, np.float64]), label="dtypes")
+    else:
+        dtype_a = dtype_b = np.float32 if dtypes == "f32" else np.float64
+    rng = np.random.default_rng(seed)
     # multiples of 1/4 in [-2, 2] meet often, so maximum and minimum see ties;
     # divisors are powers of two, so quotients stay dyadic
     a_data = np.asarray(rng.integers(-8, 9, shape_a) / 4, dtype_a)
@@ -270,23 +350,3 @@ def check_binary(name, shapes, dtypes, needs, rng):
     if name == "div":       # divisors away from zero
         normals[1] = np.sign(normals[1]) * (0.5 + np.abs(normals[1]))
     grad_check_weighted(BINARY[name], normals, rng)
-
-
-@settings(max_examples=40)
-@given(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
-       st.tuples(DTYPES, DTYPES), NEEDS, SEEDS)
-def test_elementwise_binary_ops(shapes, dtypes, needs, seed):
-    # each op on the same broadcast shapes: f32, f64 or mixed operands, and
-    # either operand without a gradient
-    rng = np.random.default_rng(seed)
-    for name in ("add", "sub", "mul", "div", "maximum", "minimum"):
-        check_binary(name, shapes.input_shapes, dtypes, needs, rng)
-
-
-@settings(max_examples=25)
-@given(hnp.mutually_broadcastable_shapes(signature="(m,k),(k,n)->(m,n)", max_dims=2,
-                                         max_side=3),
-       st.tuples(DTYPES, DTYPES), NEEDS, SEEDS)
-def test_matmul(shapes, dtypes, needs, seed):
-    # (m, k) @ (k, n) with broadcast batch axes
-    check_binary("matmul", shapes.input_shapes, dtypes, needs, np.random.default_rng(seed))

@@ -11,8 +11,8 @@ from litedepth.engine import (
 from test_op_properties import BINARY
 
 
-def t(arr):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+def t(arr, rg=True):
+    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=rg)
 
 
 class TestBackwardBasics:
@@ -56,6 +56,13 @@ class TestBackwardBasics:
         loss.backward()
         assert h.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, 6.0 * x.data)
+
+    def test_grad_present_iff_requires_grad(self):
+        x = t([1.0], rg=False)
+        y = t([2.0])
+        (x * y).sum().backward()
+        assert x.grad is None
+        assert y.grad is not None
 
 
 class TestGraphRelease:
@@ -140,6 +147,22 @@ class TestExtremum:
 
 
 class TestMatmul:
+    def test_matches_triple_loop_oracle(self, rng):
+        a = rng.standard_normal((2, 3))
+        b = rng.standard_normal((3, 2))
+        expected = np.zeros((2, 2))
+        for i in range(2):
+            for j in range(2):
+                for k in range(3):
+                    expected[i, j] += a[i, k] * b[k, j]
+        out = Tensor(a) @ Tensor(b)
+        np.testing.assert_array_equal(out.data, expected)
+
+    def test_identity_times_a_is_a(self, rng):
+        a = rng.standard_normal((4, 4))
+        out = Tensor(np.eye(4)) @ Tensor(a)
+        np.testing.assert_array_equal(out.data, a)
+
     def test_inner_dim_mismatch_names_axes(self):
         with pytest.raises(ValueError, match="axis"):
             t(np.zeros((2, 3))) @ t(np.zeros((4, 2)))
@@ -208,6 +231,7 @@ class TestGradCheckSuite:
         "pow": lambda x: ((x * x + 1.0) ** 1.5).sum(),
         "reshape": lambda x: (x.reshape(-1) * x.reshape(-1)).sum(),
         "transpose": lambda x: (x.transpose(1, 0) @ x).sum(),
+        "getitem": lambda x: (x[0:1] * x[0:1]).sum(),
         "mean": lambda x: (x * x).mean(),
         "softmax": lambda x: (softmax(x, axis=-1) * softmax(x, axis=-1)).sum(),
         "sum_axis": lambda x: (x.sum(axis=0) ** 2.0).sum(),
