@@ -15,10 +15,10 @@ from .engine import (
     elu, gelu, grad_check, layer_norm, resize_bilinear, same_padding, sigmoid,
     softmax, using_dtype,
 )
-from .losses import LossConfig, smoothness, ssim, total_loss
+from .losses import LossConfig, photometric_loss, smoothness, ssim, total_loss
 from .nn import Conv2d
 from .posenet import pose_to_matrix, rotation_from_axis_angle
-from .warp import CameraIntrinsics, synthesize
+from .warp import CameraIntrinsics, project, synthesize
 
 __all__ = ["CheckResult", "run_suite"]
 
@@ -154,7 +154,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         # meaningful away from its kinks, so weight out pixels whose warped
         # coordinates sit on the integer lattice or at the border clamp
         from .engine import no_grad
-        from .warp import backproject, project
+        from .warp import backproject
         with no_grad():
             coords0, _ = project(backproject(depth8, intr), intr,
                                  pose_to_matrix(aa8, tr8))
@@ -206,4 +206,16 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         xe, se, be = (Tensor(rng.standard_normal(shape)) for shape in ((2, 3, 4, 4), 3, 3))
         check("batch_norm_eval", lambda a, s, b: we(batch_norm(
             a, s, b, mean_e, var_e, training=False)), [xe, se, be])
+        # both images with grad; independent uniform draws almost surely
+        # miss the kinks at pred == target and SSIM == 1
+        wph = _weighted(rng, (1, 1, 5, 7))
+        check("photometric_loss", lambda a, b: wph(photometric_loss(a, b, 0.85)),
+              [Tensor(rng.random((1, 3, 5, 7))), Tensor(rng.random((1, 3, 5, 7)))])
+        # depths of 2-4 keep every point off the z clamp
+        pts = Tensor(np.concatenate([rng.uniform(-1.0, 1.0, (1, 2, 3, 4)),
+                                     rng.uniform(2.0, 4.0, (1, 1, 3, 4))], axis=1))
+        wpr = _weighted(rng, (1, 3, 4, 2))
+        check("project", lambda p, t: wpr(project(p, intr, t)[0]),
+              [pts, Tensor(pose_to_matrix(Tensor(rng.standard_normal((1, 3)) * 0.1),
+                                          Tensor(rng.standard_normal((1, 3)) * 0.1)).data)])
     return results

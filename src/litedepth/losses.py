@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .engine import (
-    Tensor, as_tensor, default_dtype, maximum, minimum, resize_bilinear,
+    Tensor, as_tensor, default_dtype, minimum, resize_bilinear,
 )
 from .decoder import disp_to_depth
 from .warp import Cameras, synthesize
@@ -87,69 +87,138 @@ def _box3_adjoint(g: np.ndarray) -> np.ndarray:
     return _sum3_adjoint(_sum3_adjoint(g / 9, 3), 2)
 
 
-def ssim(a: Tensor, b: Tensor) -> Tensor:
-    """Per-pixel structural similarity with 3x3 mean filters and reflection
-    padding; values in [-1, 1], exactly 1 where the inputs agree.
+def _mean_terms(mu_a, mu_b, dtype):
+    """SSIM's two factors that read only the means, a1 and b1."""
+    two, c1 = (np.asarray(v, dtype=dtype) for v in (2.0, SSIM_C1))
+    return two * mu_a * mu_b + c1, mu_a * mu_a + mu_b * mu_b + c1
 
-    One graph node. Each of the five statistics (mu_a, mu_b, E[a^2], E[b^2],
-    E[ab]) is filtered in the dtype its inputs give it, and the constants
-    take the default dtype, so the value is bit-identical to composing the
-    pad, pool and elementwise ops. The backward differentiates with respect
-    to the five filtered maps and applies the filter's adjoint.
+
+def _ssim_maps(ad: np.ndarray, bd: np.ndarray, dtype) -> Tuple[np.ndarray, tuple]:
+    """SSIM of two arrays and the four maps its backward reads: the means
+    mu_a and mu_b, and a2 = 2 cov + C2 and b2 = var_a + var_b + C2.
+
+    Each of the five statistics (mu_a, mu_b, E[a^2], E[b^2], E[ab]) is
+    filtered in the dtype its inputs give it, and the constants take
+    `dtype`, so the value is bit-identical to composing the pad, pool and
+    elementwise ops under that default dtype.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim != 4 or min(a.shape[2:]) < 2:
-        raise ValueError(f"ssim needs NCHW maps of at least 2x2, got {a.shape}")
-    ad, bd = a.data, b.data
-    two, c1, c2 = (np.asarray(v, dtype=default_dtype()) for v in (2.0, SSIM_C1, SSIM_C2))
+    two, c2 = (np.asarray(v, dtype=dtype) for v in (2.0, SSIM_C2))
     mu_a, mu_b = _box3(ad), _box3(bd)
     var_a = _box3(ad * ad) - mu_a * mu_a
     var_b = _box3(bd * bd) - mu_b * mu_b
     cov = _box3(ad * bd) - mu_a * mu_b
+    kept = (mu_a, mu_b, two * cov + c2, var_a + var_b + c2)
+    return _ssim_value(kept, dtype), kept
 
-    def mean_terms():
-        # a1 and b1 read only the means, so the backward rebuilds them
-        return two * mu_a * mu_b + c1, mu_a * mu_a + mu_b * mu_b + c1
 
-    a1, b1 = mean_terms()
-    a2 = two * cov + c2
-    b2 = var_a + var_b + c2
-    out = a1 * a2 / (b1 * b2)
+def _ssim_value(kept: tuple, dtype) -> np.ndarray:
+    mu_a, mu_b, a2, b2 = kept
+    a1, b1 = _mean_terms(mu_a, mu_b, dtype)
+    return a1 * a2 / (b1 * b2)
+
+
+def _ssim_grads(g, ad, bd, kept, out, dtype, need_a: bool, need_b: bool):
+    """Gradients of S = a1 a2 / (b1 b2) with respect to a and b: the
+    derivatives with respect to the five filtered maps, through the
+    filter's adjoint."""
+    mu_a, mu_b, a2, b2 = kept
+    a1, b1 = _mean_terms(mu_a, mu_b, dtype)
+    gd = 2 * g / (b1 * b2)
+    g_ab = gd * a1                              # E[ab]
+    g_sq = -g * out / b2                        # E[a^2] and E[b^2]
+    g_cross = gd * (a2 - a1)                    # each mean, times the other
+    g_own = 2 * g * out * (1 / b2 - 1 / b1)     # each mean, times itself
+    sq, ab = _box3_adjoint(g_sq), _box3_adjoint(g_ab)
+    ga = gb = None
+    if need_a:
+        ga = _box3_adjoint(g_cross * mu_b + g_own * mu_a) + 2 * ad * sq + bd * ab
+    if need_b:
+        gb = _box3_adjoint(g_cross * mu_a + g_own * mu_b) + 2 * bd * sq + ad * ab
+    return ga, gb
+
+
+def _check_ssim_shapes(a: Tensor, b: Tensor, what: str) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{what} shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim != 4 or min(a.shape[2:]) < 2:
+        raise ValueError(f"{what} needs NCHW maps of at least 2x2, got {a.shape}")
+
+
+def ssim(a: Tensor, b: Tensor) -> Tensor:
+    """Per-pixel structural similarity with 3x3 mean filters and reflection
+    padding; values in [-1, 1], exactly 1 where the inputs agree.
+
+    One graph node, bit-identical to composing the pad, pool and
+    elementwise ops (see `_ssim_maps`). The backward keeps the two means and
+    a2, b2, and rebuilds the two terms that read only the means.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    _check_ssim_shapes(a, b, "ssim")
+    dtype = default_dtype()
+    out, kept = _ssim_maps(a.data, b.data, dtype)
 
     def bw(g):
-        # S = a1 a2 / (b1 b2); derivatives with respect to the filtered maps
-        a1, b1 = mean_terms()
-        gd = 2 * g / (b1 * b2)
-        g_ab = gd * a1                              # E[ab]
-        g_sq = -g * out / b2                        # E[a^2] and E[b^2]
-        g_cross = gd * (a2 - a1)                    # each mean, times the other
-        g_own = 2 * g * out * (1 / b2 - 1 / b1)     # each mean, times itself
-        sq, ab = _box3_adjoint(g_sq), _box3_adjoint(g_ab)
-        ga = gb = None
-        if a.requires_grad:
-            ga = _box3_adjoint(g_cross * mu_b + g_own * mu_a) + 2 * ad * sq + bd * ab
-        if b.requires_grad:
-            gb = _box3_adjoint(g_cross * mu_a + g_own * mu_b) + 2 * bd * sq + ad * ab
-        return ga, gb
+        return _ssim_grads(g, a.data, b.data, kept, out, dtype,
+                           a.requires_grad, b.requires_grad)
 
     return Tensor._from_op(out, (a, b), bw)
 
 
 def photometric_loss(pred: Tensor, target: Tensor, alpha: float = 0.85) -> Tensor:
     """alpha * (1 - SSIM)/2 + (1 - alpha) * L1, channel-averaged to a
-    per-pixel (N, 1, H, W) map; zero iff the images agree."""
+    per-pixel (N, 1, H, W) map; zero iff the images agree.
+
+    One graph node, bit-identical in value and gradient to composing the
+    engine's ops (the tests' oracle). Each step runs in the dtype the
+    composite gives it: alpha, 1 - alpha, the channel mean's 1/C, 0.5 and
+    1.0 are default-dtype 0-d arrays, as `as_tensor` makes them. The
+    backward keeps only SSIM's two means, a2 and b2, and rebuilds the SSIM
+    value, pred - target and the clamp's tie mask with the forward's ops.
+    """
     pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
-        raise ValueError(f"photometric shape mismatch: {pred.shape} vs {target.shape}")
-    l1 = (pred - target).abs().mean(axis=1, keepdims=True)
-    if alpha == 0.0:
-        return l1
-    # rounding can push SSIM a hair past 1; clamp keeps the map nonnegative
-    # and exact ties exactly zero
-    dssim = maximum((1.0 - ssim(pred, target)) * 0.5, 0.0)
-    return alpha * dssim.mean(axis=1, keepdims=True) + (1.0 - alpha) * l1
+    _check_ssim_shapes(pred, target, "photometric")
+    dtype = default_dtype()
+    inv_c, w_ssim, w_l1, half, one, zero = (
+        np.asarray(v, dtype=dtype)
+        for v in (1.0 / pred.shape[1], alpha, 1.0 - alpha, 0.5, 1.0, 0.0))
+    pd, td = pred.data, target.data
+    diff = pd - td
+    l1 = np.abs(diff).sum(axis=1, keepdims=True) * inv_c
+    out, kept = l1, None
+    if alpha != 0.0:
+        s, kept = _ssim_maps(pd, td, dtype)
+        # rounding can push SSIM a hair past 1; the clamp keeps the map
+        # nonnegative and exact ties exactly zero
+        dssim = np.maximum((one - s) * half, zero)
+        out = dssim.sum(axis=1, keepdims=True) * inv_c * w_ssim + l1 * w_l1
+
+    def bw(g):
+        # Every step after pred - target runs in the output's dtype, so the
+        # engine's casts between them are no-ops, and a cast commutes with
+        # the exact product by sign(pred - target): only the two inputs'
+        # gradients need casts.
+        ga = gb = None
+        g_l1 = g
+        if kept is not None:
+            g_l1 = g * w_l1
+            s = _ssim_value(kept, dtype)
+            h = (one - s) * half
+            g_h = np.where(np.maximum(h, zero) == h,
+                           np.broadcast_to(g * w_ssim * inv_c, pd.shape), 0.0)
+            ga, gb = _ssim_grads(-(g_h * half), pd, td, kept, s, dtype,
+                                 pred.requires_grad, target.requires_grad)
+        g_diff = np.broadcast_to(g_l1 * inv_c, pd.shape) * np.sign(pd - td)
+        return (_accumulate(pd.dtype, ga, g_diff) if pred.requires_grad else None,
+                _accumulate(td.dtype, gb, -g_diff) if target.requires_grad else None)
+
+    return Tensor._from_op(out, (pred, target), bw)
+
+
+def _accumulate(dtype, first, second):
+    """The gradient the engine sums for an input from SSIM and the L1 term,
+    in the order it visits them, each cast to the input's dtype first."""
+    second = second.astype(dtype, copy=False)
+    return second if first is None else first.astype(dtype, copy=False) + second
 
 
 def min_reprojection(loss_maps: Sequence[Tensor]) -> Tensor:

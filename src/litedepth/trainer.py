@@ -46,6 +46,8 @@ class TrainingDiverged(RuntimeError):
 # ------------------------------------------------------------------ optimizer
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# AdamW's chunk: one chunk of p, m, v, the gradient and the scratch stays in cache
+ADAM_CHUNK_BYTES = 1 << 18
 
 
 class AdamW:
@@ -56,38 +58,44 @@ class AdamW:
         self.params = dict(named_params)
         self.weight_decay = weight_decay
         self.step_count = 0
+        for k, p in self.params.items():
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"AdamW updates parameters through flat views; {k} "
+                                 f"is not C-contiguous")
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         # raw bytes, so parameters of every dtype can take views of it
-        self.scratch = np.empty(max((p.data.nbytes for p in self.params.values()), default=0),
-                                dtype=np.uint8)
+        self.scratch = np.empty(ADAM_CHUNK_BYTES, dtype=np.uint8)
 
     def step(self, lr: float) -> None:
-        """One update in place: each term goes through a view of the one
-        scratch buffer, so no full-size temporaries are allocated."""
+        """One update in place, one cache-sized chunk of each parameter at a
+        time: every term goes through a view of the one fixed scratch
+        buffer, so no full-size temporaries are allocated."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            s = self.scratch[:p.data.nbytes].view(p.data.dtype).reshape(p.data.shape)
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - ADAM_BETA2
-            v += s
-            p.data -= np.multiply(p.data, lr * self.weight_decay, out=s)  # pre-update p
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            np.divide(m, s, out=s)
-            s *= lr / bc1
-            p.data -= s
+            g = (np.broadcast_to(np.zeros((), p.data.dtype), p.data.shape)
+                 if p.grad is None else p.grad)
+            flat = [a.reshape(-1) for a in (p.data, self.m[name], self.v[name], g)]
+            chunk = ADAM_CHUNK_BYTES // p.data.itemsize
+            for i in range(0, p.data.size, chunk):
+                pc, m, v, gc = (a[i:i + chunk] for a in flat)
+                s = self.scratch[:pc.nbytes].view(pc.dtype)
+                m *= ADAM_BETA1
+                m += np.multiply(gc, 1.0 - ADAM_BETA1, out=s)
+                v *= ADAM_BETA2
+                np.multiply(gc, gc, out=s)
+                s *= 1.0 - ADAM_BETA2
+                v += s
+                pc -= np.multiply(pc, lr * self.weight_decay, out=s)  # pre-update p
+                np.divide(v, bc2, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                np.divide(m, s, out=s)
+                s *= lr / bc1
+                pc -= s
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 1e-6) -> float:

@@ -131,6 +131,18 @@ def kink_margins(monkeypatch):
 
 
 @pytest.fixture
+def assert_same_bits():
+    """assert_same_bits(a, b): both None, or arrays of one dtype and shape
+    whose bits agree, the sign of zero included."""
+    def check(a, b):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    return check
+
+
+@pytest.fixture
 def count_nodes(monkeypatch):
     """count_nodes(fn) -> the number of graph nodes built while fn() runs."""
     def count(fn):

@@ -80,7 +80,8 @@ class TestAdamW:
             np.testing.assert_array_equal(a[k], b[k])
 
     def test_one_scratch_buffer_serves_every_parameter(self, rng):
-        shapes = {"big": ((256, 64), np.float64), "f32": ((96, 100), np.float32),
+        # the two largest span several chunks and end in a partial one
+        shapes = {"big": ((512, 160), np.float64), "f32": ((300, 500), np.float32),
                   "small": ((40, 30), np.float64)}
         params = {k: Tensor(rng.standard_normal(shape).astype(dt), requires_grad=True)
                   for k, (shape, dt) in shapes.items()}
@@ -90,6 +91,7 @@ class TestAdamW:
         for k, p in alone.items():
             p.grad = params[k].grad
         sizes = [p.data.nbytes for p in params.values()]
+        assert max(sizes) > 2 * trainer.ADAM_CHUNK_BYTES
         tracemalloc.start()
         try:
             opt = AdamW(params)
@@ -99,12 +101,36 @@ class TestAdamW:
             step_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        # two moments per parameter plus one buffer the size of the largest
-        assert 0 <= held - (2 * sum(sizes) + max(sizes)) < 16384
+        # two moments per parameter plus one chunk-sized buffer
+        assert 0 <= held - (2 * sum(sizes) + trainer.ADAM_CHUNK_BYTES) < 16384
         assert step_peak < min(sizes)           # no full-size temporaries
         for k, p in alone.items():
             AdamW({k: p}).step(lr=1e-3)
             np.testing.assert_array_equal(p.data, params[k].data)
+
+    def test_rejects_a_parameter_it_cannot_view_flat(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            AdamW({"w": Tensor(np.ones((3, 4)).T, requires_grad=True)})
+
+    def test_chunks_give_the_whole_array_update(self, rng):
+        # the same in-place terms over whole arrays, bit for bit
+        b1, b2, eps, wd = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS, 1e-2
+        p = Tensor(rng.standard_normal((700, 300)).astype(np.float32), requires_grad=True)
+        assert p.data.nbytes > 2 * trainer.ADAM_CHUNK_BYTES
+        opt = AdamW({"p": p}, weight_decay=wd)
+        ref, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        for t, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
+            p.grad = g = rng.standard_normal(p.shape).astype(np.float32)
+            m *= b1
+            m += g * np.float32(1 - b1)
+            v *= b2
+            v += g * g * np.float32(1 - b2)
+            ref -= ref * np.float32(lr * wd)
+            denom = np.sqrt(v / np.float32(1 - b2 ** t)) + np.float32(eps)
+            ref -= m / denom * np.float32(lr / (1 - b1 ** t))
+            opt.step(lr)
+            for got, want in ((p.data, ref), (opt.m["p"], m), (opt.v["p"], v)):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     def test_matches_float64_transcription_of_the_formula(self, dtype, rtol, rng):
