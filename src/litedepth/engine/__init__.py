@@ -9,6 +9,7 @@ from .tensor import (
     maximum,
     minimum,
     no_grad,
+    recompute,
     set_default_dtype,
     stack,
     unary_op,
@@ -34,7 +35,7 @@ __all__ = [
     "ConvSpec", "Tensor", "as_tensor", "avg_pool", "batch_norm",
     "bilinear_sample", "concat", "conv2d", "default_dtype", "elu", "gelu",
     "grad_check", "grad_enabled", "layer_norm", "maximum", "minimum",
-    "no_grad", "resize_bilinear", "same_padding",
+    "no_grad", "recompute", "resize_bilinear", "same_padding",
     "set_default_dtype", "sigmoid", "softmax", "stack", "unary_op",
     "using_dtype",
 ]

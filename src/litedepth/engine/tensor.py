@@ -26,6 +26,7 @@ __all__ = [
     "maximum",
     "minimum",
     "no_grad",
+    "recompute",
     "set_default_dtype",
     "stack",
     "unary_op",
@@ -67,14 +68,18 @@ def grad_enabled() -> bool:
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference paths)."""
+def _grad_mode(enabled: bool):
     prev = grad_enabled()
-    _state.grad_enabled = False
+    _state.grad_enabled = enabled
     try:
         yield
     finally:
         _state.grad_enabled = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block (inference paths)."""
+    return _grad_mode(False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -151,7 +156,10 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
+        self._backpropagate(np.ones_like(self.data))
 
+    def _backpropagate(self, seed: np.ndarray) -> None:
+        """``backward()`` with ``seed`` as this tensor's gradient, of any shape."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -168,7 +176,7 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(self): seed}
         while topo:
             node = topo.pop()
             g = grads.pop(id(node), None)
@@ -422,3 +430,29 @@ def unary_op(x: Tensor, fn: Callable[[np.ndarray], np.ndarray],
     """Build a custom elementwise op: y = fn(x), dy/dx = grad_fn(x)."""
     x = as_tensor(x)
     return Tensor._from_op(fn(x.data), (x,), lambda g: (g * grad_fn(x.data),))
+
+
+def recompute(fn: Callable[..., tuple], *inputs):
+    """One graph node that keeps only its inputs (Chen et al. 2016).
+
+    ``fn(*inputs)`` composes engine ops and returns ``(tensor, *arrays)``.
+    The forward runs it without a graph and returns the tensor's node with
+    the inputs as parents, followed by the arrays. The backward re-runs
+    ``fn`` with the graph on, over fresh leaves that share the inputs'
+    arrays and ``requires_grad`` and under the forward's default dtype, and
+    backpropagates the node's gradient through it. Value and gradients are
+    those of calling ``fn`` directly, bit for bit, when ``fn`` depends on
+    nothing but its inputs and the default dtype.
+    """
+    inputs = tuple(as_tensor(x) for x in inputs)
+    dtype = _dtype_name()
+    with no_grad():
+        out, *arrays = fn(*inputs)
+
+    def bw(g):
+        leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
+        with _grad_mode(True), using_dtype(dtype):
+            fn(*leaves)[0]._backpropagate(g)
+        return [leaf.grad for leaf in leaves]
+
+    return (Tensor._from_op(out.data, inputs, bw), *arrays)

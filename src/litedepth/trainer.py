@@ -264,6 +264,13 @@ def _stack(frames: Sequence[np.ndarray], dtype) -> Tensor:
     return Tensor(np.stack(frames).astype(dtype))
 
 
+_CURVE_COLUMNS = ("step", "lr", "total", "scale0", "scale1", "scale2", "smoothness")
+
+
+def _curve_line(cells) -> str:
+    return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells) + "\n"
+
+
 @dataclass
 class TrainResult:
     models: Models
@@ -283,7 +290,8 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
     per-iteration cosine rate. Deterministic for a fixed seed. Raises
     TrainingDiverged, after dumping the disparities under
     ``out_dir/diagnostics``, on a non-finite network output, an all-zero
-    disparity map or a non-finite loss.
+    disparity map or a non-finite loss. Under ``out_dir``, ``curves.csv``
+    gains its row as each step ends, so a run that stops keeps its curve.
     """
     cfg = train_config
     loss_cfg = loss_config or LossConfig()
@@ -299,9 +307,12 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
     steps_per_epoch = max(1, math.ceil(n_items / cfg.batch_size))
     total_steps = cfg.steps if cfg.steps > 0 else cfg.epochs * steps_per_epoch
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
+    out_path = curve_path = None
+    if out_dir is not None:
+        out_path = Path(out_dir)
         (out_path / "checkpoints").mkdir(parents=True, exist_ok=True)
+        curve_path = out_path / "curves.csv"
+        curve_path.write_text(_curve_line(_CURVE_COLUMNS))
 
     rng = np.random.default_rng(cfg.seed)
 
@@ -357,6 +368,9 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
             order = rng.permutation(n_items)
         start = (step % steps_per_epoch) * cfg.batch_size
         curve.append(run_step(step, order[start: start + cfg.batch_size]))
+        if curve_path is not None:
+            with curve_path.open("a") as f:
+                f.write(_curve_line(curve[-1][c] for c in _CURVE_COLUMNS))
         done = step + 1
         if (out_path is not None and cfg.checkpoint_every > 0
                 and done % cfg.checkpoint_every == 0):
@@ -365,23 +379,12 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
                             checkpoint_entries(models, opt, done // steps_per_epoch,
                                                config_text))
 
-    ckpt_path = curve_path = None
+    ckpt_path = None
     if out_path is not None:
         ckpt_path = out_path / "checkpoints" / "final.lmck"
         save_checkpoint(ckpt_path, checkpoint_entries(
             models, opt, total_steps // steps_per_epoch, config_text))
-        curve_path = out_path / "curves.csv"
-        _write_curve(curve_path, curve)
     return TrainResult(models, curve, ckpt_path, curve_path)
-
-
-def _write_curve(path: Path, curve: List[dict]) -> None:
-    cols = ("step", "lr", "total", "scale0", "scale1", "scale2", "smoothness")
-    lines = [",".join(cols)]
-    for row in curve:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _network_fault(disps: Sequence[Tensor], poses: Sequence[Tensor]) -> Optional[str]:

@@ -13,8 +13,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import Tensor, as_tensor, bilinear_sample, default_dtype, maximum
-from .engine.tensor import _unbroadcast
+from .engine import Tensor, as_tensor, bilinear_sample, concat, maximum, recompute, stack
 
 __all__ = ["CameraIntrinsics", "Cameras", "Z_EPS", "backproject", "project", "synthesize"]
 
@@ -97,22 +96,6 @@ def backproject(depth: Tensor, intr: Cameras) -> Tensor:
     return points.reshape(n, 3, h, w)
 
 
-def _intrinsic_columns(cams: List[CameraIntrinsics], dtype) -> List[np.ndarray]:
-    """fx, fy, cx and cy as (N, 1) columns in `dtype`."""
-    return [np.asarray([[getattr(c, k)] for c in cams], dtype=dtype)
-            for k in ("fx", "fy", "cx", "cy")]
-
-
-def _camera_points(points: np.ndarray,
-                   transform: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """transform @ [points; 1], the (N, 4, HW) homogeneous points in the
-    source camera, and the (N, 4, HW) homogeneous input [points; 1]."""
-    n = points.shape[0]
-    flat = points.reshape(n, 3, -1)
-    hom = np.concatenate([flat, np.ones((n, 1, flat.shape[2]), dtype=points.dtype)], axis=1)
-    return transform @ hom, hom
-
-
 def project(points: Tensor, intr: Cameras,
             transform: Tensor) -> Tuple[Tensor, np.ndarray]:
     """Rigidly transform points (N, 3, H, W) and project to pixel coords,
@@ -120,57 +103,33 @@ def project(points: Tensor, intr: Cameras,
 
     Returns coords (N, H, W, 2) and a boolean validity mask (N, 1, H, W)
     that is false behind the camera (z <= Z_EPS) or outside the image.
+    Depth is clamped at Z_EPS before the division, so coords stay finite.
 
     One graph node from (points, transform) that keeps nothing but its
-    inputs. Value and gradients are bit-identical to composing the engine's
-    ops (the tests' oracle): the intrinsics and Z_EPS are default-dtype
-    constants, as `Tensor` makes them, and the backward rebuilds the
-    camera-frame points with the forward's concat and matmul.
+    inputs: `recompute` over the composite of engine ops below.
     """
-    points = as_tensor(points)
-    transform = as_tensor(transform)
     n, three, h, w = points.shape
     if three != 3:
         raise ValueError(f"points must be (N, 3, H, W), got {points.shape}")
     cams = _per_sample(intr, n)
-    dtype = default_dtype()
-    fx, fy, cx, cy = _intrinsic_columns(cams, dtype)
-    z_eps = np.asarray(Z_EPS, dtype=dtype)
-    cam, _ = _camera_points(points.data, transform.data)
-    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]          # (N, HW)
-    z_safe = np.maximum(z, z_eps)
-    u = x / z_safe * fx + cx
-    v = y / z_safe * fy + cy
-    coords = np.stack([u, v], axis=-1).reshape(n, h, w, 2)
-    valid = ((z > Z_EPS)
-             & (u >= 0.0) & (u <= cams[0].width - 1.0)
-             & (v >= 0.0) & (v <= cams[0].height - 1.0))
 
-    def bw(g):
-        fx, fy, _, _ = _intrinsic_columns(cams, dtype)
-        cam, hom = _camera_points(points.data, transform.data)
-        z_safe = np.maximum(cam[:, 2], z_eps)
-        zz = z_safe * z_safe
-        g = g.reshape(n, h * w, 2)
-        # Every step after the matmul runs in coords' dtype; writing a row of
-        # g_cam casts it to cam's, as the engine casts each row's gradient.
-        # The engine's sum of the rows' zero-filled gradients turns -0 into
-        # +0, and so does every sum in the two matmuls below.
-        g_cam = np.zeros_like(cam)
-        g_qx, g_qy = g[..., 0] * fx, g[..., 1] * fy
-        g_cam[:, 0] = g_qx / z_safe
-        g_cam[:, 1] = g_qy / z_safe
-        g_z = -g_qx * cam[:, 0] / zz + -g_qy * cam[:, 1] / zz   # through u, then v
-        g_cam[:, 2] = np.where(z_safe == cam[:, 2], g_z, 0.0)
-        g_points = g_transform = None
-        if transform.requires_grad:
-            g_transform = _unbroadcast(g_cam @ np.swapaxes(hom, -1, -2), transform.shape)
-        if points.requires_grad:
-            g_hom = (np.swapaxes(transform.data, -1, -2) @ g_cam).astype(hom.dtype, copy=False)
-            g_points = g_hom[:, :3].reshape(points.shape)
-        return g_points, g_transform
+    def composite(points: Tensor, transform: Tensor) -> Tuple[Tensor, np.ndarray]:
+        fx, fy, cx, cy = (Tensor([[getattr(c, k)] for c in cams])
+                          for k in ("fx", "fy", "cx", "cy"))
+        flat = points.reshape(n, 3, h * w)
+        ones = Tensor(np.ones((n, 1, h * w), dtype=points.dtype))
+        cam = transform @ concat([flat, ones], axis=1)
+        x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]      # (N, HW)
+        z_safe = maximum(z, Z_EPS)
+        u = x / z_safe * fx + cx
+        v = y / z_safe * fy + cy
+        coords = stack([u, v], axis=-1).reshape(n, h, w, 2)
+        valid = ((z.data > Z_EPS)
+                 & (u.data >= 0.0) & (u.data <= cams[0].width - 1.0)
+                 & (v.data >= 0.0) & (v.data <= cams[0].height - 1.0))
+        return coords, valid.reshape(n, 1, h, w)
 
-    return Tensor._from_op(coords, (points, transform), bw), valid.reshape(n, 1, h, w)
+    return recompute(composite, points, transform)
 
 
 def synthesize(source: Tensor, depth: Tensor, transform: Tensor,

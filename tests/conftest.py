@@ -144,15 +144,21 @@ def assert_same_bits():
 
 @pytest.fixture
 def count_nodes(monkeypatch):
-    """count_nodes(fn) -> the number of graph nodes built while fn() runs."""
+    """count_nodes(fn) -> the number of graph nodes built while fn() runs:
+    the `Tensor._from_op` calls that attach a backward."""
     def count(fn):
         made = []
         from_op = Tensor._from_op
+
+        def record(data, parents, backward):
+            out = from_op(data, parents, backward)
+            made.append(out._backward is not None)
+            return out
+
         with monkeypatch.context() as patch:
-            patch.setattr(Tensor, "_from_op", staticmethod(
-                lambda data, parents, backward: made.append(1) or from_op(data, parents, backward)))
+            patch.setattr(Tensor, "_from_op", staticmethod(record))
             fn()
-        return len(made)
+        return sum(made)
     return count
 
 

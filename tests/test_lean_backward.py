@@ -317,6 +317,11 @@ def _captured_arrays(fn):
     return list(found.values())
 
 
+def _cell(fn, name):
+    """The value of the variable `name` that closure `fn` captured."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
 def _holds_map(a):
     # per-channel vectors, (N, C, 1, 1) offsets and scalars are not maps
     return a.ndim >= 2 and a.shape[-2:] != (1, 1)
@@ -340,8 +345,15 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
                 if t._backward is None:
                     continue
                 op = t._backward.__qualname__.split(".")[0]
-                own = [a for a in _captured_arrays(t._backward)
-                       if _holds_map(a) and id(_root(a)) not in roots]
+                kept = _captured_arrays(t._backward)
+                if op == "recompute":
+                    # named by the composite it re-runs; it may keep no array
+                    # but its inputs'
+                    op = _cell(t._backward, "fn").__qualname__.split(".")[0]
+                    inputs = {id(_root(p.data)) for p in t._parents}
+                    own = [a for a in kept if id(_root(a)) not in inputs]
+                else:
+                    own = [a for a in kept if _holds_map(a) and id(_root(a)) not in roots]
                 records.append((op, t.shape, t._parents[0].requires_grad, own))
             return loss, diag
         return hooked
@@ -365,7 +377,7 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
                     [((n, c, ho, wo), "f")] * 2 + [((n, ho, wo), "b")] * 2):
                 faults.append((op, kept))
         # the photometric error keeps SSIM's two means, a2 and b2; the
-        # projection rebuilds everything from its inputs
+        # projection, a recompute node, rebuilds everything from its inputs
         elif (op == "photometric_loss" and len(own) > 4) or (op == "project" and own):
             faults.append((op, kept))
     assert not faults

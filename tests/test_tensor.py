@@ -2,13 +2,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from litedepth.decoder import DepthDecoder
 from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import (
-    Tensor, concat, grad_check, maximum, minimum, no_grad, softmax, stack,
+    Tensor, concat, grad_check, maximum, minimum, no_grad, recompute, softmax,
+    stack, using_dtype,
 )
-from test_op_properties import BINARY
+from test_op_properties import BINARY, SEEDS
 
 
 def t(arr, rg=True):
@@ -106,6 +108,64 @@ class TestGraphRelease:
         names = ["stem.conv1.norm.scale", "stages.2.1.temperature",
                  "stages.0.1.wq.weight", "stages.1.0.dwconv.weight", "heads.1.bias"]
         assert grad_check(f, [params[k] for k in names]) < 1e-4
+
+
+def composite(a, b):
+    """Reads `a` twice, with a default-dtype constant, and returns an array
+    beside the tensor."""
+    return a * b + (a * 0.1).exp(), a.data > 0.0
+
+
+class TestRecompute:
+    """recompute(fn, *inputs) is one node with fn's value and gradients."""
+
+    @pytest.mark.parametrize("default, a_dtype, b_dtype", [
+        ("f32", np.float32, np.float32), ("f64", np.float64, np.float64),
+        ("f32", np.float64, np.float32), ("f64", np.float32, np.float64)])
+    @pytest.mark.parametrize("b_grad", [True, False])
+    # assert_same_bits keeps no state between examples
+    @settings(max_examples=4, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 5)), seed=SEEDS)
+    def test_matches_fn_bit_for_bit(self, default, a_dtype, b_dtype, b_grad, shape, seed,
+                                    assert_same_bits):
+        rng = np.random.default_rng(seed)
+        a_data, b_data = rng.standard_normal((2, *shape))
+        upstream = rng.standard_normal(shape)
+        upstream.flat[::2] = -0.0
+        results = []
+        for fused in (True, False):
+            a = Tensor(a_data.astype(a_dtype), requires_grad=True)
+            b = Tensor(b_data.astype(b_dtype), requires_grad=b_grad)
+            with using_dtype(default):
+                y, mask = recompute(composite, a, b) if fused else composite(a, b)
+            # the backward runs under the other default dtype
+            with using_dtype("f64" if default == "f32" else "f32"):
+                (y * Tensor(upstream.astype(y.dtype))).sum().backward()
+            assert (b.grad is not None) == b_grad
+            results.append((y.data, mask, a.grad, b.grad))
+        for fused, direct in zip(*results):
+            assert_same_bits(fused, direct)
+
+    def test_one_node_and_none_under_no_grad(self, count_nodes, rng):
+        a, b = Tensor(rng.standard_normal(3), requires_grad=True), Tensor(rng.standard_normal(3))
+        assert count_nodes(lambda: recompute(composite, a, b)) == 1
+        with no_grad():
+            assert count_nodes(lambda: recompute(composite, a, b)) == 0
+            y, _ = recompute(composite, a, b)
+        assert not y.requires_grad and y._parents == ()
+
+    def test_input_without_grad_gets_none(self, rng):
+        a, b = Tensor(rng.standard_normal(3), requires_grad=True), Tensor(rng.standard_normal(3))
+        y, _ = recompute(composite, a, b)
+        ga, gb = y._backward(np.ones(3))
+        assert ga is not None and gb is None
+
+    def test_second_backward_raises(self, rng):
+        a = Tensor(rng.standard_normal(3), requires_grad=True)
+        y, _ = recompute(composite, a, a)
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (y * 2.0).sum().backward()
 
 
 class TestSkippedGradients:

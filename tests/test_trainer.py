@@ -8,7 +8,7 @@ import pytest
 
 from litedepth import trainer
 from litedepth.config import TrainConfig
-from litedepth.data import (DirectorySource, SyntheticSource, augment,
+from litedepth.data import (DirectorySource, SyntheticSource, Triplet, augment,
                             generate_synthetic_sequence, resize_depth, save_dataset)
 from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import Tensor, set_default_dtype
@@ -446,6 +446,27 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="non-finite loss at step 0"):
             train(toy_train_config(steps=2), TINY, src, out_dir=tmp_path)
         assert sorted(f.name for f in (tmp_path / "diagnostics").iterdir()) == self.DUMPED
+
+    def test_curve_keeps_the_steps_before_a_divergence(self, tmp_path):
+        set_default_dtype("f32")
+
+        class Source(SyntheticSource):
+            """Its second batch of two triplets is NaN."""
+            served = 0
+
+            def triplet(self, i):
+                t = super().triplet(i)
+                self.served += 1
+                if self.served > 2:
+                    t = Triplet(tuple(np.full_like(f, np.nan) for f in t.frames), t.intrinsics)
+                return t
+
+        with pytest.raises(TrainingDiverged, match="non-finite network output at step 1"):
+            train(toy_train_config(steps=3), TINY, Source(seed=5, n_frames=6, size=(64, 32)),
+                  out_dir=tmp_path)
+        lines = (tmp_path / "curves.csv").read_text().splitlines()
+        assert lines[0] == "step,lr,total,scale0,scale1,scale2,smoothness"
+        assert len(lines) == 2 and lines[1].startswith("0,")
 
     def test_nothing_from_a_step_outlives_it(self, monkeypatch):
         # step 0's disparities, loss and whatever total_loss returned are

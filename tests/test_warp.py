@@ -3,13 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from litedepth.engine import (
-    Tensor, as_tensor, concat, grad_check, maximum, stack, using_dtype,
-)
+from litedepth import warp
+from litedepth.engine import Tensor, grad_check, using_dtype
 from litedepth.posenet import pose_to_matrix
-from litedepth.warp import (
-    Z_EPS, CameraIntrinsics, _per_sample, backproject, project, synthesize,
-)
+from litedepth.warp import Z_EPS, CameraIntrinsics, backproject, project, synthesize
 
 
 INTR = CameraIntrinsics(fx=20.0, fy=22.0, cx=7.5, cy=5.5, width=16, height=12)
@@ -47,29 +44,8 @@ class TestBackproject:
         assert np.all(pts[0, 2] > 0)
 
 
-def project_oracle(points, intr, transform):
-    """The projection composed from engine ops, one node each."""
-    points, transform = as_tensor(points), as_tensor(transform)
-    n, _, h, w = points.shape
-    cams = _per_sample(intr, n)
-    fx, fy, cx, cy = (Tensor([[getattr(c, k)] for c in cams])
-                      for k in ("fx", "fy", "cx", "cy"))
-    flat = points.reshape(n, 3, h * w)
-    ones = Tensor(np.ones((n, 1, h * w), dtype=points.dtype))
-    cam = transform @ concat([flat, ones], axis=1)
-    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
-    z_safe = maximum(z, Z_EPS)
-    u = x / z_safe * fx + cx
-    v = y / z_safe * fy + cy
-    coords = stack([u, v], axis=-1).reshape(n, h, w, 2)
-    valid = ((z.data > Z_EPS)
-             & (u.data >= 0.0) & (u.data <= cams[0].width - 1.0)
-             & (v.data >= 0.0) & (v.data <= cams[0].height - 1.0))
-    return coords, valid.reshape(n, 1, h, w)
-
-
 class TestFusedProject:
-    """The one-node projection against its composite oracle."""
+    """The one-node projection against its composite run as a graph."""
 
     @pytest.mark.parametrize("n, h, w", [(1, 2, 3), (2, 5, 7), (4, 32, 64)])
     @pytest.mark.parametrize("per_sample", [False, True])
@@ -80,7 +56,8 @@ class TestFusedProject:
         ("f32", np.float64, np.float32), ("f64", np.float32, np.float64)])
     @pytest.mark.parametrize("p_grad, t_grad", list(product([True, False], repeat=2)))
     def test_matches_composite_bit_for_bit(self, n, h, w, per_sample, default, p_dtype,
-                                           t_dtype, p_grad, t_grad, rng, assert_same_bits):
+                                           t_dtype, p_grad, t_grad, rng, assert_same_bits,
+                                           monkeypatch):
         cams = [CameraIntrinsics(20.0 + i, 22.0, 7.5 + i, 5.5, w, h) for i in range(n)]
         points = np.concatenate([rng.uniform(-2.0, 2.0, (n, 2, h, w)),
                                  rng.uniform(-0.5, 5.0, (n, 1, h, w))], axis=1)
@@ -91,11 +68,14 @@ class TestFusedProject:
         upstream = rng.standard_normal((n, h, w, 2))
         upstream[:, 0] = -0.0
         results = []
-        with using_dtype(default):
-            for f in (project, project_oracle):
+        for fused in (True, False):
+            with using_dtype(default), monkeypatch.context() as patch:
+                if not fused:
+                    # the composite's own graph, one node per engine op
+                    patch.setattr(warp, "recompute", lambda fn, *inputs: fn(*inputs))
                 p = Tensor(points.astype(p_dtype), requires_grad=p_grad)
                 t = Tensor(transform.astype(t_dtype), requires_grad=t_grad)
-                coords, valid = f(p, cams if per_sample else cams[0], t)
+                coords, valid = project(p, cams if per_sample else cams[0], t)
                 if p_grad or t_grad:
                     (coords * Tensor(upstream.astype(coords.dtype))).sum().backward()
                 results.append((coords.data, valid, p.grad, t.grad))
