@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .engine import (
-    Tensor, as_tensor, default_dtype, minimum, resize_bilinear,
+    Tensor, as_tensor, default_dtype, maximum, minimum, recompute, resize_bilinear,
 )
 from .decoder import disp_to_depth
 from .warp import Cameras, synthesize
@@ -107,14 +107,9 @@ def _ssim_maps(ad: np.ndarray, bd: np.ndarray, dtype) -> Tuple[np.ndarray, tuple
     var_a = _box3(ad * ad) - mu_a * mu_a
     var_b = _box3(bd * bd) - mu_b * mu_b
     cov = _box3(ad * bd) - mu_a * mu_b
-    kept = (mu_a, mu_b, two * cov + c2, var_a + var_b + c2)
-    return _ssim_value(kept, dtype), kept
-
-
-def _ssim_value(kept: tuple, dtype) -> np.ndarray:
-    mu_a, mu_b, a2, b2 = kept
+    a2, b2 = two * cov + c2, var_a + var_b + c2
     a1, b1 = _mean_terms(mu_a, mu_b, dtype)
-    return a1 * a2 / (b1 * b2)
+    return a1 * a2 / (b1 * b2), (mu_a, mu_b, a2, b2)
 
 
 def _ssim_grads(g, ad, bd, kept, out, dtype, need_a: bool, need_b: bool):
@@ -168,57 +163,19 @@ def photometric_loss(pred: Tensor, target: Tensor, alpha: float = 0.85) -> Tenso
     """alpha * (1 - SSIM)/2 + (1 - alpha) * L1, channel-averaged to a
     per-pixel (N, 1, H, W) map; zero iff the images agree.
 
-    One graph node, bit-identical in value and gradient to composing the
-    engine's ops (the tests' oracle). Each step runs in the dtype the
-    composite gives it: alpha, 1 - alpha, the channel mean's 1/C, 0.5 and
-    1.0 are default-dtype 0-d arrays, as `as_tensor` makes them. The
-    backward keeps only SSIM's two means, a2 and b2, and rebuilds the SSIM
-    value, pred - target and the clamp's tie mask with the forward's ops.
+    A composite of engine ops, one node each, so it keeps what they keep.
+    `total_loss` runs it inside one `recompute` node per warped source and
+    scale, which keeps only the branch's inputs.
     """
     pred, target = as_tensor(pred), as_tensor(target)
     _check_ssim_shapes(pred, target, "photometric")
-    dtype = default_dtype()
-    inv_c, w_ssim, w_l1, half, one, zero = (
-        np.asarray(v, dtype=dtype)
-        for v in (1.0 / pred.shape[1], alpha, 1.0 - alpha, 0.5, 1.0, 0.0))
-    pd, td = pred.data, target.data
-    diff = pd - td
-    l1 = np.abs(diff).sum(axis=1, keepdims=True) * inv_c
-    out, kept = l1, None
-    if alpha != 0.0:
-        s, kept = _ssim_maps(pd, td, dtype)
-        # rounding can push SSIM a hair past 1; the clamp keeps the map
-        # nonnegative and exact ties exactly zero
-        dssim = np.maximum((one - s) * half, zero)
-        out = dssim.sum(axis=1, keepdims=True) * inv_c * w_ssim + l1 * w_l1
-
-    def bw(g):
-        # Every step after pred - target runs in the output's dtype, so the
-        # engine's casts between them are no-ops, and a cast commutes with
-        # the exact product by sign(pred - target): only the two inputs'
-        # gradients need casts.
-        ga = gb = None
-        g_l1 = g
-        if kept is not None:
-            g_l1 = g * w_l1
-            s = _ssim_value(kept, dtype)
-            h = (one - s) * half
-            g_h = np.where(np.maximum(h, zero) == h,
-                           np.broadcast_to(g * w_ssim * inv_c, pd.shape), 0.0)
-            ga, gb = _ssim_grads(-(g_h * half), pd, td, kept, s, dtype,
-                                 pred.requires_grad, target.requires_grad)
-        g_diff = np.broadcast_to(g_l1 * inv_c, pd.shape) * np.sign(pd - td)
-        return (_accumulate(pd.dtype, ga, g_diff) if pred.requires_grad else None,
-                _accumulate(td.dtype, gb, -g_diff) if target.requires_grad else None)
-
-    return Tensor._from_op(out, (pred, target), bw)
-
-
-def _accumulate(dtype, first, second):
-    """The gradient the engine sums for an input from SSIM and the L1 term,
-    in the order it visits them, each cast to the input's dtype first."""
-    second = second.astype(dtype, copy=False)
-    return second if first is None else first.astype(dtype, copy=False) + second
+    l1 = (pred - target).abs().mean(axis=1, keepdims=True)
+    if alpha == 0.0:
+        return l1
+    # rounding can push SSIM a hair past 1; the clamp keeps the map
+    # nonnegative and exact ties exactly zero
+    dssim = maximum((1.0 - ssim(pred, target)) * 0.5, 0.0)
+    return alpha * dssim.mean(axis=1, keepdims=True) + (1.0 - alpha) * l1
 
 
 def min_reprojection(loss_maps: Sequence[Tensor]) -> Tensor:
@@ -287,6 +244,17 @@ def _reconstruction_term(best_warped: Tensor, best_unwarped: Tensor,
     return (best_warped * keep + best_unwarped * (1.0 - keep)).mean()
 
 
+def _warped_error(intr: Cameras, alpha: float):
+    """One warped branch of `total_loss` as a function of its tensors:
+    (depth, transform, source, target) -> the photometric error of the
+    source synthesized in the target view, and the validity mask."""
+    def warped_error(depth: Tensor, transform: Tensor, source: Tensor,
+                     target: Tensor) -> Tuple[Tensor, np.ndarray]:
+        synth, valid = synthesize(source, depth, transform, intr)
+        return photometric_loss(synth, target, alpha), valid
+    return warped_error
+
+
 def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor],
                transforms: Sequence[Tensor], intr: Cameras,
                config: LossConfig) -> Tuple[Tensor, Dict[str, object]]:
@@ -301,6 +269,14 @@ def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor
     Returns the scalar loss and a dict of Python floats: the per-scale
     "reconstruction" and "smoothness" terms and weighted "per_scale"
     losses (lists indexed by level), and the "total".
+
+    Each warped branch, the view synthesis of one source at one scale and
+    its photometric error against the target, is one `recompute` node
+    (Chen et al. 2016) over (depth, transform, source, target): the graph
+    keeps only those inputs, and the backward re-runs the branch. Value and
+    gradients are those of the branches as plain graphs, bit for bit, but
+    for a target that requires grad: each branch sums its two terms of the
+    target's gradient before they join the rest, which rounds apart.
     """
     if len(sources) != len(transforms):
         raise ValueError(f"{len(sources)} sources but {len(transforms)} transforms")
@@ -309,6 +285,7 @@ def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor
     target = as_tensor(target)
     n, _, h, w = target.shape
 
+    warped_error = _warped_error(intr, config.alpha)
     unwarped = [photometric_loss(as_tensor(s), target, config.alpha)
                 for s in sources]
     best_unwarped = min_reprojection(unwarped)   # the same at every scale
@@ -322,8 +299,8 @@ def total_loss(disps: Sequence[Tensor], target: Tensor, sources: Sequence[Tensor
 
         warped_maps, valid_masks = [], []
         for src, tf in zip(sources, transforms):
-            synth, valid = synthesize(as_tensor(src), depth_full, tf, intr)
-            warped_maps.append(photometric_loss(synth, target, config.alpha))
+            error, valid = recompute(warped_error, depth_full, tf, src, target)
+            warped_maps.append(error)
             valid_masks.append(valid)
 
         best_warped = min_reprojection(warped_maps)

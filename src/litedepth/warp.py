@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import Tensor, as_tensor, bilinear_sample, concat, maximum, recompute, stack
+from .engine import Tensor, as_tensor, bilinear_sample, concat, maximum, stack
 
 __all__ = ["CameraIntrinsics", "Cameras", "Z_EPS", "backproject", "project", "synthesize"]
 
@@ -104,32 +104,26 @@ def project(points: Tensor, intr: Cameras,
     Returns coords (N, H, W, 2) and a boolean validity mask (N, 1, H, W)
     that is false behind the camera (z <= Z_EPS) or outside the image.
     Depth is clamped at Z_EPS before the division, so coords stay finite.
-
-    One graph node from (points, transform) that keeps nothing but its
-    inputs: `recompute` over the composite of engine ops below.
     """
+    points, transform = as_tensor(points), as_tensor(transform)
     n, three, h, w = points.shape
     if three != 3:
         raise ValueError(f"points must be (N, 3, H, W), got {points.shape}")
     cams = _per_sample(intr, n)
-
-    def composite(points: Tensor, transform: Tensor) -> Tuple[Tensor, np.ndarray]:
-        fx, fy, cx, cy = (Tensor([[getattr(c, k)] for c in cams])
-                          for k in ("fx", "fy", "cx", "cy"))
-        flat = points.reshape(n, 3, h * w)
-        ones = Tensor(np.ones((n, 1, h * w), dtype=points.dtype))
-        cam = transform @ concat([flat, ones], axis=1)
-        x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]      # (N, HW)
-        z_safe = maximum(z, Z_EPS)
-        u = x / z_safe * fx + cx
-        v = y / z_safe * fy + cy
-        coords = stack([u, v], axis=-1).reshape(n, h, w, 2)
-        valid = ((z.data > Z_EPS)
-                 & (u.data >= 0.0) & (u.data <= cams[0].width - 1.0)
-                 & (v.data >= 0.0) & (v.data <= cams[0].height - 1.0))
-        return coords, valid.reshape(n, 1, h, w)
-
-    return recompute(composite, points, transform)
+    fx, fy, cx, cy = (Tensor([[getattr(c, k)] for c in cams])
+                      for k in ("fx", "fy", "cx", "cy"))
+    flat = points.reshape(n, 3, h * w)
+    ones = Tensor(np.ones((n, 1, h * w), dtype=points.dtype))
+    cam = transform @ concat([flat, ones], axis=1)
+    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]      # (N, HW)
+    z_safe = maximum(z, Z_EPS)
+    u = x / z_safe * fx + cx
+    v = y / z_safe * fy + cy
+    coords = stack([u, v], axis=-1).reshape(n, h, w, 2)
+    valid = ((z.data > Z_EPS)
+             & (u.data >= 0.0) & (u.data <= cams[0].width - 1.0)
+             & (v.data >= 0.0) & (v.data <= cams[0].height - 1.0))
+    return coords, valid.reshape(n, 1, h, w)
 
 
 def synthesize(source: Tensor, depth: Tensor, transform: Tensor,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
-from litedepth import trainer
+from litedepth import losses, trainer
 from litedepth.config import TrainConfig
 from litedepth.data import SyntheticSource
 from litedepth.encoder import EncoderConfig
@@ -327,38 +327,58 @@ def _holds_map(a):
     return a.ndim >= 2 and a.shape[-2:] != (1, 1)
 
 
+def _graph_records(root):
+    """(op, shape, first parent needs grad, own arrays) for each node of the
+    graph under `root`: its own arrays are the maps its backward keeps that
+    no tensor of the graph holds. A `recompute` node is named by the
+    function it re-runs, and every array it keeps but its inputs' is its own."""
+    nodes, todo, seen = [], [root], set()
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            todo.extend(t._parents)
+    roots = {id(_root(t.data)) for t in nodes}
+    records = []
+    for t in nodes:
+        if t._backward is None:
+            continue
+        op = t._backward.__qualname__.split(".")[0]
+        kept = _captured_arrays(t._backward)
+        if op == "recompute":
+            op = _cell(t._backward, "fn").__name__
+            inputs = {id(_root(p.data)) for p in t._parents}
+            own = [a for a in kept if id(_root(a)) not in inputs]
+        else:
+            own = [a for a in kept if _holds_map(a) and id(_root(a)) not in roots]
+        records.append((op, t.shape, t._parents[0].requires_grad, own))
+    return records
+
+
 def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
+    # the graph total_loss leaves for backward, and the graph each warped
+    # branch builds when backward re-runs it: a photometric error with a
+    # backward closure is a re-run, since the forward runs without a graph
     records = []
 
     def keep_graph(total_loss):
         def hooked(*args, **kwargs):
             loss, diag = total_loss(*args, **kwargs)
-            nodes, todo, seen = [], [loss], set()
-            while todo:
-                t = todo.pop()
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    nodes.append(t)
-                    todo.extend(t._parents)
-            roots = {id(_root(t.data)) for t in nodes}
-            for t in nodes:
-                if t._backward is None:
-                    continue
-                op = t._backward.__qualname__.split(".")[0]
-                kept = _captured_arrays(t._backward)
-                if op == "recompute":
-                    # named by the composite it re-runs; it may keep no array
-                    # but its inputs'
-                    op = _cell(t._backward, "fn").__qualname__.split(".")[0]
-                    inputs = {id(_root(p.data)) for p in t._parents}
-                    own = [a for a in kept if id(_root(a)) not in inputs]
-                else:
-                    own = [a for a in kept if _holds_map(a) and id(_root(a)) not in roots]
-                records.append((op, t.shape, t._parents[0].requires_grad, own))
+            records.extend(_graph_records(loss))
             return loss, diag
         return hooked
 
+    def keep_rerun(photometric_loss):
+        def hooked(*args):
+            out = photometric_loss(*args)
+            if out._backward is not None:
+                records.extend(_graph_records(out))
+            return out
+        return hooked
+
     monkeypatch.setattr(trainer, "total_loss", keep_graph(trainer.total_loss))
+    monkeypatch.setattr(losses, "photometric_loss", keep_rerun(losses.photometric_loss))
     trainer.train(TrainConfig(batch_size=2, steps=1, seed=1, precision="f32"),
                   EncoderConfig.variant_preset("tiny"),
                   SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
@@ -367,7 +387,7 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     for op, shape, first_parent_grad, own in records:
         ops[op] = ops.get(op, 0) + 1
         kept = sorted((a.shape, a.dtype.kind) for a in own)
-        if op in ("conv2d", "batch_norm", "elu", "gelu") and own:
+        if op in ("conv2d", "batch_norm", "elu", "gelu", "warped_error") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":
             n, c, ho, wo = shape
@@ -376,11 +396,12 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
             if first_parent_grad or kept != sorted(
                     [((n, c, ho, wo), "f")] * 2 + [((n, ho, wo), "b")] * 2):
                 faults.append((op, kept))
-        # the photometric error keeps SSIM's two means, a2 and b2; the
-        # projection, a recompute node, rebuilds everything from its inputs
-        elif (op == "photometric_loss" and len(own) > 4) or (op == "project" and own):
+        # SSIM keeps its two means, a2 and b2
+        elif op == "ssim" and len(own) > 4:
             faults.append((op, kept))
     assert not faults
     assert all(ops.get(op, 0) > 0 for op in
-               ("conv2d", "batch_norm", "elu", "gelu", "bilinear_sample",
-                "photometric_loss", "project")), ops
+               ("conv2d", "batch_norm", "elu", "gelu", "bilinear_sample", "ssim",
+                "warped_error")), ops
+    # two sources at three scales, each re-run once by backward
+    assert ops["warped_error"] == ops["bilinear_sample"] == 6, ops

@@ -1,18 +1,18 @@
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
 
+from litedepth import losses
 from litedepth.engine import (
-    Tensor, as_tensor, concat, grad_check, maximum, resize_bilinear, using_dtype,
+    Tensor, as_tensor, concat, grad_check, recompute, resize_bilinear, using_dtype,
 )
 from litedepth.losses import (
     LossConfig, SSIM_C1, SSIM_C2, auto_mask, min_reprojection, photometric_loss,
     smoothness, ssim, total_loss,
 )
 from litedepth.posenet import pose_to_matrix
-from litedepth.warp import CameraIntrinsics
+from litedepth.warp import Z_EPS, CameraIntrinsics, synthesize
 
 
 def smooth_image(rng, h, w, c=3, batch=1):
@@ -87,16 +87,6 @@ def ssim_oracle(a, b):
     return num / den
 
 
-def photometric_oracle(pred, target, alpha=0.85):
-    """The photometric error composed from engine ops, one node each."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    l1 = (pred - target).abs().mean(axis=1, keepdims=True)
-    if alpha == 0.0:
-        return l1
-    dssim = maximum((1.0 - ssim(pred, target)) * 0.5, 0.0)
-    return alpha * dssim.mean(axis=1, keepdims=True) + (1.0 - alpha) * l1
-
-
 MAP_SHAPES = [(1, 1, 3, 3), (2, 3, 5, 7), (4, 3, 32, 64)]
 # (default dtype, prediction dtype, target dtype); f32 training warps an f64
 # prediction against an f32 target, and the last mix gives the prediction a
@@ -144,39 +134,68 @@ class TestFusedSsim:
         a = Tensor(rng.random((1, 3, 6, 6)), requires_grad=True)
         b = Tensor(rng.random((1, 3, 6, 6)))
         assert count_nodes(lambda: ssim(a, b)) == 1
-        assert count_nodes(lambda: photometric_loss(a, b, 0.85)) == 1
-        assert count_nodes(lambda: photometric_loss(a, b, 0.0)) == 1
 
     def test_single_row_rejected(self, rng):
         with pytest.raises(ValueError, match="2x2"):
             ssim(Tensor(rng.random((1, 1, 1, 4))), Tensor(rng.random((1, 1, 1, 4))))
 
 
-class TestFusedPhotometric:
-    """The one-node photometric error against its composite oracle."""
+def branch_inputs(rng, n, h, w, per_sample):
+    """Cameras (one for the batch, or per sample with every other one
+    flipped) and the depth, transform, source and target arrays of one
+    warped branch. Sample 0 keeps the identity transform."""
+    intr = CameraIntrinsics(0.58 * w, 1.92 * h, w / 2, h / 2, w, h)
+    cams = [intr, intr.flipped()] * (n // 2) if per_sample else intr
+    depth = rng.uniform(1.0, 10.0, (n, 1, h, w))
+    # after sample 0's identity transform: below the z clamp, and on it
+    depth[0, 0, 0, :2] = 0.0, Z_EPS
+    transform = np.tile(np.eye(4), (n, 1, 1))
+    transform[1:, :3] += rng.normal(0.0, 0.05, (n - 1, 3, 4))
+    return (cams, depth, transform,
+            smooth_image(rng, h, w, batch=n), smooth_image(rng, h, w, batch=n))
 
-    @pytest.mark.parametrize("shape", MAP_SHAPES)
+
+class TestWarpedBranch:
+    """One warped branch of the objective, synthesis then photometric error,
+    as a `recompute` node against the same branch run as a plain graph."""
+
+    @pytest.mark.parametrize("n, h, w", [(2, 5, 7), (4, 32, 64)])
+    @pytest.mark.parametrize("per_sample", [False, True])
     @pytest.mark.parametrize("default, p_dtype, t_dtype", DTYPE_MIXES)
-    @pytest.mark.parametrize("p_grad, t_grad", list(product([True, False], repeat=2)))
+    @pytest.mark.parametrize("image_grad", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, 0.85])
-    def test_matches_composite_bit_for_bit(self, shape, default, p_dtype, t_dtype,
-                                           p_grad, t_grad, alpha, rng, assert_same_bits):
-        p, t = rng.random(shape), rng.random(shape)
-        # equal top rows: |pred - target| = 0, and SSIM = 1 ties the clamp
-        t[:, :, :2] = p[:, :, :2]
-        upstream = rng.standard_normal((shape[0], 1) + shape[2:])
+    def test_matches_plain_graph_bit_for_bit(self, n, h, w, per_sample, default, p_dtype,
+                                             t_dtype, image_grad, alpha, rng,
+                                             assert_same_bits):
+        # p_dtype for depth and source, t_dtype for transform and target
+        cams, depth, transform, source, target = branch_inputs(rng, n, h, w, per_sample)
+        upstream = rng.standard_normal((n, 1, h, w))
         upstream[..., 0] = -0.0
+        branch = losses._warped_error(cams, alpha)
         results = []
         with using_dtype(default):
-            for f in (photometric_loss, photometric_oracle):
-                pred = Tensor(p.astype(p_dtype), requires_grad=p_grad)
-                target = Tensor(t.astype(t_dtype), requires_grad=t_grad)
-                out = f(pred, target, alpha)
-                if p_grad or t_grad:
-                    (out * Tensor(upstream.astype(out.dtype))).sum().backward()
-                results.append((out.data, pred.grad, target.grad))
+            # equal top rows: |synth - target| = 0, and SSIM = 1 ties the clamp
+            synth, _ = synthesize(Tensor(source.astype(p_dtype)), Tensor(depth.astype(p_dtype)),
+                                  Tensor(transform.astype(t_dtype)), cams)
+            target[:, :, :2] = synth.data[:, :, :2]
+            for run in (recompute, lambda fn, *inputs: fn(*inputs)):
+                leaves = [Tensor(depth.astype(p_dtype), requires_grad=True),
+                          Tensor(transform.astype(t_dtype), requires_grad=True),
+                          Tensor(source.astype(p_dtype), requires_grad=image_grad),
+                          Tensor(target.astype(t_dtype), requires_grad=image_grad)]
+                error, valid = run(branch, *leaves)
+                (error * Tensor(upstream.astype(error.dtype))).sum().backward()
+                results.append((error.data, valid, *(leaf.grad for leaf in leaves)))
         for new, old in zip(*results):
             assert_same_bits(new, old)
+
+    def test_one_node(self, count_nodes, rng):
+        # the warp and the photometric error add no node of their own
+        cams, *arrays = branch_inputs(rng, 2, 6, 8, per_sample=False)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        for alpha in (0.0, 0.85):
+            branch = losses._warped_error(cams, alpha)
+            assert count_nodes(lambda: recompute(branch, *leaves)) == 1
 
 
 class TestPhotometric:
@@ -359,7 +378,6 @@ class TestTotalLoss:
 
     def test_unwarped_minimum_is_built_once(self, rng, monkeypatch):
         # the identity-warp floor is the same at every scale
-        from litedepth import losses
         reduced = []
         monkeypatch.setattr(losses, "min_reprojection",
                             lambda maps: reduced.append(maps) or min_reprojection(maps))
@@ -367,34 +385,71 @@ class TestTotalLoss:
         total_loss(disps, target, sources, transforms, intr, LossConfig())
         assert len(reduced) == 4   # the unwarped maps once, the warped once per scale
 
-    def test_graph_held_per_warped_source_is_bounded(self):
-        # The graph total_loss leaves alive for backward, per warped source
-        # (two sources at three scales), 64x32 batch 2 in f32 training's
-        # dtypes. One photometric node keeps SSIM's four maps and one
-        # projection node keeps none: 265 bytes per pixel, against 582 when
-        # both were composites that held every intermediate map.
-        n, h, w = 2, 32, 64
+    @staticmethod
+    def _step_inputs(n, h, w, per_sample=False, image_grad=False, dtype=np.float32):
+        """A training step's objective inputs at n x 3 x h x w: disparities,
+        target, two sources, two transforms and the cameras, with leaves
+        that require grad where training's do."""
         rng = np.random.default_rng(0)
+        disps = [Tensor(rng.uniform(0.01, 0.3, (n, 1, h >> k, w >> k)).astype(dtype),
+                        requires_grad=True) for k in range(3)]
+        target, *sources = (Tensor(rng.random((n, 3, h, w)).astype(dtype),
+                                   requires_grad=image_grad) for _ in range(3))
+        transforms = [Tensor(pose_to_matrix(
+            Tensor(rng.standard_normal((n, 3)) * 0.01),
+            Tensor(rng.standard_normal((n, 3)) * 0.05)).data.astype(dtype),
+            requires_grad=True) for _ in sources]
+        intr = CameraIntrinsics(0.58 * w, 1.92 * h, w / 2, h / 2, w, h)
+        cams = [intr, intr.flipped()] * (n // 2) if per_sample else intr
+        return disps, target, sources, transforms, cams
+
+    def test_graph_left_alive_is_bounded(self):
+        # What total_loss leaves alive for backward on a tiny 64x32 batch-4
+        # f32 step: 2.4 MiB with one recompute node per warped branch, which
+        # keeps only its inputs, against 12.0 MiB when each branch's
+        # photometric node kept SSIM's four maps and its bilinear sample the
+        # slopes and inside masks.
         with using_dtype("f32"):
-            disps = [Tensor(rng.uniform(0.01, 0.3, (n, 1, h >> k, w >> k))
-                            .astype(np.float32), requires_grad=True) for k in range(3)]
-            target, *sources = (Tensor(rng.random((n, 3, h, w)).astype(np.float32))
-                                for _ in range(3))
-            transforms = [pose_to_matrix(
-                Tensor(rng.standard_normal((n, 3)).astype(np.float32) * 0.01,
-                       requires_grad=True),
-                Tensor(rng.standard_normal((n, 3)).astype(np.float32) * 0.05,
-                       requires_grad=True)) for _ in sources]
-            intr = CameraIntrinsics(0.58 * w, 1.92 * h, w / 2, h / 2, w, h)
+            inputs = self._step_inputs(4, 32, 64)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                loss, _ = total_loss(disps, target, sources, transforms, intr, LossConfig())
+                loss, _ = total_loss(*inputs, LossConfig())
                 held = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
         assert loss.requires_grad
-        assert held / (3 * len(sources) * n * h * w) <= 320
+        assert held <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("default", ["f32", "f64"])
+    @pytest.mark.parametrize("per_sample", [False, True])
+    @pytest.mark.parametrize("image_grad", [False, True])
+    def test_branches_match_plain_graph_bit_for_bit(self, default, per_sample, image_grad,
+                                                   monkeypatch, assert_same_bits):
+        # the objective with each warped branch one recompute node, against
+        # the same objective with every branch run as a plain graph
+        dtype = np.float32 if default == "f32" else np.float64
+        results = []
+        for plain in (False, True):
+            with using_dtype(default), monkeypatch.context() as patch:
+                if plain:
+                    patch.setattr(losses, "recompute", lambda fn, *inputs: fn(*inputs))
+                disps, target, sources, transforms, cams = self._step_inputs(
+                    2, 12, 16, per_sample, image_grad, dtype)
+                loss, _ = total_loss(disps, target, sources, transforms, cams, LossConfig())
+                loss.backward()
+                results.append(([loss.data] + [t.grad for t in (*disps, *transforms, *sources)],
+                                target.grad))
+        (new, new_target), (old, old_target) = results
+        for a, b in zip(new, old):
+            assert_same_bits(a, b)
+        # A branch hands the target one gradient, its SSIM and L1 terms
+        # already summed, where the plain graph adds each term to the sum of
+        # all the target's other terms: the two round apart.
+        assert (new_target is None) == (old_target is None)
+        if image_grad:
+            assert (np.abs(new_target - old_target).max()
+                    <= 4 * np.finfo(dtype).eps * np.abs(old_target).max())
 
     def test_source_transform_count_mismatch(self, rng):
         intr, target, sources, transforms, disps = build_inputs(rng)
@@ -423,7 +478,6 @@ class TestTotalLoss:
 
     def test_end_to_end_grad_check_fails_a_detached_warp(self, rng, monkeypatch):
         # a planted defect: the warped image stops carrying depth gradients
-        from litedepth import losses
         synthesize = losses.synthesize
 
         def detached(*args):

@@ -1,12 +1,8 @@
-from itertools import product
-
 import numpy as np
-import pytest
 
-from litedepth import warp
-from litedepth.engine import Tensor, grad_check, using_dtype
+from litedepth.engine import Tensor, grad_check
 from litedepth.posenet import pose_to_matrix
-from litedepth.warp import Z_EPS, CameraIntrinsics, backproject, project, synthesize
+from litedepth.warp import CameraIntrinsics, backproject, project, synthesize
 
 
 INTR = CameraIntrinsics(fx=20.0, fy=22.0, cx=7.5, cy=5.5, width=16, height=12)
@@ -42,50 +38,6 @@ class TestBackproject:
         intr = CameraIntrinsics(2.0, 2.0, 1.5, 1.5, 4, 4)
         pts = backproject(Tensor(depth), intr).data
         assert np.all(pts[0, 2] > 0)
-
-
-class TestFusedProject:
-    """The one-node projection against its composite run as a graph."""
-
-    @pytest.mark.parametrize("n, h, w", [(1, 2, 3), (2, 5, 7), (4, 32, 64)])
-    @pytest.mark.parametrize("per_sample", [False, True])
-    # (default dtype, points dtype, transform dtype); f32 training projects
-    # f64 points with an f32 pose, and the last mix rounds the points' gradient
-    @pytest.mark.parametrize("default, p_dtype, t_dtype", [
-        ("f32", np.float32, np.float32), ("f64", np.float64, np.float64),
-        ("f32", np.float64, np.float32), ("f64", np.float32, np.float64)])
-    @pytest.mark.parametrize("p_grad, t_grad", list(product([True, False], repeat=2)))
-    def test_matches_composite_bit_for_bit(self, n, h, w, per_sample, default, p_dtype,
-                                           t_dtype, p_grad, t_grad, rng, assert_same_bits,
-                                           monkeypatch):
-        cams = [CameraIntrinsics(20.0 + i, 22.0, 7.5 + i, 5.5, w, h) for i in range(n)]
-        points = np.concatenate([rng.uniform(-2.0, 2.0, (n, 2, h, w)),
-                                 rng.uniform(-0.5, 5.0, (n, 1, h, w))], axis=1)
-        # after sample 0's identity transform: below the z clamp, and on it
-        points[:, 2, 0, :2] = 0.0, Z_EPS
-        transform = np.tile(np.eye(4), (n, 1, 1))
-        transform[1:, :3] += rng.normal(0.0, 0.05, (n - 1, 3, 4))
-        upstream = rng.standard_normal((n, h, w, 2))
-        upstream[:, 0] = -0.0
-        results = []
-        for fused in (True, False):
-            with using_dtype(default), monkeypatch.context() as patch:
-                if not fused:
-                    # the composite's own graph, one node per engine op
-                    patch.setattr(warp, "recompute", lambda fn, *inputs: fn(*inputs))
-                p = Tensor(points.astype(p_dtype), requires_grad=p_grad)
-                t = Tensor(transform.astype(t_dtype), requires_grad=t_grad)
-                coords, valid = project(p, cams if per_sample else cams[0], t)
-                if p_grad or t_grad:
-                    (coords * Tensor(upstream.astype(coords.dtype))).sum().backward()
-                results.append((coords.data, valid, p.grad, t.grad))
-        for new, old in zip(*results):
-            assert_same_bits(new, old)
-
-    def test_one_node(self, count_nodes, rng):
-        points = Tensor(rng.uniform(1.0, 2.0, (1, 3, 4, 5)), requires_grad=True)
-        transform = Tensor(np.eye(4)[None], requires_grad=True)
-        assert count_nodes(lambda: project(points, INTR, transform)) == 1
 
 
 class TestProject:
