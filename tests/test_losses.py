@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def branch_inputs(rng, n, h, w, per_sample):
     flipped) and the depth, transform, source and target arrays of one
     warped branch. Sample 0 keeps the identity transform."""
     intr = CameraIntrinsics(0.58 * w, 1.92 * h, w / 2, h / 2, w, h)
-    cams = [intr, intr.flipped()] * (n // 2) if per_sample else intr
+    cams = [intr.flipped() if i % 2 else intr for i in range(n)] if per_sample else intr
     depth = rng.uniform(1.0, 10.0, (n, 1, h, w))
     # after sample 0's identity transform: below the z clamp, and on it
     depth[0, 0, 0, :2] = 0.0, Z_EPS
@@ -159,13 +160,15 @@ class TestWarpedBranch:
     """One warped branch of the objective, synthesis then photometric error,
     as a `recompute` node against the same branch run as a plain graph."""
 
-    @pytest.mark.parametrize("n, h, w", [(2, 5, 7), (4, 32, 64)])
+    @pytest.mark.parametrize("n, h, w", [(1, 3, 3), (2, 5, 7), (4, 32, 64)])
     @pytest.mark.parametrize("per_sample", [False, True])
     @pytest.mark.parametrize("default, p_dtype, t_dtype", DTYPE_MIXES)
-    @pytest.mark.parametrize("image_grad", [False, True])
+    # which of the branch's inputs need a gradient: depth and transform
+    # (training's), source and target
+    @pytest.mark.parametrize("geometry_grad, image_grad", list(product([True, False], repeat=2)))
     @pytest.mark.parametrize("alpha", [0.0, 0.85])
     def test_matches_plain_graph_bit_for_bit(self, n, h, w, per_sample, default, p_dtype,
-                                             t_dtype, image_grad, alpha, rng,
+                                             t_dtype, geometry_grad, image_grad, alpha, rng,
                                              assert_same_bits):
         # p_dtype for depth and source, t_dtype for transform and target
         cams, depth, transform, source, target = branch_inputs(rng, n, h, w, per_sample)
@@ -179,12 +182,14 @@ class TestWarpedBranch:
                                   Tensor(transform.astype(t_dtype)), cams)
             target[:, :, :2] = synth.data[:, :, :2]
             for run in (recompute, lambda fn, *inputs: fn(*inputs)):
-                leaves = [Tensor(depth.astype(p_dtype), requires_grad=True),
-                          Tensor(transform.astype(t_dtype), requires_grad=True),
+                leaves = [Tensor(depth.astype(p_dtype), requires_grad=geometry_grad),
+                          Tensor(transform.astype(t_dtype), requires_grad=geometry_grad),
                           Tensor(source.astype(p_dtype), requires_grad=image_grad),
                           Tensor(target.astype(t_dtype), requires_grad=image_grad)]
                 error, valid = run(branch, *leaves)
-                (error * Tensor(upstream.astype(error.dtype))).sum().backward()
+                assert error.requires_grad == (geometry_grad or image_grad)
+                if error.requires_grad:
+                    (error * Tensor(upstream.astype(error.dtype))).sum().backward()
                 results.append((error.data, valid, *(leaf.grad for leaf in leaves)))
         for new, old in zip(*results):
             assert_same_bits(new, old)
