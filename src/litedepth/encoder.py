@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .engine import Tensor, avg_pool, concat, gelu, softmax
+from .engine import Tensor, avg_pool, concat, conv2d, gelu, layer_norm, recompute, softmax
 from .nn import BatchNorm2d, Conv2d, ConvBnGelu, LayerNorm, Linear, Module
 
 __all__ = [
@@ -139,7 +139,13 @@ def xca_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 class DilatedConvBlock(Module):
     """Residual block: depthwise dilated 3x3 conv, batch norm, pointwise
     expansion, GELU, pointwise projection back, add. Shape preserving for any
-    dilation rate."""
+    dilation rate.
+
+    The feed-forward (expansion, GELU, projection) is one `recompute` node
+    over its input and the two convolutions' weights and biases, so the
+    graph keeps neither of its two 6C-wide maps. The batch norm stays
+    outside it, since a re-run would update the running statistics twice.
+    """
 
     def __init__(self, channels: int, dilation: int, rng: np.random.Generator,
                  expansion: int = 6):
@@ -154,8 +160,14 @@ class DilatedConvBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         z = self.norm(self.dwconv(x))
-        z = self.project(gelu(self.expand(z)))
+        z = recompute(self._conv_feed_forward, z, self.expand.weight, self.expand.bias,
+                      self.project.weight, self.project.bias)[0]
         return x + z
+
+    def _conv_feed_forward(self, z: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                           b2: Tensor) -> Tuple[Tensor]:
+        hidden = gelu(conv2d(z, w1, b1, self.expand.spec))
+        return (conv2d(hidden, w2, b2, self.project.spec),)
 
 
 class AttentionBlock(Module):
@@ -163,6 +175,9 @@ class AttentionBlock(Module):
 
     Tokens are the row-major spatial flattening of the feature map; the
     attention mixes channels, so no positional encoding is used anywhere.
+    The feed-forward (layer norm, expansion, GELU, projection) and its
+    residual add are one `recompute` node over the tokens and six
+    parameters, so the graph keeps none of its 6C-wide maps.
     """
 
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
@@ -186,9 +201,17 @@ class AttentionBlock(Module):
         attn = xca_attention(self.wq(tokens), self.wk(tokens), self.wv(tokens),
                              self.heads, self.temperature)
         attended = tokens + self.attn_proj(attn)
-        z = self.project(gelu(self.expand(self.norm(attended))))
-        out = attended + z
+        out = recompute(self._token_feed_forward, attended, self.norm.scale, self.norm.shift,
+                        self.expand.weight, self.expand.bias,
+                        self.project.weight, self.project.bias)[0]
         return out.transpose(0, 2, 1).reshape(n, c, h, w)
+
+    def _token_feed_forward(self, t: Tensor, scale: Tensor, shift: Tensor, w1: Tensor,
+                            b1: Tensor, w2: Tensor, b2: Tensor) -> Tuple[Tensor]:
+        # the residual add is inside, so t sums its three gradient terms, the
+        # add's and then layer norm's two, in the plain graph's order
+        hidden = gelu(layer_norm(t, scale, shift, self.norm.eps) @ w1 + b1)
+        return (t + (hidden @ w2 + b2),)
 
 
 class ConvStem(Module):

@@ -196,14 +196,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
         gx = None
         if x.requires_grad:      # images, as in the encoder stem, need no gx
             gxp = np.zeros(xp.shape, dtype=xp.dtype)
-            wr = weight.data.reshape(g, og, cg, kh * kw)
+            # the weight tap-major, (kh*kw, g, og, cg), so each tap's block is
+            # C-contiguous: matmul calls BLAS only on operands with a unit stride
+            wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, kh * kw).transpose(3, 0, 1, 2))
             # with one output channel per group the product has inner
             # dimension 1: a broadcast multiply gives BLAS's values exactly
             product = np.multiply if og == 1 else np.matmul
             for t, si, sj in taps:
-                # matmul calls BLAS only on operands with a unit stride
-                wt = np.ascontiguousarray(wr[..., t])
-                gxp[:, :, si, sj] += product(wt.transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
+                gxp[:, :, si, sj] += product(wt[t].transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
             gx = np.ascontiguousarray(gxp[:, :, p: p + h, p: p + w].transpose(1, 0, 2, 3))
         gw = gw.reshape(weight.shape)
         if bias is None:

@@ -442,7 +442,9 @@ def recompute(fn: Callable[..., tuple], *inputs):
     arrays and ``requires_grad`` and under the forward's default dtype, and
     backpropagates the node's gradient through it. Value and gradients are
     those of calling ``fn`` directly, bit for bit, when ``fn`` depends on
-    nothing but its inputs and the default dtype.
+    nothing but its inputs and the default dtype, and no input that ``fn``
+    reads twice is also read outside the node: such an input gets its
+    inner terms already summed, so its gradient can round apart.
     """
     inputs = tuple(as_tensor(x) for x in inputs)
     dtype = _dtype_name()

@@ -49,23 +49,32 @@ class LossConfig:
                              f"{self.max_depth}), got {self.min_depth}")
 
 
-def _sum3(x: np.ndarray, axis: int) -> np.ndarray:
-    """Each 3-window sum along `axis` of the reflection-padded x, added left
-    to right (x[-1] reflects to x[1])."""
-    x = np.moveaxis(x, axis, 0)
-    out = np.empty_like(x)
-    np.add(x[:-2], x[1:-1], out=out[1:-1])
-    out[1:-1] += x[2:]
-    np.add(x[1], x[0], out=out[0])
-    out[0] += x[1]
-    np.add(x[-2], x[-1], out=out[-1])
-    out[-1] += x[-2]
-    return np.moveaxis(out, 0, axis)
+def _along(axis: int, index) -> tuple:
+    """The index that picks `index` along `axis`."""
+    return (slice(None),) * axis + (index,)
+
+
+def _sum3_interior(x: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Write each 3-window sum along `axis` of x, added left to right, to
+    entries 1 to n-2 of out."""
+    mid = _along(axis, slice(1, -1))
+    np.add(x[_along(axis, slice(None, -2))], x[mid], out=out[mid])
+    out[mid] += x[_along(axis, slice(2, None))]
+
+
+def _sum3_ends(x: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Write the reflected 3-window sums of x's first and last entries along
+    `axis` to out: (x[1] + x[0]) + x[1] and (x[-2] + x[-1]) + x[-2]."""
+    for end, inner in ((0, 1), (-1, -2)):
+        e, i = _along(axis, end), _along(axis, inner)
+        np.add(x[i], x[e], out=out[e])
+        out[e] += x[i]
 
 
 def _sum3_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of `_sum3`: a zero-padded 3-window sum, plus the reflected
-    border terms folded back onto entries 1 and n-2."""
+    """Transpose of the reflection-padded 3-window sum along `axis`: a
+    zero-padded 3-window sum, plus the reflected border terms folded back
+    onto entries 1 and n-2."""
     g = np.moveaxis(g, axis, 0)
     out = g.copy(order="K")
     out[1:] += g[:-1]
@@ -77,8 +86,18 @@ def _sum3_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 
 def _box3(x: np.ndarray) -> np.ndarray:
     """3x3 mean of a reflection-padded NCHW map in the order of a windowed
-    mean: the window's columns, then its rows, then a division by 9."""
-    out = _sum3(_sum3(x, 3), 2)
+    mean: the window's columns, then its rows, then a division by 9.
+
+    The column sums run over the flattened map, along contiguous memory; the
+    windows that straddle two rows are those of each row's first and last
+    column, which are then rewritten with their reflected sums.
+    """
+    x = np.ascontiguousarray(x)
+    cols, out = np.empty_like(x), np.empty_like(x)
+    _sum3_interior(x.reshape(-1), cols.reshape(-1), 0)
+    _sum3_ends(x, cols, 3)
+    _sum3_interior(cols, out, 2)
+    _sum3_ends(cols, out, 2)
     out /= 9
     return out
 

@@ -359,7 +359,9 @@ def _graph_records(root):
 def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     # the graph total_loss leaves for backward, and the graph each warped
     # branch builds when backward re-runs it: a photometric error with a
-    # backward closure is a re-run, since the forward runs without a graph
+    # backward closure is a re-run, since the forward runs without a graph.
+    # The encoder blocks' feed-forward nodes, like the branches, may keep
+    # nothing but their inputs' arrays.
     records = []
 
     def keep_graph(total_loss):
@@ -387,7 +389,8 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     for op, shape, first_parent_grad, own in records:
         ops[op] = ops.get(op, 0) + 1
         kept = sorted((a.shape, a.dtype.kind) for a in own)
-        if op in ("conv2d", "batch_norm", "elu", "gelu", "warped_error") and own:
+        if op in ("conv2d", "batch_norm", "elu", "gelu", "warped_error",
+                  "_conv_feed_forward", "_token_feed_forward") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":
             n, c, ho, wo = shape
@@ -405,3 +408,6 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
                 "warped_error")), ops
     # two sources at three scales, each re-run once by backward
     assert ops["warped_error"] == ops["bilinear_sample"] == 6, ops
+    # one feed-forward node per block of the tiny encoder: twelve dilated
+    # blocks and three attention blocks
+    assert (ops.get("_conv_feed_forward"), ops.get("_token_feed_forward")) == (12, 3), ops

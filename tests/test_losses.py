@@ -131,6 +131,20 @@ class TestFusedSsim:
         else:
             assert gb is None and rb is None
 
+    # maps two wide or two high, where both ends of a row or column reflect
+    # onto the same neighbour, odd sizes, and inputs that are not C-contiguous
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 2, 5), (2, 3, 7, 2), (3, 2, 5, 9)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_filter_matches_padded_windows(self, shape, dtype, strided, rng):
+        x = rng.standard_normal(shape).astype(dtype)
+        if strided:
+            x = np.repeat(x, 2, axis=3)[..., ::2]
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+        out, oracle = losses._box3(x), box3(Tensor(padded)).data
+        assert out.dtype == oracle.dtype == dtype
+        assert out.tobytes() == oracle.tobytes()
+
     def test_one_node(self, count_nodes, rng):
         a = Tensor(rng.random((1, 3, 6, 6)), requires_grad=True)
         b = Tensor(rng.random((1, 3, 6, 6)))
