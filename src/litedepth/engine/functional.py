@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, as_tensor, default_dtype, grad_enabled
+from .tensor import Tensor, _rerunning, as_tensor, default_dtype, grad_enabled
 
 __all__ = [
     "ConvSpec",
@@ -196,14 +196,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], spec: ConvSpec) ->
         gx = None
         if x.requires_grad:      # images, as in the encoder stem, need no gx
             gxp = np.zeros(xp.shape, dtype=xp.dtype)
-            # the weight tap-major, (kh*kw, g, og, cg), so each tap's block is
-            # C-contiguous: matmul calls BLAS only on operands with a unit stride
-            wt = np.ascontiguousarray(weight.data.reshape(g, og, cg, kh * kw).transpose(3, 0, 1, 2))
+            # the taps read, tap-major, (len(taps), g, og, cg), so each tap's
+            # block is C-contiguous: matmul calls BLAS only on operands with a
+            # unit stride
+            wt = weight.data.reshape(g, og, cg, kh * kw).transpose(3, 0, 1, 2)
+            if len(taps) < kh * kw:
+                wt = wt[[t for t, _, _ in taps]]
+            wt = np.ascontiguousarray(wt)
             # with one output channel per group the product has inner
             # dimension 1: a broadcast multiply gives BLAS's values exactly
             product = np.multiply if og == 1 else np.matmul
-            for t, si, sj in taps:
-                gxp[:, :, si, sj] += product(wt[t].transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
+            for wtap, (_, si, sj) in zip(wt, taps):
+                gxp[:, :, si, sj] += product(wtap.transpose(0, 2, 1), gout).reshape(cin, n, ho, wo)
             gx = np.ascontiguousarray(gxp[:, :, p: p + h, p: p + w].transpose(1, 0, 2, 3))
         gw = gw.reshape(weight.shape)
         if bias is None:
@@ -493,42 +497,56 @@ def _erf(buf: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     return buf
 
 
-def _phi_blocks(ops):
+def _blocks(ops, writes: int = 1):
+    """Yield the matching _ERF_BLOCK-sized blocks of the arrays in `ops`.
+
+    The last `writes` arrays are written; the others may be any views, which
+    are read through block-sized buffers, so each block stays in cache from
+    its inputs to its outputs.
+    """
+    with np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"]] * (len(ops) - writes) + [["writeonly"]] * writes,
+                   buffersize=_ERF_BLOCK) as blocks:
+        yield from blocks
+
+
+def _phi_blocks(ops, writes: int = 1):
     """Yield phi = 0.5 * (1 + erf(x / sqrt 2)) of x = ops[0] one _ERF_BLOCK at
-    a time, with the matching block of each array in `ops`.
+    a time, with the matching block of each array in `ops` (see `_blocks`).
 
     phi and x / sqrt 2 are in the dtype the unblocked expression gives them
-    (an integer x gives f64). The last array of `ops` is the one written; the
-    others may be any views, which are read through block-sized buffers, so
-    each block stays in cache from its inputs to its output.
+    (an integer x gives f64).
     """
     phi = np.empty(min(ops[0].size, _ERF_BLOCK), np.result_type(ops[0], _SQRT2))
     scratch = np.empty((4, phi.size))
-    with np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"],
-                   [["readonly"]] * (len(ops) - 1) + [["writeonly"]],
-                   buffersize=_ERF_BLOCK) as blocks:
-        for block in blocks:
-            pb = phi[:block[0].size]
-            np.divide(block[0], _SQRT2, out=pb)
-            _erf(pb, scratch)
-            pb += 1.0
-            pb *= 0.5
-            yield (pb,) + tuple(block)
+    for block in _blocks(ops, writes):
+        pb = phi[:block[0].size]
+        np.divide(block[0], _SQRT2, out=pb)
+        _erf(pb, scratch)
+        pb += 1.0
+        pb *= 0.5
+        yield (pb,) + tuple(block)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU (no tanh approximation).
 
-    Keeps no phi for the backward: the backward rebuilds it block by block
-    with the forward's ops, so its gradient is the one the closed form
-    g * (phi + x * pdf) gives on a kept phi, bit for bit.
+    Inside a `recompute` re-run, whose graph lives only for one node's
+    backward, it keeps the phi its forward computes. Elsewhere it keeps
+    none, and the backward rebuilds phi block by block with the forward's
+    ops. Either way the gradient is the closed form g * (phi + x * pdf),
+    bit for bit.
     """
     x = as_tensor(x)
     xd = x.data
     dtype = np.result_type(xd, _SQRT2)
     out = np.empty(xd.shape, dtype)
-    for pb, xb, ob in _phi_blocks([xd, out]):
+    phi = np.empty(xd.shape, dtype) if _rerunning() else None
+    outs = [out] if phi is None else [out, phi]
+    for pb, xb, ob, *kept in _phi_blocks([xd, *outs], writes=len(outs)):
         np.multiply(xb, pb, out=ob)
+        if kept:
+            kept[0][...] = pb
 
     def bw(g):
         # pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), then g * (phi + x * pdf):
@@ -536,7 +554,9 @@ def gelu(x: Tensor) -> Tensor:
         # under an f64 g sums in f32 and multiplies in f64
         gx = np.empty(xd.shape, np.result_type(g, dtype))
         pdf = np.empty(min(xd.size, _ERF_BLOCK), dtype)
-        for pb, xb, gb, gxb in _phi_blocks([xd, g, gx]):
+        blocks = (_phi_blocks([xd, g, gx]) if phi is None
+                  else _blocks([phi, xd, g, gx]))
+        for pb, xb, gb, gxb in blocks:
             d = pdf[:xb.size]
             np.multiply(xb, -0.5, out=d)
             d *= xb

@@ -74,14 +74,24 @@ def _sum3_ends(x: np.ndarray, out: np.ndarray, axis: int) -> None:
 def _sum3_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     """Transpose of the reflection-padded 3-window sum along `axis`: a
     zero-padded 3-window sum, plus the reflected border terms folded back
-    onto entries 1 and n-2."""
-    g = np.moveaxis(g, axis, 0)
-    out = g.copy(order="K")
-    out[1:] += g[:-1]
-    out[:-1] += g[1:]
-    out[1] += g[0]
-    out[-2] += g[-1]
-    return np.moveaxis(out, 0, axis)
+    onto entries 1 and n-2.
+
+    Along the last axis the zero-padded sums run over the flattened array,
+    along contiguous memory; each row's first and last entries, which took
+    a neighbour from the next or previous row, are then rewritten.
+    """
+    g = np.ascontiguousarray(g)
+    out = g.copy()
+    flat = axis == g.ndim - 1
+    go, oo, ax = (g.reshape(-1), out.reshape(-1), 0) if flat else (g, out, axis)
+    oo[_along(ax, slice(1, None))] += go[_along(ax, slice(None, -1))]
+    oo[_along(ax, slice(None, -1))] += go[_along(ax, slice(1, None))]
+    if flat:
+        for end, inner in ((0, 1), (-1, -2)):
+            np.add(g[_along(axis, end)], g[_along(axis, inner)], out=out[_along(axis, end)])
+    out[_along(axis, 1)] += g[_along(axis, 0)]
+    out[_along(axis, -2)] += g[_along(axis, -1)]
+    return out
 
 
 def _box3(x: np.ndarray) -> np.ndarray:
@@ -106,37 +116,31 @@ def _box3_adjoint(g: np.ndarray) -> np.ndarray:
     return _sum3_adjoint(_sum3_adjoint(g / 9, 3), 2)
 
 
-def _mean_terms(mu_a, mu_b, dtype):
-    """SSIM's two factors that read only the means, a1 and b1."""
-    two, c1 = (np.asarray(v, dtype=dtype) for v in (2.0, SSIM_C1))
-    return two * mu_a * mu_b + c1, mu_a * mu_a + mu_b * mu_b + c1
-
-
 def _ssim_maps(ad: np.ndarray, bd: np.ndarray, dtype) -> Tuple[np.ndarray, tuple]:
-    """SSIM of two arrays and the four maps its backward reads: the means
-    mu_a and mu_b, and a2 = 2 cov + C2 and b2 = var_a + var_b + C2.
+    """SSIM of two arrays and the six maps its backward reads: the means
+    mu_a and mu_b, a1 = 2 mu_a mu_b + C1, a2 = 2 cov + C2,
+    b1 = mu_a^2 + mu_b^2 + C1 and b2 = var_a + var_b + C2.
 
     Each of the five statistics (mu_a, mu_b, E[a^2], E[b^2], E[ab]) is
     filtered in the dtype its inputs give it, and the constants take
     `dtype`, so the value is bit-identical to composing the pad, pool and
     elementwise ops under that default dtype.
     """
-    two, c2 = (np.asarray(v, dtype=dtype) for v in (2.0, SSIM_C2))
+    two, c1, c2 = (np.asarray(v, dtype=dtype) for v in (2.0, SSIM_C1, SSIM_C2))
     mu_a, mu_b = _box3(ad), _box3(bd)
     var_a = _box3(ad * ad) - mu_a * mu_a
     var_b = _box3(bd * bd) - mu_b * mu_b
     cov = _box3(ad * bd) - mu_a * mu_b
+    a1, b1 = two * mu_a * mu_b + c1, mu_a * mu_a + mu_b * mu_b + c1
     a2, b2 = two * cov + c2, var_a + var_b + c2
-    a1, b1 = _mean_terms(mu_a, mu_b, dtype)
-    return a1 * a2 / (b1 * b2), (mu_a, mu_b, a2, b2)
+    return a1 * a2 / (b1 * b2), (mu_a, mu_b, a1, a2, b1, b2)
 
 
-def _ssim_grads(g, ad, bd, kept, out, dtype, need_a: bool, need_b: bool):
+def _ssim_grads(g, ad, bd, kept, out, need_a: bool, need_b: bool):
     """Gradients of S = a1 a2 / (b1 b2) with respect to a and b: the
     derivatives with respect to the five filtered maps, through the
     filter's adjoint."""
-    mu_a, mu_b, a2, b2 = kept
-    a1, b1 = _mean_terms(mu_a, mu_b, dtype)
+    mu_a, mu_b, a1, a2, b1, b2 = kept
     gd = 2 * g / (b1 * b2)
     g_ab = gd * a1                              # E[ab]
     g_sq = -g * out / b2                        # E[a^2] and E[b^2]
@@ -163,17 +167,18 @@ def ssim(a: Tensor, b: Tensor) -> Tensor:
     padding; values in [-1, 1], exactly 1 where the inputs agree.
 
     One graph node, bit-identical to composing the pad, pool and
-    elementwise ops (see `_ssim_maps`). The backward keeps the two means and
-    a2, b2, and rebuilds the two terms that read only the means.
+    elementwise ops (see `_ssim_maps`). The backward keeps the six maps it
+    reads: the two means and SSIM's four factors. Every SSIM that records a
+    graph in training runs inside a warped branch's `recompute` re-run, whose
+    graph lives only for that node's backward, so rebuilding the factors
+    would save no memory.
     """
     a, b = as_tensor(a), as_tensor(b)
     _check_ssim_shapes(a, b, "ssim")
-    dtype = default_dtype()
-    out, kept = _ssim_maps(a.data, b.data, dtype)
+    out, kept = _ssim_maps(a.data, b.data, default_dtype())
 
     def bw(g):
-        return _ssim_grads(g, a.data, b.data, kept, out, dtype,
-                           a.requires_grad, b.requires_grad)
+        return _ssim_grads(g, a.data, b.data, kept, out, a.requires_grad, b.requires_grad)
 
     return Tensor._from_op(out, (a, b), bw)
 

@@ -10,6 +10,8 @@ operations, and skip only taps that read nothing but zero padding, so their
 gradients must be equal element for element.
 """
 
+import contextlib
+import functools
 from itertools import product
 
 import numpy as np
@@ -19,7 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 from litedepth import losses, trainer
 from litedepth.config import TrainConfig
 from litedepth.data import SyntheticSource
-from litedepth.encoder import EncoderConfig
+from litedepth.encoder import AttentionBlock, DilatedConvBlock, EncoderConfig
 from litedepth.engine import (
     ConvSpec, Tensor, batch_norm, bilinear_sample, conv2d, default_dtype, elu,
     gelu, using_dtype,
@@ -27,6 +29,7 @@ from litedepth.engine import (
 from litedepth.engine.functional import (
     _ERF_BLOCK, _INV_SQRT_2PI, _SQRT2, _erf, _reads_input,
 )
+from litedepth.engine.tensor import _rerun
 from litedepth.losses import _box3, _box3_adjoint, ssim
 
 
@@ -276,12 +279,26 @@ class TestBackwardUnchanged:
 
     @pytest.mark.parametrize("upstream", ["contiguous", "transposed", "f64", "strided-input"])
     def test_gelu(self, upstream, dtype, rng):
-        # more than two _ERF_BLOCKs, so phi is rebuilt across two boundaries
+        self.check_gelu(upstream, dtype, rng, rerun=False)
+
+    @pytest.mark.parametrize("upstream", ["contiguous", "transposed", "f64", "strided-input"])
+    def test_gelu_in_rerun(self, upstream, dtype, rng):
+        # inside a recompute re-run GELU keeps phi instead of rebuilding it
+        self.check_gelu(upstream, dtype, rng, rerun=True)
+
+    @staticmethod
+    def check_gelu(upstream, dtype, rng, rerun):
+        # more than two _ERF_BLOCKs, so phi is rebuilt or read across two
+        # boundaries
         x = leaf(rng, (3, 14 if upstream == "strided-input" else 7, 3169), dtype, scale=3.0)
         if upstream == "strided-input":
             x = Tensor(x.data[:, ::2], requires_grad=True)
         assert x.data.size > 2 * _ERF_BLOCK
-        out = gelu(x)
+        with _rerun() if rerun else contextlib.nullcontext():
+            out = gelu(x)
+        if rerun:
+            phi = _cell(out._backward, "phi")
+            assert phi.shape == x.shape and phi.dtype == out.dtype
         if upstream == "transposed":
             g = rng.standard_normal(out.shape[::-1]).astype(dtype).T
             assert not g.flags.c_contiguous
@@ -357,40 +374,52 @@ def _graph_records(root):
 
 
 def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
-    # the graph total_loss leaves for backward, and the graph each warped
-    # branch builds when backward re-runs it: a photometric error with a
-    # backward closure is a re-run, since the forward runs without a graph.
-    # The encoder blocks' feed-forward nodes, like the branches, may keep
-    # nothing but their inputs' arrays.
+    # the graph total_loss leaves for backward, and the graph each recompute
+    # node builds when backward re-runs it: a warped branch's photometric
+    # error or a feed-forward with a backward closure is a re-run, since the
+    # forward runs without a graph. The recompute nodes keep nothing but
+    # their inputs' arrays. A re-run's graph lives only for its node's
+    # backward, so the kernels in it may keep what their backward reads.
     records = []
 
     def keep_graph(total_loss):
         def hooked(*args, **kwargs):
             loss, diag = total_loss(*args, **kwargs)
-            records.extend(_graph_records(loss))
+            records.extend((False,) + r for r in _graph_records(loss))
             return loss, diag
         return hooked
 
-    def keep_rerun(photometric_loss):
+    def keep_rerun(fn):
+        @functools.wraps(fn)
         def hooked(*args):
-            out = photometric_loss(*args)
-            if out._backward is not None:
-                records.extend(_graph_records(out))
+            out = fn(*args)
+            head = out[0] if isinstance(out, tuple) else out
+            if head._backward is not None:
+                records.extend((True,) + r for r in _graph_records(head))
             return out
         return hooked
 
     monkeypatch.setattr(trainer, "total_loss", keep_graph(trainer.total_loss))
     monkeypatch.setattr(losses, "photometric_loss", keep_rerun(losses.photometric_loss))
+    for block, name in ((DilatedConvBlock, "_conv_feed_forward"),
+                        (AttentionBlock, "_token_feed_forward")):
+        monkeypatch.setattr(block, name, keep_rerun(getattr(block, name)))
     trainer.train(TrainConfig(batch_size=2, steps=1, seed=1, precision="f32"),
                   EncoderConfig.variant_preset("tiny"),
                   SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
 
     ops, faults = {}, []
-    for op, shape, first_parent_grad, own in records:
+    for rerun, op, shape, first_parent_grad, own in records:
         ops[op] = ops.get(op, 0) + 1
         kept = sorted((a.shape, a.dtype.kind) for a in own)
-        if op in ("conv2d", "batch_norm", "elu", "gelu", "warped_error",
-                  "_conv_feed_forward", "_token_feed_forward") and own:
+        if op == "gelu":
+            ops["gelu", rerun] = ops.get(("gelu", rerun), 0) + 1
+            # a re-run GELU keeps its phi, one map of its input's shape; a
+            # GELU outside a node rebuilds it
+            if kept != ([(shape, "f")] if rerun else []):
+                faults.append((op, rerun, kept))
+        elif op in ("conv2d", "batch_norm", "elu", "warped_error",
+                    "_conv_feed_forward", "_token_feed_forward") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":
             n, c, ho, wo = shape
@@ -399,15 +428,16 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
             if first_parent_grad or kept != sorted(
                     [((n, c, ho, wo), "f")] * 2 + [((n, ho, wo), "b")] * 2):
                 faults.append((op, kept))
-        # SSIM keeps its two means, a2 and b2
-        elif op == "ssim" and len(own) > 4:
-            faults.append((op, kept))
+        # SSIM keeps its two means and its four factors a1, a2, b1 and b2
+        elif op == "ssim" and (not rerun or kept != [(shape, "f")] * 6):
+            faults.append((op, rerun, kept))
     assert not faults
     assert all(ops.get(op, 0) > 0 for op in
-               ("conv2d", "batch_norm", "elu", "gelu", "bilinear_sample", "ssim",
-                "warped_error")), ops
+               ("conv2d", "batch_norm", "elu", "bilinear_sample", "ssim", "warped_error",
+                ("gelu", False))), ops
     # two sources at three scales, each re-run once by backward
-    assert ops["warped_error"] == ops["bilinear_sample"] == 6, ops
-    # one feed-forward node per block of the tiny encoder: twelve dilated
-    # blocks and three attention blocks
+    assert ops["warped_error"] == ops["bilinear_sample"] == ops["ssim"] == 6, ops
+    # one feed-forward node per block of the tiny encoder, twelve dilated
+    # blocks and three attention blocks, each re-run once with one GELU
     assert (ops.get("_conv_feed_forward"), ops.get("_token_feed_forward")) == (12, 3), ops
+    assert ops.get(("gelu", True)) == 15, ops

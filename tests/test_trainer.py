@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litedepth import trainer
+from litedepth import encoder, losses, trainer
 from litedepth.config import TrainConfig
 from litedepth.data import (DirectorySource, SyntheticSource, Triplet, augment,
                             generate_synthetic_sequence, resize_depth, save_dataset)
@@ -537,6 +537,39 @@ class TestTrainLoop:
         monkeypatch.setattr(AdamW, "step", record)
         train(toy_train_config(steps=1), TINY, SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
         assert dtypes and set(dtypes.values()) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_recompute_nodes_match_plain_graphs_bit_for_bit(self, precision, monkeypatch,
+                                                            assert_same_bits):
+        # each warped branch of the objective and each encoder feed-forward is
+        # a recompute node; run as plain graphs instead, whole steps give the
+        # same losses, parameter gradients and batch-norm buffers, bit for bit
+        runs = []
+        adam_step, total_loss = AdamW.step, trainer.total_loss
+        for plain in (False, True):
+            seen = []
+
+            def record_grads(opt, lr):
+                seen.extend(p.grad.copy() for p in opt.params.values())
+                adam_step(opt, lr)
+
+            def record_loss(*args, **kwargs):
+                loss, diag = total_loss(*args, **kwargs)
+                seen.append(loss.data.copy())
+                return loss, diag
+
+            with monkeypatch.context() as patch:
+                if plain:
+                    for module in (encoder, losses):
+                        patch.setattr(module, "recompute", lambda fn, *inputs: fn(*inputs))
+                patch.setattr(AdamW, "step", record_grads)
+                patch.setattr(trainer, "total_loss", record_loss)
+                res = train(toy_train_config(steps=2, precision=precision), TINY,
+                            SyntheticSource(seed=5, n_frames=4, size=(64, 32)))
+            runs.append(seen + [b for _, b in res.models.named_buffers()])
+        assert len(runs[0]) == len(runs[1]) > 4
+        for node, direct in zip(*runs):
+            assert_same_bits(node, direct)
 
     def test_loss_decreases_on_short_run(self):
         # a smoke check that optimization makes progress at all. No test holds
