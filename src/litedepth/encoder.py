@@ -141,10 +141,9 @@ class DilatedConvBlock(Module):
     expansion, GELU, pointwise projection back, add. Shape preserving for any
     dilation rate.
 
-    The feed-forward (expansion, GELU, projection) is one `recompute` node
-    over its input and the two convolutions' weights and biases, so the
-    graph keeps neither of its two 6C-wide maps. The batch norm stays
-    outside it, since a re-run would update the running statistics twice.
+    The branch before the add is one `recompute` node, so the graph keeps
+    none of its maps; the node hands out the batch statistics the norm
+    updates from.
     """
 
     def __init__(self, channels: int, dilation: int, rng: np.random.Generator,
@@ -159,15 +158,19 @@ class DilatedConvBlock(Module):
         self.project = Conv2d(hidden, channels, 1, rng, init="proj")
 
     def __call__(self, x: Tensor) -> Tensor:
-        z = self.norm(self.dwconv(x))
-        z = recompute(self._conv_feed_forward, z, self.expand.weight, self.expand.bias,
-                      self.project.weight, self.project.bias)[0]
+        z, mean, var = recompute(self._conv_branch, x, self.dwconv.weight,
+                                 self.norm.scale, self.norm.shift,
+                                 self.expand.weight, self.expand.bias,
+                                 self.project.weight, self.project.bias)
+        self.norm.update(mean, var)
         return x + z
 
-    def _conv_feed_forward(self, z: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                           b2: Tensor) -> Tuple[Tensor]:
+    def _conv_branch(self, x: Tensor, wd: Tensor, scale: Tensor, shift: Tensor,
+                     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tuple:
+        z, mean, var = self.norm.normalize(conv2d(x, wd, None, self.dwconv.spec),
+                                           scale, shift)
         hidden = gelu(conv2d(z, w1, b1, self.expand.spec))
-        return (conv2d(hidden, w2, b2, self.project.spec),)
+        return conv2d(hidden, w2, b2, self.project.spec), mean, var
 
 
 class AttentionBlock(Module):

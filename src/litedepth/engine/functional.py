@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _rerunning, as_tensor, default_dtype, grad_enabled
+from .tensor import Tensor, as_tensor, default_dtype, grad_enabled
 
 __all__ = [
     "ConvSpec",
@@ -366,14 +366,15 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-6) -> Te
 
 
 def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               stats: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+               eps: float = 1e-5) -> Tuple[Tensor, np.ndarray, np.ndarray]:
     """Batch normalization over (N, H, W) per channel of an NCHW tensor.
 
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place: r <- (1 - momentum) * r + momentum * batch. The running
-    variance stores the same (biased) estimate used for normalization, so a
-    momentum-1 update followed by inference reproduces the train-mode output.
+    Returns the output and the per-channel mean and variance it normalized
+    with, and writes no array it is given. Without ``stats`` (train mode)
+    these are the batch's mean and biased variance; with ``stats``, a
+    (mean, variance) pair (eval mode), it normalizes with those. Running
+    statistics are the caller's to keep (see `nn.BatchNorm2d`).
 
     One graph node. The means are sums times a default-dtype ``1/count`` and
     ``eps`` is default-dtype, as the elementwise composition gives them. The
@@ -392,6 +393,7 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         raise ValueError("batch norm over a zero-size axis")
     cshape, axes = (1, c, 1, 1), (0, 2, 3)
     inv_count = np.asarray(1.0 / (n * h * w), dtype=default_dtype())
+    training = stats is None
     if training:
         mu = x.data.sum(axis=axes, keepdims=True) * inv_count
         # the squared deviations in one map, freed before the output exists
@@ -399,13 +401,10 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         sq *= sq
         var = sq.sum(axis=axes, keepdims=True) * inv_count
         del sq
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu.reshape(c)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.reshape(c)
+        stats = mu.reshape(c), var.reshape(c)
     else:
-        mu = running_mean.reshape(cshape).astype(x.dtype)
-        var = running_var.reshape(cshape).astype(x.dtype)
+        mu = stats[0].reshape(cshape).astype(x.dtype)
+        var = stats[1].reshape(cshape).astype(x.dtype)
     std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
     gamma, beta = scale.data.reshape(cshape), shift.data.reshape(cshape)
     # one output map: the ops of (x - mu) / std * gamma + beta in place,
@@ -430,7 +429,7 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         gshift = g.sum(axis=axes).reshape(shift.shape) if shift.requires_grad else None
         return gx, gscale, gshift
 
-    return Tensor._from_op(out, (x, scale, shift), bw)
+    return (Tensor._from_op(out, (x, scale, shift), bw), *stats)
 
 
 # --------------------------------------------------------------- activations
@@ -531,17 +530,14 @@ def _phi_blocks(ops, writes: int = 1):
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU (no tanh approximation).
 
-    Inside a `recompute` re-run, whose graph lives only for one node's
-    backward, it keeps the phi its forward computes. Elsewhere it keeps
-    none, and the backward rebuilds phi block by block with the forward's
-    ops. Either way the gradient is the closed form g * (phi + x * pdf),
-    bit for bit.
+    When it records a graph it keeps the phi its forward computes, and the
+    backward reads it: the gradient is the closed form g * (phi + x * pdf).
     """
     x = as_tensor(x)
     xd = x.data
     dtype = np.result_type(xd, _SQRT2)
     out = np.empty(xd.shape, dtype)
-    phi = np.empty(xd.shape, dtype) if _rerunning() else None
+    phi = np.empty(xd.shape, dtype) if grad_enabled() and x.requires_grad else None
     outs = [out] if phi is None else [out, phi]
     for pb, xb, ob, *kept in _phi_blocks([xd, *outs], writes=len(outs)):
         np.multiply(xb, pb, out=ob)
@@ -554,9 +550,7 @@ def gelu(x: Tensor) -> Tensor:
         # under an f64 g sums in f32 and multiplies in f64
         gx = np.empty(xd.shape, np.result_type(g, dtype))
         pdf = np.empty(min(xd.size, _ERF_BLOCK), dtype)
-        blocks = (_phi_blocks([xd, g, gx]) if phi is None
-                  else _blocks([phi, xd, g, gx]))
-        for pb, xb, gb, gxb in blocks:
+        for pb, xb, gb, gxb in _blocks([phi, xd, g, gx]):
             d = pdf[:xb.size]
             np.multiply(xb, -0.5, out=d)
             d *= xb

@@ -82,23 +82,6 @@ def no_grad():
     return _grad_mode(False)
 
 
-def _rerunning() -> bool:
-    """Whether a `recompute` node's backward is re-running its function.
-    That graph lives only for the node's backward, so a kernel there keeps
-    what its backward reads instead of rebuilding it to save memory."""
-    return getattr(_state, "rerun", False)
-
-
-@contextlib.contextmanager
-def _rerun():
-    prev = _rerunning()
-    _state.rerun = True
-    try:
-        yield
-    finally:
-        _state.rerun = prev
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -461,10 +444,8 @@ def recompute(fn: Callable[..., tuple], *inputs):
     those of calling ``fn`` directly, bit for bit, when ``fn`` depends on
     nothing but its inputs and the default dtype, and no input that ``fn``
     reads twice is also read outside the node: such an input gets its
-    inner terms already summed, so its gradient can round apart.
-
-    The re-run is marked (see `_rerunning`), so kernels that rebuild maps
-    in their backward to keep a long-lived graph small keep them there.
+    inner terms already summed, so its gradient can round apart. The
+    re-run's arrays are dropped.
     """
     inputs = tuple(as_tensor(x) for x in inputs)
     dtype = _dtype_name()
@@ -473,7 +454,7 @@ def recompute(fn: Callable[..., tuple], *inputs):
 
     def bw(g):
         leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
-        with _grad_mode(True), using_dtype(dtype), _rerun():
+        with _grad_mode(True), using_dtype(dtype):
             fn(*leaves)[0]._backpropagate(g)
         return [leaf.grad for leaf in leaves]
 

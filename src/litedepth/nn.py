@@ -8,7 +8,7 @@ import numpy as np
 
 from .engine import (
     ConvSpec, Tensor, batch_norm, conv2d, default_dtype, gelu, layer_norm,
-    same_padding,
+    recompute, same_padding,
 )
 
 __all__ = [
@@ -138,10 +138,18 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return batch_norm(x, self.scale, self.shift, self.running_mean,
-                          self.running_var, training=self.training,
-                          momentum=self.momentum, eps=self.eps)
+    def normalize(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tuple:
+        """`batch_norm` in this layer's mode, with the scale and shift given
+        (leaves sharing their arrays inside a `recompute` node); writes nothing."""
+        stats = None if self.training else (self.running_mean, self.running_var)
+        return batch_norm(x, scale, shift, stats, self.eps)
+
+    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """In train mode, r <- (1 - momentum) * r + momentum * batch, once per forward."""
+        if self.training:
+            for running, batch in ((self.running_mean, mean), (self.running_var, var)):
+                running *= (1.0 - self.momentum)
+                running += self.momentum * batch
 
 
 class LayerNorm(Module):
@@ -157,7 +165,8 @@ class LayerNorm(Module):
 
 
 class ConvBnGelu(Module):
-    """3x3 conv (no bias) + batch norm + GELU; the stem/downsample block."""
+    """3x3 conv (no bias) + batch norm + GELU; the stem/downsample block. One
+    `recompute` node, which hands out the batch statistics the norm updates from."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator,
                  stride: int = 1):
@@ -166,4 +175,11 @@ class ConvBnGelu(Module):
         self.norm = BatchNorm2d(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return gelu(self.norm(self.conv(x)))
+        out, mean, var = recompute(self._conv_bn_gelu, x, self.conv.weight,
+                                   self.norm.scale, self.norm.shift)
+        self.norm.update(mean, var)
+        return out
+
+    def _conv_bn_gelu(self, x: Tensor, w: Tensor, scale: Tensor, shift: Tensor) -> Tuple:
+        z, mean, var = self.norm.normalize(conv2d(x, w, None, self.conv.spec), scale, shift)
+        return gelu(z), mean, var

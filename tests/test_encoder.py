@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from litedepth import encoder
+from litedepth import encoder, nn
 from litedepth.engine import (
     Tensor, avg_pool, default_dtype, grad_check, no_grad, set_default_dtype, using_dtype,
 )
 from litedepth.encoder import (
-    AttentionBlock, DepthEncoder, DilatedConvBlock, EncoderConfig,
+    AttentionBlock, DepthEncoder, DilatedConvBlock, Downsample, EncoderConfig,
     count_flops, count_params, xca_attention,
 )
+from litedepth.nn import ConvBnGelu, Module
 
 
 def xca_oracle(q, k, v, heads, temps=None):
@@ -237,47 +238,75 @@ class TestAttentionBlock:
         assert grad_check(f, [x]) < 1e-4
 
 
+class _StageEntry(Module):
+    """A stage's first dilated block, whose input the next downsampling also
+    reads as its carry: that input sums three gradient terms, one of them a
+    `recompute` node's."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.block = DilatedConvBlock(8, 2, rng)
+        self.down = Downsample(16, 8, rng)
+
+    def __call__(self, x):
+        return self.down(self.block(x), carry=x)
+
+
 class TestFeedForwardNode:
-    """Each block's feed-forward as one `recompute` node against the same
-    block run as a plain graph."""
+    """Each conv block and each attention block's feed-forward as one
+    `recompute` node against the same block run as a plain graph."""
+
+    BLOCKS = {
+        "conv-bn-gelu": lambda rng: ConvBnGelu(8, 8, rng, stride=2),
+        "dilated": lambda rng: DilatedConvBlock(8, 2, rng),
+        "stage-entry": _StageEntry,
+        "attention": lambda rng: AttentionBlock(8, 2, rng),
+    }
 
     @pytest.mark.parametrize("default", ["f32", "f64"])
-    @pytest.mark.parametrize("kind", ["dilated", "attention"])
+    @pytest.mark.parametrize("kind", list(BLOCKS))
     # a random upstream with a column of -0, or -0 everywhere, where every
     # gradient is a signed zero
     @pytest.mark.parametrize("upstream", ["random", "zero"])
     def test_matches_plain_graph_bit_for_bit(self, default, kind, upstream, monkeypatch,
                                              assert_same_bits):
+        # batch norm's running statistics are compared after the forward and
+        # after the backward, so an update from a re-run, or a second one,
+        # shows
         results = []
         for plain in (False, True):
             with using_dtype(default), monkeypatch.context() as patch:
                 if plain:
-                    patch.setattr(encoder, "recompute", lambda fn, *inputs: fn(*inputs))
+                    for module in (encoder, nn):
+                        patch.setattr(module, "recompute", lambda fn, *inputs: fn(*inputs))
                 rng = np.random.default_rng(7)
-                block = (DilatedConvBlock(8, 2, rng) if kind == "dilated"
-                         else AttentionBlock(8, 2, rng)).train()
+                block = self.BLOCKS[kind](rng).train()
                 # nonzero biases and norm parameters, so every input matters
                 for p in block.parameters():
                     p.data[...] = rng.standard_normal(p.shape) * 0.5
                 dt = default_dtype()
                 x = Tensor(rng.standard_normal((2, 8, 5, 7)).astype(dt), requires_grad=True)
-                g = rng.standard_normal(x.shape).astype(dt)
+                out = block(x)
+                after_forward = [b.copy() for _, b in block.named_buffers()]
+                g = rng.standard_normal(out.shape).astype(dt)
                 g[..., 0] = -0.0
                 if upstream == "zero":
                     g[...] = -0.0
-                out = block(x)
                 (out * Tensor(g)).sum().backward()
                 results.append([out.data, x.grad]
                                + [p.grad for p in block.parameters()]
-                               + [b for _, b in block.named_buffers()])
+                               + after_forward + [b for _, b in block.named_buffers()])
+        assert len(results[0]) == len(results[1])
         for new, old in zip(*results):
             assert_same_bits(new, old)
 
     def test_forward_left_alive_is_bounded(self):
         # What one tiny encoder forward leaves alive for backward on a 64x32
-        # batch-4 f32 frame: 6.4 MiB with each block's feed-forward one
-        # recompute node, against 13.8 MiB when the graph kept each
-        # feed-forward's two 6C-wide maps. The bound is 24% above the first.
+        # batch-4 f32 frame: 3.9 MiB with each conv block one recompute node,
+        # against 6.4 MiB when each conv block's batch norm and the stem and
+        # downsampling blocks were plain graphs, and 13.8 MiB when the graph
+        # also kept each feed-forward's two 6C-wide maps. The bound is 25%
+        # above the first.
         with using_dtype("f32"):
             enc = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0).train()
             image = Tensor(np.random.default_rng(0).random((4, 3, 32, 64), dtype=np.float32))
@@ -289,7 +318,7 @@ class TestFeedForwardNode:
             finally:
                 tracemalloc.stop()
         assert all(f.requires_grad for f in features)
-        assert held <= 8 * 2 ** 20
+        assert held <= 4.9 * 2 ** 20
 
 
 class TestEncoderForward:

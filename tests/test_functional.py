@@ -15,6 +15,7 @@ from litedepth.engine import (
     sigmoid, softmax, using_dtype,
 )
 from litedepth.engine.functional import _COLS_BYTES, _ERF_BLOCK, _erf
+from litedepth.nn import BatchNorm2d
 
 
 def pad_hw(x, pads):
@@ -311,16 +312,30 @@ class TestNormalize:
 
     def test_batch_norm_momentum_one_freezes_batch_stats(self, rng):
         x = Tensor(rng.standard_normal((4, 3, 5, 5)))
-        scale, shift = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        rm, rv = np.zeros(3), np.ones(3)
-        train_out = batch_norm(x, scale, shift, rm, rv, training=True, momentum=1.0)
-        eval_out = batch_norm(x, scale, shift, rm, rv, training=False)
+        norm = BatchNorm2d(3, momentum=1.0)
+        train_out, mean, var = norm.normalize(x, norm.scale, norm.shift)
+        norm.update(mean, var)
+        eval_out = norm.eval().normalize(x, norm.scale, norm.shift)[0]
         np.testing.assert_allclose(eval_out.data, train_out.data, atol=1e-12)
+
+    def test_batch_norm_module_updates_only_in_train_mode(self, rng):
+        # r <- (1 - momentum) * r + momentum * batch, from the statistics the
+        # forward hands out; an eval-mode forward leaves the buffers alone
+        x = Tensor(rng.standard_normal((4, 3, 5, 5)) * 2 + 1)
+        norm = BatchNorm2d(3, momentum=0.25)
+        _, mean, var = norm.normalize(x, norm.scale, norm.shift)
+        norm.update(mean, var)
+        np.testing.assert_array_equal(norm.running_mean, 0.25 * mean)
+        np.testing.assert_array_equal(norm.running_var, 0.75 + 0.25 * var)
+        kept = [b.copy() for _, b in norm.named_buffers()]
+        norm.eval()
+        norm.update(*norm.normalize(x, norm.scale, norm.shift)[1:])
+        for (_, b), k in zip(norm.named_buffers(), kept):
+            np.testing.assert_array_equal(b, k)
 
     def test_batch_norm_normalizes(self, rng):
         x = Tensor(rng.standard_normal((8, 2, 4, 4)) * 3 + 1)
-        out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                         np.zeros(2), np.ones(2), training=True)
+        out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))[0]
         np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
@@ -335,26 +350,24 @@ class TestNormalize:
                           [xt, s5, b5]) < 1e-4
 
 
-def batch_norm_oracle(x, scale, shift, running_mean, running_var, training,
-                      momentum=0.1, eps=1e-5):
-    """Batch norm composed from reductions and elementwise ops."""
+def batch_norm_oracle(x, scale, shift, stats=None, eps=1e-5):
+    """Batch norm composed from reductions and elementwise ops, with the
+    per-channel mean and variance it normalized with."""
     x = as_tensor(x)
     c = x.shape[1]
     cshape = (1, c, 1, 1)
-    if training:
+    if stats is None:
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu.data.reshape(c)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(c)
+        stats = mu.data.reshape(c), var.data.reshape(c)
     else:
-        mu = Tensor(running_mean.reshape(cshape).astype(x.dtype))
-        var = Tensor(running_var.reshape(cshape).astype(x.dtype))
+        mu = Tensor(stats[0].reshape(cshape).astype(x.dtype))
+        var = Tensor(stats[1].reshape(cshape).astype(x.dtype))
         centered = x - mu
     normed = centered / (var + eps).sqrt()
-    return normed * as_tensor(scale).reshape(cshape) + as_tensor(shift).reshape(cshape)
+    out = normed * as_tensor(scale).reshape(cshape) + as_tensor(shift).reshape(cshape)
+    return (out, *stats)
 
 
 class TestFusedBatchNorm:
@@ -379,14 +392,20 @@ class TestFusedBatchNorm:
     ])
     def test_forward_is_bit_identical(self, shape, training, default, x_dtype, rng):
         with using_dtype(default):
-            x, scale, shift, (rm, rv) = self.inputs(rng, shape, x_dtype)
-            fused_stats, oracle_stats = (rm.copy(), rv.copy()), (rm.copy(), rv.copy())
-            fused = batch_norm(x, scale, shift, *fused_stats, training=training).data
-            oracle = batch_norm_oracle(x, scale, shift, *oracle_stats, training=training).data
+            x, scale, shift, stats = self.inputs(rng, shape, x_dtype)
+            given = None if training else stats
+            kept = [s.copy() for s in stats]
+            fused, *fused_stats = batch_norm(x, scale, shift, given)
+            oracle, *oracle_stats = batch_norm_oracle(x, scale, shift, given)
         assert fused.dtype == oracle.dtype
-        np.testing.assert_array_equal(fused, oracle)
+        np.testing.assert_array_equal(fused.data, oracle.data)
+        # the statistics it normalized with, in the expression's dtype; the
+        # given ones are read, not written
         for f, o in zip(fused_stats, oracle_stats):
+            assert f.shape == (shape[1],) and f.dtype == o.dtype
             np.testing.assert_array_equal(f, o)
+        for s, k in zip(stats, kept):
+            np.testing.assert_array_equal(s, k)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("training", [True, False])
@@ -396,7 +415,7 @@ class TestFusedBatchNorm:
         grads = []
         for f in (batch_norm, batch_norm_oracle):
             leaves = [Tensor(t.data, requires_grad=True) for t in (x, scale, shift)]
-            out = f(*leaves, *(s.copy() for s in stats), training=training)
+            out = f(*leaves, None if training else stats)[0]
             (out * upstream).sum().backward()
             grads.append([t.grad for t in leaves])
         for g, r in zip(*grads):
@@ -413,7 +432,7 @@ class TestFusedBatchNorm:
             tracemalloc.start()
             try:
                 held = tracemalloc.get_traced_memory()[0]
-                out = batch_norm(x, scale, shift, *stats, training=training)
+                out = batch_norm(x, scale, shift, None if training else stats)[0]
                 peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
@@ -423,7 +442,8 @@ class TestFusedBatchNorm:
     def test_one_node(self, training, count_nodes, rng):
         x, scale, shift, stats = self.inputs(rng, (2, 3, 4, 4))
         x.requires_grad = True
-        assert count_nodes(lambda: batch_norm(x, scale, shift, *stats, training=training)) == 1
+        assert count_nodes(
+            lambda: batch_norm(x, scale, shift, None if training else stats)[0]) == 1
 
 
 class TestActivations:
@@ -535,7 +555,7 @@ class TestActivations:
 
         def f(xi, wi, si, bi):
             h = conv2d(xi, wi, None, ConvSpec(padding=1))
-            h = batch_norm(h, si, bi, np.zeros(3), np.ones(3), training=True)
+            h = batch_norm(h, si, bi)[0]
             return gelu(h).sum()
 
         assert grad_check(f, [x, w, s, b]) < 1e-4

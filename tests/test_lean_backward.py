@@ -6,11 +6,11 @@ forward intermediates (the padded input, the normalized input, the sampling
 corners and corner values, all six SSIM terms, ELU's negative branch, GELU's
 phi), and ``conv2d_reference`` is the conv2d closure that ran every kernel
 tap. The lean closures rebuild those values in the backward with the same
-operations, and skip only taps that read nothing but zero padding, so their
+operations, or keep only what their backward reads (GELU's phi, SSIM's
+factors), and skip only taps that read nothing but zero padding, so their
 gradients must be equal element for element.
 """
 
-import contextlib
 import functools
 from itertools import product
 
@@ -24,13 +24,13 @@ from litedepth.data import SyntheticSource
 from litedepth.encoder import AttentionBlock, DilatedConvBlock, EncoderConfig
 from litedepth.engine import (
     ConvSpec, Tensor, batch_norm, bilinear_sample, conv2d, default_dtype, elu,
-    gelu, using_dtype,
+    gelu, no_grad, using_dtype,
 )
 from litedepth.engine.functional import (
     _ERF_BLOCK, _INV_SQRT_2PI, _SQRT2, _erf, _reads_input,
 )
-from litedepth.engine.tensor import _rerun
 from litedepth.losses import _box3, _box3_adjoint, ssim
+from litedepth.nn import ConvBnGelu
 
 
 # ------------------------------------------------------- the kept closures
@@ -247,7 +247,7 @@ class TestBackwardUnchanged:
         scale, shift = leaf(rng, (5,), dtype), leaf(rng, (5,), dtype)
         stats = (rng.standard_normal(5).astype(dtype), rng.uniform(0.5, 2.0, 5).astype(dtype))
         kept = tuple(s.copy() for s in stats)
-        out = batch_norm(x, scale, shift, *stats, training=training)
+        out = batch_norm(x, scale, shift, None if training else stats)[0]
         g = rng.standard_normal(out.shape).astype(dtype)
         assert_same_grads(out._backward(g),
                           batch_norm_reference(x, scale, shift, *kept, training, g))
@@ -279,26 +279,34 @@ class TestBackwardUnchanged:
 
     @pytest.mark.parametrize("upstream", ["contiguous", "transposed", "f64", "strided-input"])
     def test_gelu(self, upstream, dtype, rng):
-        self.check_gelu(upstream, dtype, rng, rerun=False)
+        self.check_gelu(upstream, dtype, rng)
 
     @pytest.mark.parametrize("upstream", ["contiguous", "transposed", "f64", "strided-input"])
-    def test_gelu_in_rerun(self, upstream, dtype, rng):
-        # inside a recompute re-run GELU keeps phi instead of rebuilding it
-        self.check_gelu(upstream, dtype, rng, rerun=True)
+    def test_gelu_without_graph_keeps_no_phi(self, upstream, dtype, rng):
+        # under no_grad, or on an input that needs no gradient, GELU records
+        # no graph and keeps nothing: the same output, no backward
+        x = leaf(rng, (3, 14 if upstream == "strided-input" else 7, 3169), dtype, scale=3.0)
+        if upstream == "strided-input":
+            x = Tensor(x.data[:, ::2], requires_grad=True)
+        recorded = gelu(x)
+        with no_grad():
+            unrecorded = gelu(x)
+        constant = gelu(Tensor(x.data))
+        for out in (unrecorded, constant):
+            assert out._backward is None and not out.requires_grad
+            assert out.data.tobytes() == recorded.data.tobytes()
 
     @staticmethod
-    def check_gelu(upstream, dtype, rng, rerun):
-        # more than two _ERF_BLOCKs, so phi is rebuilt or read across two
-        # boundaries
+    def check_gelu(upstream, dtype, rng):
+        # more than two _ERF_BLOCKs, so phi is read across two boundaries
         x = leaf(rng, (3, 14 if upstream == "strided-input" else 7, 3169), dtype, scale=3.0)
         if upstream == "strided-input":
             x = Tensor(x.data[:, ::2], requires_grad=True)
         assert x.data.size > 2 * _ERF_BLOCK
-        with _rerun() if rerun else contextlib.nullcontext():
-            out = gelu(x)
-        if rerun:
-            phi = _cell(out._backward, "phi")
-            assert phi.shape == x.shape and phi.dtype == out.dtype
+        out = gelu(x)
+        # a GELU that records a graph keeps one phi, of its input's shape
+        phi = _cell(out._backward, "phi")
+        assert phi.shape == x.shape and phi.dtype == out.dtype
         if upstream == "transposed":
             g = rng.standard_normal(out.shape[::-1]).astype(dtype).T
             assert not g.flags.c_contiguous
@@ -376,7 +384,7 @@ def _graph_records(root):
 def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     # the graph total_loss leaves for backward, and the graph each recompute
     # node builds when backward re-runs it: a warped branch's photometric
-    # error or a feed-forward with a backward closure is a re-run, since the
+    # error or a conv block with a backward closure is a re-run, since the
     # forward runs without a graph. The recompute nodes keep nothing but
     # their inputs' arrays. A re-run's graph lives only for its node's
     # backward, so the kernels in it may keep what their backward reads.
@@ -401,7 +409,8 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
 
     monkeypatch.setattr(trainer, "total_loss", keep_graph(trainer.total_loss))
     monkeypatch.setattr(losses, "photometric_loss", keep_rerun(losses.photometric_loss))
-    for block, name in ((DilatedConvBlock, "_conv_feed_forward"),
+    for block, name in ((ConvBnGelu, "_conv_bn_gelu"),
+                        (DilatedConvBlock, "_conv_branch"),
                         (AttentionBlock, "_token_feed_forward")):
         monkeypatch.setattr(block, name, keep_rerun(getattr(block, name)))
     trainer.train(TrainConfig(batch_size=2, steps=1, seed=1, precision="f32"),
@@ -411,15 +420,19 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     ops, faults = {}, []
     for rerun, op, shape, first_parent_grad, own in records:
         ops[op] = ops.get(op, 0) + 1
+        ops[op, rerun] = ops.get((op, rerun), 0) + 1
         kept = sorted((a.shape, a.dtype.kind) for a in own)
         if op == "gelu":
-            ops["gelu", rerun] = ops.get(("gelu", rerun), 0) + 1
-            # a re-run GELU keeps its phi, one map of its input's shape; a
-            # GELU outside a node rebuilds it
-            if kept != ([(shape, "f")] if rerun else []):
-                faults.append((op, rerun, kept))
-        elif op in ("conv2d", "batch_norm", "elu", "warped_error",
-                    "_conv_feed_forward", "_token_feed_forward") and own:
+            # a GELU that records a graph keeps its phi, one map of its
+            # input's shape; outside a node only the pose head's 256-channel
+            # GELUs record one
+            if kept != [(shape, "f")] or not (rerun or shape[1] == 256):
+                faults.append((op, rerun, shape, kept))
+        elif op == "batch_norm" and not rerun:
+            # every batch norm runs inside a conv block's node
+            faults.append((op, shape))
+        elif op in ("conv2d", "batch_norm", "elu", "warped_error", "_conv_bn_gelu",
+                    "_conv_branch", "_token_feed_forward") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":
             n, c, ho, wo = shape
@@ -433,11 +446,14 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
             faults.append((op, rerun, kept))
     assert not faults
     assert all(ops.get(op, 0) > 0 for op in
-               ("conv2d", "batch_norm", "elu", "bilinear_sample", "ssim", "warped_error",
-                ("gelu", False))), ops
+               ("conv2d", "batch_norm", "elu", "bilinear_sample", "ssim", "warped_error")), ops
     # two sources at three scales, each re-run once by backward
     assert ops["warped_error"] == ops["bilinear_sample"] == ops["ssim"] == 6, ops
-    # one feed-forward node per block of the tiny encoder, twelve dilated
-    # blocks and three attention blocks, each re-run once with one GELU
-    assert (ops.get("_conv_feed_forward"), ops.get("_token_feed_forward")) == (12, 3), ops
-    assert ops.get(("gelu", True)) == 15, ops
+    # one node per conv block: the tiny encoder's 3 stem and 3 downsampling
+    # blocks and the pose encoder's 5 for each of two sources, twelve
+    # dilated blocks; one per attention block's feed-forward. Each is re-run
+    # once with one GELU, and the pose head runs three GELUs per source
+    assert (ops.get("_conv_bn_gelu"), ops.get("_conv_branch"),
+            ops.get("_token_feed_forward")) == (16, 12, 3), ops
+    assert (ops.get(("gelu", True)), ops.get(("gelu", False))) == (31, 6), ops
+    assert ops.get(("batch_norm", True)) == 28, ops

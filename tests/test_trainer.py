@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litedepth import encoder, losses, trainer
+from litedepth import encoder, losses, nn, trainer
 from litedepth.config import TrainConfig
 from litedepth.data import (DirectorySource, SyntheticSource, Triplet, augment,
                             generate_synthetic_sequence, resize_depth, save_dataset)
@@ -541,9 +541,10 @@ class TestTrainLoop:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_recompute_nodes_match_plain_graphs_bit_for_bit(self, precision, monkeypatch,
                                                             assert_same_bits):
-        # each warped branch of the objective and each encoder feed-forward is
-        # a recompute node; run as plain graphs instead, whole steps give the
-        # same losses, parameter gradients and batch-norm buffers, bit for bit
+        # each warped branch of the objective, each conv block of the encoders
+        # and each attention block's feed-forward is a recompute node; run as
+        # plain graphs instead, whole steps give the same losses, parameter
+        # gradients and batch-norm buffers, bit for bit
         runs = []
         adam_step, total_loss = AdamW.step, trainer.total_loss
         for plain in (False, True):
@@ -560,7 +561,7 @@ class TestTrainLoop:
 
             with monkeypatch.context() as patch:
                 if plain:
-                    for module in (encoder, losses):
+                    for module in (encoder, losses, nn):
                         patch.setattr(module, "recompute", lambda fn, *inputs: fn(*inputs))
                 patch.setattr(AdamW, "step", record_grads)
                 patch.setattr(trainer, "total_loss", record_loss)
