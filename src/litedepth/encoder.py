@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .engine import Tensor, avg_pool, concat, conv2d, gelu, layer_norm, recompute, softmax
+from .engine import Tensor, avg_pool, concat, gelu, recompute, softmax
 from .nn import BatchNorm2d, Conv2d, ConvBnGelu, LayerNorm, Linear, Module
 
 __all__ = [
@@ -158,19 +158,13 @@ class DilatedConvBlock(Module):
         self.project = Conv2d(hidden, channels, 1, rng, init="proj")
 
     def __call__(self, x: Tensor) -> Tensor:
-        z, mean, var = recompute(self._conv_branch, x, self.dwconv.weight,
-                                 self.norm.scale, self.norm.shift,
-                                 self.expand.weight, self.expand.bias,
-                                 self.project.weight, self.project.bias)
+        z, mean, var = recompute(self._conv_branch, x, params=self.parameters())
         self.norm.update(mean, var)
         return x + z
 
-    def _conv_branch(self, x: Tensor, wd: Tensor, scale: Tensor, shift: Tensor,
-                     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tuple:
-        z, mean, var = self.norm.normalize(conv2d(x, wd, None, self.dwconv.spec),
-                                           scale, shift)
-        hidden = gelu(conv2d(z, w1, b1, self.expand.spec))
-        return conv2d(hidden, w2, b2, self.project.spec), mean, var
+    def _conv_branch(self, x: Tensor) -> Tuple:
+        z, mean, var = self.norm(self.dwconv(x))
+        return self.project(gelu(self.expand(z))), mean, var
 
 
 class AttentionBlock(Module):
@@ -179,8 +173,8 @@ class AttentionBlock(Module):
     Tokens are the row-major spatial flattening of the feature map; the
     attention mixes channels, so no positional encoding is used anywhere.
     The feed-forward (layer norm, expansion, GELU, projection) and its
-    residual add are one `recompute` node over the tokens and six
-    parameters, so the graph keeps none of its 6C-wide maps.
+    residual add are one `recompute` node over the tokens and those
+    layers' parameters, so the graph keeps none of its 6C-wide maps.
     """
 
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
@@ -204,17 +198,14 @@ class AttentionBlock(Module):
         attn = xca_attention(self.wq(tokens), self.wk(tokens), self.wv(tokens),
                              self.heads, self.temperature)
         attended = tokens + self.attn_proj(attn)
-        out = recompute(self._token_feed_forward, attended, self.norm.scale, self.norm.shift,
-                        self.expand.weight, self.expand.bias,
-                        self.project.weight, self.project.bias)[0]
+        out = recompute(self._token_feed_forward, attended, params=[
+            p for m in (self.norm, self.expand, self.project) for p in m.parameters()])[0]
         return out.transpose(0, 2, 1).reshape(n, c, h, w)
 
-    def _token_feed_forward(self, t: Tensor, scale: Tensor, shift: Tensor, w1: Tensor,
-                            b1: Tensor, w2: Tensor, b2: Tensor) -> Tuple[Tensor]:
+    def _token_feed_forward(self, t: Tensor) -> Tuple[Tensor]:
         # the residual add is inside, so t sums its three gradient terms, the
         # add's and then layer norm's two, in the plain graph's order
-        hidden = gelu(layer_norm(t, scale, shift, self.norm.eps) @ w1 + b1)
-        return (t + (hidden @ w2 + b2),)
+        return (t + self.project(gelu(self.expand(self.norm(t)))),)
 
 
 class ConvStem(Module):

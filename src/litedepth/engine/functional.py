@@ -377,9 +377,9 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     statistics are the caller's to keep (see `nn.BatchNorm2d`).
 
     One graph node. The means are sums times a default-dtype ``1/count`` and
-    ``eps`` is default-dtype, as the elementwise composition gives them. The
-    backward keeps only per-channel arrays: it rebuilds the normalized input
-    xhat from the input, the mean it subtracted and the deviation std. With
+    ``eps`` is default-dtype, as the elementwise composition gives them.
+    When it records a graph it keeps the normalized input xhat, in the dtype
+    of ``(x - mean) / std``, beside per-channel arrays. With
     g' = g * scale, dx = (g' - mean(g') - xhat * mean(g' * xhat)) / std in
     train mode and g' / std in eval mode.
     """
@@ -407,17 +407,20 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         var = stats[1].reshape(cshape).astype(x.dtype)
     std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
     gamma, beta = scale.data.reshape(cshape), shift.data.reshape(cshape)
-    # one output map: the ops of (x - mu) / std * gamma + beta in place,
-    # each step in the dtype that expression gives it
-    dtype = np.result_type(x.data, mu)
-    out = np.empty(x.shape, np.result_type(dtype, std, gamma, beta))
-    np.subtract(x.data, mu, out=out, dtype=dtype)
-    for op, arg in ((np.divide, std), (np.multiply, gamma), (np.add, beta)):
-        dtype = np.result_type(dtype, arg)
-        op(out, arg, out=out, dtype=dtype)
+    # the ops of (x - mu) / std * gamma + beta, each step in the dtype that
+    # expression gives it: the normalized input in its own map when the
+    # backward reads it, else in place in the one output map
+    dtype = np.result_type(x.data, mu, std)
+    out = np.empty(x.shape, np.result_type(dtype, gamma, beta))
+    keep = grad_enabled() and (x.requires_grad or scale.requires_grad or shift.requires_grad)
+    normed = np.empty(x.shape, dtype) if keep else out
+    np.subtract(x.data, mu, out=normed, dtype=np.result_type(x.data, mu))
+    np.divide(normed, std, out=normed, dtype=dtype)
+    dtype = np.result_type(dtype, gamma)
+    np.multiply(normed, gamma, out=out, dtype=dtype)
+    np.add(out, beta, out=out, dtype=np.result_type(dtype, beta))
 
     def bw(g):
-        normed = (x.data - mu) / std
         gx = None
         if x.requires_grad:
             gx = g

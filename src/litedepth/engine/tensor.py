@@ -432,30 +432,38 @@ def unary_op(x: Tensor, fn: Callable[[np.ndarray], np.ndarray],
     return Tensor._from_op(fn(x.data), (x,), lambda g: (g * grad_fn(x.data),))
 
 
-def recompute(fn: Callable[..., tuple], *inputs):
+def recompute(fn: Callable[..., tuple], *inputs, params: Iterable[Tensor] = ()):
     """One graph node that keeps only its inputs (Chen et al. 2016).
 
-    ``fn(*inputs)`` composes engine ops and returns ``(tensor, *arrays)``.
-    The forward runs it without a graph and returns the tensor's node with
-    the inputs as parents, followed by the arrays. The backward re-runs
-    ``fn`` with the graph on, over fresh leaves that share the inputs'
-    arrays and ``requires_grad`` and under the forward's default dtype, and
-    backpropagates the node's gradient through it. Value and gradients are
-    those of calling ``fn`` directly, bit for bit, when ``fn`` depends on
-    nothing but its inputs and the default dtype, and no input that ``fn``
-    reads twice is also read outside the node: such an input gets its
-    inner terms already summed, so its gradient can round apart. The
-    re-run's arrays are dropped.
+    ``fn(*inputs)`` composes engine ops, reads the leaf tensors ``params``
+    directly and returns ``(tensor, *arrays)``. The forward runs it without
+    a graph and returns the tensor's node, with the inputs and params as
+    parents, and the arrays. The backward re-runs ``fn`` with the graph on,
+    under the forward's default dtype, over fresh leaves sharing the inputs'
+    arrays and ``requires_grad`` and over the params, whose ``grad`` it sets
+    aside meanwhile, and returns each parent's gradient. Value and gradients
+    are those of calling ``fn`` directly, bit for bit, when ``fn`` depends
+    on nothing but its parents and the default dtype, and no parent it reads
+    twice is also read outside the node: such a parent gets its inner terms
+    already summed, so its gradient can round apart. The re-run's arrays
+    are dropped.
     """
-    inputs = tuple(as_tensor(x) for x in inputs)
+    inputs, params = tuple(as_tensor(x) for x in inputs), tuple(params)
     dtype = _dtype_name()
     with no_grad():
         out, *arrays = fn(*inputs)
 
     def bw(g):
         leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
-        with _grad_mode(True), using_dtype(dtype):
-            fn(*leaves)[0]._backpropagate(g)
-        return [leaf.grad for leaf in leaves]
+        kept = [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        try:
+            with _grad_mode(True), using_dtype(dtype):
+                fn(*leaves)[0]._backpropagate(g)
+            return [t.grad for t in (*leaves, *params)]
+        finally:
+            for p, grad in zip(params, kept):
+                p.grad = grad
 
-    return (Tensor._from_op(out.data, inputs, bw), *arrays)
+    return (Tensor._from_op(out.data, inputs + params, bw), *arrays)

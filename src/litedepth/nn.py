@@ -138,11 +138,11 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.eps = eps
 
-    def normalize(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tuple:
-        """`batch_norm` in this layer's mode, with the scale and shift given
-        (leaves sharing their arrays inside a `recompute` node); writes nothing."""
+    def __call__(self, x: Tensor) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+        """`batch_norm` in this layer's mode: the output and the statistics
+        it normalized with. Writes nothing; `update` applies the statistics."""
         stats = None if self.training else (self.running_mean, self.running_var)
-        return batch_norm(x, scale, shift, stats, self.eps)
+        return batch_norm(x, self.scale, self.shift, stats, self.eps)
 
     def update(self, mean: np.ndarray, var: np.ndarray) -> None:
         """In train mode, r <- (1 - momentum) * r + momentum * batch, once per forward."""
@@ -175,11 +175,10 @@ class ConvBnGelu(Module):
         self.norm = BatchNorm2d(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out, mean, var = recompute(self._conv_bn_gelu, x, self.conv.weight,
-                                   self.norm.scale, self.norm.shift)
+        out, mean, var = recompute(self._conv_bn_gelu, x, params=self.parameters())
         self.norm.update(mean, var)
         return out
 
-    def _conv_bn_gelu(self, x: Tensor, w: Tensor, scale: Tensor, shift: Tensor) -> Tuple:
-        z, mean, var = self.norm.normalize(conv2d(x, w, None, self.conv.spec), scale, shift)
+    def _conv_bn_gelu(self, x: Tensor) -> Tuple:
+        z, mean, var = self.norm(self.conv(x))
         return gelu(z), mean, var

@@ -75,8 +75,8 @@ def _pixel_rays(cams: List[CameraIntrinsics], h: int, w: int) -> np.ndarray:
     ones = np.ones_like(us)
     grid = np.stack([us, vs, ones]).reshape(3, -1)
     if len(set(cams)) == 1:
-        # the graph keeps the rays of every warp; one shared copy keeps a
-        # one-camera batch at the memory of a single-camera warp
+        # a one-camera batch shares one copy: each warp, or its node's
+        # re-run, holds one camera's rays and inverts K once, not N times
         cams = cams[:1]
     return np.stack([c.inverse_matrix() @ grid for c in cams])
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -134,13 +135,22 @@ class TestCliSurface:
         assert sum(map(len, flags.values())) == 39
 
     def test_readme_commands_parse(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
         block = re.search(r"^## CLI\n.*?^```bash\n(.*?)^```", readme, re.S | re.M).group(1)
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("litedepth ")]
         assert len(commands) >= 8
+        # the CI workflow's shell commands, each cut at `||`, and the
+        # paper-scale step's argv list
+        workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+        ci = [shlex.split(line.split("||")[0])
+              for line in map(str.strip, workflow.replace("\\\n", " ").splitlines())
+              if line.startswith("litedepth ")]
+        ci += [ast.literal_eval(m) for m in re.findall(r'\["litedepth",.*?\]', workflow, re.S)]
+        assert len(ci) == 10
         parser = _build_parser()
-        for argv in commands:
+        for argv in commands + ci:
             args = parser.parse_args(argv[1:])     # a usage error exits 1
             assert args.command == argv[1]
 

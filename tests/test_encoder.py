@@ -258,6 +258,9 @@ class TestFeedForwardNode:
 
     BLOCKS = {
         "conv-bn-gelu": lambda rng: ConvBnGelu(8, 8, rng, stride=2),
+        # a ConvBnGelu on an input that needs no gradient, as the stem reads
+        # the image: only its parameters make the node
+        "stem": lambda rng: ConvBnGelu(8, 8, rng, stride=2),
         "dilated": lambda rng: DilatedConvBlock(8, 2, rng),
         "stage-entry": _StageEntry,
         "attention": lambda rng: AttentionBlock(8, 2, rng),
@@ -278,14 +281,16 @@ class TestFeedForwardNode:
             with using_dtype(default), monkeypatch.context() as patch:
                 if plain:
                     for module in (encoder, nn):
-                        patch.setattr(module, "recompute", lambda fn, *inputs: fn(*inputs))
+                        patch.setattr(module, "recompute",
+                                      lambda fn, *inputs, params=(): fn(*inputs))
                 rng = np.random.default_rng(7)
                 block = self.BLOCKS[kind](rng).train()
                 # nonzero biases and norm parameters, so every input matters
                 for p in block.parameters():
                     p.data[...] = rng.standard_normal(p.shape) * 0.5
                 dt = default_dtype()
-                x = Tensor(rng.standard_normal((2, 8, 5, 7)).astype(dt), requires_grad=True)
+                x = Tensor(rng.standard_normal((2, 8, 5, 7)).astype(dt),
+                           requires_grad=kind != "stem")
                 out = block(x)
                 after_forward = [b.copy() for _, b in block.named_buffers()]
                 g = rng.standard_normal(out.shape).astype(dt)

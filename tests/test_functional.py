@@ -313,9 +313,9 @@ class TestNormalize:
     def test_batch_norm_momentum_one_freezes_batch_stats(self, rng):
         x = Tensor(rng.standard_normal((4, 3, 5, 5)))
         norm = BatchNorm2d(3, momentum=1.0)
-        train_out, mean, var = norm.normalize(x, norm.scale, norm.shift)
+        train_out, mean, var = norm(x)
         norm.update(mean, var)
-        eval_out = norm.eval().normalize(x, norm.scale, norm.shift)[0]
+        eval_out = norm.eval()(x)[0]
         np.testing.assert_allclose(eval_out.data, train_out.data, atol=1e-12)
 
     def test_batch_norm_module_updates_only_in_train_mode(self, rng):
@@ -323,13 +323,13 @@ class TestNormalize:
         # forward hands out; an eval-mode forward leaves the buffers alone
         x = Tensor(rng.standard_normal((4, 3, 5, 5)) * 2 + 1)
         norm = BatchNorm2d(3, momentum=0.25)
-        _, mean, var = norm.normalize(x, norm.scale, norm.shift)
+        _, mean, var = norm(x)
         norm.update(mean, var)
         np.testing.assert_array_equal(norm.running_mean, 0.25 * mean)
         np.testing.assert_array_equal(norm.running_var, 0.75 + 0.25 * var)
         kept = [b.copy() for _, b in norm.named_buffers()]
         norm.eval()
-        norm.update(*norm.normalize(x, norm.scale, norm.shift)[1:])
+        norm.update(*norm(x)[1:])
         for (_, b), k in zip(norm.named_buffers(), kept):
             np.testing.assert_array_equal(b, k)
 

@@ -7,8 +7,9 @@ corners and corner values, all six SSIM terms, ELU's negative branch, GELU's
 phi), and ``conv2d_reference`` is the conv2d closure that ran every kernel
 tap. The lean closures rebuild those values in the backward with the same
 operations, or keep only what their backward reads (GELU's phi, SSIM's
-factors), and skip only taps that read nothing but zero padding, so their
-gradients must be equal element for element.
+factors, batch norm's normalized input), and skip only taps that read
+nothing but zero padding, so their gradients must be equal element for
+element.
 """
 
 import functools
@@ -242,15 +243,26 @@ class TestBackwardUnchanged:
             assert _reads_input(first, step, count, size) == hits
 
     @pytest.mark.parametrize("training", [True, False])
-    def test_batch_norm(self, training, dtype, rng):
-        x = leaf(rng, (2, 5, 6, 7), dtype, scale=2.0)
-        scale, shift = leaf(rng, (5,), dtype), leaf(rng, (5,), dtype)
+    # the input's and the parameters' dtypes: the default's, or an f32 input
+    # with f64 scale and shift, and the reverse. The upstream has the
+    # input's dtype, narrower than the output's under f64 parameters, so a
+    # normalized input kept in the output's dtype rounds apart
+    @pytest.mark.parametrize("mix", [None, (np.float32, np.float64),
+                                     (np.float64, np.float32)])
+    def test_batch_norm(self, training, mix, dtype, rng):
+        x_dtype, p_dtype = mix or (dtype, dtype)
+        x = leaf(rng, (2, 5, 6, 7), x_dtype, scale=2.0)
+        scale, shift = leaf(rng, (5,), p_dtype), leaf(rng, (5,), p_dtype)
         stats = (rng.standard_normal(5).astype(dtype), rng.uniform(0.5, 2.0, 5).astype(dtype))
         kept = tuple(s.copy() for s in stats)
         out = batch_norm(x, scale, shift, None if training else stats)[0]
-        g = rng.standard_normal(out.shape).astype(dtype)
+        g = rng.standard_normal(out.shape).astype(x_dtype)
         assert_same_grads(out._backward(g),
                           batch_norm_reference(x, scale, shift, *kept, training, g))
+        # without a graph it normalizes in place in its output, to the same bits
+        with no_grad():
+            unrecorded = batch_norm(x, scale, shift, None if training else stats)[0]
+        assert unrecorded.data.tobytes() == out.data.tobytes()
 
     @pytest.mark.parametrize("source_grad", [True, False])
     def test_bilinear_sample(self, source_grad, dtype, rng):
@@ -356,7 +368,7 @@ def _graph_records(root):
     """(op, shape, first parent needs grad, own arrays) for each node of the
     graph under `root`: its own arrays are the maps its backward keeps that
     no tensor of the graph holds. A `recompute` node is named by the
-    function it re-runs, and every array it keeps but its inputs' is its own."""
+    function it re-runs, and every array it keeps but its parents' is its own."""
     nodes, todo, seen = [], [root], set()
     while todo:
         t = todo.pop()
@@ -386,8 +398,9 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     # node builds when backward re-runs it: a warped branch's photometric
     # error or a conv block with a backward closure is a re-run, since the
     # forward runs without a graph. The recompute nodes keep nothing but
-    # their inputs' arrays. A re-run's graph lives only for its node's
-    # backward, so the kernels in it may keep what their backward reads.
+    # their parents' arrays, the inputs' and the params'. A re-run's graph
+    # lives only for its node's backward, so the kernels in it may keep what
+    # their backward reads.
     records = []
 
     def keep_graph(total_loss):
@@ -428,10 +441,12 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
             # GELUs record one
             if kept != [(shape, "f")] or not (rerun or shape[1] == 256):
                 faults.append((op, rerun, shape, kept))
-        elif op == "batch_norm" and not rerun:
-            # every batch norm runs inside a conv block's node
-            faults.append((op, shape))
-        elif op in ("conv2d", "batch_norm", "elu", "warped_error", "_conv_bn_gelu",
+        elif op == "batch_norm":
+            # every batch norm runs inside a conv block's node and keeps its
+            # normalized input, one map of its output's shape
+            if kept != [(shape, "f")] or not rerun:
+                faults.append((op, rerun, shape, kept))
+        elif op in ("conv2d", "elu", "warped_error", "_conv_bn_gelu",
                     "_conv_branch", "_token_feed_forward") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":

@@ -195,7 +195,7 @@ class TestWarpedBranch:
             synth, _ = synthesize(Tensor(source.astype(p_dtype)), Tensor(depth.astype(p_dtype)),
                                   Tensor(transform.astype(t_dtype)), cams)
             target[:, :, :2] = synth.data[:, :, :2]
-            for run in (recompute, lambda fn, *inputs: fn(*inputs)):
+            for run in (recompute, lambda fn, *inputs, params=(): fn(*inputs)):
                 leaves = [Tensor(depth.astype(p_dtype), requires_grad=geometry_grad),
                           Tensor(transform.astype(t_dtype), requires_grad=geometry_grad),
                           Tensor(source.astype(p_dtype), requires_grad=image_grad),
@@ -452,7 +452,7 @@ class TestTotalLoss:
         for plain in (False, True):
             with using_dtype(default), monkeypatch.context() as patch:
                 if plain:
-                    patch.setattr(losses, "recompute", lambda fn, *inputs: fn(*inputs))
+                    patch.setattr(losses, "recompute", lambda fn, *inputs, params=(): fn(*inputs))
                 disps, target, sources, transforms, cams = self._step_inputs(
                     2, 12, 16, per_sample, image_grad, dtype)
                 loss, _ = total_loss(disps, target, sources, transforms, cams, LossConfig())

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from litedepth.decoder import DepthDecoder
 from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import (
-    Tensor, concat, grad_check, maximum, minimum, no_grad, recompute, softmax,
-    stack, using_dtype,
+    Tensor, concat, default_dtype, grad_check, maximum, minimum, no_grad, recompute,
+    softmax, stack, using_dtype,
 )
 from test_op_properties import BINARY, SEEDS
 
@@ -116,18 +116,28 @@ def composite(a, b):
     return a * b + (a * 0.1).exp(), a.data > 0.0
 
 
+def composite_node(a, b, b_param):
+    """`composite` as one node, with b its second input or a param it reads."""
+    if b_param:
+        return recompute(lambda x: composite(x, b), a, params=[b])
+    return recompute(composite, a, b)
+
+
 class TestRecompute:
-    """recompute(fn, *inputs) is one node with fn's value and gradients."""
+    """recompute(fn, *inputs, params=...) is one node with fn's value and
+    gradients; fn reads its params directly, as a block reads its weights."""
 
     @pytest.mark.parametrize("default, a_dtype, b_dtype", [
         ("f32", np.float32, np.float32), ("f64", np.float64, np.float64),
         ("f32", np.float64, np.float32), ("f64", np.float32, np.float64)])
     @pytest.mark.parametrize("b_grad", [True, False])
+    # b as the node's second input, or as a param that fn reads directly
+    @pytest.mark.parametrize("b_param", [False, True])
     # assert_same_bits keeps no state between examples
     @settings(max_examples=4, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 5)), seed=SEEDS)
-    def test_matches_fn_bit_for_bit(self, default, a_dtype, b_dtype, b_grad, shape, seed,
-                                    assert_same_bits):
+    def test_matches_fn_bit_for_bit(self, default, a_dtype, b_dtype, b_grad, b_param, shape,
+                                    seed, assert_same_bits):
         rng = np.random.default_rng(seed)
         a_data, b_data = rng.standard_normal((2, *shape))
         upstream = rng.standard_normal(shape)
@@ -137,7 +147,7 @@ class TestRecompute:
             a = Tensor(a_data.astype(a_dtype), requires_grad=True)
             b = Tensor(b_data.astype(b_dtype), requires_grad=b_grad)
             with using_dtype(default):
-                y, mask = recompute(composite, a, b) if fused else composite(a, b)
+                y, mask = composite_node(a, b, b_param) if fused else composite(a, b)
             # the backward runs under the other default dtype
             with using_dtype("f64" if default == "f32" else "f32"):
                 (y * Tensor(upstream.astype(y.dtype))).sum().backward()
@@ -146,19 +156,52 @@ class TestRecompute:
         for fused, direct in zip(*results):
             assert_same_bits(fused, direct)
 
-    def test_one_node_and_none_under_no_grad(self, count_nodes, rng):
-        a, b = Tensor(rng.standard_normal(3), requires_grad=True), Tensor(rng.standard_normal(3))
-        assert count_nodes(lambda: recompute(composite, a, b)) == 1
+    @pytest.mark.parametrize("default", ["f32", "f64"])
+    def test_param_with_a_grad_read_by_two_nodes(self, default, rng, assert_same_bits):
+        # w already holds a gradient and each node reads it once: the plain
+        # graph adds the sum of its two terms to that grad, and so must the
+        # nodes; adding each term to w.grad in turn rounds apart
+        x_data, w_data, held, upstream = rng.standard_normal((4, 64))
+        results = []
+        for fused in (True, False):
+            with using_dtype(default):
+                dt = default_dtype()
+                x = Tensor(x_data.astype(dt), requires_grad=True)
+                w = Tensor(w_data.astype(dt), requires_grad=True)
+                w.grad = held.astype(dt)
+
+                def scaled(t):
+                    return ((t * w).exp(),)
+
+                run = recompute if fused else lambda fn, *inputs, params=(): fn(*inputs)
+                h = run(scaled, x, params=[w])[0]
+                y = run(scaled, h * 0.5, params=[w])[0]
+                (y * Tensor(upstream.astype(dt))).sum().backward()
+            results.append((y.data, x.grad, w.grad))
+        for fused, direct in zip(*results):
+            assert_same_bits(fused, direct)
+
+    # a and b as inputs; an input needing no gradient with a param that
+    # does, as the stem reads the image
+    @pytest.mark.parametrize("b_param", [False, True])
+    def test_one_node_and_none_under_no_grad(self, b_param, count_nodes, rng):
+        a = Tensor(rng.standard_normal(3), requires_grad=not b_param)
+        b = Tensor(rng.standard_normal(3), requires_grad=b_param)
+        assert count_nodes(lambda: composite_node(a, b, b_param)) == 1
         with no_grad():
-            assert count_nodes(lambda: recompute(composite, a, b)) == 0
-            y, _ = recompute(composite, a, b)
+            assert count_nodes(lambda: composite_node(a, b, b_param)) == 0
+            y, _ = composite_node(a, b, b_param)
         assert not y.requires_grad and y._parents == ()
 
-    def test_input_without_grad_gets_none(self, rng):
-        a, b = Tensor(rng.standard_normal(3), requires_grad=True), Tensor(rng.standard_normal(3))
-        y, _ = recompute(composite, a, b)
+    @pytest.mark.parametrize("b_param", [False, True])
+    def test_input_without_grad_gets_none(self, b_param, rng):
+        a = Tensor(rng.standard_normal(3), requires_grad=not b_param)
+        b = Tensor(rng.standard_normal(3), requires_grad=b_param)
+        y, _ = composite_node(a, b, b_param)
         ga, gb = y._backward(np.ones(3))
-        assert ga is not None and gb is None
+        assert (ga is None, gb is None) == (b_param, not b_param)
+        # a param's grad is left as it was before the node's backward
+        assert b.grad is None
 
     def test_second_backward_raises(self, rng):
         a = Tensor(rng.standard_normal(3), requires_grad=True)

@@ -562,7 +562,8 @@ class TestTrainLoop:
             with monkeypatch.context() as patch:
                 if plain:
                     for module in (encoder, losses, nn):
-                        patch.setattr(module, "recompute", lambda fn, *inputs: fn(*inputs))
+                        patch.setattr(module, "recompute",
+                                      lambda fn, *inputs, params=(): fn(*inputs))
                 patch.setattr(AdamW, "step", record_grads)
                 patch.setattr(trainer, "total_loss", record_loss)
                 res = train(toy_train_config(steps=2, precision=precision), TINY,
