@@ -172,9 +172,11 @@ class AttentionBlock(Module):
 
     Tokens are the row-major spatial flattening of the feature map; the
     attention mixes channels, so no positional encoding is used anywhere.
-    The feed-forward (layer norm, expansion, GELU, projection) and its
-    residual add are one `recompute` node over the tokens and those
-    layers' parameters, so the graph keeps none of its 6C-wide maps.
+    Each half and its residual add is one `recompute` node over its input
+    tokens and its layers' parameters: the attention half (q, k, v, the
+    channel attention and its projection), then the feed-forward (layer
+    norm, expansion, GELU, projection). So the graph keeps none of their
+    maps, the 6C-wide ones included.
     """
 
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
@@ -195,12 +197,17 @@ class AttentionBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
         tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)     # (N, HW, C)
-        attn = xca_attention(self.wq(tokens), self.wk(tokens), self.wv(tokens),
-                             self.heads, self.temperature)
-        attended = tokens + self.attn_proj(attn)
+        attended = recompute(self._attention_half, tokens, params=[self.temperature] + [
+            p for m in (self.wq, self.wk, self.wv, self.attn_proj) for p in m.parameters()])[0]
         out = recompute(self._token_feed_forward, attended, params=[
             p for m in (self.norm, self.expand, self.project) for p in m.parameters()])[0]
         return out.transpose(0, 2, 1).reshape(n, c, h, w)
+
+    def _attention_half(self, t: Tensor) -> Tuple[Tensor]:
+        # the residual add is inside, so t sums its four gradient terms, the
+        # add's and the three projections', in the plain graph's order
+        attn = xca_attention(self.wq(t), self.wk(t), self.wv(t), self.heads, self.temperature)
+        return (t + self.attn_proj(attn),)
 
     def _token_feed_forward(self, t: Tensor) -> Tuple[Tensor]:
         # the residual add is inside, so t sums its three gradient terms, the

@@ -429,20 +429,22 @@ def evaluate(models: Models, data_source,
     default; returns the mean row and the per-frame rows. Where the ground
     truth's resolution differs from the frames', the predicted inverse depth
     is resized to it and inverted back, so metrics compare at the ground
-    truth's resolution."""
+    truth's resolution. Only the target frame and its ground truth are kept
+    from each triplet: its two neighbours are freed before the forward."""
     if len(data_source) == 0:
         raise ValueError("data source has no triplets")
     models.eval()
     per_frame: List[DepthMetrics] = []
     for i in range(len(data_source)):
         trip = data_source.triplet(i)
-        if trip.gt_depth is None:
+        frame, gt_depth = trip.frames[1], trip.gt_depth
+        del trip
+        if gt_depth is None:
             raise ValueError(f"triplet {i} carries no ground-truth depth")
         # no local name: each depth map is freed before the next forward
         per_frame.append(depth_metrics(
-            resize_depth(predict_depth(models, trip.frames[1], loss_config),
-                         trip.gt_depth.shape),
-            trip.gt_depth, cap=cap, median_scale=median_scale))
+            resize_depth(predict_depth(models, frame, loss_config), gt_depth.shape),
+            gt_depth, cap=cap, median_scale=median_scale))
     mean = DepthMetrics(*[float(np.mean([getattr(m, c) for m in per_frame]))
                           for c in METRIC_COLUMNS])
     return mean, per_frame

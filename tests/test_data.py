@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,7 +136,11 @@ class TestRendererOracle:
         dict(size=(64, 32), mover=True),
         dict(size=(64, 32), motion_scale=0.0),
         dict(size=(96, 64)),
-    ], ids=["custom-intrinsics", "mover", "static", "rotated"])
+        # 320x96 is two render chunks and a partial one, whose boundaries
+        # fall mid-row; the oracle renders each frame in one piece
+        dict(size=(320, 96)),
+        dict(size=(320, 96), mover=True),
+    ], ids=["custom-intrinsics", "mover", "static", "rotated", "chunks", "chunks-mover"])
     def test_sequence_equals_the_oracle_path(self, kwargs, monkeypatch):
         seq = generate_synthetic_sequence(11, 4, **kwargs)
         monkeypatch.setattr(data, "_render_frame", render_frame_oracle)
@@ -151,6 +156,21 @@ class TestRendererOracle:
         if "motion_scale" not in kwargs and "mover" not in kwargs:
             # rotation is on: some camera's axes leave the world's
             assert not np.allclose(seq.poses[:, :3, :3], np.eye(3))
+
+    def test_render_temporaries_stay_bounded(self):
+        # what one 640x192 frame allocates beyond the arrays it returns:
+        # 11.6 MiB rendering in chunks, 25.5 MiB in one piece (numpy 2.4.6).
+        # The bound is 25% above the first. A small render first, so lazy
+        # imports do not count
+        generate_synthetic_sequence(0, 1, (64, 32))
+        tracemalloc.start()
+        try:
+            seq = generate_synthetic_sequence(0, 1, (640, 192))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = seq.frames.nbytes + seq.depths.nbytes + seq.poses.nbytes
+        assert peak - returned <= 14.5 * 2 ** 20
 
 
 class TestRendererWarperCrossValidation:

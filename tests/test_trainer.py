@@ -542,7 +542,7 @@ class TestTrainLoop:
     def test_recompute_nodes_match_plain_graphs_bit_for_bit(self, precision, monkeypatch,
                                                             assert_same_bits):
         # each warped branch of the objective, each conv block of the encoders
-        # and each attention block's feed-forward is a recompute node; run as
+        # and each attention block's two halves are recompute nodes; run as
         # plain graphs instead, whole steps give the same losses, parameter
         # gradients and batch-norm buffers, bit for bit
         runs = []
@@ -634,6 +634,35 @@ class TestEvaluate:
         assert pred.shape == gt.shape == (64, 128)
         small = predict_depth(models, src.triplet(0).frames[1])
         np.testing.assert_array_equal(pred, resize_depth(small, (64, 128)))
+
+    def test_only_the_scored_frame_is_held_through_the_forward(self, monkeypatch):
+        # each triplet is fresh arrays that nothing else holds: when the
+        # forward runs, the two neighbours are already freed and the frame
+        # it gets is the target; the rows are those of scoring the targets
+        seq = generate_synthetic_sequence(4, 5, (64, 32))
+        refs = []
+
+        class Fresh:
+            def __len__(self):
+                return len(seq) - 2
+
+            def triplet(self, i):
+                frames = tuple(seq.frames[t].copy() for t in (i, i + 1, i + 2))
+                refs.append([weakref.ref(f) for f in frames])
+                return Triplet(frames, seq.intrinsics, gt_depth=seq.depths[i + 1].copy())
+
+        def checked(models, frame, loss_config=None):
+            previous, target, following = refs[-1]
+            assert previous() is None and following() is None
+            assert target() is frame
+            return predict_depth(models, frame, loss_config)
+
+        models = build_models(TINY, seed=0)
+        monkeypatch.setattr(trainer, "predict_depth", checked)
+        _, rows = evaluate(models, Fresh())
+        assert len(refs) == len(rows) == 3
+        assert rows == [depth_metrics(predict_depth(models, seq.frames[t]), seq.depths[t])
+                        for t in (1, 2, 3)]
 
     def test_missing_gt_rejected(self):
         src = SyntheticSource(seed=2, n_frames=4, size=(64, 32))
