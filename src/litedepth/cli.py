@@ -23,7 +23,7 @@ from .data import (DirectorySource, SyntheticSource, generate_synthetic_sequence
                    resize_depth, resize_frame, save_dataset)
 from .decoder import DepthDecoder
 from .encoder import FRAME_MULTIPLE, EncoderConfig, check_frame_size, count_flops, count_params
-from .engine import set_default_dtype
+from .engine import using_dtype
 from .metrics import DEPTH_CAP, DEPTH_FLOOR, DepthMetrics
 from .pngio import load_image, write_f32, write_png
 from .trainer import (build_models, evaluate, load_checkpoint, predict_depth,
@@ -142,8 +142,8 @@ def _models_from_checkpoint(path: str):
         cfg.validate()
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path} (saved config): {exc.args[0]}") from None
-    set_default_dtype(cfg.train.precision)
-    models = build_models(cfg.encoder, seed=cfg.train.seed)
+    with using_dtype(cfg.train.precision):
+        models = build_models(cfg.encoder, seed=cfg.train.seed)
     restore_checkpoint(entries, models, path=path)
     return models, cfg
 

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import List, Union
 
 from .encoder import EncoderConfig, check_frame_size
+from .engine.tensor import _DTYPES
 from .losses import LossConfig
 
 __all__ = ["DataConfig", "RunConfig", "TrainConfig"]
@@ -45,8 +46,9 @@ class TrainConfig:
         if self.steps <= 0 and self.epochs < 1:
             raise ValueError(f"train.epochs must be >= 1 when train.steps <= 0 "
                              f"(no step would run), got {self.epochs}")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"train.precision must be f32 or f64, got {self.precision!r}")
+        if self.precision not in _DTYPES:
+            raise ValueError(f"train.precision must be {' or '.join(_DTYPES)}, "
+                             f"got {self.precision!r}")
 
 
 @dataclass

@@ -42,10 +42,11 @@ def _dtype_name() -> str:
     return getattr(_state, "dtype", "f32")
 
 
-def set_default_dtype(name: str) -> None:
-    """Select the precision used for new parameters/constants ("f32" or "f64")."""
-    if name not in _DTYPES:
-        raise ValueError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
+def set_default_dtype(dtype) -> None:
+    """Select the precision of new parameters/constants: "f32", "f64" or its numpy dtype."""
+    name = next((k for k, v in _DTYPES.items() if dtype in (k, v)), None)
+    if name is None:
+        raise ValueError(f"unknown dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
     _state.dtype = name
 
 
@@ -54,9 +55,9 @@ def default_dtype() -> np.dtype:
 
 
 @contextlib.contextmanager
-def using_dtype(name: str):
+def using_dtype(dtype):
     prev = _dtype_name()
-    set_default_dtype(name)
+    set_default_dtype(dtype)
     try:
         yield
     finally:

@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .data import augment, resize_depth
 from .decoder import DepthDecoder, disp_to_depth
 from .encoder import DepthEncoder, EncoderConfig
-from .engine import Tensor, no_grad, set_default_dtype
+from .engine import Tensor, default_dtype, no_grad, using_dtype
 from .losses import LossConfig, total_loss
 from .metrics import DEPTH_CAP, METRIC_COLUMNS, DepthMetrics, depth_metrics
 from .nn import Module
@@ -241,7 +241,8 @@ def restore_checkpoint(entries: Dict[str, np.ndarray], models: Models,
                        opt: Optional[AdamW] = None,
                        path: Union[str, Path] = "checkpoint") -> None:
     """Copy the entries into the models (and the optimizer, given one),
-    after checking that every entry is present with the model's shape."""
+    after checking that every entry is present with the model's shape and
+    dtype."""
     state = _state(models, opt)
     missing = [name for name in state if name not in entries]
     if missing:
@@ -251,6 +252,9 @@ def restore_checkpoint(entries: Dict[str, np.ndarray], models: Models,
         if entries[name].shape != target.shape:
             raise ValueError(f"{path}: {name}: checkpoint shape {entries[name].shape} "
                              f"vs model {target.shape}")
+        if entries[name].dtype != target.dtype:
+            raise ValueError(f"{path}: {name}: checkpoint dtype {entries[name].dtype} "
+                             f"vs model {target.dtype}")
     for name, target in state.items():
         target[...] = entries[name]
     if opt is not None:
@@ -260,8 +264,8 @@ def restore_checkpoint(entries: Dict[str, np.ndarray], models: Models,
 # ------------------------------------------------------------------- training
 
 
-def _stack(frames: Sequence[np.ndarray], dtype) -> Tensor:
-    return Tensor(np.stack(frames).astype(dtype))
+def _stack(frames: Sequence[np.ndarray]) -> Tensor:
+    return Tensor(np.stack(frames).astype(default_dtype()))
 
 
 _CURVE_COLUMNS = ("step", "lr", "total", "scale0", "scale1", "scale2", "smoothness")
@@ -287,104 +291,103 @@ def train(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     Per batch: depth pyramid on the target frame, poses against the previous
     and next frames, full multi-scale loss, backward, one AdamW step at the
-    per-iteration cosine rate. Deterministic for a fixed seed. Raises
-    TrainingDiverged, after dumping the disparities under
-    ``out_dir/diagnostics``, on a non-finite network output, an all-zero
+    per-iteration cosine rate, all at ``train_config.precision`` (the
+    caller's default dtype is restored). Deterministic for a fixed seed and
+    BLAS thread count. Raises TrainingDiverged, after dumping the disparities
+    under ``out_dir/diagnostics``, on a non-finite network output, an all-zero
     disparity map or a non-finite loss. Under ``out_dir``, ``curves.csv``
     gains its row as each step ends, so a run that stops keeps its curve.
     """
     cfg = train_config
     loss_cfg = loss_config or LossConfig()
-    set_default_dtype(cfg.precision)
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
+    with using_dtype(cfg.precision):
+        models = build_models(encoder_config, seed=cfg.seed).train()
+        opt = AdamW(dict(models.named_parameters()), weight_decay=cfg.weight_decay)
 
-    models = build_models(encoder_config, seed=cfg.seed).train()
-    opt = AdamW(dict(models.named_parameters()), weight_decay=cfg.weight_decay)
+        n_items = len(data_source)
+        if n_items == 0:
+            raise ValueError("data source has no triplets")
+        steps_per_epoch = max(1, math.ceil(n_items / cfg.batch_size))
+        total_steps = cfg.steps if cfg.steps > 0 else cfg.epochs * steps_per_epoch
 
-    n_items = len(data_source)
-    if n_items == 0:
-        raise ValueError("data source has no triplets")
-    steps_per_epoch = max(1, math.ceil(n_items / cfg.batch_size))
-    total_steps = cfg.steps if cfg.steps > 0 else cfg.epochs * steps_per_epoch
+        out_path = curve_path = None
+        if out_dir is not None:
+            out_path = Path(out_dir)
+            (out_path / "checkpoints").mkdir(parents=True, exist_ok=True)
+            curve_path = out_path / "curves.csv"
+            curve_path.write_text(_curve_line(_CURVE_COLUMNS))
 
-    out_path = curve_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        (out_path / "checkpoints").mkdir(parents=True, exist_ok=True)
-        curve_path = out_path / "curves.csv"
-        curve_path.write_text(_curve_line(_CURVE_COLUMNS))
+        rng = np.random.default_rng(cfg.seed)
 
-    rng = np.random.default_rng(cfg.seed)
+        def run_step(step: int, idx: np.ndarray) -> dict:
+            """Load the batch, take one optimization step and return its curve
+            row. Nothing the step builds outlives the call."""
+            triplets = [data_source.triplet(int(i)) for i in idx]
+            if cfg.augment:
+                triplets = [augment(t, seed=int(rng.integers(2 ** 31)))
+                            for t in triplets]
+            clean = [t.frames for t in triplets]
+            net_in = [t.network_frames() for t in triplets]
+            prev_net = _stack([f[0] for f in net_in])
+            tgt_net = _stack([f[1] for f in net_in])
+            next_net = _stack([f[2] for f in net_in])
+            prev_clean = _stack([f[0] for f in clean])
+            tgt_clean = _stack([f[1] for f in clean])
+            next_clean = _stack([f[2] for f in clean])
 
-    def run_step(step: int, idx: np.ndarray) -> dict:
-        """Load the batch, take one optimization step and return its curve
-        row. Nothing the step builds outlives the call."""
-        triplets = [data_source.triplet(int(i)) for i in idx]
-        if cfg.augment:
-            triplets = [augment(t, seed=int(rng.integers(2 ** 31)))
-                        for t in triplets]
-        clean = [t.frames for t in triplets]
-        net_in = [t.network_frames() for t in triplets]
-        prev_net = _stack([f[0] for f in net_in], dtype)
-        tgt_net = _stack([f[1] for f in net_in], dtype)
-        next_net = _stack([f[2] for f in net_in], dtype)
-        prev_clean = _stack([f[0] for f in clean], dtype)
-        tgt_clean = _stack([f[1] for f in clean], dtype)
-        next_clean = _stack([f[2] for f in clean], dtype)
+            # the last step's gradients stay readable until this step's data
+            # is loaded, but are not held under the new graph
+            models.zero_grad()
+            disps = models.decoder(models.encoder(tgt_net))
+            t_prev = models.pose.pose_between(tgt_net, prev_net, source_is_previous=True)
+            t_next = models.pose.pose_between(tgt_net, next_net, source_is_previous=False)
 
-        # the last step's gradients stay readable until this step's data
-        # is loaded, but are not held under the new graph
-        models.zero_grad()
-        disps = models.decoder(models.encoder(tgt_net))
-        t_prev = models.pose.pose_between(tgt_net, prev_net, source_is_previous=True)
-        t_next = models.pose.pose_between(tgt_net, next_net, source_is_previous=False)
+            fault = _network_fault(disps, (t_prev, t_next))
+            if fault is None:
+                loss, diag = total_loss(disps, tgt_clean, [prev_clean, next_clean],
+                                        [t_prev, t_next],
+                                        [t.intrinsics for t in triplets], loss_cfg)
+                if not np.isfinite(loss.data):
+                    fault = "non-finite loss"
+            if fault is not None:
+                if out_path is not None:
+                    _dump_disparities(out_path / "diagnostics", step, disps)
+                raise TrainingDiverged(
+                    f"{fault} at step {step}; diagnostics "
+                    f"{'dumped' if out_path is not None else 'not persisted'}")
 
-        fault = _network_fault(disps, (t_prev, t_next))
-        if fault is None:
-            loss, diag = total_loss(disps, tgt_clean, [prev_clean, next_clean],
-                                    [t_prev, t_next],
-                                    [t.intrinsics for t in triplets], loss_cfg)
-            if not np.isfinite(loss.data):
-                fault = "non-finite loss"
-        if fault is not None:
-            if out_path is not None:
-                _dump_disparities(out_path / "diagnostics", step, disps)
-            raise TrainingDiverged(
-                f"{fault} at step {step}; diagnostics "
-                f"{'dumped' if out_path is not None else 'not persisted'}")
+            lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
+            loss.backward()
+            opt.step(lr)
+            return {"step": step, "lr": lr, "total": float(loss.data),
+                    "scale0": diag["per_scale"][0],
+                    "scale1": diag["per_scale"][1],
+                    "scale2": diag["per_scale"][2],
+                    "smoothness": float(np.mean(diag["smoothness"]))}
 
-        lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
-        loss.backward()
-        opt.step(lr)
-        return {"step": step, "lr": lr, "total": float(loss.data),
-                "scale0": diag["per_scale"][0],
-                "scale1": diag["per_scale"][1],
-                "scale2": diag["per_scale"][2],
-                "smoothness": float(np.mean(diag["smoothness"]))}
+        curve: List[dict] = []
+        for step in range(total_steps):
+            if step % steps_per_epoch == 0:
+                order = rng.permutation(n_items)
+            start = (step % steps_per_epoch) * cfg.batch_size
+            curve.append(run_step(step, order[start: start + cfg.batch_size]))
+            if curve_path is not None:
+                with curve_path.open("a") as f:
+                    f.write(_curve_line(curve[-1][c] for c in _CURVE_COLUMNS))
+            done = step + 1
+            if (out_path is not None and cfg.checkpoint_every > 0
+                    and done % cfg.checkpoint_every == 0):
+                # every checkpoint records the number of completed epochs
+                save_checkpoint(out_path / "checkpoints" / f"step{done:07d}.lmck",
+                                checkpoint_entries(models, opt, done // steps_per_epoch,
+                                                   config_text))
 
-    curve: List[dict] = []
-    for step in range(total_steps):
-        if step % steps_per_epoch == 0:
-            order = rng.permutation(n_items)
-        start = (step % steps_per_epoch) * cfg.batch_size
-        curve.append(run_step(step, order[start: start + cfg.batch_size]))
-        if curve_path is not None:
-            with curve_path.open("a") as f:
-                f.write(_curve_line(curve[-1][c] for c in _CURVE_COLUMNS))
-        done = step + 1
-        if (out_path is not None and cfg.checkpoint_every > 0
-                and done % cfg.checkpoint_every == 0):
-            # every checkpoint records the number of completed epochs
-            save_checkpoint(out_path / "checkpoints" / f"step{done:07d}.lmck",
-                            checkpoint_entries(models, opt, done // steps_per_epoch,
-                                               config_text))
-
-    ckpt_path = None
-    if out_path is not None:
-        ckpt_path = out_path / "checkpoints" / "final.lmck"
-        save_checkpoint(ckpt_path, checkpoint_entries(
-            models, opt, total_steps // steps_per_epoch, config_text))
-    return TrainResult(models, curve, ckpt_path, curve_path)
+        ckpt_path = None
+        if out_path is not None:
+            ckpt_path = out_path / "checkpoints" / "final.lmck"
+            save_checkpoint(ckpt_path, checkpoint_entries(
+                models, opt, total_steps // steps_per_epoch, config_text))
+        return TrainResult(models, curve, ckpt_path, curve_path)
 
 
 def _network_fault(disps: Sequence[Tensor], poses: Sequence[Tensor]) -> Optional[str]:
@@ -412,10 +415,11 @@ def _dump_disparities(out_dir: Path, step: int, disps: Sequence[Tensor]) -> None
 
 def predict_depth(models: Models, frame: np.ndarray,
                   loss_config: Optional[LossConfig] = None) -> np.ndarray:
-    """Full-resolution metric depth (H, W) for one RGB frame (3, H, W)."""
+    """Full-resolution metric depth (H, W) for one RGB frame (3, H, W), at
+    the models' precision whatever the caller's default dtype."""
     loss_cfg = loss_config or LossConfig()
     dtype = next(models.parameters()).data.dtype
-    with no_grad():
+    with no_grad(), using_dtype(dtype):
         disp = models.decoder(models.encoder(Tensor(frame[None].astype(dtype))))[0]
         depth = disp_to_depth(disp, loss_cfg.min_depth, loss_cfg.max_depth)
     return depth.data[0, 0]

@@ -1,11 +1,12 @@
 import os
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from litedepth.engine import Tensor, set_default_dtype
+from litedepth.engine import Tensor, recompute, set_default_dtype
 from litedepth.gradsuite import EPS
 
 # Every property test draws the same examples on every run, keeps no example
@@ -140,6 +141,27 @@ def assert_same_bits():
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
     return check
+
+
+@pytest.fixture
+def plain_graph():
+    """plain_graph(patch): through the monkeypatch context ``patch``, run every
+    `recompute` node as a direct call of its function, in each litedepth
+    module that binds `recompute`. The modules are found by identity, as
+    the benchmark's tracer finds the functions it wraps, so a module that
+    starts binding `recompute` is patched too."""
+    import litedepth.trainer  # noqa: F401  loads every module a training step runs
+
+    def direct(fn, *inputs, params=()):
+        return fn(*inputs)
+
+    def install(patch):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "litedepth":
+                for attr, value in list(vars(module).items()):
+                    if value is recompute:
+                        patch.setattr(module, attr, direct)
+    return install
 
 
 @pytest.fixture

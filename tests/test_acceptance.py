@@ -10,7 +10,7 @@ from litedepth.decoder import DepthDecoder
 from litedepth.encoder import (
     EncoderConfig, count_flops, count_params, xca_attention,
 )
-from litedepth.engine import Tensor, no_grad, set_default_dtype
+from litedepth.engine import Tensor, no_grad, using_dtype
 from litedepth.losses import (
     LossConfig, min_reprojection, photometric_loss, smoothness, ssim,
 )
@@ -218,7 +218,6 @@ class TestCriterion11MetricsOracle:
 
 class TestCriterion12Determinism:
     def test_curves_and_checkpoints(self, tmp_path):
-        set_default_dtype("f32")
         src = SyntheticSource(seed=5, n_frames=5, size=(64, 32))
         cfg = TrainConfig(batch_size=2, steps=3, lr0=5e-4, seed=1, augment=True)
         tiny = EncoderConfig.variant_preset("tiny")
@@ -228,7 +227,8 @@ class TestCriterion12Determinism:
 
         p1 = tmp_path / "a" / "checkpoints" / "final.lmck"
         entries = load_checkpoint(p1)
-        models = build_models(tiny, seed=9)
+        with using_dtype(cfg.precision):
+            models = build_models(tiny, seed=9)
         opt = AdamW(dict(models.named_parameters()))
         restore_checkpoint(entries, models, opt)
         save_checkpoint(tmp_path / "resaved.lmck", checkpoint_entries(

@@ -115,6 +115,22 @@ def subcommand_flags():
 
 CONFIG_FLAGS = ["--config", "--set", "--seed", "--variant", "--size"]
 
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def workflow_commands():
+    """{CI workflow step name: the argv of each `litedepth` shell command
+    in its script}, each command joined across `\\` and cut at `||`."""
+    steps = {}
+    for line in map(str.strip, WORKFLOW.read_text().replace("\\\n", " ").splitlines()):
+        if line.startswith("- name: "):
+            name = line[len("- name: "):]
+            steps[name] = []
+        elif line.startswith("litedepth "):
+            steps[name].append(shlex.split(line.split("||")[0]))
+    return steps
+
 
 class TestCliSurface:
     def test_flags_are_pinned(self):
@@ -135,24 +151,37 @@ class TestCliSurface:
         assert sum(map(len, flags.values())) == 39
 
     def test_readme_commands_parse(self):
-        root = Path(__file__).resolve().parents[1]
-        readme = (root / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         block = re.search(r"^## CLI\n.*?^```bash\n(.*?)^```", readme, re.S | re.M).group(1)
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("litedepth ")]
         assert len(commands) >= 8
-        # the CI workflow's shell commands, each cut at `||`, and the
-        # paper-scale step's argv list
-        workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
-        ci = [shlex.split(line.split("||")[0])
-              for line in map(str.strip, workflow.replace("\\\n", " ").splitlines())
-              if line.startswith("litedepth ")]
-        ci += [ast.literal_eval(m) for m in re.findall(r'\["litedepth",.*?\]', workflow, re.S)]
+        # the CI workflow's shell commands and the paper-scale step's argv list
+        ci = [argv for step in workflow_commands().values() for argv in step]
+        ci += [ast.literal_eval(m)
+               for m in re.findall(r'\["litedepth",.*?\]', WORKFLOW.read_text(), re.S)]
         assert len(ci) == 10
         parser = _build_parser()
         for argv in commands + ci:
             args = parser.parse_args(argv[1:])     # a usage error exits 1
             assert args.command == argv[1]
+
+    def test_workflow_runtime_steps_run(self, tmp_path, monkeypatch):
+        # two steps of the CI runtime job as written, run through the console
+        # script's entry point in a fresh directory, asserting what the
+        # shell asserts: each exit code, and what is written
+        steps = workflow_commands()
+        monkeypatch.chdir(tmp_path)
+        flow = steps["Console-script flow, synth to infer"]
+        assert [argv[1] for argv in flow] == ["synth", "train", "eval", "infer", "ablate"]
+        for argv in flow:
+            assert main(argv[1:]) == 0, argv
+        assert (tmp_path / "run" / "curves.csv").read_text().count("\n") == 3
+        bad = steps["A bad config value is a usage error that writes nothing"]
+        assert len(bad) == 2
+        for argv in bad:
+            assert main(argv[1:]) == 1, argv
+            assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 
 @pytest.fixture
@@ -276,6 +305,8 @@ class TestCliCommands:
         (["--steps", "1", "--set", "encoder.heads=4,4"], "encoder.heads"),
         (["--steps", "1", "--set", "encoder.heads=0,4,8"], "encoder.heads"),
         (["--steps", "1", "--set", "encoder.expansion=0"], "encoder.expansion"),
+        # the engine's names are the only precisions
+        (["--steps", "1", "--set", "train.precision=f16"], "train.precision must be f32 or f64"),
     ] + [
         # NaN fails every comparison, so a range check must be written to catch it
         (["--steps", "1", "--set", f"{key}={value}"], key)
@@ -288,7 +319,7 @@ class TestCliCommands:
             "min-depth-above-max", "negative-weight-decay", "negative-lr-min",
             "zero-width", "two-frames", "negative-seed", "negative-scene-seed",
             "negative-checkpoint-every", "three-channels", "zero-channels", "two-heads",
-            "zero-heads", "zero-expansion",
+            "zero-heads", "zero-expansion", "f16-precision",
             "nan-lr0", "inf-lr0", "nan-lr-min", "inf-lr-min", "nan-weight-decay",
             "inf-weight-decay", "nan-lambda-smooth", "inf-lambda-smooth", "inf-max-depth"])
     def test_bad_config_value_is_a_usage_error(self, extra, key, tmp_path, capsys):

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from litedepth import encoder, nn
 from litedepth.engine import (
     Tensor, avg_pool, default_dtype, grad_check, no_grad, set_default_dtype, using_dtype,
 )
@@ -273,7 +272,7 @@ class TestFeedForwardNode:
     # gradient is a signed zero
     @pytest.mark.parametrize("upstream", ["random", "zero"])
     def test_matches_plain_graph_bit_for_bit(self, default, kind, upstream, monkeypatch,
-                                             assert_same_bits):
+                                             plain_graph, assert_same_bits):
         # batch norm's running statistics are compared after the forward and
         # after the backward, so an update from a re-run, or a second one,
         # shows
@@ -281,9 +280,7 @@ class TestFeedForwardNode:
         for plain in (False, True):
             with using_dtype(default), monkeypatch.context() as patch:
                 if plain:
-                    for module in (encoder, nn):
-                        patch.setattr(module, "recompute",
-                                      lambda fn, *inputs, params=(): fn(*inputs))
+                    plain_graph(patch)
                 rng = np.random.default_rng(7)
                 block = self.BLOCKS[kind](rng).train()
                 # nonzero biases and norm parameters, so every input matters

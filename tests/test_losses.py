@@ -444,7 +444,7 @@ class TestTotalLoss:
     @pytest.mark.parametrize("per_sample", [False, True])
     @pytest.mark.parametrize("image_grad", [False, True])
     def test_branches_match_plain_graph_bit_for_bit(self, default, per_sample, image_grad,
-                                                   monkeypatch, assert_same_bits):
+                                                   monkeypatch, plain_graph, assert_same_bits):
         # the objective with each warped branch one recompute node, against
         # the same objective with every branch run as a plain graph
         dtype = np.float32 if default == "f32" else np.float64
@@ -452,7 +452,7 @@ class TestTotalLoss:
         for plain in (False, True):
             with using_dtype(default), monkeypatch.context() as patch:
                 if plain:
-                    patch.setattr(losses, "recompute", lambda fn, *inputs, params=(): fn(*inputs))
+                    plain_graph(patch)
                 disps, target, sources, transforms, cams = self._step_inputs(
                     2, 12, 16, per_sample, image_grad, dtype)
                 loss, _ = total_loss(disps, target, sources, transforms, cams, LossConfig())

@@ -67,6 +67,22 @@ class TestBackwardBasics:
         assert y.grad is not None
 
 
+class TestDefaultDtype:
+    @pytest.mark.parametrize("name,dtype", [("f32", np.float32), ("f64", np.float64)])
+    def test_a_name_and_its_numpy_dtype_select_the_same_precision(self, name, dtype):
+        for given in (name, dtype, np.dtype(dtype)):
+            with using_dtype(given):
+                assert default_dtype() == np.dtype(dtype)
+
+    @pytest.mark.parametrize("given", ["f16", "float32", np.float16, np.dtype(np.int32), None])
+    def test_other_dtypes_are_refused(self, given):
+        before = default_dtype()
+        with pytest.raises(ValueError, match="unknown dtype"):
+            with using_dtype(given):
+                pass
+        assert default_dtype() == before
+
+
 class TestGraphRelease:
     """backward() frees each node's parents and closure as it visits it."""
 

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litedepth import encoder, losses, nn, trainer
+from litedepth import trainer
 from litedepth.config import TrainConfig
 from litedepth.data import (DirectorySource, SyntheticSource, Triplet, augment,
                             generate_synthetic_sequence, resize_depth, save_dataset)
 from litedepth.encoder import DepthEncoder, EncoderConfig
-from litedepth.engine import Tensor, set_default_dtype
+from litedepth.engine import Tensor, default_dtype, set_default_dtype, using_dtype
 from litedepth.losses import LossConfig
 from litedepth.pngio import read_f32
 from litedepth.warp import CameraIntrinsics
@@ -327,6 +327,21 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match=f"{name}: checkpoint shape"):
             restore_checkpoint(entries, build_models(TINY, seed=1))
 
+    def test_restore_rejects_dtype_mismatch(self, tmp_path):
+        # an f64 checkpoint is refused by f32 models, not rounded into them
+        with using_dtype("f64"):
+            save_checkpoint(tmp_path / "f64.lmck",
+                            checkpoint_entries(build_models(TINY, seed=0), None, 0, ""))
+        with using_dtype("f32"):
+            models = build_models(TINY, seed=1)
+        before = [p.data.copy() for p in models.parameters()]
+        with pytest.raises(ValueError, match=r"f64\.lmck: param\.\S+: checkpoint dtype "
+                                             r"float64 vs model float32"):
+            restore_checkpoint(load_checkpoint(tmp_path / "f64.lmck"), models,
+                               path=tmp_path / "f64.lmck")
+        for p, old in zip(models.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
+
 
 class TestTrainLoop:
     def test_fixed_seed_identical_curves(self, tmp_path):
@@ -540,7 +555,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_recompute_nodes_match_plain_graphs_bit_for_bit(self, precision, monkeypatch,
-                                                            assert_same_bits):
+                                                            plain_graph, assert_same_bits):
         # each warped branch of the objective, each conv block of the encoders
         # and each attention block's two halves are recompute nodes; run as
         # plain graphs instead, whole steps give the same losses, parameter
@@ -561,9 +576,7 @@ class TestTrainLoop:
 
             with monkeypatch.context() as patch:
                 if plain:
-                    for module in (encoder, losses, nn):
-                        patch.setattr(module, "recompute",
-                                      lambda fn, *inputs, params=(): fn(*inputs))
+                    plain_graph(patch)
                 patch.setattr(AdamW, "step", record_grads)
                 patch.setattr(trainer, "total_loss", record_loss)
                 res = train(toy_train_config(steps=2, precision=precision), TINY,
@@ -583,6 +596,46 @@ class TestTrainLoop:
         first = np.mean([r["total"] for r in res.curve[:5]])
         last = np.mean([r["total"] for r in res.curve[-5:]])
         assert last < first
+
+
+class TestPrecision:
+    """The models' parameter dtype is the precision of what runs with them,
+    and no entry point changes the caller's default dtype."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_depth_does_not_depend_on_the_caller_default(self, precision):
+        with using_dtype(precision):
+            models = build_models(TINY, seed=0).eval()
+        frame = SyntheticSource(seed=2, n_frames=3, size=(64, 32)).triplet(0).frames[1]
+        depths = []
+        for default in ("f32", "f64"):
+            with using_dtype(default):
+                before = default_dtype()
+                depths.append(predict_depth(models, frame))
+                assert default_dtype() == before
+        assert depths[0].dtype == depths[1].dtype
+        assert depths[0].tobytes() == depths[1].tobytes()
+
+    @pytest.mark.parametrize("default", ["f32", "f64"])
+    def test_train_leaves_the_caller_default(self, default):
+        other = "f64" if default == "f32" else "f32"
+        src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
+        with using_dtype(default):
+            before = default_dtype()
+            res = train(toy_train_config(steps=1, precision=other), TINY, src)
+            assert default_dtype() == before
+        assert next(res.models.parameters()).dtype != before
+
+    @pytest.mark.parametrize("default", ["f32", "f64"])
+    def test_diverged_train_leaves_the_caller_default(self, default):
+        other = "f64" if default == "f32" else "f32"
+        src = SyntheticSource(seed=5, n_frames=4, size=(64, 32))
+        src.sequence.frames[1][:] = np.nan
+        with using_dtype(default):
+            before = default_dtype()
+            with pytest.raises(TrainingDiverged):
+                train(toy_train_config(steps=1, precision=other), TINY, src)
+            assert default_dtype() == before
 
 
 class TestEvaluate:
