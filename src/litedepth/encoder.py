@@ -143,7 +143,10 @@ class DilatedConvBlock(Module):
 
     The branch before the add is one `recompute` node, so the graph keeps
     none of its maps; the node hands out the batch statistics the norm
-    updates from.
+    updates from. The add stays outside: a stage's first block reads the
+    downsampling output the next `Downsample` reads as its carry, and with
+    the add inside, the node would sum two of that input's three gradient
+    terms before the third arrives, which rounds apart.
     """
 
     def __init__(self, channels: int, dilation: int, rng: np.random.Generator,
@@ -172,11 +175,10 @@ class AttentionBlock(Module):
 
     Tokens are the row-major spatial flattening of the feature map; the
     attention mixes channels, so no positional encoding is used anywhere.
-    Each half and its residual add is one `recompute` node over its input
-    tokens and its layers' parameters: the attention half (q, k, v, the
-    channel attention and its projection), then the feed-forward (layer
-    norm, expansion, GELU, projection). So the graph keeps none of their
-    maps, the 6C-wide ones included.
+    The block is one `recompute` node over its tokens and its parameters:
+    q, k, v, the channel attention, its projection and the first residual
+    add, then layer norm, expansion, GELU, projection and the second add.
+    So the graph keeps none of its maps, the 6C-wide ones included.
     """
 
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
@@ -197,21 +199,16 @@ class AttentionBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
         tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)     # (N, HW, C)
-        attended = recompute(self._attention_half, tokens, params=[self.temperature] + [
-            p for m in (self.wq, self.wk, self.wv, self.attn_proj) for p in m.parameters()])[0]
-        out = recompute(self._token_feed_forward, attended, params=[
-            p for m in (self.norm, self.expand, self.project) for p in m.parameters()])[0]
+        out = recompute(self._block, tokens, params=self.parameters())[0]
         return out.transpose(0, 2, 1).reshape(n, c, h, w)
 
-    def _attention_half(self, t: Tensor) -> Tuple[Tensor]:
-        # the residual add is inside, so t sums its four gradient terms, the
-        # add's and the three projections', in the plain graph's order
+    def _block(self, t: Tensor) -> Tuple[Tensor]:
+        # both residual adds are inside: t sums its four gradient terms (the
+        # add's and the three projections') and the attended tokens their
+        # three (the add's and then layer norm's two) in the plain graph's
+        # order, since nothing outside the node reads either
         attn = xca_attention(self.wq(t), self.wk(t), self.wv(t), self.heads, self.temperature)
-        return (t + self.attn_proj(attn),)
-
-    def _token_feed_forward(self, t: Tensor) -> Tuple[Tensor]:
-        # the residual add is inside, so t sums its three gradient terms, the
-        # add's and then layer norm's two, in the plain graph's order
+        t = t + self.attn_proj(attn)
         return (t + self.project(gelu(self.expand(self.norm(t)))),)
 
 
@@ -280,24 +277,18 @@ class DepthEncoder(Module):
         (N, C4, H/16, W/16). No reference to the stem map outlives the first
         downsampling, so under ``no_grad`` it is freed there."""
         cfg = self.config
-        pooled = []
+        pooled, p = [None] * 3, image
         if cfg.use_pooled_concat:
-            p = image
-            for _ in range(3):
-                p = avg_pool(p)
-                pooled.append(p)
-        else:
-            pooled = [None, None, None]
+            for s in range(3):
+                pooled[s] = p = avg_pool(p)
 
         x, carry = self.stem(image), None
         outputs = []
         for s in range(3):
-            ds_out = self.down[s](x, pooled[s],
-                                  carry if cfg.use_cross_stage and s > 0 else None)
-            x = ds_out
+            # no carry before the first stage
+            x = carry = self.down[s](x, pooled[s], carry if cfg.use_cross_stage else None)
             for block in self.stages[s]:
                 x = block(x)
-            carry = ds_out
             outputs.append(x)
         return tuple(outputs)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from litedepth.engine import (
-    Tensor, avg_pool, default_dtype, grad_check, no_grad, set_default_dtype, using_dtype,
+    Tensor, avg_pool, default_dtype, grad_check, no_grad, recompute, set_default_dtype,
+    using_dtype,
 )
 from litedepth.encoder import (
     AttentionBlock, DepthEncoder, DilatedConvBlock, Downsample, EncoderConfig,
@@ -236,6 +237,31 @@ class TestAttentionBlock:
 
         assert grad_check(f, [x]) < 1e-4
 
+    def test_train_call_is_one_node_over_tokens_and_own_parameters(self, rng, monkeypatch):
+        # nothing outside the block reads its tokens or the attended tokens
+        # between its two halves, so one node holds both residual adds
+        from litedepth import encoder
+        nodes = []
+
+        def record(fn, *inputs, params=()):
+            out = recompute(fn, *inputs, params=params)
+            nodes.append(out[0])
+            return out
+
+        monkeypatch.setattr(encoder, "recompute", record)
+        block = AttentionBlock(8, heads=2, rng=rng).train()
+        x = Tensor(rng.standard_normal((2, 8, 3, 5)), requires_grad=True)
+        out = block(x)
+        assert len(nodes) == 1
+        tokens, *params = nodes[0]._parents
+        assert tokens.shape == (2, 15, 8)
+        np.testing.assert_array_equal(tokens.data, x.data.reshape(2, 8, 15).transpose(0, 2, 1))
+        own = list(block.parameters())
+        assert len(own) == len(params) == 12
+        assert all(p is q for p, q in zip(params, own))
+        # the block's output is that node's, reshaped back to the map
+        assert out._parents[0]._parents[0] is nodes[0]
+
 
 class _StageEntry(Module):
     """A stage's first dilated block, whose input the next downsampling also
@@ -252,9 +278,8 @@ class _StageEntry(Module):
 
 
 class TestFeedForwardNode:
-    """Each conv block, and each attention block's attention half and
-    feed-forward, as one `recompute` node against the same block run as a
-    plain graph."""
+    """Each conv block and each attention block as one `recompute` node
+    against the same block run as a plain graph."""
 
     BLOCKS = {
         "conv-bn-gelu": lambda rng: ConvBnGelu(8, 8, rng, stride=2),
@@ -305,12 +330,13 @@ class TestFeedForwardNode:
 
     def test_forward_left_alive_is_bounded(self):
         # What one tiny encoder forward leaves alive for backward on a 64x32
-        # batch-4 f32 frame: 2.4 MiB with each conv block and each attention
-        # half one recompute node, against 3.9 MiB when the attention halves
-        # were plain graphs, 6.4 MiB when each conv block's batch norm and the
+        # batch-4 f32 frame: 2.3 MiB with each conv block and each attention
+        # block one recompute node, 2.4 MiB when each attention half was its
+        # own node, against 3.9 MiB when the attention halves were plain
+        # graphs, 6.4 MiB when each conv block's batch norm and the
         # stem and downsampling blocks were too, and 13.8 MiB when the graph
         # also kept each feed-forward's two 6C-wide maps. The bound is 25%
-        # above the first.
+        # above the two-node 2.4 MiB.
         with using_dtype("f32"):
             enc = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0).train()
             image = Tensor(np.random.default_rng(0).random((4, 3, 32, 64), dtype=np.float32))

@@ -424,8 +424,7 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
     monkeypatch.setattr(losses, "photometric_loss", keep_rerun(losses.photometric_loss))
     for block, name in ((ConvBnGelu, "_conv_bn_gelu"),
                         (DilatedConvBlock, "_conv_branch"),
-                        (AttentionBlock, "_attention_half"),
-                        (AttentionBlock, "_token_feed_forward")):
+                        (AttentionBlock, "_block")):
         monkeypatch.setattr(block, name, keep_rerun(getattr(block, name)))
     trainer.train(TrainConfig(batch_size=2, steps=1, seed=1, precision="f32"),
                   EncoderConfig.variant_preset("tiny"),
@@ -448,7 +447,7 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
             if kept != [(shape, "f")] or not rerun:
                 faults.append((op, rerun, shape, kept))
         elif op in ("conv2d", "elu", "warped_error", "_conv_bn_gelu", "_conv_branch",
-                    "_attention_half", "_token_feed_forward") and own:
+                    "_block") and own:
             faults.append((op, kept))
         elif op == "bilinear_sample":
             n, c, ho, wo = shape
@@ -465,12 +464,11 @@ def test_closures_keep_no_copies_of_graph_maps(monkeypatch):
                ("conv2d", "batch_norm", "elu", "bilinear_sample", "ssim", "warped_error")), ops
     # two sources at three scales, each re-run once by backward
     assert ops["warped_error"] == ops["bilinear_sample"] == ops["ssim"] == 6, ops
-    # one node per conv block: the tiny encoder's 3 stem and 3 downsampling
+    # one node per block: the tiny encoder's 3 stem and 3 downsampling
     # blocks and the pose encoder's 5 for each of two sources, twelve
-    # dilated blocks; two per attention block, its attention half and its
-    # feed-forward. Each node but an attention half is re-run once with one
-    # GELU, and the pose head runs three GELUs per source
-    assert (ops.get("_conv_bn_gelu"), ops.get("_conv_branch"), ops.get("_attention_half"),
-            ops.get("_token_feed_forward")) == (16, 12, 3, 3), ops
+    # dilated blocks and three attention blocks. Each node is re-run once
+    # with one GELU, and the pose head runs three GELUs per source
+    assert (ops.get("_conv_bn_gelu"), ops.get("_conv_branch"),
+            ops.get("_block")) == (16, 12, 3), ops
     assert (ops.get(("gelu", True)), ops.get(("gelu", False))) == (31, 6), ops
     assert ops.get(("batch_norm", True)) == 28, ops
