@@ -402,6 +402,12 @@ def save_dataset(seq: SyntheticSequence, outdir: Union[str, Path]) -> None:
 # --------------------------------------------------------------- frame sources
 
 
+def _check_triplet_index(i: int, n: int) -> None:
+    """Refuse a triplet index outside 0..n-1 of a source with n triplets."""
+    if not 0 <= i < n:
+        raise IndexError(f"triplet {i} needs neighbors; valid range is 0..{n - 1}")
+
+
 class SyntheticSource:
     """In-memory triplet source over a rendered synthetic sequence."""
 
@@ -413,6 +419,8 @@ class SyntheticSource:
         return max(len(self.sequence) - 2, 0)
 
     def triplet(self, i: int) -> Triplet:
+        """Frames i, i + 1 and i + 2, centred on frame i + 1."""
+        _check_triplet_index(i, len(self))
         t = i + 1
         seq = self.sequence
         return Triplet(
@@ -452,8 +460,7 @@ class DirectorySource:
 
     def triplet(self, i: int) -> Triplet:
         """Frames i, i + 1 and i + 2, centred on frame i + 1."""
-        if not 0 <= i < len(self):
-            raise IndexError(f"triplet {i} needs neighbors; valid range is 0..{len(self) - 1}")
+        _check_triplet_index(i, len(self))
         files = self.frame_files[i: i + 3]
         frames = [load_image(f) for f in files]
         _, h0, w0 = frames[0].shape

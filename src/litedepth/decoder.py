@@ -27,15 +27,6 @@ def disp_to_depth(disp: Tensor, min_depth: float, max_depth: float) -> Tensor:
     return 1.0 / (lo + (hi - lo) * disp)
 
 
-class _ConvElu(Module):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
-        super().__init__()
-        self.conv = Conv2d(cin, cout, 3, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return elu(self.conv(x))
-
-
 class DepthDecoder(Module):
     """Three refinement levels walking the pyramid coarse to fine.
 
@@ -57,9 +48,9 @@ class DepthDecoder(Module):
         c2, c3, c4 = self.enc_channels
         d0, d1, d2 = _DEC_CHANNELS
 
-        self.pre = [_ConvElu(c4, d2, rng), _ConvElu(d2, d1, rng), _ConvElu(d1, d0, rng)]
-        self.post = [_ConvElu(d2 + c3, d2, rng), _ConvElu(d1 + c2, d1, rng),
-                     _ConvElu(d0, d0, rng)]
+        self.pre = [Conv2d(c4, d2, 3, rng), Conv2d(d2, d1, 3, rng), Conv2d(d1, d0, 3, rng)]
+        self.post = [Conv2d(d2 + c3, d2, 3, rng), Conv2d(d1 + c2, d1, 3, rng),
+                     Conv2d(d0, d0, 3, rng)]
         self.heads = [Conv2d(d2, 1, 3, rng), Conv2d(d1, 1, 3, rng),
                       Conv2d(d0, 1, 3, rng)]
 
@@ -74,9 +65,9 @@ class DepthDecoder(Module):
         disps = [None, None, None]
         for step, level in enumerate((2, 1, 0)):
             h, w = x.shape[2:]
-            x = resize_bilinear(self.pre[step](x), size=(2 * h, 2 * w))
+            x = resize_bilinear(elu(self.pre[step](x)), size=(2 * h, 2 * w))
             if level > 0:
                 x = concat([x, skips[level - 1]], axis=1)
-            x = self.post[step](x)
+            x = elu(self.post[step](x))
             disps[level] = sigmoid(resize_bilinear(self.heads[step](x), size=(4 * h, 4 * w)))
         return tuple(disps)

@@ -144,9 +144,9 @@ class DilatedConvBlock(Module):
     The branch before the add is one `recompute` node, so the graph keeps
     none of its maps; the node hands out the batch statistics the norm
     updates from. The add stays outside: a stage's first block reads the
-    downsampling output the next `Downsample` reads as its carry, and with
-    the add inside, the node would sum two of that input's three gradient
-    terms before the third arrives, which rounds apart.
+    downsampling output the next stage's downsampling reads as its carry,
+    and with the add inside, the node would sum two of that input's three
+    gradient terms before the third arrives, which rounds apart.
     """
 
     def __init__(self, channels: int, dilation: int, rng: np.random.Generator,
@@ -212,41 +212,14 @@ class AttentionBlock(Module):
         return (t + self.project(gelu(self.expand(self.norm(t)))),)
 
 
-class ConvStem(Module):
-    """One stride-2 3x3 conv then two stride-1 3x3 convs, each with
-    normalization and GELU. Halves the spatial size."""
-
-    def __init__(self, cout: int, rng: np.random.Generator):
-        super().__init__()
-        self.conv1 = ConvBnGelu(3, cout, rng, stride=2)
-        self.conv2 = ConvBnGelu(cout, cout, rng)
-        self.conv3 = ConvBnGelu(cout, cout, rng)
-
-    def __call__(self, image: Tensor) -> Tensor:
-        check_frame_size(image.shape[3], image.shape[2], "input size")
-        return self.conv3(self.conv2(self.conv1(image)))
-
-
-class Downsample(Module):
-    """Stride-2 3x3 conv over the concatenation of the stage features, the
-    pooled RGB input and (stages 2-3) the previous downsampling output."""
-
-    def __init__(self, cin_total: int, cout: int, rng: np.random.Generator):
-        super().__init__()
-        self.block = ConvBnGelu(cin_total, cout, rng, stride=2)
-
-    def __call__(self, features: Tensor, pooled_rgb: Optional[Tensor] = None,
-                 carry: Optional[Tensor] = None) -> Tensor:
-        parts = [features]
-        for extra, what in ((pooled_rgb, "pooled RGB"), (carry, "carried features")):
-            if extra is None:
-                continue
-            if extra.shape[2:] != features.shape[2:]:
-                raise ValueError(
-                    f"{what} spatial size {extra.shape[2:]} does not match "
-                    f"features {features.shape[2:]}")
-            parts.append(extra)
-        return self.block(concat(parts, axis=1))
+def _downsample_widths(config: EncoderConfig) -> List[Tuple[int, int]]:
+    """(input, output) channels of each stage's stride-2 downsampling conv,
+    which reads the concatenation of the previous features, the pooled RGB
+    input and (stages 2-3) the previous downsampling output."""
+    c = config.channels
+    pooled = 3 if config.use_pooled_concat else 0
+    return [(c[s] + pooled + (c[s] if s and config.use_cross_stage else 0), c[s + 1])
+            for s in range(3)]
 
 
 class DepthEncoder(Module):
@@ -255,17 +228,15 @@ class DepthEncoder(Module):
         config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
-        c1, c2, c3, c4 = config.channels
-        pooled = 3 if config.use_pooled_concat else 0
+        c1 = config.channels[0]
 
-        self.stem = ConvStem(c1, rng)
-        self.down = [
-            Downsample(c1 + pooled, c2, rng),
-            Downsample(c2 + pooled + (c2 if config.use_cross_stage else 0), c3, rng),
-            Downsample(c3 + pooled + (c3 if config.use_cross_stage else 0), c4, rng),
-        ]
+        # the stem halves the frame: one stride-2 conv, then two stride-1
+        self.stem = [ConvBnGelu(3, c1, rng, stride=2), ConvBnGelu(c1, c1, rng),
+                     ConvBnGelu(c1, c1, rng)]
+        self.down = [ConvBnGelu(cin, cout, rng, stride=2)
+                     for cin, cout in _downsample_widths(config)]
         self.stages = []
-        for s, c in enumerate((c2, c3, c4)):
+        for s, c in enumerate(config.channels[1:]):
             blocks: List[Module] = [DilatedConvBlock(c, r, rng, config.expansion)
                                     for r in config.dilation_schedule[s]]
             if config.use_lgfi:
@@ -277,16 +248,20 @@ class DepthEncoder(Module):
         (N, C4, H/16, W/16). No reference to the stem map outlives the first
         downsampling, so under ``no_grad`` it is freed there."""
         cfg = self.config
-        pooled, p = [None] * 3, image
+        check_frame_size(image.shape[3], image.shape[2], "input size")
+        pooled, p = [], image
         if cfg.use_pooled_concat:
-            for s in range(3):
-                pooled[s] = p = avg_pool(p)
+            for _ in range(3):
+                p = avg_pool(p)
+                pooled.append(p)
 
-        x, carry = self.stem(image), None
-        outputs = []
+        x = image
+        for conv in self.stem:
+            x = conv(x)
+        carry, outputs = [], []     # no carry before the first stage
         for s in range(3):
-            # no carry before the first stage
-            x = carry = self.down[s](x, pooled[s], carry if cfg.use_cross_stage else None)
+            x = self.down[s](concat([x] + pooled[s:s + 1] + carry, axis=1))
+            carry = [x] if cfg.use_cross_stage else []
             for block in self.stages[s]:
                 x = block(x)
             outputs.append(x)
@@ -316,23 +291,11 @@ def count_flops(config: EncoderConfig, input_size: Tuple[int, int]) -> int:
     config.validate()
     w, h = input_size
     check_frame_size(w, h, "input size")
-    c1, c2, c3, c4 = config.channels
-    pooled = 3 if config.use_pooled_concat else 0
-    macs = 0
-
-    h2, w2 = h // 2, w // 2
-    macs += _conv_macs(3, c1, 3, h2, w2)
-    macs += 2 * _conv_macs(c1, c1, 3, h2, w2)
-
-    sizes = [(h // 4, w // 4), (h // 8, w // 8), (h // 16, w // 16)]
-    cins = [c1 + pooled,
-            c2 + pooled + (c2 if config.use_cross_stage else 0),
-            c3 + pooled + (c3 if config.use_cross_stage else 0)]
-    couts = [c2, c3, c4]
-    for s in range(3):
-        hs, ws = sizes[s]
-        c = couts[s]
-        macs += _conv_macs(cins[s], c, 3, hs, ws)
+    c1 = config.channels[0]
+    macs = _conv_macs(3, c1, 3, h // 2, w // 2) + 2 * _conv_macs(c1, c1, 3, h // 2, w // 2)
+    for s, (cin, c) in enumerate(_downsample_widths(config)):
+        hs, ws = h // 2 ** (s + 2), w // 2 ** (s + 2)
+        macs += _conv_macs(cin, c, 3, hs, ws)
         n_tok = hs * ws
         for _ in config.dilation_schedule[s]:
             macs += _conv_macs(c, c, 3, hs, ws, groups=c)       # depthwise

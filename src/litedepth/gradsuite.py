@@ -8,7 +8,6 @@ from typing import Callable, List
 
 import numpy as np
 
-from .decoder import _ConvElu
 from .encoder import AttentionBlock, DilatedConvBlock, xca_attention
 from .engine import (
     ConvSpec, Tensor, avg_pool, batch_norm, bilinear_sample, concat, conv2d,
@@ -126,16 +125,16 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         check("lgfi_block", lambda a: wlg(lgfi(a)),
               [Tensor(rng.standard_normal((1, 4, 3, 3)))])
 
-        pre = _ConvElu(6, 4, rng)
-        post = _ConvElu(7, 4, rng)
+        pre = Conv2d(6, 4, 3, rng)
+        post = Conv2d(7, 4, 3, rng)
         head = Conv2d(4, 1, 3, rng)
         deep = Tensor(rng.standard_normal((1, 6, 2, 3)))
         skip = Tensor(rng.standard_normal((1, 3, 4, 6)))
         wdec = _weighted(rng, (1, 1, 8, 12))
 
         def decoder_level(d, s):
-            z = resize_bilinear(pre(d), size=(4, 6))
-            z = post(concat([z, s], axis=1))
+            z = resize_bilinear(elu(pre(d)), size=(4, 6))
+            z = elu(post(concat([z, s], axis=1)))
             return wdec(sigmoid(resize_bilinear(head(z), size=(8, 12))))
 
         check("decoder_level", decoder_level, [deep, skip])

@@ -91,31 +91,13 @@ def pose_to_matrix(axis_angle: Tensor, translation: Tensor,
     return concat([concat([rot, t], axis=2), bottom], axis=1)
 
 
-class _SmallPoseEncoder(Module):
-    """Five stride-2 conv blocks, 6 input channels to 256."""
-
-    def __init__(self, rng: np.random.Generator):
-        super().__init__()
-        chans = (16, 32, 64, 128, 256)
-        cin = 6
-        self.blocks = []
-        for c in chans:
-            self.blocks.append(ConvBnGelu(cin, c, rng, stride=2))
-            cin = c
-        self.out_channels = cin
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for b in self.blocks:
-            x = b(x)
-        return x
-
-
 class PoseNet(Module):
     """Regress the relative pose between two RGB frames stacked channelwise.
 
-    A strided conv encoder feeds a four-conv decoder; the spatially averaged
-    output is scaled by 0.01 so training starts near the identity pose, then
-    split into axis-angle and translation, each (N, 3).
+    An encoder of five stride-2 conv blocks, 6 input channels to 256, feeds
+    a four-conv decoder; the spatially averaged output is scaled by 0.01 so
+    training starts near the identity pose, then split into axis-angle and
+    translation, each (N, 3).
     """
 
     OUTPUT_SCALE = 0.01
@@ -123,9 +105,10 @@ class PoseNet(Module):
     def __init__(self, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.encoder = _SmallPoseEncoder(rng)
-        c = self.encoder.out_channels
-        self.squeeze = Conv2d(c, 256, 1, rng)
+        chans = (6, 16, 32, 64, 128, 256)
+        self.encoder = [ConvBnGelu(cin, cout, rng, stride=2)
+                        for cin, cout in zip(chans, chans[1:])]
+        self.squeeze = Conv2d(chans[-1], 256, 1, rng)
         self.conv1 = Conv2d(256, 256, 3, rng)
         self.conv2 = Conv2d(256, 256, 3, rng)
         self.head = Conv2d(256, 6, 1, rng)
@@ -134,7 +117,9 @@ class PoseNet(Module):
         if frame_pair.ndim != 4 or frame_pair.shape[1] != 6:
             raise ValueError(
                 f"pose input must be (N, 6, H, W) stacked frames, got {frame_pair.shape}")
-        x = self.encoder(frame_pair)
+        x = frame_pair
+        for conv in self.encoder:
+            x = conv(x)
         x = gelu(self.squeeze(x))
         x = gelu(self.conv1(x))
         x = gelu(self.conv2(x))

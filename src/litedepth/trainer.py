@@ -416,12 +416,19 @@ def _dump_disparities(out_dir: Path, step: int, disps: Sequence[Tensor]) -> None
 def predict_depth(models: Models, frame: np.ndarray,
                   loss_config: Optional[LossConfig] = None) -> np.ndarray:
     """Full-resolution metric depth (H, W) for one RGB frame (3, H, W), at
-    the models' precision whatever the caller's default dtype."""
+    the models' precision whatever the caller's default dtype. The models
+    run in eval mode, normalizing with their running statistics, and are
+    left in the mode they came in."""
     loss_cfg = loss_config or LossConfig()
     dtype = next(models.parameters()).data.dtype
-    with no_grad(), using_dtype(dtype):
-        disp = models.decoder(models.encoder(Tensor(frame[None].astype(dtype))))[0]
-        depth = disp_to_depth(disp, loss_cfg.min_depth, loss_cfg.max_depth)
+    training = models.training
+    models.eval()
+    try:
+        with no_grad(), using_dtype(dtype):
+            disp = models.decoder(models.encoder(Tensor(frame[None].astype(dtype))))[0]
+            depth = disp_to_depth(disp, loss_cfg.min_depth, loss_cfg.max_depth)
+    finally:
+        models.train(training)
     return depth.data[0, 0]
 
 
@@ -437,7 +444,6 @@ def evaluate(models: Models, data_source,
     from each triplet: its two neighbours are freed before the forward."""
     if len(data_source) == 0:
         raise ValueError("data source has no triplets")
-    models.eval()
     per_frame: List[DepthMetrics] = []
     for i in range(len(data_source)):
         trip = data_source.triplet(i)

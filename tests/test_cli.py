@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litedepth.cli import _build_config, _build_parser, main
+from litedepth.cli import _build_config, _build_parser, _models_from_checkpoint, main
 from litedepth.config import RunConfig
+from litedepth.data import resize_depth, resize_frame
 from litedepth.encoder import EncoderConfig
-from litedepth.pngio import read_f32, read_png, write_png
+from litedepth.pngio import load_image, read_f32, read_png, write_png
 from litedepth.engine import set_default_dtype
-from litedepth.metrics import DEPTH_FLOOR
+from litedepth.metrics import DEPTH_CAP, DEPTH_FLOOR
 from litedepth.trainer import (build_models, checkpoint_entries, load_checkpoint,
-                               save_checkpoint)
+                               predict_depth, save_checkpoint)
 
 
 @pytest.fixture(autouse=True)
@@ -160,7 +161,7 @@ class TestCliSurface:
         ci = [argv for step in workflow_commands().values() for argv in step]
         ci += [ast.literal_eval(m)
                for m in re.findall(r'\["litedepth",.*?\]', WORKFLOW.read_text(), re.S)]
-        assert len(ci) == 10
+        assert len(ci) == 12
         parser = _build_parser()
         for argv in commands + ci:
             args = parser.parse_args(argv[1:])     # a usage error exits 1
@@ -438,6 +439,21 @@ class TestCliCommands:
         assert read_f32(out / "frame_depth.f32").shape == (1, 50, 100)
         assert read_png(out / "frame_depth_mm.png").shape[:2] == (50, 100)
         assert read_png(out / "frame_depth_vis.png").shape == (50, 200, 3)
+
+    def test_infer_writes_the_eval_mode_depth(self, tiny_checkpoint, tmp_path):
+        # the network normalizes with the checkpoint's running statistics,
+        # not with the one image's batch statistics
+        image = tmp_path / "frame.png"
+        write_png(image, (np.random.default_rng(0).random((50, 100, 3)) * 255).astype(np.uint8))
+        out = tmp_path / "depth"
+        assert run_cli("infer", "--checkpoint", str(tiny_checkpoint), "--image", str(image),
+                       "--out", str(out)) == 0
+        models, cfg = _models_from_checkpoint(str(tiny_checkpoint))
+        depth = predict_depth(models.eval(), resize_frame(load_image(image), (64, 32)),
+                              cfg.loss)
+        want = np.clip(resize_depth(depth, (50, 100)), cfg.loss.min_depth, DEPTH_CAP)
+        assert read_f32(out / "frame_depth.f32")[0].tobytes() == \
+            want.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("cap", ["-5", "0", "nan", "abc", "0.0005", "0.001"])
     def test_eval_rejects_a_nonpositive_depth_cap(self, tiny_checkpoint, cap, capsys):

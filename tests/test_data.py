@@ -466,14 +466,19 @@ class TestDatasetDirectory:
         np.testing.assert_array_equal(trip.gt_depth, sparse)
         assert (trip.gt_depth > 0).mean() == 0.5
 
-    def test_boundary_indices_rejected(self, tmp_path):
-        seq = generate_synthetic_sequence(3, 3, SIZE)
-        save_dataset(seq, tmp_path)
-        src = DirectorySource(tmp_path)
-        with pytest.raises(IndexError, match="neighbors"):
-            src.triplet(-1)
-        with pytest.raises(IndexError, match="neighbors"):
-            src.triplet(1)
+    @pytest.mark.parametrize("kind", ["directory", "synthetic"])
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_boundary_indices_rejected(self, kind, i, tmp_path):
+        # three frames make one triplet; -1 would wrap round to the last
+        # frame in memory, 1 would run past the end
+        if kind == "directory":
+            save_dataset(generate_synthetic_sequence(3, 3, SIZE), tmp_path)
+            src = DirectorySource(tmp_path)
+        else:
+            src = SyntheticSource(3, 3, SIZE)
+        with pytest.raises(IndexError,
+                           match=f"^triplet {i} needs neighbors; valid range is 0..0$"):
+            src.triplet(i)
 
     def test_missing_directory_errors_with_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="frames"):

@@ -103,18 +103,18 @@ class TestDecoderForward:
     def test_single_level_grad_check(self, rng):
         # one decoder refinement level, shrunk channels, against finite differences
         from litedepth.engine import concat, resize_bilinear
-        from litedepth.decoder import _ConvElu
-        from litedepth.engine import sigmoid
-        pre = _ConvElu(6, 4, rng)
-        post = _ConvElu(4 + 3, 4, rng)
-        head = __import__("litedepth.nn", fromlist=["Conv2d"]).Conv2d(4, 1, 3, rng)
+        from litedepth.engine import elu, sigmoid
+        from litedepth.nn import Conv2d
+        pre = Conv2d(6, 4, 3, rng)
+        post = Conv2d(4 + 3, 4, 3, rng)
+        head = Conv2d(4, 1, 3, rng)
         deep = Tensor(rng.standard_normal((1, 6, 2, 3)))
         skip = Tensor(rng.standard_normal((1, 3, 4, 6)))
         wts = Tensor(rng.standard_normal((1, 1, 8, 12)))
 
         def f(di, si):
-            x = resize_bilinear(pre(di), size=(4, 6))
-            x = post(concat([x, si], axis=1))
+            x = resize_bilinear(elu(pre(di)), size=(4, 6))
+            x = elu(post(concat([x, si], axis=1)))
             disp = sigmoid(resize_bilinear(head(x), size=(8, 12)))
             return (disp * wts).sum()
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from litedepth.engine import (
-    Tensor, avg_pool, default_dtype, grad_check, no_grad, recompute, set_default_dtype,
-    using_dtype,
+    Tensor, avg_pool, concat, default_dtype, grad_check, no_grad, recompute,
+    set_default_dtype, using_dtype,
 )
 from litedepth.encoder import (
-    AttentionBlock, DepthEncoder, DilatedConvBlock, Downsample, EncoderConfig,
+    AttentionBlock, DepthEncoder, DilatedConvBlock, EncoderConfig,
     count_flops, count_params, xca_attention,
 )
 from litedepth.nn import ConvBnGelu, Module
@@ -271,10 +271,10 @@ class _StageEntry(Module):
     def __init__(self, rng):
         super().__init__()
         self.block = DilatedConvBlock(8, 2, rng)
-        self.down = Downsample(16, 8, rng)
+        self.down = ConvBnGelu(16, 8, rng, stride=2)
 
     def __call__(self, x):
-        return self.down(self.block(x), carry=x)
+        return self.down(concat([self.block(x), x], axis=1))
 
 
 class TestFeedForwardNode:
@@ -351,12 +351,18 @@ class TestFeedForwardNode:
         assert held <= 3.0 * 2 ** 20
 
 
+def run_stem(enc, x):
+    for conv in enc.stem:
+        x = conv(x)
+    return x
+
+
 class TestEncoderForward:
     def test_tiny_smoke_output_sizes(self, rng):
         enc = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0)
         x = Tensor(np.random.default_rng(0).random((1, 3, 32, 64)))
         with no_grad():
-            stem = enc.stem(x)
+            stem = run_stem(enc, x)
             stages = enc(x)
         assert stem.shape == (1, 32, 16, 32)
         assert [s.shape for s in stages] == [(1, 32, 8, 16), (1, 64, 4, 8), (1, 128, 2, 4)]
@@ -366,7 +372,7 @@ class TestEncoderForward:
         enc = DepthEncoder(EncoderConfig.variant_preset("base"), seed=0)
         x = Tensor(np.random.default_rng(0).random((1, 3, 192, 640)).astype(np.float32))
         with no_grad():
-            stem = enc.stem(x)
+            stem = run_stem(enc, x)
             stages = enc(x)
         assert stem.shape == (1, 48, 96, 320)
         assert [s.shape for s in stages] == [(1, 48, 48, 160), (1, 80, 24, 80),
@@ -394,10 +400,10 @@ class TestEncoderForward:
             for _ in range(3):
                 p = avg_pool(p)
                 pooled.append(p)
-            y = enc.stem(x)
-            d1 = enc.down[0](y, pooled[0])
-            d2 = enc.down[1](d1, pooled[1], d1)
-            d3 = enc.down[2](d2, pooled[2], d2)
+            y = run_stem(enc, x)
+            d1 = enc.down[0](concat([y, pooled[0]], axis=1))
+            d2 = enc.down[1](concat([d1, pooled[1], d1], axis=1))
+            d3 = enc.down[2](concat([d2, pooled[2], d2], axis=1))
         for got, want in zip(stages, (d1, d2, d3)):
             np.testing.assert_array_equal(got.data, want.data)
 
@@ -405,8 +411,8 @@ class TestEncoderForward:
         full = DepthEncoder(EncoderConfig.variant_preset("tiny"), seed=0)
         lean = DepthEncoder(EncoderConfig.variant_preset(
             "tiny", use_pooled_concat=False), seed=0)
-        assert lean.down[0].block.conv.weight.shape[1] == \
-            full.down[0].block.conv.weight.shape[1] - 3
+        assert lean.down[0].conv.weight.shape[1] == \
+            full.down[0].conv.weight.shape[1] - 3
 
     def test_forward_runs_without_pooled_or_cross_stage(self, rng):
         cfg = EncoderConfig.variant_preset(

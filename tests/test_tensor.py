@@ -121,7 +121,7 @@ class TestGraphRelease:
                        for level in range(3))
 
         # one parameter from the stem, the attention, a convolution block and a head
-        names = ["stem.conv1.norm.scale", "stages.2.1.temperature",
+        names = ["stem.0.norm.scale", "stages.2.1.temperature",
                  "stages.0.1.wq.weight", "stages.1.0.dwconv.weight", "heads.1.bias"]
         assert grad_check(f, [params[k] for k in names]) < 1e-4
 

@@ -281,6 +281,21 @@ class TestCheckpointFormat:
         assert entries["meta.epoch"].tolist() == [3]
         assert entries["meta.config"] == b"x = 1"
 
+    def test_entries_are_block_level(self):
+        # each layer is named by the block list that holds it, with no
+        # wrapper-module level between; a checkpoint written with other
+        # names is refused, so this format changes only on purpose
+        models = build_models(TINY, seed=0)
+        params = [k for k, _ in models.named_parameters()]
+        buffers = [k for k, _ in models.named_buffers()]
+        for name in ("encoder.stem.0.conv.weight", "encoder.down.2.conv.weight",
+                     "pose.encoder.4.norm.shift", "decoder.pre.0.weight",
+                     "decoder.heads.2.bias"):
+            assert name in params
+        for name in params + buffers:
+            assert not any(level in name for level in (".block.", ".blocks.", ".conv1.conv."))
+        assert (len(params), len(buffers)) == (179, 46)
+
     def test_restore_reproduces_model_and_optimizer_bit_for_bit(self, tmp_path, rng):
         set_default_dtype("f32")
         models = build_models(TINY, seed=0)
@@ -638,7 +653,33 @@ class TestPrecision:
             assert default_dtype() == before
 
 
+def _modes(module):
+    """The training flag of a module and of every module under it."""
+    yield module.training
+    for _, child in module._children():
+        yield from _modes(child)
+
+
 class TestEvaluate:
+    def test_depth_is_the_eval_mode_depth_in_either_mode(self):
+        # batch norm normalizes with the running statistics, not with the
+        # one frame's batch statistics, updates none of them, and each
+        # module is left in the mode it came in
+        models = build_models(TINY, seed=0)
+        rng = np.random.default_rng(1)
+        for _, b in models.named_buffers():
+            b[...] = rng.uniform(0.5, 1.5, b.shape)
+        frame = SyntheticSource(seed=2, n_frames=3, size=(64, 32)).triplet(0).frames[1]
+        depths = []
+        for mode in (True, False):
+            models.train(mode)
+            before = [b.copy() for _, b in models.named_buffers()]
+            depths.append(predict_depth(models, frame))
+            assert set(_modes(models)) == {mode}
+            for (name, b), old in zip(models.named_buffers(), before):
+                assert b.tobytes() == old.tobytes(), name
+        assert depths[0].tobytes() == depths[1].tobytes()
+
     def test_source_without_triplets_is_refused(self):
         # two frames make no (previous, target, next) triplet; train refuses
         # the same source with the same message
