@@ -20,6 +20,7 @@ from .functional import (
     avg_pool,
     batch_norm,
     bilinear_sample,
+    blocks,
     conv2d,
     elu,
     gelu,
@@ -33,7 +34,7 @@ from .gradcheck import grad_check
 
 __all__ = [
     "ConvSpec", "Tensor", "as_tensor", "avg_pool", "batch_norm",
-    "bilinear_sample", "concat", "conv2d", "default_dtype", "elu", "gelu",
+    "bilinear_sample", "blocks", "concat", "conv2d", "default_dtype", "elu", "gelu",
     "grad_check", "grad_enabled", "layer_norm", "maximum", "minimum",
     "no_grad", "recompute", "resize_bilinear", "same_padding",
     "set_default_dtype", "sigmoid", "softmax", "stack", "unary_op",

@@ -26,6 +26,7 @@ __all__ = [
     "avg_pool",
     "batch_norm",
     "bilinear_sample",
+    "blocks",
     "conv2d",
     "elu",
     "gelu",
@@ -39,8 +40,8 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # largest im2col copy one conv2d forward holds; bigger calls go in blocks
 _COLS_BYTES = 4 << 20
-# elements _erf evaluates at a time, so its f64 temporaries stay in cache
-_ERF_BLOCK = 1 << 15
+# elements `blocks` yields at a time, so each block's temporaries stay in cache
+_BLOCK = 1 << 15
 
 # erf's rational approximations from Cephes ndtr.c (S. Moshier; after Cody
 # 1969, Math. Comp. 23). Highest power first; U and Q are monic, and their
@@ -459,8 +460,27 @@ def _p1evl(x: np.ndarray, coef: Tuple[float, ...],
     return out
 
 
+def blocks(ops, writes: int = 1):
+    """Yield the matching blocks, of at most _BLOCK elements, of the
+    same-shaped (or broadcastable) arrays in `ops`: a tuple of one block per
+    array, or the block itself when `ops` holds one array, as `np.nditer`
+    yields them.
+
+    The last `writes` arrays are read-write; the others may be any views,
+    0-stride broadcasts included. An operand the walk cannot step through
+    with one stride is read through a block-sized buffer, and a written one
+    is copied back when the walk ends, so each block stays in cache from its
+    inputs to its outputs. Every kernel that walks an array in blocks goes
+    through here, so only the engine knows the block size.
+    """
+    with np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"]] * (len(ops) - writes) + [["readwrite"]] * writes,
+                   buffersize=_BLOCK) as walk:
+        yield from walk
+
+
 def _erf(buf: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """erf of a C-contiguous float array, in place; returns `buf`.
+    """erf of a float array of any layout, in place; returns `buf`.
 
     Cephes' erf evaluated in f64 for f32 and f64 input alike:
     x T(x²)/U(x²) for |x| <= 1, else sign(x) (1 - exp(-x²) P(|x|)/Q(|x|))
@@ -469,18 +489,14 @@ def _erf(buf: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     to f32; an f64 one too, except where numpy's SIMD `np.exp` rounds
     exp(-x²) 1 ulp away from libm's `exp`, which can move erf by 1 ulp on
     1 < |x| < 4. `scratch`, if given, is f64 of shape
-    (4, >= min(buf.size, _ERF_BLOCK)).
+    (4, >= min(buf.size, _BLOCK)).
     """
-    if not buf.flags.c_contiguous:
-        raise ValueError("_erf works in place on a C-contiguous array")
-    flat = buf.reshape(-1)
     if scratch is None:
-        scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
+        scratch = np.empty((4, min(buf.size, _BLOCK)))
     # x² of a subnormal x underflows; x² of a huge f64 x overflows, and its
     # first branch then reads inf/inf, but the second branch replaces it
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        for i in range(0, flat.size, _ERF_BLOCK):
-            src = flat[i:i + _ERF_BLOCK]
+        for src in blocks([buf]):
             x, z, y, u = scratch[:, :src.size]
             x[...] = src
             np.square(x, out=z)
@@ -499,42 +515,14 @@ def _erf(buf: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     return buf
 
 
-def _blocks(ops, writes: int = 1):
-    """Yield the matching _ERF_BLOCK-sized blocks of the arrays in `ops`.
-
-    The last `writes` arrays are written; the others may be any views, which
-    are read through block-sized buffers, so each block stays in cache from
-    its inputs to its outputs.
-    """
-    with np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"],
-                   [["readonly"]] * (len(ops) - writes) + [["writeonly"]] * writes,
-                   buffersize=_ERF_BLOCK) as blocks:
-        yield from blocks
-
-
-def _phi_blocks(ops, writes: int = 1):
-    """Yield phi = 0.5 * (1 + erf(x / sqrt 2)) of x = ops[0] one _ERF_BLOCK at
-    a time, with the matching block of each array in `ops` (see `_blocks`).
-
-    phi and x / sqrt 2 are in the dtype the unblocked expression gives them
-    (an integer x gives f64).
-    """
-    phi = np.empty(min(ops[0].size, _ERF_BLOCK), np.result_type(ops[0], _SQRT2))
-    scratch = np.empty((4, phi.size))
-    for block in _blocks(ops, writes):
-        pb = phi[:block[0].size]
-        np.divide(block[0], _SQRT2, out=pb)
-        _erf(pb, scratch)
-        pb += 1.0
-        pb *= 0.5
-        yield (pb,) + tuple(block)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU (no tanh approximation).
 
     When it records a graph it keeps the phi its forward computes, and the
     backward reads it: the gradient is the closed form g * (phi + x * pdf).
+    phi = 0.5 * (1 + erf(x / sqrt 2)) goes straight into the kept map's
+    block, or else into one block-sized buffer, in the dtype the unblocked
+    expression gives it (an integer x gives f64).
     """
     x = as_tensor(x)
     xd = x.data
@@ -542,18 +530,24 @@ def gelu(x: Tensor) -> Tensor:
     out = np.empty(xd.shape, dtype)
     phi = np.empty(xd.shape, dtype) if grad_enabled() and x.requires_grad else None
     outs = [out] if phi is None else [out, phi]
-    for pb, xb, ob, *kept in _phi_blocks([xd, *outs], writes=len(outs)):
+    size = min(xd.size, _BLOCK)
+    buf = np.empty(size, dtype) if phi is None else None
+    scratch = np.empty((4, size))
+    for xb, ob, *kept in blocks([xd, *outs], writes=len(outs)):
+        pb = kept[0] if kept else buf[:xb.size]
+        np.divide(xb, _SQRT2, out=pb)
+        _erf(pb, scratch)
+        pb += 1.0
+        pb *= 0.5
         np.multiply(xb, pb, out=ob)
-        if kept:
-            kept[0][...] = pb
 
     def bw(g):
         # pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), then g * (phi + x * pdf):
         # the unblocked expression's ops in its order and dtypes, so an f32 x
         # under an f64 g sums in f32 and multiplies in f64
         gx = np.empty(xd.shape, np.result_type(g, dtype))
-        pdf = np.empty(min(xd.size, _ERF_BLOCK), dtype)
-        for pb, xb, gb, gxb in _blocks([phi, xd, g, gx]):
+        pdf = np.empty(min(xd.size, _BLOCK), dtype)
+        for pb, xb, gb, gxb in blocks([phi, xd, g, gx]):
             d = pdf[:xb.size]
             np.multiply(xb, -0.5, out=d)
             d *= xb

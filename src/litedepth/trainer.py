@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .data import augment, resize_depth
 from .decoder import DepthDecoder, disp_to_depth
 from .encoder import DepthEncoder, EncoderConfig
-from .engine import Tensor, default_dtype, no_grad, using_dtype
+from .engine import Tensor, blocks, default_dtype, no_grad, using_dtype
 from .losses import LossConfig, total_loss
 from .metrics import DEPTH_CAP, METRIC_COLUMNS, DepthMetrics, depth_metrics
 from .nn import Module
@@ -46,8 +46,6 @@ class TrainingDiverged(RuntimeError):
 # ------------------------------------------------------------------ optimizer
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# AdamW's chunk: one chunk of p, m, v, the gradient and the scratch stays in cache
-ADAM_CHUNK_BYTES = 1 << 18
 
 
 class AdamW:
@@ -58,19 +56,13 @@ class AdamW:
         self.params = dict(named_params)
         self.weight_decay = weight_decay
         self.step_count = 0
-        for k, p in self.params.items():
-            if not p.data.flags.c_contiguous:
-                raise ValueError(f"AdamW updates parameters through flat views; {k} "
-                                 f"is not C-contiguous")
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        # raw bytes, so parameters of every dtype can take views of it
-        self.scratch = np.empty(ADAM_CHUNK_BYTES, dtype=np.uint8)
 
     def step(self, lr: float) -> None:
-        """One update in place, one cache-sized chunk of each parameter at a
-        time: every term goes through a view of the one fixed scratch
-        buffer, so no full-size temporaries are allocated."""
+        """One update in place, one cache-sized block of each parameter at a
+        time (`engine.blocks`): every term goes through one block-sized
+        scratch per parameter, so no full-size temporaries are allocated."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
@@ -78,11 +70,12 @@ class AdamW:
         for name, p in self.params.items():
             g = (np.broadcast_to(np.zeros((), p.data.dtype), p.data.shape)
                  if p.grad is None else p.grad)
-            flat = [a.reshape(-1) for a in (p.data, self.m[name], self.v[name], g)]
-            chunk = ADAM_CHUNK_BYTES // p.data.itemsize
-            for i in range(0, p.data.size, chunk):
-                pc, m, v, gc = (a[i:i + chunk] for a in flat)
-                s = self.scratch[:pc.nbytes].view(pc.dtype)
+            # s too: its view would keep the last parameter's scratch alive
+            scratch = s = np.empty(0, p.data.dtype)
+            for gc, pc, m, v in blocks([g, p.data, self.m[name], self.v[name]], writes=3):
+                if scratch.size < pc.size:  # a buffered walk's blocks vary in size
+                    scratch = np.empty_like(pc)
+                s = scratch[:pc.size]
                 m *= ADAM_BETA1
                 m += np.multiply(gc, 1.0 - ADAM_BETA1, out=s)
                 v *= ADAM_BETA2

@@ -10,11 +10,11 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from litedepth.engine import (
-    ConvSpec, Tensor, as_tensor, avg_pool, batch_norm, bilinear_sample, conv2d,
-    elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, same_padding,
+    ConvSpec, Tensor, as_tensor, avg_pool, batch_norm, bilinear_sample, blocks,
+    conv2d, elu, gelu, grad_check, layer_norm, no_grad, resize_bilinear, same_padding,
     sigmoid, softmax, using_dtype,
 )
-from litedepth.engine.functional import _COLS_BYTES, _ERF_BLOCK, _erf
+from litedepth.engine.functional import _BLOCK, _COLS_BYTES, _erf
 from litedepth.nn import BatchNorm2d
 
 
@@ -461,9 +461,9 @@ class TestActivations:
         np.testing.assert_array_equal(out, ref)
 
     def test_gelu_across_blocks_equals_the_erf_expression(self, rng):
-        # several blocks of _ERF_BLOCK elements and a partial last one
+        # several blocks of _BLOCK elements and a partial last one
         from scipy.special import erf
-        x = (3.0 * rng.standard_normal(2 * _ERF_BLOCK + 1001)).astype(np.float32)
+        x = (3.0 * rng.standard_normal(2 * _BLOCK + 1001)).astype(np.float32)
         ref = x * (0.5 * (1.0 + erf(x / float(np.sqrt(2.0)))))
         np.testing.assert_array_equal(gelu(Tensor(x)).data, ref)
 
@@ -478,7 +478,7 @@ class TestActivations:
 
     @pytest.mark.parametrize("mode", ["no_grad", "input_needs_no_grad"])
     def test_gelu_without_a_backward_equals_the_grad_path(self, mode, rng):
-        x = (3.0 * rng.standard_normal(2 * _ERF_BLOCK + 1001)).astype(np.float32)
+        x = (3.0 * rng.standard_normal(2 * _BLOCK + 1001)).astype(np.float32)
         ref = gelu(Tensor(x, requires_grad=True)).data
         if mode == "no_grad":
             with no_grad():
@@ -567,6 +567,33 @@ def f32_between(lo, hi, stride=1):
     return np.arange(start, stop, stride, dtype=np.uint32).view(np.float32)
 
 
+class TestBlocks:
+    """`blocks` walks every blocked elementwise kernel: GELU, `_erf`, AdamW."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "broadcast", "empty"])
+    def test_visits_every_element_once_and_writes_back(self, layout):
+        # the read operand in each layout, and a written one that is a
+        # strided view except where the read one is C-contiguous
+        shape = (3, 0 if layout == "empty" else 2 * _BLOCK // 64 + 7, 64)
+        n = int(np.prod(shape))
+        src = {"contiguous": np.arange(n, dtype=float).reshape(shape),
+               "transposed": np.arange(n, dtype=float).reshape(shape[::-1]).T,
+               "broadcast": np.broadcast_to(np.arange(64.0), shape),
+               "empty": np.empty(shape)}[layout]
+        out = (np.zeros(shape) if layout == "contiguous"
+               else np.zeros((shape[0], 2 * shape[1], 64))[:, ::2])
+        count = np.zeros(shape, np.int64)
+        sizes = []
+        for sb, ob, cb in blocks([src, out, count], writes=2):
+            assert sb.size == ob.size == cb.size <= _BLOCK
+            sizes.append(sb.size)
+            ob[...] = sb
+            cb += 1
+        assert sum(sizes) == n and (n == 0 or len(sizes) > 1)
+        np.testing.assert_array_equal(count, 1)
+        np.testing.assert_array_equal(out, src)
+
+
 def assert_same_bits(out, ref):
     """Equal values and signs, signed zeros included; NaN where ref is NaN."""
     assert out.dtype == ref.dtype
@@ -630,12 +657,19 @@ class TestErf:
         assert _erf(x) is x
         np.testing.assert_array_equal(x, ref)
 
-    def test_rejects_a_non_contiguous_array(self):
-        # it works in place on the flat array, which a strided view has not
-        x = np.ones((4, 6), np.float32)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _erf(x.T)
-        np.testing.assert_array_equal(x, 1.0)
+    @pytest.mark.parametrize("layout", ["transposed", "strided"])
+    def test_in_place_on_a_non_contiguous_view(self, layout, rng):
+        # several blocks; the walk buffers a view it cannot step through with
+        # one stride and writes it back, and leaves the rest of the array
+        select = {"transposed": lambda a: a.transpose(2, 1, 0),
+                  "strided": lambda a: a[:, ::2, ::3]}[layout]
+        x = (3.0 * rng.standard_normal((2, 3 * _BLOCK // 64 + 5, 64))).astype(np.float32)
+        want = x.copy()
+        view = select(x)
+        assert not view.flags.c_contiguous and view.size > _BLOCK
+        select(want)[...] = self.erf(view)
+        assert _erf(view) is view
+        assert_same_bits(x, want)
 
     def test_package_runs_without_scipy(self):
         # numpy is the only runtime dependency: scipy is made unimportable

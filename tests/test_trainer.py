@@ -12,6 +12,7 @@ from litedepth.data import (DirectorySource, SyntheticSource, Triplet, augment,
                             generate_synthetic_sequence, resize_depth, save_dataset)
 from litedepth.encoder import DepthEncoder, EncoderConfig
 from litedepth.engine import Tensor, default_dtype, set_default_dtype, using_dtype
+from litedepth.engine.functional import _BLOCK
 from litedepth.losses import LossConfig
 from litedepth.pngio import read_f32
 from litedepth.warp import CameraIntrinsics
@@ -79,8 +80,8 @@ class TestAdamW:
         for k in "abc":
             np.testing.assert_array_equal(a[k], b[k])
 
-    def test_one_scratch_buffer_serves_every_parameter(self, rng):
-        # the two largest span several chunks and end in a partial one
+    def test_holds_only_the_two_moments(self, rng):
+        # the two largest span several blocks and end in a partial one
         shapes = {"big": ((512, 160), np.float64), "f32": ((300, 500), np.float32),
                   "small": ((40, 30), np.float64)}
         params = {k: Tensor(rng.standard_normal(shape).astype(dt), requires_grad=True)
@@ -91,7 +92,8 @@ class TestAdamW:
         for k, p in alone.items():
             p.grad = params[k].grad
         sizes = [p.data.nbytes for p in params.values()]
-        assert max(sizes) > 2 * trainer.ADAM_CHUNK_BYTES
+        block = _BLOCK * np.dtype(np.float64).itemsize   # the widest block's scratch
+        assert sorted(p.data.size for p in params.values())[1] > 2 * _BLOCK
         tracemalloc.start()
         try:
             opt = AdamW(params)
@@ -101,22 +103,33 @@ class TestAdamW:
             step_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        # two moments per parameter plus one chunk-sized buffer
-        assert 0 <= held - (2 * sum(sizes) + trainer.ADAM_CHUNK_BYTES) < 16384
-        assert step_peak < min(sizes)           # no full-size temporaries
+        # two moments per parameter and nothing else
+        assert 0 <= held - 2 * sum(sizes) < 16384
+        # no full-size temporaries: one block-sized scratch at a time
+        assert step_peak < block + 16384 < sorted(sizes)[1]
         for k, p in alone.items():
             AdamW({k: p}).step(lr=1e-3)
             np.testing.assert_array_equal(p.data, params[k].data)
 
-    def test_rejects_a_parameter_it_cannot_view_flat(self):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            AdamW({"w": Tensor(np.ones((3, 4)).T, requires_grad=True)})
+    def test_a_strided_parameter_updates_like_a_contiguous_one(self, rng):
+        # a transposed parameter under a C-ordered gradient, over several blocks
+        data = rng.standard_normal((300, 700)).astype(np.float32).T
+        strided = Tensor(data, requires_grad=True)
+        contiguous = Tensor(np.ascontiguousarray(data), requires_grad=True)
+        assert not strided.data.flags.c_contiguous and data.size > 2 * _BLOCK
+        opts = [AdamW({"p": p}) for p in (strided, contiguous)]
+        for lr in (1e-2, 5e-3):
+            strided.grad = contiguous.grad = rng.standard_normal(data.shape).astype(np.float32)
+            for opt in opts:
+                opt.step(lr)
+        np.testing.assert_array_equal(strided.data, contiguous.data)
+        np.testing.assert_array_equal(opts[0].v["p"], opts[1].v["p"])
 
     def test_chunks_give_the_whole_array_update(self, rng):
         # the same in-place terms over whole arrays, bit for bit
         b1, b2, eps, wd = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS, 1e-2
         p = Tensor(rng.standard_normal((700, 300)).astype(np.float32), requires_grad=True)
-        assert p.data.nbytes > 2 * trainer.ADAM_CHUNK_BYTES
+        assert p.data.size > 2 * _BLOCK
         opt = AdamW({"p": p}, weight_decay=wd)
         ref, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
         for t, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
