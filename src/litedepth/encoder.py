@@ -126,7 +126,7 @@ def xca_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     qh = qh / ((qh * qh).sum(axis=2, keepdims=True) + 1e-12).sqrt()
     kh = kh / ((kh * kh).sum(axis=2, keepdims=True) + 1e-12).sqrt()
-    logits = kh.swap_last_axes() @ qh                      # (B, h, dh, dh)
+    logits = kh.transpose(0, 1, 3, 2) @ qh                 # (B, h, dh, dh)
     if temperature is not None:
         logits = logits * temperature.reshape(1, heads, 1, 1)
     attn = softmax(logits, axis=-2)                        # columns sum to 1

@@ -351,24 +351,25 @@ def bilinear_sample(source: Tensor, coords: Tensor) -> Tensor:
 
 # ------------------------------------------------------------- normalization
 
+LAYER_NORM_EPS = 1e-6
+BATCH_NORM_EPS = 1e-5
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-6) -> Tensor:
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Normalize over the last axis, then apply per-feature scale/shift."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     x = as_tensor(x)
     if x.shape[-1] == 0:
         raise ValueError("layer norm over a zero-size axis")
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
+    normed = centered / (var + LAYER_NORM_EPS).sqrt()
     return normed * as_tensor(scale) + as_tensor(shift)
 
 
 def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
-               stats: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-               eps: float = 1e-5) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+               stats: Optional[Tuple[np.ndarray, np.ndarray]] = None
+               ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
     """Batch normalization over (N, H, W) per channel of an NCHW tensor.
 
     Returns the output and the per-channel mean and variance it normalized
@@ -378,14 +379,12 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     statistics are the caller's to keep (see `nn.BatchNorm2d`).
 
     One graph node. The means are sums times a default-dtype ``1/count`` and
-    ``eps`` is default-dtype, as the elementwise composition gives them.
+    ``BATCH_NORM_EPS`` is default-dtype, as the elementwise composition gives them.
     When it records a graph it keeps the normalized input xhat, in the dtype
     of ``(x - mean) / std``, beside per-channel arrays. With
     g' = g * scale, dx = (g' - mean(g') - xhat * mean(g' * xhat)) / std in
     train mode and g' / std in eval mode.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
     if x.ndim != 4:
         raise ValueError(f"batch_norm input must be NCHW, got shape {x.shape}")
@@ -406,7 +405,7 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     else:
         mu = stats[0].reshape(cshape).astype(x.dtype)
         var = stats[1].reshape(cshape).astype(x.dtype)
-    std = np.sqrt(var + np.asarray(eps, dtype=default_dtype()))
+    std = np.sqrt(var + np.asarray(BATCH_NORM_EPS, dtype=default_dtype()))
     gamma, beta = scale.data.reshape(cshape), shift.data.reshape(cshape)
     # the ops of (x - mu) / std * gamma + beta, each step in the dtype that
     # expression gives it: the normalized input in its own map when the
@@ -561,15 +560,15 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), bw)
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     xd = x.data
-    neg = alpha * (np.exp(np.minimum(xd, 0.0)) - 1.0)
+    neg = np.exp(np.minimum(xd, 0.0)) - 1.0
     out = np.where(xd > 0, xd, neg)
 
     def bw(g):
         # where x <= 0 the output is neg itself
-        return (g * np.where(xd > 0, 1.0, out + alpha),)
+        return (g * np.where(xd > 0, 1.0, out + 1.0),)
 
     return Tensor._from_op(out, (x,), bw)
 

@@ -239,16 +239,6 @@ class Tensor:
         a = self
         return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-
-        def bw(g):
-            return (g * p * a.data ** (p - 1),)
-
-        return Tensor._from_op(a.data ** p, (a,), bw)
-
     def __matmul__(self, other):
         a, b = self, as_tensor(other)
         if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
@@ -323,11 +313,6 @@ class Tensor:
         inv = np.argsort(axes)
         return Tensor._from_op(a.data.transpose(axes), (a,),
                                lambda g: (g.transpose(inv),))
-
-    def swap_last_axes(self):
-        a = self
-        return Tensor._from_op(np.swapaxes(a.data, -1, -2), (a,),
-                               lambda g: (np.swapaxes(g, -1, -2),))
 
     def __getitem__(self, idx):
         # basic indices only: each element is selected at most once

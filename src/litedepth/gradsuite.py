@@ -42,6 +42,10 @@ def _weighted(rng, shape):
     return lambda out: (out * w).sum()
 
 
+def _sum_sq(out: Tensor) -> Tensor:
+    return (out * out).sum()
+
+
 def run_suite(seed: int = 0) -> List[CheckResult]:
     """Run every check in 64-bit and return one result per op/block."""
     results: List[CheckResult] = []
@@ -57,7 +61,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         check("add", lambda a, b: (a + b).sum(), [x, y])
         check("mul", lambda a, b: (a * b).sum(), [x, y])
         check("div", lambda a, b: (a / (b * b + 1.0)).sum(), [x, y])
-        check("matmul", lambda a, b: (a @ b.swap_last_axes()).sum(), [x, y])
+        check("matmul", lambda a, b: (a @ b.transpose(1, 0)).sum(), [x, y])
         check("exp", lambda a: a.exp().sum(), [Tensor(rng.standard_normal((3, 3)))])
         check("log", lambda a: (a * a + 1.0).log().sum(),
               [Tensor(rng.standard_normal((3, 3)))])
@@ -67,19 +71,19 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
         xc = Tensor(rng.standard_normal((1, 4, 6, 6)))
         wc = Tensor(rng.standard_normal((4, 4, 3, 3)) * 0.3)
         bc = Tensor(rng.standard_normal(4) * 0.1)
-        check("conv2d", lambda a, w, b: (conv2d(a, w, b, ConvSpec(padding=1)) ** 2.0).sum(),
+        check("conv2d", lambda a, w, b: _sum_sq(conv2d(a, w, b, ConvSpec(padding=1))),
               [xc, wc, bc])
         wd = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.3)
-        check("conv2d_depthwise_dilated", lambda a, w: (conv2d(
-            a, w, None, ConvSpec(padding=same_padding(3, 2), dilation=2,
-                                 groups=4)) ** 2.0).sum(), [xc, wd])
-        check("avg_pool", lambda a: (avg_pool(a) ** 2.0).sum(), [xc])
-        check("resize_bilinear", lambda a: (resize_bilinear(a, size=(6, 8)) ** 2.0).sum(),
+        check("conv2d_depthwise_dilated", lambda a, w: _sum_sq(conv2d(
+            a, w, None, ConvSpec(padding=same_padding(3, 2), dilation=2, groups=4))),
+              [xc, wd])
+        check("avg_pool", lambda a: _sum_sq(avg_pool(a)), [xc])
+        check("resize_bilinear", lambda a: _sum_sq(resize_bilinear(a, size=(6, 8))),
               [Tensor(rng.standard_normal((1, 2, 3, 4)))])
 
         src = Tensor(rng.standard_normal((1, 2, 5, 5)))
         coords = Tensor(rng.uniform(0.3, 3.4, size=(1, 3, 3, 2)))
-        check("bilinear_sample", lambda s, c: (bilinear_sample(s, c) ** 2.0).sum(),
+        check("bilinear_sample", lambda s, c: _sum_sq(bilinear_sample(s, c)),
               [src, coords])
 
         xb = Tensor(rng.standard_normal((2, 3, 4, 4)))
@@ -164,7 +168,8 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
 
         def synth_loss(d, a, t):
             out, _ = synthesize(img8, d, pose_to_matrix(a, t), intr)
-            return (((out - tgt8) ** 2.0) * smooth_w).sum()
+            err = out - tgt8
+            return (err * err * smooth_w).sum()
 
         check("synthesize", synth_loss, [depth8, aa8, tr8])
 
@@ -193,7 +198,7 @@ def run_suite(seed: int = 0) -> List[CheckResult]:
                 ("conv2d_pointwise", (5, 4, 1, 1), ConvSpec()),
                 ("conv2d_grouped_stride2", (6, 2, 3, 3),
                  ConvSpec(stride=2, padding=1, groups=2))):
-            check(name, lambda a, w, spec=spec: (conv2d(a, w, None, spec) ** 2.0).sum(),
+            check(name, lambda a, w, spec=spec: _sum_sq(conv2d(a, w, None, spec)),
                   [xc, Tensor(rng.standard_normal(shape) * 0.3)])
         target = Tensor(rng.random((1, 3, 5, 7)))
         wss = _weighted(rng, (1, 3, 5, 7))

@@ -49,71 +49,52 @@ class LossConfig:
                              f"{self.max_depth}), got {self.min_depth}")
 
 
-def _along(axis: int, index) -> tuple:
-    """The index that picks `index` along `axis`."""
-    return (slice(None),) * axis + (index,)
+def _window_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Zero-padded 3-window sums along `axis` of x, each added left to right.
 
-
-def _sum3_interior(x: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """Write each 3-window sum along `axis` of x, added left to right, to
-    entries 1 to n-2 of out."""
-    mid = _along(axis, slice(1, -1))
-    np.add(x[_along(axis, slice(None, -2))], x[mid], out=out[mid])
-    out[mid] += x[_along(axis, slice(2, None))]
-
-
-def _sum3_ends(x: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """Write the reflected 3-window sums of x's first and last entries along
-    `axis` to out: (x[1] + x[0]) + x[1] and (x[-2] + x[-1]) + x[-2]."""
-    for end, inner in ((0, 1), (-1, -2)):
-        e, i = _along(axis, end), _along(axis, inner)
-        np.add(x[i], x[e], out=out[e])
-        out[e] += x[i]
-
-
-def _sum3_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of the reflection-padded 3-window sum along `axis`: a
-    zero-padded 3-window sum, plus the reflected border terms folded back
-    onto entries 1 and n-2.
-
-    Along the last axis the zero-padded sums run over the flattened array,
-    along contiguous memory; each row's first and last entries, which took
-    a neighbour from the next or previous row, are then rewritten.
+    The sums run over the flattened array, along contiguous memory, a step
+    along `axis` apart; the first and last entry of each line along `axis`,
+    whose windows straddle two lines, are then rewritten.
     """
-    g = np.ascontiguousarray(g)
-    out = g.copy()
-    flat = axis == g.ndim - 1
-    go, oo, ax = (g.reshape(-1), out.reshape(-1), 0) if flat else (g, out, axis)
-    oo[_along(ax, slice(1, None))] += go[_along(ax, slice(None, -1))]
-    oo[_along(ax, slice(None, -1))] += go[_along(ax, slice(1, None))]
-    if flat:
-        for end, inner in ((0, 1), (-1, -2)):
-            np.add(g[_along(axis, end)], g[_along(axis, inner)], out=out[_along(axis, end)])
-    out[_along(axis, 1)] += g[_along(axis, 0)]
-    out[_along(axis, -2)] += g[_along(axis, -1)]
+    x = np.ascontiguousarray(x)
+    step = math.prod(x.shape[axis + 1:])
+    flat, out = x.reshape(-1), np.empty(x.shape, x.dtype)
+    mid = out.reshape(-1)[step:-step]
+    np.add(flat[:-2 * step], flat[step:-step], out=mid)
+    mid += flat[2 * step:]
+    lines, ends = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.add(lines[0], lines[1], out=ends[0])
+    np.add(lines[-2], lines[-1], out=ends[-1])
     return out
 
 
 def _box3(x: np.ndarray) -> np.ndarray:
     """3x3 mean of a reflection-padded NCHW map in the order of a windowed
-    mean: the window's columns, then its rows, then a division by 9.
-
-    The column sums run over the flattened map, along contiguous memory; the
-    windows that straddle two rows are those of each row's first and last
-    column, which are then rewritten with their reflected sums.
-    """
-    x = np.ascontiguousarray(x)
-    cols, out = np.empty_like(x), np.empty_like(x)
-    _sum3_interior(x.reshape(-1), cols.reshape(-1), 0)
-    _sum3_ends(x, cols, 3)
-    _sum3_interior(cols, out, 2)
-    _sum3_ends(cols, out, 2)
+    mean: the window's columns, then its rows, then a division by 9. Each
+    end entry's window adds its reflected neighbour to the zero-padded sum."""
+    cols = _window_sum(x, 3)
+    cols[..., 0] += x[..., 1]
+    cols[..., -1] += x[..., -2]
+    out = _window_sum(cols, 2)
+    out[:, :, 0] += cols[:, :, 1]
+    out[:, :, -1] += cols[:, :, -2]
     out /= 9
     return out
 
 
 def _box3_adjoint(g: np.ndarray) -> np.ndarray:
-    return _sum3_adjoint(_sum3_adjoint(g / 9, 3), 2)
+    """Transpose of `_box3`: the division by 9, then the same zero-padded
+    sums along the same axes, with the reflected terms folded back onto
+    entries 1 and n-2."""
+    g = g / 9
+    cols = _window_sum(g, 3)
+    cols[..., 1] += g[..., 0]
+    cols[..., -2] += g[..., -1]
+    del g   # before the row sums allocate, so the step holds two maps, not three
+    out = _window_sum(cols, 2)
+    out[:, :, 1] += cols[:, :, 0]
+    out[:, :, -2] += cols[:, :, -1]
+    return out
 
 
 def _ssim_maps(ad: np.ndarray, bd: np.ndarray, dtype) -> Tuple[np.ndarray, tuple]:
@@ -194,8 +175,6 @@ def photometric_loss(pred: Tensor, target: Tensor, alpha: float = 0.85) -> Tenso
     pred, target = as_tensor(pred), as_tensor(target)
     _check_ssim_shapes(pred, target, "photometric")
     l1 = (pred - target).abs().mean(axis=1, keepdims=True)
-    if alpha == 0.0:
-        return l1
     # rounding can push SSIM a hair past 1; the clamp keeps the map
     # nonnegative and exact ties exactly zero
     dssim = maximum((1.0 - ssim(pred, target)) * 0.5, 0.0)

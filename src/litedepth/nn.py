@@ -127,41 +127,41 @@ class Linear(Module):
         return out
 
 
+BATCH_NORM_MOMENTUM = 0.1
+
+
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
         dt = default_dtype()
         self.scale = Tensor(np.ones(channels, dtype=dt), requires_grad=True)
         self.shift = Tensor(np.zeros(channels, dtype=dt), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dt)
         self.running_var = np.ones(channels, dtype=dt)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tuple[Tensor, np.ndarray, np.ndarray]:
         """`batch_norm` in this layer's mode: the output and the statistics
         it normalized with. Writes nothing; `update` applies the statistics."""
         stats = None if self.training else (self.running_mean, self.running_var)
-        return batch_norm(x, self.scale, self.shift, stats, self.eps)
+        return batch_norm(x, self.scale, self.shift, stats)
 
     def update(self, mean: np.ndarray, var: np.ndarray) -> None:
         """In train mode, r <- (1 - momentum) * r + momentum * batch, once per forward."""
         if self.training:
             for running, batch in ((self.running_mean, mean), (self.running_var, var)):
-                running *= (1.0 - self.momentum)
-                running += self.momentum * batch
+                running *= (1.0 - BATCH_NORM_MOMENTUM)
+                running += BATCH_NORM_MOMENTUM * batch
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int, eps: float = 1e-6):
+    def __init__(self, channels: int):
         super().__init__()
         dt = default_dtype()
         self.scale = Tensor(np.ones(channels, dtype=dt), requires_grad=True)
         self.shift = Tensor(np.zeros(channels, dtype=dt), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.scale, self.shift, self.eps)
+        return layer_norm(x, self.scale, self.shift)
 
 
 class ConvBnGelu(Module):

@@ -85,7 +85,7 @@ def pose_to_matrix(axis_angle: Tensor, translation: Tensor,
     b = rot.shape[0]
     t = translation.reshape(b, 3, 1)
     if invert:
-        rot = rot.swap_last_axes()
+        rot = rot.transpose(0, 2, 1)
         t = -(rot @ t)
     bottom = Tensor(np.broadcast_to(np.array([0.0, 0.0, 0.0, 1.0]), (b, 1, 4)).copy())
     return concat([concat([rot, t], axis=2), bottom], axis=1)

@@ -194,7 +194,7 @@ def spatial_attention_probe():
     def probe(q, k, v, heads):
         _, _, d = q.shape
         qh, kh, vh = (encoder._split_heads(t, heads) for t in (q, k, v))
-        logits = (qh @ kh.swap_last_axes()) * (1.0 / np.sqrt(d // heads))  # (B,h,N,N)
+        logits = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d // heads))  # (B,h,N,N)
         # looked up at call time, so attention_sizes records this matrix too
         attn = encoder.softmax(logits, axis=-1)
         return encoder._merge_heads(attn @ vh)

@@ -145,6 +145,20 @@ class TestFusedSsim:
         assert out.dtype == oracle.dtype == dtype
         assert out.tobytes() == oracle.tobytes()
 
+    # on maps two wide or two high the reflected terms fold back onto the end
+    # entries themselves
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 2, 5), (2, 3, 7, 2), (3, 2, 5, 9)])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_adjoint_is_the_filter_transpose(self, shape, strided, rng):
+        # <box3(x), g> = <x, box3_adjoint(g)>
+        x, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        if strided:
+            g = np.repeat(g, 2, axis=3)[..., ::2]
+        fx, ag = losses._box3(x), losses._box3_adjoint(g)
+        assert ag.shape == x.shape
+        scale = np.vdot(np.abs(fx), np.abs(g))
+        assert abs(np.vdot(fx, g) - np.vdot(x, ag)) <= 1e-12 * scale
+
     def test_one_node(self, count_nodes, rng):
         a = Tensor(rng.random((1, 3, 6, 6)), requires_grad=True)
         b = Tensor(rng.random((1, 3, 6, 6)))
